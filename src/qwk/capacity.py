@@ -523,18 +523,6 @@ def cq_csi_capacity(spec: CompoundWiretapSpec, cfg: SolverConfig) -> CapacityRep
     return _clamped_report("e1q", raw, n, per_t, argmax, cfg)
 
 
-def _with_aux(cfg: SolverConfig, aux: int) -> SolverConfig:
-    return SolverConfig(
-        n=cfg.n,
-        aux_card=aux,
-        grid_resolution=cfg.grid_resolution,
-        refine_iters=cfg.refine_iters,
-        restarts=cfg.restarts,
-        seed=cfg.seed,
-        tolerance=cfg.tolerance,
-    )
-
-
 def cq_nocsi_capacity(spec: CompoundWiretapSpec, cfg: SolverConfig) -> CapacityReport:
     """One auxiliary variable for all states over n-fold input words."""
     _require_variant(spec, "cq", "qnocsie1q")

@@ -21,6 +21,7 @@ from .qcore import (
     QcoreError,
     TOL_RECON,
     TOL_TRACE,
+    accumulate_products,
     check_dim_cap,
     hermitian_eigensystem,
     maximally_entangled,
@@ -235,14 +236,21 @@ def apply_channel(ch, inp):
 
 
 def cq_word_state(ch: CQChannel, word) -> DensityOperator:
-    """Tensor-product output state of a cq channel for an input word."""
+    """Tensor-product output state of a cq channel for an input word.
+
+    The spectrum of the product is the products of the letters' spectra, so
+    the PSD check takes its least eigenvalue from those instead of
+    diagonalising the dense block.
+    """
     dim = ch.output_space.dim ** len(word)
     check_dim_cap(dim, "cq word output")
     out = np.array([[1.0 + 0j]])
     for x in word:
         out = np.kron(out, ch.state_matrix(x))
+    spectra = {x: np.linalg.eigvalsh(ch.state_matrix(x)) for x in set(word)}
+    min_eig = accumulate_products([spectra[x] for x in word]).min()
     label = HilbertLabel(f"{ch.output_space.name}^{len(word)}", dim)
-    return DensityOperator((label,), out)
+    return DensityOperator((label,), out, min_eig=min_eig)
 
 
 def n_fold(ch, n: int):

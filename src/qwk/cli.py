@@ -6,8 +6,9 @@ version, wall-clock) next to the numeric payload; payloads are canonical
 JSON (sorted keys, floats at 12 significant digits) so re-running a
 manifest reproduces byte-identical numbers.
 
-Exit codes: 0 success, 2 input schema error, 3 semantic mismatch,
-4 invalid flag value, 5 resource cap exceeded.
+Exit codes: 0 success, 2 input schema error, 3 semantic mismatch (also a
+``verify`` run with a failed check), 4 invalid flag value, 5 resource cap
+exceeded (``simulate`` decides every cap before it samples a codebook).
 
 Channel-object schema (shared by all spec files): a JSON object tagged by
 "kind" in {stochastic, cq, kraus, stinespring}; complex numbers are
@@ -39,7 +40,14 @@ from .channels import (
 from .entgen import build_decoder_unitaries, build_entgen_code, run_full_audit
 from .qcore import CapExceededError, HilbertLabel, QcoreError
 from .typicality import TypicalParams
-from .wiretapsim import build_decoder, eval_error, eval_leakage, sample_codebook, sizes_from_rates
+from .wiretapsim import (
+    build_decoder,
+    eval_error,
+    eval_leakage,
+    plan_simulation,
+    sample_codebook,
+    sizes_from_rates,
+)
 
 EXIT_SCHEMA = 2
 EXIT_SEMANTIC = 3
@@ -268,6 +276,8 @@ def cmd_simulate(args) -> int:
             raise FlagError("--L must be an integer or 'auto'")
         j_val = args.J if args.J else 2
         sizes_note = {"auto": False}
+    # every cap is decided before any sampling; a refusal costs no work
+    plan = plan_simulation(spec, args.n, j_val, l_val)
     codebook = sample_codebook(p, args.n, j_val, l_val, args.seed, delta=args.delta)
     decoder = build_decoder(spec, codebook, delta=args.decode_delta, t_index=0)
     err = eval_error(spec, codebook, decoder, trials=args.trials, seed=args.seed)
@@ -277,7 +287,7 @@ def cmd_simulate(args) -> int:
         "leakage": leak.to_json_dict(),
         "sizes": sizes_note,
     }
-    write_report(args.out, _manifest(args, "simulate", {"spec": args.spec}), payload)
+    write_report(args.out, _manifest(args, "simulate", {"spec": args.spec, "plan": plan}), payload)
     if args.csv:
         with open(args.csv, "w") as fh:
             fh.write("t,max_error,leakage\n")
@@ -339,7 +349,7 @@ def cmd_verify(args) -> int:
         print(f"{r['bound_id']:<{width}}  lhs={r['lhs']:.6g}  rhs={r['rhs']:.6g}  {status}",
               file=sys.stderr)
     print(f"{args.suite}: {len(records) - n_fail}/{len(records)} checks passed", file=sys.stderr)
-    return 0
+    return EXIT_SEMANTIC if n_fail else 0
 
 
 # ---------------------------------------------------------------------------

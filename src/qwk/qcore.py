@@ -86,12 +86,17 @@ def total_dim(system: Sequence[HilbertLabel]) -> int:
 
 @dataclass(frozen=True)
 class DensityOperator:
-    """Positive semi-definite, unit-trace Hermitian matrix on a labeled system."""
+    """Positive semi-definite, unit-trace Hermitian matrix on a labeled system.
+
+    ``min_eig`` lets a caller that knows the spectrum (a tensor product of
+    validated states) supply the least eigenvalue for the PSD check instead
+    of a dense diagonalisation.
+    """
 
     system: tuple[HilbertLabel, ...]
     matrix: np.ndarray
 
-    def __init__(self, system: Sequence[HilbertLabel], matrix):
+    def __init__(self, system: Sequence[HilbertLabel], matrix, min_eig: float | None = None):
         object.__setattr__(self, "system", _check_labels(system))
         m = _as_complex(matrix)
         d = total_dim(self.system)
@@ -99,9 +104,10 @@ class DensityOperator:
             raise QcoreError(f"matrix shape {m.shape} does not match system dim {d}")
         if np.max(np.abs(m - m.conj().T)) > TOL_HERM:
             raise QcoreError("matrix is not Hermitian within tolerance")
-        ev = np.linalg.eigvalsh(m)
-        if ev.min() < -TOL_PSD:
-            raise QcoreError(f"matrix has negative eigenvalue {ev.min():.3e}")
+        if min_eig is None:
+            min_eig = np.linalg.eigvalsh(m).min()
+        if min_eig < -TOL_PSD:
+            raise QcoreError(f"matrix has negative eigenvalue {min_eig:.3e}")
         tr = np.trace(m).real
         if abs(tr - 1.0) > TOL_TRACE:
             raise QcoreError(f"trace {tr} deviates from 1 beyond tolerance")
@@ -217,6 +223,17 @@ def hermitian_eigensystem(m) -> tuple[np.ndarray, np.ndarray]:
     return w, vecs
 
 
+def accumulate_products(per_letter: Sequence[np.ndarray]) -> np.ndarray:
+    """Products of per-letter values over all index words, in row-major order.
+
+    Over per-letter spectra this is the spectrum of their tensor product.
+    """
+    total = np.array([1.0])
+    for vals in per_letter:
+        total = (total[:, None] * vals[None, :]).reshape(-1)
+    return total
+
+
 def trace_norm(m) -> float:
     """Sum of singular values."""
     m = np.asarray(m, dtype=complex)
@@ -280,11 +297,6 @@ def maximally_entangled(a: HilbertLabel, b: HilbertLabel) -> PureState:
     for i in range(a.dim):
         v[i * b.dim + i] = 1.0
     return PureState((a, b), v / np.sqrt(a.dim))
-
-
-def random_pure(label: HilbertLabel, rng: np.random.Generator) -> PureState:
-    v = rng.normal(size=label.dim) + 1j * rng.normal(size=label.dim)
-    return PureState((label,), v / np.linalg.norm(v))
 
 
 def random_density(label: HilbertLabel, rng: np.random.Generator, rank: int | None = None) -> DensityOperator:

@@ -13,7 +13,6 @@ checks; reports serialize as {bound_id, lhs, rhs, pass, min_k} records.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -26,6 +25,7 @@ from .qcore import (
     DensityOperator,
     HilbertLabel,
     QcoreError,
+    accumulate_products,
     check_dim_cap,
     hermitian_eigensystem,
 )
@@ -33,6 +33,7 @@ from .qcore import (
 ENUM_CAP = 2 ** 24
 _ZERO_EIG = 1e-12
 _DEGENERACY_TOL = 1e-10
+_WORD_BLOCK = 1 << 14  # words enumerated per vectorised block
 
 
 @dataclass(frozen=True)
@@ -79,18 +80,33 @@ class BoundCheck:
 # classical typical sets
 
 
+def _is_typical(counts, p, delta):
+    """Strong typicality from letter counts along the last axis: every
+    frequency is delta-close to p, and zero wherever p vanishes."""
+    freq = counts / counts.sum(axis=-1, keepdims=True)
+    return (np.all(freq[..., p <= 0] == 0, axis=-1)
+            & np.all(np.abs(freq - p)[..., p > 0] <= delta + 1e-12, axis=-1))
+
+
+def enumerate_words(a: int, n: int, start: int, stop: int) -> np.ndarray:
+    """Words start..stop-1 of range(a)^n in lexicographic order, one per row."""
+    powers = a ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    return np.arange(start, stop, dtype=np.int64)[:, None] // powers % a
+
+
 def typical_set(p, n: int, delta: float) -> list[tuple]:
     """Words whose empirical frequencies are delta-close to p, with zero
-    frequency wherever p vanishes."""
+    frequency wherever p vanishes, in lexicographic order."""
     p = np.asarray(p, dtype=float)
     a = p.shape[0]
-    if a ** n > ENUM_CAP:
+    total = a ** n
+    if total > ENUM_CAP:
         raise CapExceededError(f"typical-set enumeration {a}^{n} exceeds the cap")
     words = []
-    for word in itertools.product(range(a), repeat=n):
-        counts = np.bincount(word, minlength=a) / n
-        if np.all(counts[p <= 0] == 0) and np.all(np.abs(counts - p)[p > 0] <= delta + 1e-12):
-            words.append(word)
+    for start in range(0, total, _WORD_BLOCK):
+        block = enumerate_words(a, n, start, min(start + _WORD_BLOCK, total))
+        counts = np.stack([(block == x).sum(axis=1) for x in range(a)], axis=1)
+        words.extend(map(tuple, block[_is_typical(counts, p, delta)].tolist()))
     return words
 
 
@@ -110,7 +126,12 @@ def truncated_typical(p, n: int, delta: float):
     words = typical_set(p, n, delta)
     if not words:
         raise QcoreError("typical set is empty; increase delta or n")
-    probs = np.array([word_probability(p, w) for w in words])
+    p = np.asarray(p, dtype=float)
+    letters = np.asarray(words, dtype=int)
+    # letter by letter, in the product order of word_probability
+    probs = np.ones(len(words))
+    for i in range(n):
+        probs *= p[letters[:, i]]
     total = probs.sum()
     if total <= 0:
         raise QcoreError("typical set carries no probability mass")
@@ -134,14 +155,6 @@ def _grouped_eigensystem(matrix: np.ndarray):
         rep[i : j + 1] = w[i : j + 1].mean()
         i = j + 1
     return rep, v
-
-
-def _accumulate_products(per_letter: Sequence[np.ndarray]) -> np.ndarray:
-    """Products of per-letter values over all index words, in row-major order."""
-    total = np.array([1.0])
-    for vals in per_letter:
-        total = (total[:, None] * vals[None, :]).reshape(-1)
-    return total
 
 
 def _neglog(vals: np.ndarray) -> np.ndarray:
@@ -193,11 +206,11 @@ class TypicalProjector:
 
     def trace_with_reference(self) -> float:
         """tr(rho_words * projector) computed from the diagonal data."""
-        probs = _accumulate_products(self.letter_eigs)
+        probs = accumulate_products(self.letter_eigs)
         return float(probs[self.kept].sum())
 
     def kept_eigenvalues(self) -> np.ndarray:
-        return _accumulate_products(self.letter_eigs)[self.kept]
+        return accumulate_products(self.letter_eigs)[self.kept]
 
     def report(self) -> list[dict]:
         return [c.as_record() for c in self.checks]
@@ -250,7 +263,7 @@ def typical_projector(rho: DensityOperator, params: TypicalParams) -> TypicalPro
     kept_eigs = proj.kept_eigenvalues()
     max_eig = float(kept_eigs.max()) if proj.rank else 0.0
     neglogs = _accumulate_sums([_neglog(w)] * n)
-    probs = _accumulate_products([w] * n)
+    probs = accumulate_products([w] * n)
     need = 1.0 - d / (4 * n * alpha ** 2)
     proj.checks = [
         BoundCheck("state-trace", trace, need, trace >= need - 1e-12,
@@ -272,7 +285,11 @@ def conditional_typical_projector(
     n, alpha, k = params.n, params.alpha, params.k_const
     if len(word) != n:
         raise QcoreError("word length must equal the block length")
-    if tuple(word) not in set(typical_set(prior, n, params.delta)):
+    prior = np.asarray(prior, dtype=float)
+    symbols = np.asarray(word)
+    if np.any((symbols < 0) | (symbols >= len(prior))) or not _is_typical(
+        np.bincount(symbols, minlength=len(prior)), prior, params.delta
+    ):
         raise QcoreError("word is not typical for the prior")
     a = len(v.input_alphabet)
     d = v.output_space.dim
@@ -290,7 +307,7 @@ def conditional_typical_projector(
     kept_eigs = proj.kept_eigenvalues()
     max_eig = float(kept_eigs.max()) if proj.rank else 0.0
     neglogs = _accumulate_sums([_neglog(w) for w, _ in letters])
-    probs = _accumulate_products([w for w, _ in letters])
+    probs = accumulate_products([w for w, _ in letters])
     need = 1.0 - a * d / (4 * n * alpha ** 2)
     aunit = a * unit
     proj.checks = [
@@ -329,7 +346,7 @@ def averaged_trace_check(proj: TypicalProjector, v: CQChannel, word, params: Typ
     for x in word:
         m = u.conj().T @ v.state_matrix(v.input_alphabet[x]) @ u
         per_letter.append(np.clip(np.real(np.diag(m)), 0.0, None))
-    weights = _accumulate_products(per_letter)
+    weights = accumulate_products(per_letter)
     lhs = float(weights[proj.kept].sum())
     rhs = 1.0 - a * d / (4 * n * alpha ** 2)
     neglogs = _accumulate_sums([_neglog(w) for w in proj.letter_eigs])

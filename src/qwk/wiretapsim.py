@@ -13,7 +13,6 @@ isolation.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
@@ -27,8 +26,14 @@ from .channels import (
     cq_word_state,
 )
 from .infotheory import cq_mutual_information, von_neumann_entropy
-from .qcore import CapExceededError, QcoreError, check_dim_cap, trace_norm
-from .typicality import TypicalParams, sandwiched_output, truncated_typical
+from .qcore import CapExceededError, QcoreError, check_dim_cap, hilbert_dim_cap, trace_norm
+from .typicality import (
+    ENUM_CAP,
+    TypicalParams,
+    enumerate_words,
+    sandwiched_output,
+    truncated_typical,
+)
 
 CLASSICAL_EXACT_CAP = 4096
 
@@ -123,15 +128,67 @@ def sizes_from_rates(
     return j, l_per_t, degenerate
 
 
+def _enumerable(ch: ClassicalChannel, n: int) -> bool:
+    """Whether the n-letter outputs of a classical channel are enumerated exactly."""
+    return len(ch.output_alphabet) ** n <= CLASSICAL_EXACT_CAP
+
+
+def plan_simulation(spec: CompoundWiretapSpec, n: int, J: int, L: int) -> dict:
+    """Every cap decision of a simulation run, taken from its sizes alone.
+
+    The checks come in the order the run meets them: codebook sampling
+    (typical-set enumeration), the decoder of the first state, the error per
+    state (exact or Monte-Carlo; the first state's also sizes the
+    pretty-good decoder) and the leakage per state.  A refused size
+    raises CapExceededError here, before any codebook is sampled; the same
+    checks inside the run stay as they are.  Returns the decisions, with
+    every cap and the size it was held against, as a JSON-ready record.
+    """
+    if J < 1 or L < 1:
+        raise QcoreError("J and L must be >= 1")
+    caps = []
+
+    def within(check, t, size, cap) -> bool:
+        caps.append({"check": check, "t": t, "size": size, "cap": cap})
+        return size <= cap
+
+    def dim_cap(check, t, ch: CQChannel) -> None:
+        dim = ch.output_space.dim ** n
+        within(check, t, dim, hilbert_dim_cap())
+        check_dim_cap(dim, check)
+
+    a = len(spec.legitimate[0].input_alphabet)
+    if not within("typical-set enumeration", None, a ** n, ENUM_CAP):
+        raise CapExceededError(f"typical-set enumeration {a}^{n} exceeds the cap")
+    error, leakage = {}, {}
+    for name, legit in zip(spec.names, spec.legitimate):
+        if isinstance(legit, ClassicalChannel):
+            b = len(legit.output_alphabet)
+            exact = within("classical error enumeration", name, b ** n, CLASSICAL_EXACT_CAP)
+            error[name] = "exact" if exact else "mc"
+        elif isinstance(legit, CQChannel):
+            dim_cap("cq word output", name, legit)
+            error[name] = "exact"
+        else:
+            raise QcoreError("unsupported legitimate channel kind")
+    for name, wire in zip(spec.names, spec.wiretap):
+        if isinstance(wire, ClassicalChannel):
+            z = len(wire.output_alphabet)
+            if not within("classical leakage enumeration", name, z ** n, CLASSICAL_EXACT_CAP):
+                raise CapExceededError("classical leakage enumeration exceeds the cap")
+        elif isinstance(wire, CQChannel):
+            dim_cap("wiretap block state", name, wire)
+        else:
+            raise QcoreError("unsupported wiretap channel kind")
+        leakage[name] = "exact"
+    return {"error": error, "leakage": leakage, "caps": caps}
+
+
 # ---------------------------------------------------------------------------
 # decoders
 
 
-def _conditional_counts(x: np.ndarray, y: np.ndarray, a: int, b: int) -> np.ndarray:
-    counts = np.zeros((a, b))
-    for xi, yi in zip(x, y):
-        counts[xi, yi] += 1
-    return counts
+_DECODE_BLOCK_ENTRIES = 1 << 18  # count-tensor entries (2 MB) per block of output words
 
 
 @dataclass
@@ -146,28 +203,41 @@ class TypicalityDecoder:
     codebook: Codebook
     delta: float
 
-    def _typical_for(self, y: np.ndarray, x: np.ndarray) -> bool:
+    def decide_batch(self, y_words) -> np.ndarray:
+        """Decisions for output words (one per row); -1 where none decodes.
+
+        Joint-type counts counts[y, c, a, b] of every word against every
+        codeword come from one product of one-hot encodings, in blocks of
+        words that keep the tensor at a few MB.
+        """
         w = self.channel.matrix
         a, b = w.shape
-        counts = _conditional_counts(x, y, a, b)
-        row_tot = counts.sum(axis=1)
-        for ai in range(a):
-            if row_tot[ai] == 0:
-                continue
-            emp = counts[ai] / row_tot[ai]
-            if np.any(emp[w[ai] <= 0] > 0):
-                return False
-            if np.max(np.abs(emp - w[ai])) > self.delta + 1e-12:
-                return False
-        return True
+        cb = self.codebook
+        n_code = cb.J * cb.L
+        y_words = np.asarray(y_words, dtype=int)
+        x = cb.words.reshape(n_code, cb.n)
+        x_hot = (x[:, None, :] == np.arange(a)[None, :, None]).astype(float)  # (c, a, i)
+        row_tot = x_hot.sum(axis=2)[None, :, :, None]  # occurrences of a in codeword c
+        filled = row_tot > 0
+        safe_tot = np.where(filled, row_tot, 1.0)
+        x_flat = x_hot.reshape(n_code * a, cb.n)
+        block = max(1, _DECODE_BLOCK_ENTRIES // (n_code * a * b))
+        out = np.empty(len(y_words), dtype=int)
+        for start in range(0, len(y_words), block):
+            y = y_words[start:start + block]
+            m = len(y)
+            y_hot = (y.T[:, :, None] == np.arange(b)).astype(float).reshape(cb.n, m * b)  # (i, y b)
+            counts = (x_flat @ y_hot).reshape(n_code, a, m, b).transpose(2, 0, 1, 3)
+            emp = counts / safe_tot
+            bad = ((emp > 0) & (w <= 0)) | (np.abs(emp - w) > self.delta + 1e-12)
+            typical = ~np.any(bad & filled, axis=(2, 3))
+            first = np.argmax(typical, axis=1)
+            out[start:start + block] = np.where(typical.any(axis=1), first // cb.L, -1)
+        return out
 
     def decide(self, y) -> int | None:
-        y = np.asarray(y, dtype=int)
-        for j in range(self.codebook.J):
-            for l in range(self.codebook.L):
-                if self._typical_for(y, self.codebook.words[j, l]):
-                    return j
-        return None
+        d = int(self.decide_batch(np.asarray(y)[None, :])[0])
+        return None if d < 0 else d
 
 
 @dataclass
@@ -205,13 +275,29 @@ def build_decoder(spec: CompoundWiretapSpec, codebook: Codebook, delta: float = 
         return TypicalityDecoder(legit, codebook, delta)
     if isinstance(legit, CQChannel):
         if params is None:
-            params = TypicalParams(n=codebook.n)
+            # project with the slack the codewords were drawn with
+            delta = codebook.source.get("delta", TypicalParams.delta)
+            params = TypicalParams(n=codebook.n, delta=delta)
         return PrettyGoodDecoder.build(legit, codebook, params)
     raise QcoreError("unsupported legitimate channel kind")
 
 
 # ---------------------------------------------------------------------------
 # error evaluation
+
+
+def _output_cdf(w: np.ndarray) -> np.ndarray:
+    """Per-input CDFs of the output letter, built as Generator.choice builds them."""
+    cdf = np.cumsum(w, axis=1)
+    return cdf / cdf[:, -1:]
+
+
+def _sample_outputs(rng: np.random.Generator, cdf: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Channel outputs for input word x: the letters that one
+    rng.choice(b, p=w[x_i]) call per letter would draw, from one uniform
+    draw per letter and a search of each letter's CDF."""
+    u = rng.random(len(x))
+    return np.count_nonzero(cdf[x] <= u[:, None], axis=1)
 
 
 def _word_output_probs(w: np.ndarray, x: np.ndarray, y_words: np.ndarray) -> np.ndarray:
@@ -241,8 +327,7 @@ def eval_error(
     for idx, name in enumerate(spec.names):
         legit = spec.legitimate[idx]
         if isinstance(legit, ClassicalChannel):
-            b = len(legit.output_alphabet)
-            if b ** codebook.n <= CLASSICAL_EXACT_CAP:
+            if _enumerable(legit, codebook.n):
                 per_t[name] = _exact_classical_error(legit, codebook, decoder)
             else:
                 per_t[name] = _mc_classical_error(legit, codebook, decoder, trials, seed, idx)
@@ -260,12 +345,14 @@ def eval_error(
     )
 
 
+def _all_output_words(ch: ClassicalChannel, n: int) -> np.ndarray:
+    b = len(ch.output_alphabet)
+    return enumerate_words(b, n, 0, b ** n)
+
+
 def _exact_classical_error(legit: ClassicalChannel, codebook: Codebook, decoder) -> dict:
-    b = len(legit.output_alphabet)
-    y_words = np.asarray(list(itertools.product(range(b), repeat=codebook.n)), dtype=int)
-    decisions = np.array(
-        [d if (d := decoder.decide(y)) is not None else -1 for y in y_words]
-    )
+    y_words = _all_output_words(legit, codebook.n)
+    decisions = decoder.decide_batch(y_words)
     per_j = []
     for j in range(codebook.J):
         wrong_mask = decisions != j
@@ -280,17 +367,16 @@ def _exact_classical_error(legit: ClassicalChannel, codebook: Codebook, decoder)
 def _mc_classical_error(
     legit: ClassicalChannel, codebook: Codebook, decoder, trials: int, seed: int, t_idx: int
 ) -> dict:
+    cdf = _output_cdf(legit.matrix)
     per_j = []
     per_j_se = []
     for j in range(codebook.J):
-        wrong = 0
+        y = np.empty((trials, codebook.n), dtype=int)
         for k in range(trials):
             rng = counter_rng(seed, _STREAM_ERROR, t_idx, j, k)
             l = int(rng.integers(codebook.L))
-            x = codebook.words[j, l]
-            y = np.array([rng.choice(legit.matrix.shape[1], p=legit.matrix[xi]) for xi in x])
-            if decoder.decide(y) != j:
-                wrong += 1
+            y[k] = _sample_outputs(rng, cdf, codebook.words[j, l])
+        wrong = int(np.count_nonzero(decoder.decide_batch(y) != j))
         p_hat = wrong / trials
         per_j.append(float(p_hat))
         per_j_se.append(float(np.sqrt(max(p_hat * (1 - p_hat), 1e-12) / trials)))
@@ -343,10 +429,9 @@ def eval_leakage(spec: CompoundWiretapSpec, codebook: Codebook) -> SimReport:
 
 
 def _classical_leakage(wire: ClassicalChannel, codebook: Codebook) -> float:
-    b = len(wire.output_alphabet)
-    if b ** codebook.n > CLASSICAL_EXACT_CAP:
+    if not _enumerable(wire, codebook.n):
         raise CapExceededError("classical leakage enumeration exceeds the cap")
-    y_words = np.asarray(list(itertools.product(range(b), repeat=codebook.n)), dtype=int)
+    y_words = _all_output_words(wire, codebook.n)
     dists = []
     for j in range(codebook.J):
         pj = np.zeros(len(y_words))
@@ -580,7 +665,7 @@ def two_part_protocol(
     b1_fail = 0
     b2_fail_after_success = 0
     cb_true = codebooks[t_true]
-    w_true = legit_true.matrix
+    cdf_true = _output_cdf(legit_true.matrix)
     for k in range(trials):
         rng = counter_rng(seed, _STREAM_PROTOCOL, 1, k)
         j = int(rng.integers(J))
@@ -588,14 +673,11 @@ def two_part_protocol(
         if block1_words is None:
             t_hat = 0
         else:
-            x1 = block1_words[t_idx]
-            y1 = np.array([rng.choice(w_true.shape[1], p=w_true[xi]) for xi in x1])
-            t_hat = decode_state(y1)
+            t_hat = decode_state(_sample_outputs(rng, cdf_true, block1_words[t_idx]))
         if t_hat != t_idx:
             b1_fail += 1
             continue
-        x2 = cb_true.words[j, l]
-        y2 = np.array([rng.choice(w_true.shape[1], p=w_true[xi]) for xi in x2])
+        y2 = _sample_outputs(rng, cdf_true, cb_true.words[j, l])
         if decoders[t_true].decide(y2) != j:
             b2_fail_after_success += 1
     b1_rate = b1_fail / trials

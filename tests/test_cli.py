@@ -238,3 +238,50 @@ class TestDeterminism:
             capture_output=True,
         )
         assert proc.returncode == 0
+
+
+class TestSimulatePlan:
+    def test_capped_request_refused_before_sampling(self, monkeypatch):
+        import qwk.cli
+
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("a capped request sampled a codebook")
+
+        monkeypatch.setattr(qwk.cli, "sample_codebook", no_sampling)
+        for spec, n in (("qubit_wiretap.json", "15"), ("bsc_pair.json", "14")):
+            rc = run_cli(["simulate", "--spec", spec_path(spec), "--n", n, "--J", "4",
+                          "--L", "2", "--trials", "250", "--seed", "1"])
+            assert rc == EXIT_CAP
+
+    def test_plan_recorded_in_manifest_only(self, tmp_path):
+        out = tmp_path / "sim.json"
+        rc = run_cli(["simulate", "--spec", spec_path("qubit_wiretap.json"), "--n", "6",
+                      "--J", "2", "--L", "2", "--trials", "300", "--seed", "11",
+                      "--out", str(out)])
+        assert rc == 0
+        doc = json.loads(out.read_text())
+        plan = doc["manifest"]["plan"]
+        assert plan["error"] == {"t1": "exact"}
+        assert plan["leakage"] == {"t1": "exact"}
+        assert {c["check"] for c in plan["caps"]} == {
+            "typical-set enumeration", "classical error enumeration", "wiretap block state"}
+        assert "plan" not in doc["payload"]
+
+    def test_cq_default_delta_exits_0(self, tmp_path):
+        out = tmp_path / "sim.json"
+        rc = run_cli(["simulate", "--spec", spec_path("cq_pair.json"), "--n", "6", "--J", "2",
+                      "--L", "2", "--seed", "1", "--out", str(out)])
+        assert rc == 0
+        payload = json.loads(out.read_text())["payload"]
+        assert 0.0 <= payload["error"]["per_t"]["t1"]["max_error"] <= 1.0
+
+
+class TestVerifyExitCode:
+    def test_failed_check_exits_3(self, monkeypatch, tmp_path):
+        import qwk.verify
+
+        record = {"bound_id": "stub", "lhs": 2.0, "rhs": 1.0, "pass": False, "min_k": 0.0}
+        monkeypatch.setattr(qwk.verify, "run_suite", lambda suite, jobs=1: [record])
+        out = tmp_path / "ver.json"
+        assert run_cli(["verify", "gentle", "--out", str(out)]) == EXIT_SEMANTIC
+        assert json.loads(out.read_text())["payload"]["n_fail"] == 1

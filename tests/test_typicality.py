@@ -240,3 +240,63 @@ class TestSandwich:
             sx = psd_sqrt(x)
             dev = trace_norm(rho.matrix - sx @ rho.matrix @ sx)
             assert dev <= np.sqrt(8 * max(lam, 0.0)) + 1e-9
+
+
+class TestTypicalityByCounts:
+    """The block-vectorised set and the count test against the word loop."""
+
+    @staticmethod
+    def loop_typical_set(p, n, delta):
+        p = np.asarray(p, dtype=float)
+        out = []
+        for word in itertools.product(range(len(p)), repeat=n):
+            counts = np.bincount(word, minlength=len(p)) / n
+            if np.all(counts[p <= 0] == 0) and np.all(np.abs(counts - p)[p > 0] <= delta + 1e-12):
+                out.append(word)
+        return out
+
+    @pytest.mark.parametrize("p,n,delta", [
+        ([0.5, 0.5], 9, 0.1), ([0.6, 0.0, 0.4], 7, 0.2), ([0.2, 0.3, 0.5], 6, 1 / 6),
+        ([0.25, 0.25, 0.25, 0.25], 5, 0.3),
+    ])
+    def test_set_and_probabilities_match_word_loop(self, p, n, delta, monkeypatch):
+        import qwk.typicality as ty
+
+        monkeypatch.setattr(ty, "_WORD_BLOCK", 50)  # several blocks, one partial
+        ref = self.loop_typical_set(p, n, delta)
+        assert typical_set(p, n, delta) == ref
+        words, probs = truncated_typical(p, n, delta)
+        raw = np.array([word_probability(p, w) for w in ref])
+        assert words == ref
+        assert np.array_equal(probs, raw / raw.sum())
+
+    def test_conditional_membership_by_counts(self):
+        v = CQChannel((0, 1, 2), A, {0: np.diag([1.0, 0.0]), 1: np.eye(2) / 2,
+                                      2: np.diag([0.0, 1.0])})
+        prior = [0.5, 0.0, 0.5]
+        params = TypicalParams(n=4, delta=0.25)
+        members = set(self.loop_typical_set(prior, 4, 0.25))
+        for word in itertools.product(range(3), repeat=4):
+            if word in members:
+                assert conditional_typical_projector(v, word, prior, params).rank >= 1
+            else:
+                with pytest.raises(QcoreError):
+                    conditional_typical_projector(v, word, prior, params)
+
+
+class TestWordStateValidation:
+    def test_product_spectrum_gives_the_psd_minimum(self):
+        from qwk.channels import cq_word_state
+
+        rng = np.random.default_rng(3)
+        v = CQChannel((0, 1), A, {0: random_density(A, rng).matrix,
+                                   1: basis_state(A, 1).to_density().matrix})
+        word = [0, 1, 1, 0, 1]
+        state = cq_word_state(v, word)
+        assert np.linalg.eigvalsh(state.matrix).min() == pytest.approx(0.0, abs=1e-12)
+        assert np.trace(state.matrix).real == pytest.approx(1.0)
+
+    def test_supplied_minimum_is_checked(self):
+        with pytest.raises(QcoreError, match="negative eigenvalue"):
+            DensityOperator((A,), np.eye(2) / 2, min_eig=-1e-6)
+        assert DensityOperator((A,), np.eye(2) / 2, min_eig=0.5).dim == 2

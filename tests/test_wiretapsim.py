@@ -281,3 +281,158 @@ class TestTwoPartProtocol:
         )
         assert s["total_error_rate"] == pytest.approx(recomputed, abs=1e-12)
         assert rep.per_t["t1"]["leakage"] == pytest.approx(0.0, abs=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# batched decoding and sampling against per-word references
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from qwk.qcore import CapExceededError
+from qwk.typicality import enumerate_words
+from qwk.wiretapsim import TypicalityDecoder, plan_simulation
+
+
+def _reference_decide(channel, codebook, delta, y):
+    """Per-word, per-pair joint-typicality decision (the loop form)."""
+    w = channel.matrix
+    a, b = w.shape
+    for j in range(codebook.J):
+        for l in range(codebook.L):
+            counts = np.zeros((a, b))
+            for xi, yi in zip(codebook.words[j, l], y):
+                counts[xi, yi] += 1
+            row_tot = counts.sum(axis=1)
+            typical = True
+            for ai in range(a):
+                if row_tot[ai] == 0:
+                    continue
+                emp = counts[ai] / row_tot[ai]
+                if np.any(emp[w[ai] <= 0] > 0) or np.max(np.abs(emp - w[ai])) > delta + 1e-12:
+                    typical = False
+                    break
+            if typical:
+                return j
+    return None
+
+
+def _reference_mc_error(legit, codebook, decoder, trials, seed, t_idx):
+    """Monte-Carlo error with one rng.choice call per output letter."""
+    per_j, per_j_se = [], []
+    for j in range(codebook.J):
+        wrong = 0
+        for k in range(trials):
+            rng = counter_rng(seed, 1, t_idx, j, k)
+            l = int(rng.integers(codebook.L))
+            x = codebook.words[j, l]
+            y = np.array([rng.choice(legit.matrix.shape[1], p=legit.matrix[xi]) for xi in x])
+            if _reference_decide(legit, codebook, decoder.delta, y) != j:
+                wrong += 1
+        p_hat = wrong / trials
+        per_j.append(float(p_hat))
+        per_j_se.append(float(np.sqrt(max(p_hat * (1 - p_hat), 1e-12) / trials)))
+    worst = int(np.argmax(per_j))
+    return {"max_error": per_j[worst], "per_j": per_j, "stderr": per_j_se[worst], "method": "mc"}
+
+
+@st.composite
+def _decoding_cases(draw):
+    a = draw(st.integers(1, 3))
+    b = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 6))
+    J = draw(st.integers(1, 3))
+    L = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        # quarter-grid entries put empirical frequencies exactly on the slack
+        m = rng.integers(0, 5, size=(a, b)).astype(float)
+    else:
+        m = rng.random((a, b)) * (rng.random((a, b)) > 0.3)
+    m[m.sum(axis=1) == 0, 0] = 1.0
+    m = m / m.sum(axis=1, keepdims=True)
+    channel = ClassicalChannel(tuple(range(a)), tuple(range(b)), m)
+    words = rng.integers(0, a, size=(J, L, n))
+    delta = draw(st.sampled_from([0.05, 0.1, 0.25, 0.5, 1 / 3]) | st.floats(0.01, 0.9))
+    return channel, Codebook(words, J, L, n, {"seed": 0}), delta
+
+
+class TestBatchedDecoding:
+    @settings(max_examples=150, deadline=None)
+    @given(_decoding_cases())
+    @example((  # |1 - 0.7| rounds above the slack 0.3; only the 1e-12 margin keeps it
+        ClassicalChannel((0, 1), (0, 1), [[0.7, 0.3], [0.3, 0.7]]),
+        Codebook(np.array([[[0, 0]], [[1, 1]]]), 2, 1, 2, {"seed": 0}),
+        0.3,
+    ))
+    def test_batch_matches_per_word_reference(self, case):
+        channel, cb, delta = case
+        dec = TypicalityDecoder(channel, cb, delta)
+        b = len(channel.output_alphabet)
+        y_words = enumerate_words(b, cb.n, 0, b ** cb.n)
+        ref = [_reference_decide(channel, cb, delta, y) for y in y_words]
+        got = dec.decide_batch(y_words)
+        assert [None if d < 0 else int(d) for d in got] == ref
+        assert dec.decide(y_words[-1]) == ref[-1]
+
+    def test_blocks_do_not_change_decisions(self, monkeypatch):
+        import qwk.wiretapsim as ws
+
+        spec = classical_pair_spec(pw=0.1)
+        cb = sample_codebook([0.5, 0.5], 8, J=3, L=2, seed=4, delta=0.25)
+        dec = build_decoder(spec, cb, delta=0.25)
+        y_words = enumerate_words(2, 8, 0, 256)
+        whole = dec.decide_batch(y_words)
+        monkeypatch.setattr(ws, "_DECODE_BLOCK_ENTRIES", 7)
+        assert np.array_equal(dec.decide_batch(y_words), whole)
+
+    def test_monte_carlo_matches_per_letter_choice(self):
+        # ternary outputs at n=8: 3^8 > 4096 outputs, so the Monte-Carlo path runs
+        legit = ClassicalChannel((0, 1), (0, 1, 2), [[0.86, 0.1, 0.04], [0.0, 0.1, 0.9]])
+        spec = CompoundWiretapSpec("classical", ("t1",), (legit,), (bsc(0.3),))
+        cb = sample_codebook([0.5, 0.5], 8, J=4, L=2, seed=13, delta=0.25)
+        dec = build_decoder(spec, cb, delta=0.25)
+        rep = eval_error(spec, cb, dec, trials=150, seed=5)
+        assert rep.per_t["t1"]["method"] == "mc"
+        assert rep.per_t["t1"] == _reference_mc_error(legit, cb, dec, 150, 5, 0)
+
+    def test_sampled_letters_match_per_letter_choice(self):
+        # the letters of one rng.choice call per letter under the same key
+        import qwk.wiretapsim as ws
+
+        w = np.array([[0.7, 0.0, 0.3], [0.2, 0.5, 0.3]])
+        x = np.array([0, 1, 1, 0, 1, 0, 0])
+        for key in range(20):
+            rng = counter_rng(3, 3, 1, key)
+            ref = [rng.choice(3, p=w[xi]) for xi in x]
+            rng = counter_rng(3, 3, 1, key)
+            assert ws._sample_outputs(rng, ws._output_cdf(w), x).tolist() == ref
+
+
+class TestResourcePlan:
+    def test_methods_and_sizes_recorded(self):
+        legit = ClassicalChannel((0, 1), (0, 1, 2), [[0.8, 0.1, 0.1], [0.1, 0.1, 0.8]])
+        spec = CompoundWiretapSpec("classical", ("a", "b"), (bsc(0.1), legit), (bsc(0.3),) * 2)
+        plan = plan_simulation(spec, 8, 4, 2)
+        assert plan["error"] == {"a": "exact", "b": "mc"}
+        assert plan["leakage"] == {"a": "exact", "b": "exact"}
+        sizes = {(c["check"], c["t"]): c["size"] for c in plan["caps"]}
+        assert sizes[("classical error enumeration", "b")] == 3 ** 8
+        assert sizes[("typical-set enumeration", None)] == 2 ** 8
+
+    def test_refusals_before_sampling(self):
+        with pytest.raises(CapExceededError):
+            plan_simulation(classical_pair_spec(), 13, 2, 1)
+        with pytest.raises(CapExceededError):
+            plan_simulation(cqw_spec(), 15, 2, 1)
+        with pytest.raises(QcoreError):
+            plan_simulation(classical_pair_spec(), 4, 2, 0)
+
+    def test_pgm_decoder_uses_codebook_slack(self):
+        # words drawn with slack 0.25 are atypical at TypicalParams' default 0.1
+        legit = CQChannel((0, 1), Z, {0: np.diag([0.9, 0.1]), 1: np.diag([0.1, 0.9])})
+        spec = CompoundWiretapSpec("cq", ("t1",), (legit,), (qubit_wiretap(),))
+        cb = sample_codebook([0.5, 0.5], 6, J=2, L=2, seed=1, delta=0.25)
+        dec = build_decoder(spec, cb)
+        rep = eval_error(spec, cb, dec, trials=1, seed=0)
+        assert 0.0 <= rep.per_t["t1"]["max_error"] <= 1.0
