@@ -4,7 +4,8 @@ Pipeline (exact state-vector evolution throughout):
 
 1. ``build_entgen_code``   sample codewords against the classical-quantum
    pair a channel family induces on a signal basis, build the joint
-   pretty-good measurement and the coherent measurement unitary.
+   pretty-good measurement and the coherent measurement unitary (its
+   isometry on the |0,0,0> ancilla, completed by one QR decomposition).
 2. ``purify_codewords``    replace mixed codewords by eligible eigenvectors
    (product codewords are already pure; the general rule is exposed).
 3. ``compute_uhlmann_partners``  best pure approximations of the
@@ -39,10 +40,11 @@ from .qcore import (
     QcoreError,
     check_dim_cap,
     hermitian_eigensystem,
+    pgm_inverse_sqrt,
     psd_sqrt,
     trace_norm,
 )
-from .typicality import TypicalParams, sandwiched_output, truncated_typical
+from .typicality import TypicalParams, sandwiched_outputs, truncated_typical
 from .wiretapsim import counter_rng
 
 _STREAM_ENTGEN = 7
@@ -264,15 +266,9 @@ def build_entgen_code(
         env_cqs.append(env)
     prior = np.asarray(p, dtype=float)
     dq_n = dq ** n
-    sand = np.zeros((T, J, L, dq_n, dq_n), dtype=complex)
-    for t in range(T):
-        for j in range(J):
-            for l in range(L):
-                q, _, _ = sandwiched_output(rec_cqs[t], tuple(words[j, l]), prior, params)
-                sand[t, j, l] = q
-    total = sand.sum(axis=(0, 1, 2))
-    w, v = np.linalg.eigh(total)
-    inv_sqrt = (v * np.where(w > 1e-12, 1.0 / np.sqrt(np.clip(w, 1e-300, None)), 0.0)) @ v.conj().T
+    sand = np.stack([sandwiched_outputs(rec, words.reshape(J * L, n), prior, params)
+                     for rec in rec_cqs]).reshape(T, J, L, dq_n, dq_n)
+    inv_sqrt = pgm_inverse_sqrt(sand.sum(axis=(0, 1, 2)))
     povm = np.einsum("ab,tjlbc,cd->tjlad", inv_sqrt, sand, inv_sqrt)
     detect_prob = np.zeros((T, J, L))
     for t in range(T):
@@ -304,61 +300,27 @@ def build_entgen_code(
 
 def _measurement_unitary(povm: np.ndarray, dq_n: int, J: int, L: int, T: int) -> np.ndarray:
     """Coherent measurement on [Q^n, M, L, T']: records (j, l, t) into the
-    ancillas via sqrt-operator branches, with a fail branch absorbing the
-    measurement defect; completed to a unitary by Gram-Schmidt."""
+    ancillas via sqrt-operator branches, with a fail branch at t = T
+    absorbing the measurement defect.
+
+    The branches are the isometry on the inputs |q, 0, 0, 0>; the other
+    columns come from one complete QR decomposition of it.  Every use of
+    the unitary meets those columns only through zero ancilla amplitudes.
+    """
     tp = T + 1
-    full = dq_n * J * L * tp
     leftover = np.eye(dq_n) - povm.sum(axis=(0, 1, 2))
-    sqrts = np.zeros((T, J, L, dq_n, dq_n), dtype=complex)
-    for t in range(T):
-        for j in range(J):
-            for l in range(L):
-                sqrts[t, j, l] = psd_sqrt(povm[t, j, l])
-    sqrt_left = psd_sqrt(leftover)
-
-    def slot(q, m, l, t):
-        return ((q * J + m) * L + l) * tp + t
-
-    u = np.zeros((full, full), dtype=complex)
-    # slice columns: inputs |q, 0, 0, 0>
-    for q in range(dq_n):
-        col = np.zeros(full, dtype=complex)
-        for t in range(T):
-            for j in range(J):
-                for l in range(L):
-                    branch = sqrts[t, j, l][:, q]
-                    for qo in range(dq_n):
-                        col[slot(qo, j, l, t)] += branch[qo]
-        for qo in range(dq_n):
-            col[slot(qo, 0, 0, T)] += sqrt_left[qo, q]
-        u[:, slot(q, 0, 0, 0)] = col
-    # deterministic completion over the remaining domain slots
-    chosen = [u[:, slot(q, 0, 0, 0)] for q in range(dq_n)]
-    remaining_cols = [
-        (q, m, l, t)
-        for q in range(dq_n)
-        for m in range(J)
-        for l in range(L)
-        for t in range(tp)
-        if not (m == 0 and l == 0 and t == 0)
-    ]
-    basis_iter = 0
-    for dom in remaining_cols:
-        while True:
-            cand = np.zeros(full, dtype=complex)
-            cand[basis_iter % full] = 1.0
-            basis_iter += 1
-            for c in chosen:
-                cand = cand - np.vdot(c, cand) * c
-            nrm = np.linalg.norm(cand)
-            if nrm > 1e-7:
-                cand /= nrm
-                break
-            if basis_iter > 2 * full:
-                raise QcoreError("unitary completion failed")
-        chosen.append(cand)
-        u[:, slot(*dom)] = cand
-    return u
+    sqrts = np.stack([psd_sqrt(e) for e in povm.reshape(-1, dq_n, dq_n)])
+    # branches[qo, j, l, t, q] = <qo| sqrt(E_tjl) |q>
+    branches = np.zeros((dq_n, J, L, tp, dq_n), dtype=complex)
+    branches[:, :, :, :T] += sqrts.reshape(T, J, L, dq_n, dq_n).transpose(3, 1, 2, 0, 4)
+    branches[:, 0, 0, T] += psd_sqrt(leftover)
+    iso = branches.reshape(-1, dq_n)
+    full = iso.shape[0]
+    completion = np.linalg.qr(iso, mode="complete")[0][:, dq_n:]
+    u = np.empty((full, dq_n, J * L * tp), dtype=complex)
+    u[:, :, 0] = iso
+    u[:, :, 1:] = completion.reshape(full, dq_n, -1)
+    return u.reshape(full, full)
 
 
 # ---------------------------------------------------------------------------
@@ -475,6 +437,7 @@ def phase_align(code: EntgenCode, family) -> EntgenCode:
     fourier_idx = np.zeros(code.J, dtype=int)
     align_phase = np.zeros(code.J)
     aligned_overlap = np.zeros((code.T, code.J), dtype=complex)
+    v_dagger = code.v_unitary.conj().T
     for j in range(code.J):
         # b_{j,l,t}: pull the partner (x) record back through V and the dilation
         b = np.zeros((code.T, L, code.Dp * code.J * L * tp), dtype=complex)
@@ -485,7 +448,7 @@ def phase_align(code: EntgenCode, family) -> EntgenCode:
                 record[(j * L + l) * tp + t] = 1.0
                 vec = np.kron(code.partners[t][j, l], record)
                 dims = [code.Dq, de, code.J, L, tp]
-                vec, dims = apply_on_axes(vec, dims, code.v_unitary.conj().T, [0, 2, 3, 4])
+                vec, dims = apply_on_axes(vec, dims, v_dagger, [0, 2, 3, 4])
                 dims = [code.Dq, code.J, L, tp, de]
                 vec = vec.reshape(dims).transpose(0, 4, 1, 2, 3).reshape(-1)
                 dims = [code.Dq, de, code.J, L, tp]
@@ -566,6 +529,7 @@ def build_decoder_unitaries(code: EntgenCode, family) -> EntgenCode:
         # env_avg_vec on [Q^n, E^n, L]; move env first for the Schmidt split
         env_avg_mat = env_avg_vec.reshape(code.Dq, de, code.L).transpose(1, 0, 2).reshape(de, -1)
         u_t = np.zeros((code.Dq * code.J * code.L,) * 2, dtype=complex)
+        u6 = u_t.reshape(code.Dq, code.J, code.L, code.Dq, code.J, code.L)
         for j in range(code.J):
             phases = np.exp(
                 2j * np.pi * np.arange(1, code.L + 1) * code.fourier_idx[j] / code.L
@@ -582,14 +546,7 @@ def build_decoder_unitaries(code: EntgenCode, family) -> EntgenCode:
             u_block = vh_svd.conj().T @ w_svd.conj().T
             achieved = float(np.sum(s_svd))
             correction_fid[t, j] = min(1.0, achieved ** 2)
-            blk = u_block.reshape(code.Dq, code.L, code.Dq, code.L)
-            for q_out in range(code.Dq):
-                for l_out in range(code.L):
-                    for q_in in range(code.Dq):
-                        for l_in in range(code.L):
-                            row = (q_out * code.J + j) * code.L + l_out
-                            col = (q_in * code.J + j) * code.L + l_in
-                            u_t[row, col] = blk[q_out, l_out, q_in, l_in]
+            u6[:, j, :, :, j, :] = u_block.reshape(code.Dq, code.L, code.Dq, code.L)
         corrections.append(u_t)
     code.corrections = corrections
     code.correction_fid = correction_fid

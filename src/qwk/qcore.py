@@ -250,6 +250,13 @@ def psd_sqrt(m) -> np.ndarray:
     return (v * np.sqrt(w)) @ v.conj().T
 
 
+def pgm_inverse_sqrt(total) -> np.ndarray:
+    """Pseudo-inverse square root of a PSD sum, the normaliser of a
+    pretty-good measurement; eigenvalues at or below 1e-12 count as zero."""
+    w, v = np.linalg.eigh(total)
+    return (v * np.where(w > 1e-12, 1.0 / np.sqrt(np.clip(w, 1e-300, None)), 0.0)) @ v.conj().T
+
+
 def fidelity(rho: DensityOperator, sigma: DensityOperator) -> float:
     """Fidelity ``|| sqrt(rho) sqrt(sigma) ||_1^2`` of two states on one system."""
     if rho.label_names() != sigma.label_names():

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channels import CQChannel
+from .channels import CQChannel, cq_word_state
 from .infotheory import conditional_channel_entropy
 from .qcore import (
     CapExceededError,
@@ -28,6 +28,7 @@ from .qcore import (
     accumulate_products,
     check_dim_cap,
     hermitian_eigensystem,
+    trace_norm,
 )
 
 ENUM_CAP = 2 ** 24
@@ -370,16 +371,25 @@ def sandwiched_output(
     n, alpha = params.n, params.alpha
     a = len(v.input_alphabet)
     d = v.output_space.dim
-    check_dim_cap(d ** n, "sandwiched output")
-    cond = conditional_typical_projector(v, word, prior, params)
-    avg = averaged_output_projector(prior, v, params)
-    from .channels import cq_word_state
-
-    state = cq_word_state(v, [v.input_alphabet[x] for x in word]).matrix
-    pc, pa = cond.matrix, avg.matrix
-    q = pa @ pc @ state @ pc @ pa
-    from .qcore import trace_norm
-
+    q, state = next(_sandwiches(v, [word], prior, params))
     deviation = trace_norm(q - state)
     bound = float(np.sqrt(2 * (a * d + d) / (n * alpha ** 2)))
     return q, deviation, bound
+
+
+def sandwiched_outputs(v: CQChannel, words, prior, params: TypicalParams) -> np.ndarray:
+    """Sandwiched outputs of several words, stacked along the first axis."""
+    return np.stack([q for q, _ in _sandwiches(v, words, prior, params)])
+
+
+def _sandwiches(v: CQChannel, words, prior, params: TypicalParams):
+    """(sandwiched output, word state) per word; the averaged-output
+    projector is shared by every word, so its dense matrix is built once."""
+    check_dim_cap(v.output_space.dim ** params.n, "sandwiched output")
+    pa = None
+    for word in words:
+        pc = conditional_typical_projector(v, word, prior, params).matrix
+        if pa is None:
+            pa = averaged_output_projector(prior, v, params).matrix
+        state = cq_word_state(v, [v.input_alphabet[x] for x in word]).matrix
+        yield pa @ pc @ state @ pc @ pa, state

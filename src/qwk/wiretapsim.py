@@ -26,12 +26,19 @@ from .channels import (
     cq_word_state,
 )
 from .infotheory import cq_mutual_information, von_neumann_entropy
-from .qcore import CapExceededError, QcoreError, check_dim_cap, hilbert_dim_cap, trace_norm
+from .qcore import (
+    CapExceededError,
+    QcoreError,
+    check_dim_cap,
+    hilbert_dim_cap,
+    pgm_inverse_sqrt,
+    trace_norm,
+)
 from .typicality import (
     ENUM_CAP,
     TypicalParams,
     enumerate_words,
-    sandwiched_output,
+    sandwiched_outputs,
     truncated_typical,
 )
 
@@ -252,16 +259,12 @@ class PrettyGoodDecoder:
         if prior is None:
             a = len(channel.input_alphabet)
             prior = np.full(a, 1.0 / a)
-        sigmas = []
-        for j in range(codebook.J):
-            acc = None
-            for l in range(codebook.L):
-                q, _, _ = sandwiched_output(channel, codebook.word(j, l), prior, params)
-                acc = q if acc is None else acc + q
-            sigmas.append(acc / codebook.L)
+        words = [codebook.word(j, l) for j in range(codebook.J) for l in range(codebook.L)]
+        outs = sandwiched_outputs(channel, words, prior, params)
+        outs = outs.reshape(codebook.J, codebook.L, *outs.shape[1:])
+        sigmas = [sum(per_l[1:], per_l[0]) / codebook.L for per_l in outs]
         total = sum(sigmas)
-        w, v = np.linalg.eigh(total)
-        inv_sqrt = (v * np.where(w > 1e-12, 1.0 / np.sqrt(np.clip(w, 1e-300, None)), 0.0)) @ v.conj().T
+        inv_sqrt = pgm_inverse_sqrt(total)
         povm = [inv_sqrt @ s @ inv_sqrt for s in sigmas]
         leftover = np.eye(total.shape[0]) - sum(povm)
         return cls(povm, leftover)
@@ -491,11 +494,7 @@ def covering_concentration(
         raise QcoreError("trials must be >= 1")
     prior = np.asarray(p, dtype=float)
     words, probs = truncated_typical(prior, n, params.delta)
-    q_ops = []
-    for w in words:
-        q, _, _ = sandwiched_output(v, w, prior, params)
-        q_ops.append(q)
-    q_ops = np.stack(q_ops)
+    q_ops = sandwiched_outputs(v, words, prior, params)
     mean_op = np.einsum("w,wjk->jk", probs, q_ops)
     per_l = {}
     for l_depth in l_schedule:
@@ -549,9 +548,7 @@ def _cq_state_povm(spec: CompoundWiretapSpec, block1_words, n1: int):
         ch = spec.legitimate[ti]
         word = [ch.input_alphabet[x] for x in block1_words[ti]]
         states.append(cq_word_state(ch, word).matrix)
-    total = sum(states)
-    w, v = np.linalg.eigh(total)
-    inv_sqrt = (v * np.where(w > 1e-12, 1.0 / np.sqrt(np.clip(w, 1e-300, None)), 0.0)) @ v.conj().T
+    inv_sqrt = pgm_inverse_sqrt(sum(states))
     return [inv_sqrt @ s @ inv_sqrt for s in states]
 
 

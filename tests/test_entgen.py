@@ -18,7 +18,7 @@ from qwk.entgen import (
     uhlmann_partner,
     vector_partial_density,
 )
-from qwk.qcore import HilbertLabel, QcoreError, random_density
+from qwk.qcore import HilbertLabel, QcoreError, psd_sqrt, random_density
 from qwk.typicality import TypicalParams
 
 Q = HilbertLabel("q", 2)
@@ -265,3 +265,62 @@ class TestRunProtocol:
         a1 = run_full_audit(c1, fam)
         a2 = run_full_audit(c2, fam)
         assert a1.to_json_dict() == a2.to_json_dict()
+
+
+def gram_schmidt_measurement_unitary(povm, dq_n, J, L, T):
+    """Reference: the coherent measurement built column by column and
+    completed to a unitary by Gram-Schmidt over the standard basis."""
+    tp = T + 1
+    full = dq_n * J * L * tp
+    leftover = np.eye(dq_n) - povm.sum(axis=(0, 1, 2))
+    sqrts = np.zeros((T, J, L, dq_n, dq_n), dtype=complex)
+    for t in range(T):
+        for j in range(J):
+            for l in range(L):
+                sqrts[t, j, l] = psd_sqrt(povm[t, j, l])
+    sqrt_left = psd_sqrt(leftover)
+
+    def slot(q, m, l, t):
+        return ((q * J + m) * L + l) * tp + t
+
+    u = np.zeros((full, full), dtype=complex)
+    for q in range(dq_n):
+        col = np.zeros(full, dtype=complex)
+        for t in range(T):
+            for j in range(J):
+                for l in range(L):
+                    branch = sqrts[t, j, l][:, q]
+                    for qo in range(dq_n):
+                        col[slot(qo, j, l, t)] += branch[qo]
+        for qo in range(dq_n):
+            col[slot(qo, 0, 0, T)] += sqrt_left[qo, q]
+        u[:, slot(q, 0, 0, 0)] = col
+    chosen = [u[:, slot(q, 0, 0, 0)] for q in range(dq_n)]
+    remaining = [(q, m, l, t) for q in range(dq_n) for m in range(J) for l in range(L)
+                 for t in range(tp) if not (m == 0 and l == 0 and t == 0)]
+    basis_iter = 0
+    for dom in remaining:
+        while True:
+            cand = np.zeros(full, dtype=complex)
+            cand[basis_iter % full] = 1.0
+            basis_iter += 1
+            for c in chosen:
+                cand = cand - np.vdot(c, cand) * c
+            nrm = np.linalg.norm(cand)
+            if nrm > 1e-7:
+                cand /= nrm
+                break
+            assert basis_iter <= 2 * full, "unitary completion failed"
+        chosen.append(cand)
+        u[:, slot(*dom)] = cand
+    return u
+
+
+class TestMeasurementIsometry:
+    def test_isometry_columns_match_gram_schmidt_reference(self):
+        fam = [rotated_channel(0.0), rotated_channel(0.3)]
+        code = build_entgen_code(fam, [0.5, 0.5], None, 2, 2, 2, 3, PARAMS2)
+        assert (code.T, code.L) == (2, 2)
+        ref = gram_schmidt_measurement_unitary(code.povm, code.Dq, code.J, code.L, code.T)
+        inputs = np.arange(code.Dq) * (code.J * code.L * (code.T + 1))
+        assert np.array_equal(code.v_unitary[:, inputs], ref[:, inputs])

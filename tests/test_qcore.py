@@ -13,6 +13,8 @@ from qwk.qcore import (
     maximally_entangled,
     maximally_mixed,
     partial_trace,
+    pgm_inverse_sqrt,
+    psd_sqrt,
     purify,
     random_density,
     tensor_product,
@@ -219,3 +221,15 @@ def test_dimension_cap_env_override(monkeypatch):
         qcore.check_dim_cap(9)
     monkeypatch.delenv("QWK_CAP_DIM")
     assert qcore.hilbert_dim_cap() == 2 ** 14
+
+
+def test_pgm_inverse_sqrt_is_pseudo_inverse_square_root_on_rank_deficient_sum():
+    rng = np.random.default_rng(5)
+    g = rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))
+    states = [np.outer(c, c.conj()) for c in g.T]
+    total = sum(states)  # rank 2 on a 4-dimensional space
+    inv_sqrt = pgm_inverse_sqrt(total)
+    assert np.allclose(inv_sqrt, psd_sqrt(np.linalg.pinv(total, hermitian=True)), atol=1e-10)
+    support = total @ np.linalg.pinv(total, hermitian=True)
+    assert np.allclose(inv_sqrt @ total @ inv_sqrt, support, atol=1e-10)
+

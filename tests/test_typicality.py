@@ -20,6 +20,7 @@ from qwk.typicality import (
     averaged_output_projector,
     conditional_typical_projector,
     sandwiched_output,
+    sandwiched_outputs,
     averaged_trace_check,
     truncated_typical,
     typical_projector,
@@ -300,3 +301,20 @@ class TestWordStateValidation:
         with pytest.raises(QcoreError, match="negative eigenvalue"):
             DensityOperator((A,), np.eye(2) / 2, min_eig=-1e-6)
         assert DensityOperator((A,), np.eye(2) / 2, min_eig=0.5).dim == 2
+
+
+class TestSandwichedOutputs:
+    def test_stack_equals_per_word_sandwiches(self):
+        v = binary_cq(np.diag([0.7, 0.3]), np.diag([0.4, 0.6]))
+        params = TypicalParams(n=6, alpha=1.0)
+        words = typical_set([0.5, 0.5], 6, params.delta)[::5]
+        stacked = sandwiched_outputs(v, words, [0.5, 0.5], params)
+        expect = np.stack([sandwiched_output(v, w, [0.5, 0.5], params)[0] for w in words])
+        assert np.array_equal(stacked, expect)
+
+    def test_atypical_word_rejected(self):
+        v = binary_cq(np.diag([0.7, 0.3]), np.diag([0.4, 0.6]))
+        params = TypicalParams(n=4)
+        with pytest.raises(QcoreError, match="not typical"):
+            sandwiched_outputs(v, [(0, 1, 0, 1), (0, 0, 0, 0)], [0.5, 0.5], params)
+
