@@ -13,6 +13,7 @@ achieves rate zero).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Sequence
@@ -21,23 +22,15 @@ import numpy as np
 
 from .channels import (
     CQChannel,
-    ClassicalChannel,
     CompoundWiretapSpec,
     KrausChannel,
     StinespringIsometry,
-    complementary_channel,
     kraus_to_stinespring,
     n_fold,
     stinespring_to_kraus,
 )
-from .infotheory import von_neumann_entropy
-from .qcore import (
-    DensityOperator,
-    HilbertLabel,
-    QcoreError,
-    check_dim_cap,
-    random_unitary,
-)
+from .infotheory import coherent_information_matrix
+from .qcore import check_dim_cap, random_unitary
 
 _GRID_BUDGET = 300_000
 _EIG_FLOOR = 1e-12
@@ -192,20 +185,22 @@ class _ChiMixTerm:
         return (_entropy_batch(avg) - qs @ s_u) / self.n
 
 
-def _objective_single(legit_term, wiretap_term):
+def _objective(legit_terms, wiretap_terms):
+    """Worst legitimate term minus largest leakage term, batched over priors.
+
+    For one state of each kind this is the single-state difference itself.
+    """
+
     def f(qs, e):
-        return legit_term.batch(qs, e) - wiretap_term.batch(qs, e)
+        legit = functools.reduce(np.minimum, (t.batch(qs, e) for t in legit_terms))
+        wire = functools.reduce(np.maximum, (t.batch(qs, e) for t in wiretap_terms))
+        return legit - wire
 
     return f
 
 
-def _objective_compound(legit_terms, wiretap_terms):
-    def f(qs, e):
-        legs = np.stack([t.batch(qs, e) for t in legit_terms])
-        wires = np.stack([t.batch(qs, e) for t in wiretap_terms])
-        return legs.min(axis=0) - wires.max(axis=0)
-
-    return f
+def _term_at(term, q: np.ndarray, e: np.ndarray) -> float:
+    return float(term.batch(q[None, :], e)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -240,44 +235,39 @@ def _special_prefixes(m: int, a: int) -> list[np.ndarray]:
     return outs
 
 
-def _refine(objective, q0, e0, iters, tol):
-    """Projected-gradient ascent over the prior and the prefix rows."""
-    m, a = e0.shape
-    q, e = q0.copy(), e0.copy()
+def _ascend_simplices(val, x0: np.ndarray, blocks: list[slice], iters: int, tol: float):
+    """Forward-difference projected ascent of ``val`` on a flat vector.
 
-    def val(q, e):
-        return float(objective(q[None, :], e)[0])
-
-    best = val(q, e)
+    Each slice in ``blocks`` stays on a probability simplex.  The step starts
+    at 0.25, is carried across iterations and halves down to 1e-6; a step is
+    taken when it raises ``val`` by more than ``tol``.
+    """
+    x = np.array(x0, dtype=float)
+    best = val(x)
     step = 0.25
     h = 1e-5
     for _ in range(iters):
-        grad_q = np.zeros(m)
-        for i in range(m):
-            qp = q.copy()
-            qp[i] += h
-            qp = project_simplex(qp)
-            grad_q[i] = (val(qp, e) - best) / h
-        grad_e = np.zeros((m, a))
-        for u in range(m):
-            for x in range(a):
-                ep = e.copy()
-                ep[u, x] += h
-                ep[u] = project_simplex(ep[u])
-                grad_e[u, x] = (val(q, ep) - best) / h
+        grad = np.zeros(len(x))
+        for blk in blocks:
+            for i in range(blk.start, blk.stop):
+                xp = x.copy()
+                xp[i] += h
+                xp[blk] = project_simplex(xp[blk])
+                grad[i] = (val(xp) - best) / h
         improved = False
         while step > 1e-6:
-            q_new = project_simplex(q + step * grad_q)
-            e_new = np.vstack([project_simplex(e[u] + step * grad_e[u]) for u in range(m)])
-            cand = val(q_new, e_new)
+            x_new = x + step * grad
+            for blk in blocks:
+                x_new[blk] = project_simplex(x_new[blk])
+            cand = val(x_new)
             if cand > best + tol:
-                q, e, best = q_new, e_new, cand
+                x, best = x_new, cand
                 improved = True
                 break
             step /= 2.0
         if not improved:
             break
-    return best, q, e
+    return best, x
 
 
 def _maximize_prior(objective, a: int, cfg: SolverConfig, tag: int):
@@ -294,47 +284,28 @@ def _maximize_prior(objective, a: int, cfg: SolverConfig, tag: int):
     rng = np.random.default_rng([cfg.seed, tag])
     for _ in range(cfg.restarts):
         starts.append(rng.dirichlet(np.ones(a)))
-    best = (-np.inf, None)
 
     def val(q):
         return float(objective(q[None, :], eye)[0])
 
+    best = (-np.inf, None)
     for q0 in starts:
-        q = np.asarray(q0, dtype=float)
-        cur = val(q)
-        step, h = 0.25, 1e-5
-        for _ in range(cfg.refine_iters):
-            grad = np.zeros(a)
-            for i in range(a):
-                qp = project_simplex(q + h * eye[i])
-                grad[i] = (val(qp) - cur) / h
-            improved = False
-            while step > 1e-6:
-                q_new = project_simplex(q + step * grad)
-                cand = val(q_new)
-                if cand > cur + cfg.tolerance:
-                    q, cur = q_new, cand
-                    improved = True
-                    break
-                step /= 2.0
-            if not improved:
-                break
-        if cur > best[0] + 1e-15:
-            best = (cur, q)
+        v, q = _ascend_simplices(val, q0, [slice(0, a)], cfg.refine_iters, cfg.tolerance)
+        if v > best[0] + 1e-15:
+            best = (v, q)
     return best
 
 
-def _maximize_aux(objective_factory, a: int, cfg: SolverConfig, tag: int):
+def _maximize_aux(objective, a: int, cfg: SolverConfig, tag: int):
     """Maximize over prior and prefix channel, scanning aux cardinalities.
 
-    ``objective_factory(m)`` returns the batched objective for aux size m.
-    Scanning sizes 1..aux_card and keeping the best makes the optimum
-    monotone in aux_card by construction.
+    The ascent runs on the flat vector (q, rows of E).  Scanning sizes
+    1..aux_card and keeping the best makes the optimum monotone in aux_card
+    by construction.
     """
     aux_card = cfg.aux_card if cfg.aux_card is not None else a + 1
     best = (-np.inf, None, None, None)
     for m in range(1, aux_card + 1):
-        objective = objective_factory(m)
         gq, ge = _grid_resolutions(cfg.grid_resolution, m, a)
         q_grid = simplex_grid(gq, m)
         row_grid = simplex_grid(ge, a)
@@ -351,10 +322,16 @@ def _maximize_aux(objective_factory, a: int, cfg: SolverConfig, tag: int):
         rng = np.random.default_rng([cfg.seed, tag, m])
         for _ in range(cfg.restarts):
             starts.append((rng.dirichlet(np.ones(m)), rng.dirichlet(np.ones(a), size=m)))
+        blocks = [slice(0, m)] + [slice(m + u * a, m + (u + 1) * a) for u in range(m)]
+
+        def val(x, m=m):
+            return float(objective(x[None, :m], x[m:].reshape(m, a))[0])
+
         for q0, e0 in starts:
-            v, q, e = _refine(objective, np.asarray(q0), np.asarray(e0), cfg.refine_iters, cfg.tolerance)
+            x0 = np.concatenate([q0, e0.reshape(-1)])
+            v, x = _ascend_simplices(val, x0, blocks, cfg.refine_iters, cfg.tolerance)
             if v > best[0] + 1e-15:
-                best = (v, q, e, m)
+                best = (v, x[:m], x[m:].reshape(m, a), m)
     return best
 
 
@@ -373,10 +350,7 @@ def _cq_states_array(ch: CQChannel) -> np.ndarray:
     return np.stack([ch.state_matrix(x) for x in ch.input_alphabet])
 
 
-def _clamped_report(formula_id, raw, n, per_t, argmax, cfg, extra_flags=None):
-    flags = {"fixed_n_evaluation": True, "clamped": bool(raw < 0)}
-    if extra_flags:
-        flags.update(extra_flags)
+def _clamped_report(formula_id, raw, n, per_t, argmax, cfg):
     return CapacityReport(
         formula_id=formula_id,
         value=float(max(0.0, raw)),
@@ -385,57 +359,59 @@ def _clamped_report(formula_id, raw, n, per_t, argmax, cfg, extra_flags=None):
         per_t=per_t,
         argmax=argmax,
         config=asdict(cfg),
-        flags=flags,
+        flags={"fixed_n_evaluation": True, "clamped": bool(raw < 0)},
     )
+
+
+def _prefix_argmax(q: np.ndarray, e: np.ndarray, m: int) -> dict:
+    return {"prior": q.tolist(), "prefix_rows": e.tolist(), "aux_card_used": m}
+
+
+def _csi_report(formula_id, spec, legit_terms, wire_terms, a, n, cfg) -> CapacityReport:
+    """Sender knows the state: the worst state of the per-state best of
+    legitimate minus leakage term, each over its own prior and prefix."""
+    per_t, argmax, values = {}, {}, []
+    for idx, (name, legit, wire) in enumerate(zip(spec.names, legit_terms, wire_terms)):
+        v, q, e, m = _maximize_aux(_objective([legit], [wire]), a, cfg, tag=idx)
+        per_t[name] = {"legit": _term_at(legit, q, e), "wiretap": _term_at(wire, q, e), "value": v}
+        argmax[name] = _prefix_argmax(q, e, m)
+        values.append(v)
+    return _clamped_report(formula_id, min(values), n, per_t, argmax, cfg)
+
+
+def _nocsi_report(formula_id, spec, legit_terms, wire_terms, a, n, cfg) -> CapacityReport:
+    """One prior and prefix for all states: the worst legitimate term minus
+    the largest leakage term."""
+    raw, q, e, m = _maximize_aux(_objective(legit_terms, wire_terms), a, cfg, tag=0)
+    per_t = {
+        name: {"legit": _term_at(legit, q, e), "wiretap": _term_at(wire, q, e)}
+        for name, legit, wire in zip(spec.names, legit_terms, wire_terms)
+    }
+    return _clamped_report(formula_id, raw, n, per_t, _prefix_argmax(q, e, m), cfg)
 
 
 # ---------------------------------------------------------------------------
 # classical compound wiretap
 
 
+def _classical_terms(channels) -> list[_ClassicalTerm]:
+    return [_ClassicalTerm(ch.matrix) for ch in channels]
+
+
 def classical_csi_capacity(spec: CompoundWiretapSpec, cfg: SolverConfig) -> CapacityReport:
     """Worst state of the per-state best prefix rates (sender knows the state)."""
     _require_variant(spec, "classical", "b1")
     a = len(spec.legitimate[0].input_alphabet)
-    per_t = {}
-    argmax = {}
-    values = []
-    for idx, name in enumerate(spec.names):
-        legit = _ClassicalTerm(spec.legitimate[idx].matrix)
-        wire = _ClassicalTerm(spec.wiretap[idx].matrix)
-
-        def factory(m, legit=legit, wire=wire):
-            return _objective_single(legit, wire)
-
-        v, q, e, m = _maximize_aux(factory, a, cfg, tag=idx)
-        lt = float(legit.batch(q[None, :], e)[0])
-        wt = float(wire.batch(q[None, :], e)[0])
-        per_t[name] = {"legit": lt, "wiretap": wt, "value": v}
-        argmax[name] = {"prior": q.tolist(), "prefix_rows": e.tolist(), "aux_card_used": m}
-        values.append(v)
-    raw = min(values)
-    return _clamped_report("b1", raw, 1, per_t, argmax, cfg)
+    legit, wire = _classical_terms(spec.legitimate), _classical_terms(spec.wiretap)
+    return _csi_report("b1", spec, legit, wire, a, 1, cfg)
 
 
 def classical_nocsi_lower(spec: CompoundWiretapSpec, cfg: SolverConfig) -> CapacityReport:
     """One prefix for all states: min legitimate rate minus max leakage rate."""
     _require_variant(spec, "classical", "b1prime")
     a = len(spec.legitimate[0].input_alphabet)
-    legit_terms = [_ClassicalTerm(w.matrix) for w in spec.legitimate]
-    wire_terms = [_ClassicalTerm(v.matrix) for v in spec.wiretap]
-
-    def factory(m):
-        return _objective_compound(legit_terms, wire_terms)
-
-    raw, q, e, m = _maximize_aux(factory, a, cfg, tag=0)
-    per_t = {}
-    for idx, name in enumerate(spec.names):
-        per_t[name] = {
-            "legit": float(legit_terms[idx].batch(q[None, :], e)[0]),
-            "wiretap": float(wire_terms[idx].batch(q[None, :], e)[0]),
-        }
-    argmax = {"prior": q.tolist(), "prefix_rows": e.tolist(), "aux_card_used": m}
-    return _clamped_report("b1prime", raw, 1, per_t, argmax, cfg)
+    legit, wire = _classical_terms(spec.legitimate), _classical_terms(spec.wiretap)
+    return _nocsi_report("b1prime", spec, legit, wire, a, 1, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -448,45 +424,16 @@ def qwiretap_csi_capacity(spec: CompoundWiretapSpec, cfg: SolverConfig) -> Capac
     a = len(spec.legitimate[0].input_alphabet)
     d = spec.wiretap[0].output_space.dim
     check_dim_cap(d ** cfg.n, "wiretap block state")
-    per_t, argmax, values = {}, {}, []
-    for idx, name in enumerate(spec.names):
-        legit = _ClassicalTerm(spec.legitimate[idx].matrix)
-        wire = _ChiPowerTerm(_cq_states_array(spec.wiretap[idx]), cfg.n)
-
-        def factory(m, legit=legit, wire=wire):
-            return _objective_single(legit, wire)
-
-        v, q, e, m = _maximize_aux(factory, a, cfg, tag=idx)
-        per_t[name] = {
-            "legit": float(legit.batch(q[None, :], e)[0]),
-            "wiretap": float(wire.batch(q[None, :], e)[0]),
-            "value": v,
-        }
-        argmax[name] = {"prior": q.tolist(), "prefix_rows": e.tolist(), "aux_card_used": m}
-        values.append(v)
-    raw = min(values)
-    return _clamped_report("CSIcap", raw, cfg.n, per_t, argmax, cfg)
+    wire = [_ChiPowerTerm(_cq_states_array(v), cfg.n) for v in spec.wiretap]
+    return _csi_report("CSIcap", spec, _classical_terms(spec.legitimate), wire, a, cfg.n, cfg)
 
 
 def qwiretap_nocsi_lower(spec: CompoundWiretapSpec, cfg: SolverConfig) -> CapacityReport:
     """Single-letter quantum leakage exactly as the formula prints it."""
     _require_variant(spec, "classical-quantum-wiretap", "noCSIcap")
     a = len(spec.legitimate[0].input_alphabet)
-    legit_terms = [_ClassicalTerm(w.matrix) for w in spec.legitimate]
-    wire_terms = [_ChiPowerTerm(_cq_states_array(v), 1) for v in spec.wiretap]
-
-    def factory(m):
-        return _objective_compound(legit_terms, wire_terms)
-
-    raw, q, e, m = _maximize_aux(factory, a, cfg, tag=0)
-    per_t = {}
-    for idx, name in enumerate(spec.names):
-        per_t[name] = {
-            "legit": float(legit_terms[idx].batch(q[None, :], e)[0]),
-            "wiretap": float(wire_terms[idx].batch(q[None, :], e)[0]),
-        }
-    argmax = {"prior": q.tolist(), "prefix_rows": e.tolist(), "aux_card_used": m}
-    return _clamped_report("noCSIcap", raw, 1, per_t, argmax, cfg)
+    wire = [_ChiPowerTerm(_cq_states_array(v), 1) for v in spec.wiretap]
+    return _nocsi_report("noCSIcap", spec, _classical_terms(spec.legitimate), wire, a, 1, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -498,53 +445,39 @@ def _word_states(ch: CQChannel, n: int) -> np.ndarray:
     return np.stack([folded.state_matrix(w) for w in folded.input_alphabet])
 
 
-def cq_csi_capacity(spec: CompoundWiretapSpec, cfg: SolverConfig) -> CapacityReport:
-    """Per-state best prior over n-fold input words, then the worst state."""
-    _require_variant(spec, "cq", "e1q")
-    n = cfg.n
+def _cq_block_terms(spec: CompoundWiretapSpec, n: int):
+    """Holevo terms over n-fold input words, after the block-dimension caps."""
     check_dim_cap(spec.legitimate[0].output_space.dim ** n, "legitimate block state")
     check_dim_cap(spec.wiretap[0].output_space.dim ** n, "wiretap block state")
     n_words = len(spec.legitimate[0].input_alphabet) ** n
-    per_t, argmax, values = {}, {}, []
+    legit = [_ChiMixTerm(_word_states(w, n), n) for w in spec.legitimate]
+    wire = [_ChiMixTerm(_word_states(v, n), n) for v in spec.wiretap]
+    return legit, wire, n_words
+
+
+def cq_csi_capacity(spec: CompoundWiretapSpec, cfg: SolverConfig) -> CapacityReport:
+    """Per-state best prior over n-fold input words, then the worst state."""
+    _require_variant(spec, "cq", "e1q")
+    legit_terms, wire_terms, n_words = _cq_block_terms(spec, cfg.n)
     eye = np.eye(n_words)
-    for idx, name in enumerate(spec.names):
-        legit = _ChiMixTerm(_word_states(spec.legitimate[idx], n), n)
-        wire = _ChiMixTerm(_word_states(spec.wiretap[idx], n), n)
-        objective = _objective_single(legit, wire)
-        v, q = _maximize_prior(objective, n_words, cfg, tag=idx)
+    per_t, argmax, values = {}, {}, []
+    for idx, (name, legit, wire) in enumerate(zip(spec.names, legit_terms, wire_terms)):
+        v, q = _maximize_prior(_objective([legit], [wire]), n_words, cfg, tag=idx)
         per_t[name] = {
-            "legit": float(legit.batch(q[None, :], eye)[0]),
-            "wiretap": float(wire.batch(q[None, :], eye)[0]),
+            "legit": _term_at(legit, q, eye),
+            "wiretap": _term_at(wire, q, eye),
             "value": v,
         }
         argmax[name] = {"word_prior": q.tolist()}
         values.append(v)
-    raw = min(values)
-    return _clamped_report("e1q", raw, n, per_t, argmax, cfg)
+    return _clamped_report("e1q", min(values), cfg.n, per_t, argmax, cfg)
 
 
 def cq_nocsi_capacity(spec: CompoundWiretapSpec, cfg: SolverConfig) -> CapacityReport:
     """One auxiliary variable for all states over n-fold input words."""
     _require_variant(spec, "cq", "qnocsie1q")
-    n = cfg.n
-    check_dim_cap(spec.legitimate[0].output_space.dim ** n, "legitimate block state")
-    check_dim_cap(spec.wiretap[0].output_space.dim ** n, "wiretap block state")
-    n_words = len(spec.legitimate[0].input_alphabet) ** n
-    legit_terms = [_ChiMixTerm(_word_states(w, n), n) for w in spec.legitimate]
-    wire_terms = [_ChiMixTerm(_word_states(v, n), n) for v in spec.wiretap]
-
-    def factory(m):
-        return _objective_compound(legit_terms, wire_terms)
-
-    raw, q, e, m = _maximize_aux(factory, n_words, cfg, tag=0)
-    per_t = {}
-    for idx, name in enumerate(spec.names):
-        per_t[name] = {
-            "legit": float(legit_terms[idx].batch(q[None, :], e)[0]),
-            "wiretap": float(wire_terms[idx].batch(q[None, :], e)[0]),
-        }
-    argmax = {"prior": q.tolist(), "prefix_rows": e.tolist(), "aux_card_used": m}
-    return _clamped_report("qnocsie1q", raw, n, per_t, argmax, cfg)
+    legit, wire, n_words = _cq_block_terms(spec, cfg.n)
+    return _nocsi_report("qnocsie1q", spec, legit, wire, n_words, cfg.n, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -570,34 +503,20 @@ def entgen_lower_bound(family: Sequence, cfg: SolverConfig) -> CapacityReport:
     bases = [np.eye(d, dtype=complex)]
     for _ in range(cfg.restarts):
         bases.append(random_unitary(d, rng))
-    best = (-np.inf, None, None)
+    best = (-np.inf, None, None, None, None)
     for u in bases:
-        q_states = []
-        e_states = []
-        for s in isos:
-            qs, es = [], []
-            for x in range(d):
-                phi = u[:, x]
-                rho = np.outer(phi, phi.conj())
-                qs.append(s.apply_matrix(rho))
-                es.append(s.env_matrix(rho))
-            q_states.append(np.stack(qs))
-            e_states.append(np.stack(es))
-        legit_terms = [_ChiMixTerm(qs, 1) for qs in q_states]
-        wire_terms = [_ChiMixTerm(es, 1) for es in e_states]
-        objective = _objective_compound(legit_terms, wire_terms)
-        v, q = _maximize_prior(objective, d, cfg, tag=99)
+        rhos = [np.outer(u[:, x], u[:, x].conj()) for x in range(d)]
+        legit_terms = [_ChiMixTerm(np.stack([s.apply_matrix(r) for r in rhos]), 1) for s in isos]
+        wire_terms = [_ChiMixTerm(np.stack([s.env_matrix(r) for r in rhos]), 1) for s in isos]
+        v, q = _maximize_prior(_objective(legit_terms, wire_terms), d, cfg, tag=99)
         if v > best[0] + 1e-15:
-            best = (v, q, u)
-    raw, prior, u = best
-    per_t = {}
-    for idx, (s, name) in enumerate(zip(isos, _family_names(family))):
-        qs = np.stack([s.apply_matrix(np.outer(u[:, x], u[:, x].conj())) for x in range(d)])
-        es = np.stack([s.env_matrix(np.outer(u[:, x], u[:, x].conj())) for x in range(d)])
-        per_t[name] = {
-            "legit": float(_ChiMixTerm(qs, 1).batch(prior[None, :], np.eye(d))[0]),
-            "wiretap": float(_ChiMixTerm(es, 1).batch(prior[None, :], np.eye(d))[0]),
-        }
+            best = (v, q, u, legit_terms, wire_terms)
+    raw, prior, u, legit_terms, wire_terms = best
+    eye = np.eye(d)
+    per_t = {
+        name: {"legit": _term_at(legit, prior, eye), "wiretap": _term_at(wire, prior, eye)}
+        for name, legit, wire in zip(_family_names(family), legit_terms, wire_terms)
+    }
     argmax = {
         "prior": prior.tolist(),
         "basis_real": u.real.tolist(),
@@ -608,26 +527,6 @@ def entgen_lower_bound(family: Sequence, cfg: SolverConfig) -> CapacityReport:
 
 def _family_names(family) -> list[str]:
     return [f"t{i+1}" for i in range(len(family))]
-
-
-def _coherent_information_matrix(rho_m: np.ndarray, kraus: KrausChannel) -> float:
-    din = kraus.in_space.dim
-    w, v = np.linalg.eigh(rho_m)
-    w = np.clip(w, 0.0, None)
-    w = w / w.sum()
-    psi = np.zeros((kraus.in_space.dim * din,), dtype=complex)
-    for i in range(len(w)):
-        ref = np.zeros(din)
-        ref[i] = 1.0
-        psi += np.sqrt(w[i]) * np.kron(v[:, i], ref)
-    joint = np.outer(psi, psi.conj())
-    out = None
-    for a in kraus.kraus_ops:
-        op = np.kron(a, np.eye(din))
-        term = op @ joint @ op.conj().T
-        out = term if out is None else out + term
-    s_out = von_neumann_entropy(kraus.apply_matrix(rho_m))
-    return s_out - von_neumann_entropy(out)
 
 
 def entgen_csi_capacity(family: Sequence, cfg: SolverConfig) -> CapacityReport:
@@ -649,7 +548,7 @@ def entgen_csi_capacity(family: Sequence, cfg: SolverConfig) -> CapacityReport:
             tr = np.trace(g).real
             if tr < 1e-14:
                 return -np.inf
-            return _coherent_information_matrix(g / tr, folded)
+            return coherent_information_matrix(g / tr, folded)
 
         rng = np.random.default_rng([cfg.seed, 88, idx])
         starts = []
@@ -704,11 +603,11 @@ def _ascend_unconstrained(objective, p0: np.ndarray, iters: int):
     return best, p
 
 
-FORMULAS: dict[str, tuple[str, Callable]] = {
-    "b1": ("classical", classical_csi_capacity),
-    "b1prime": ("classical", classical_nocsi_lower),
-    "csicap": ("classical-quantum-wiretap", qwiretap_csi_capacity),
-    "nocsicap": ("classical-quantum-wiretap", qwiretap_nocsi_lower),
-    "e1q": ("cq", cq_csi_capacity),
-    "qnocsie1q": ("cq", cq_nocsi_capacity),
+FORMULAS: dict[str, Callable] = {
+    "b1": classical_csi_capacity,
+    "b1prime": classical_nocsi_lower,
+    "csicap": qwiretap_csi_capacity,
+    "nocsicap": qwiretap_nocsi_lower,
+    "e1q": cq_csi_capacity,
+    "qnocsie1q": cq_nocsi_capacity,
 }

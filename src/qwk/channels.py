@@ -18,7 +18,6 @@ from .qcore import (
     CapExceededError,
     DensityOperator,
     HilbertLabel,
-    QcoreError,
     TOL_RECON,
     TOL_TRACE,
     accumulate_products,
@@ -26,9 +25,6 @@ from .qcore import (
     hermitian_eigensystem,
     maximally_entangled,
     psd_sqrt,
-    random_unitary,
-    trace_norm,
-    total_dim,
 )
 
 

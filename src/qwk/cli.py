@@ -244,7 +244,7 @@ def cmd_capacity(args) -> int:
     else:
         if formula not in FORMULAS:
             raise FlagError(f"unknown formula {args.formula!r}")
-        _, solver = FORMULAS[formula]
+        solver = FORMULAS[formula]
         report = solver(spec, cfg)
     payload = report.to_json_dict()
     write_report(args.out, _manifest(args, "capacity", {"spec": args.spec, "formula": args.formula}), payload)

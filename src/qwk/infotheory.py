@@ -19,16 +19,9 @@ from .channels import (
     ClassicalChannel,
     KrausChannel,
     StinespringIsometry,
-    complementary_channel,
-    kraus_to_stinespring,
+    stinespring_to_kraus,
 )
-from .qcore import (
-    DensityOperator,
-    HilbertLabel,
-    QcoreError,
-    partial_trace,
-    purify,
-)
+from .qcore import DensityOperator, QcoreError, partial_trace
 
 _EIG_FLOOR = 1e-12
 
@@ -123,33 +116,43 @@ def holevo_chi(ensemble_or_prior, states=None) -> float:
     return max(0.0, von_neumann_entropy(avg) - mean_entropy)
 
 
-def coherent_information(rho: DensityOperator, ch) -> float:
-    """S(N(rho)) minus the entropy of the joint output on reference (x) output.
+def coherent_information_matrix(rho_m: np.ndarray, kraus: KrausChannel) -> float:
+    """Coherent information of the density matrix ``rho_m``, unchecked.
 
-    Computed through a purification of the input; the value is independent
-    of which purification is chosen.
+    Computed through the purification of ``rho_m`` in its eigenbasis; the
+    value is independent of which purification is chosen.
     """
+    din = kraus.in_space.dim
+    w, v = np.linalg.eigh(rho_m)
+    w = np.clip(w, 0.0, None)
+    w = w / w.sum()
+    psi = np.zeros((kraus.in_space.dim * din,), dtype=complex)
+    for i in range(len(w)):
+        ref = np.zeros(din)
+        ref[i] = 1.0
+        psi += np.sqrt(w[i]) * np.kron(v[:, i], ref)
+    joint = np.outer(psi, psi.conj())
+    out = None
+    for a in kraus.kraus_ops:
+        op = np.kron(a, np.eye(din))
+        term = op @ joint @ op.conj().T
+        out = term if out is None else out + term
+    s_out = von_neumann_entropy(kraus.apply_matrix(rho_m))
+    return s_out - von_neumann_entropy(out)
+
+
+def coherent_information(rho: DensityOperator, ch) -> float:
+    """S(N(rho)) minus the entropy of the joint output on output (x) reference,
+    for a Kraus or Stinespring channel whose input space matches ``rho``."""
     if isinstance(ch, KrausChannel):
         kraus = ch
     elif isinstance(ch, StinespringIsometry):
-        from .channels import stinespring_to_kraus
-
         kraus = stinespring_to_kraus(ch)
     else:
         raise QcoreError("coherent information needs a quantum channel")
     if rho.dim != kraus.in_space.dim:
         raise QcoreError("state and channel input dimensions differ")
-    out_entropy = von_neumann_entropy(kraus.apply_matrix(rho.matrix))
-    ref = HilbertLabel("_ref", rho.dim)
-    psi = purify(rho, ref)
-    # system order of the purification is (original, ref)
-    joint = np.outer(psi.vector, psi.vector.conj())
-    din, dref, dout = rho.dim, ref.dim, kraus.out_space.dim
-    lifted = np.zeros((dout * dref, dout * dref), dtype=complex)
-    for a in kraus.kraus_ops:
-        op = np.kron(a, np.eye(dref))
-        lifted += op @ joint @ op.conj().T
-    return out_entropy - von_neumann_entropy(lifted)
+    return coherent_information_matrix(rho.matrix, kraus)
 
 
 def conditional_channel_entropy(prior, v: CQChannel) -> float:

@@ -23,7 +23,6 @@ from .infotheory import conditional_channel_entropy
 from .qcore import (
     CapExceededError,
     DensityOperator,
-    HilbertLabel,
     QcoreError,
     accumulate_products,
     check_dim_cap,

@@ -26,7 +26,6 @@ from .typicality import (
     sandwiched_output,
     averaged_trace_check,
     typical_projector,
-    typical_set,
 )
 
 _QUBIT = HilbertLabel("q", 2)

@@ -22,7 +22,6 @@ from .channels import (
     CQChannel,
     ClassicalChannel,
     CompoundWiretapSpec,
-    apply_channel,
     cq_word_state,
 )
 from .infotheory import cq_mutual_information, von_neumann_entropy

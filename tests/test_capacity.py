@@ -4,6 +4,10 @@ import pytest
 from qwk.capacity import (
     CapacityReport,
     SolverConfig,
+    _ascend_simplices,
+    _ClassicalTerm,
+    _cq_block_terms,
+    _objective,
     SolverError,
     classical_csi_capacity,
     classical_nocsi_lower,
@@ -299,3 +303,145 @@ class TestStructureProperties:
         r1 = classical_nocsi_lower(spec, FAST)
         r2 = classical_nocsi_lower(spec, FAST)
         assert r1.to_json_dict() == r2.to_json_dict()
+
+
+# ---------------------------------------------------------------------------
+# the shared simplex ascent against the two loops it replaced
+
+
+def _refine_reference(objective, q0, e0, iters, tol):
+    """The former prior-and-prefix ascent, kept as an oracle."""
+    m, a = e0.shape
+    q, e = q0.copy(), e0.copy()
+
+    def val(q, e):
+        return float(objective(q[None, :], e)[0])
+
+    best = val(q, e)
+    step = 0.25
+    h = 1e-5
+    for _ in range(iters):
+        grad_q = np.zeros(m)
+        for i in range(m):
+            qp = q.copy()
+            qp[i] += h
+            qp = project_simplex(qp)
+            grad_q[i] = (val(qp, e) - best) / h
+        grad_e = np.zeros((m, a))
+        for u in range(m):
+            for x in range(a):
+                ep = e.copy()
+                ep[u, x] += h
+                ep[u] = project_simplex(ep[u])
+                grad_e[u, x] = (val(q, ep) - best) / h
+        improved = False
+        while step > 1e-6:
+            q_new = project_simplex(q + step * grad_q)
+            e_new = np.vstack([project_simplex(e[u] + step * grad_e[u]) for u in range(m)])
+            cand = val(q_new, e_new)
+            if cand > best + tol:
+                q, e, best = q_new, e_new, cand
+                improved = True
+                break
+            step /= 2.0
+        if not improved:
+            break
+    return best, q, e
+
+
+def _prior_ascent_reference(objective, q0, iters, tol):
+    """The former inner loop of the prior-only maximizer, kept as an oracle."""
+    a = len(q0)
+    eye = np.eye(a)
+
+    def val(q):
+        return float(objective(q[None, :], eye)[0])
+
+    q = np.asarray(q0, dtype=float)
+    cur = val(q)
+    step, h = 0.25, 1e-5
+    for _ in range(iters):
+        grad = np.zeros(a)
+        for i in range(a):
+            qp = project_simplex(q + h * eye[i])
+            grad[i] = (val(qp) - cur) / h
+        improved = False
+        while step > 1e-6:
+            q_new = project_simplex(q + step * grad)
+            cand = val(q_new)
+            if cand > cur + tol:
+                q, cur = q_new, cand
+                improved = True
+                break
+            step /= 2.0
+        if not improved:
+            break
+    return cur, q
+
+
+def _qubit_state(top, angle):
+    c, s = np.cos(angle), np.sin(angle)
+    v = np.array([[c, -s], [s, c]])
+    return v @ np.diag([top, 1.0 - top]) @ v.T
+
+
+class TestSimplexAscent:
+    ITERS, TOL = 40, 1e-9
+
+    def test_prior_and_prefix_ascent_matches_reference(self):
+        spec = classical_spec([(bsc(0.1), bsc(0.3)), (bsc(0.15), bsc(0.22))])
+        legit = [_ClassicalTerm(w.matrix) for w in spec.legitimate]
+        wire = [_ClassicalTerm(v.matrix) for v in spec.wiretap]
+        objective = _objective(legit, wire)
+        a = 2
+        rng = np.random.default_rng(11)
+        rows = simplex_grid(4, a)
+        for m in (1, 2, 3):
+            grid_starts = [(q, rows[(np.arange(m) + j) % len(rows)])
+                           for j, q in enumerate(simplex_grid(4, m)[:3])]
+            dirichlet_starts = [(rng.dirichlet(np.ones(m)), rng.dirichlet(np.ones(a), size=m))
+                                for _ in range(3)]
+            blocks = [slice(0, m)] + [slice(m + u * a, m + (u + 1) * a) for u in range(m)]
+
+            def val(x, m=m):
+                return float(objective(x[None, :m], x[m:].reshape(m, a))[0])
+
+            for q0, e0 in grid_starts + dirichlet_starts:
+                ref_v, ref_q, ref_e = _refine_reference(objective, q0, e0, self.ITERS, self.TOL)
+                x0 = np.concatenate([q0, e0.reshape(-1)])
+                v, x = _ascend_simplices(val, x0, blocks, self.ITERS, self.TOL)
+                assert v == ref_v
+                assert np.array_equal(x[:m], ref_q)
+                assert np.array_equal(x[m:].reshape(m, a), ref_e)
+
+    def test_prior_ascent_matches_reference(self):
+        # pure legitimate states: steep enough that steps are halved and then taken
+        legit_cq = CQChannel((0, 1), Z, {0: _qubit_state(1.0, 0.0), 1: _qubit_state(1.0, 1.2)})
+        wire_cq = CQChannel((0, 1), Z, {0: _qubit_state(0.8, 0.3), 1: _qubit_state(0.8, 1.2)})
+        legit, wire, n_words = _cq_block_terms(cq_spec([(legit_cq, wire_cq)]), 2)
+        objective = _objective(legit, wire)
+        eye = np.eye(n_words)
+
+        def val(q):
+            return float(objective(q[None, :], eye)[0])
+
+        rng = np.random.default_rng(12)
+        starts = list(simplex_grid(3, n_words)[::4]) + [rng.dirichlet(np.ones(n_words))
+                                                         for _ in range(4)]
+        for q0 in starts:
+            ref_v, ref_q = _prior_ascent_reference(objective, q0, self.ITERS, self.TOL)
+            v, q = _ascend_simplices(val, q0, [slice(0, n_words)], self.ITERS, self.TOL)
+            assert v == ref_v
+            assert np.array_equal(q, ref_q)
+
+    def test_objective_matches_stacked_min_and_max(self):
+        spec = classical_spec([(bsc(0.1), bsc(0.3)), (bsc(0.15), bsc(0.22)), (bsc(0.05), bsc(0.4))])
+        legit = [_ClassicalTerm(w.matrix) for w in spec.legitimate]
+        wire = [_ClassicalTerm(v.matrix) for v in spec.wiretap]
+        qs = simplex_grid(8, 2)
+        e = np.array([[0.9, 0.1], [0.3, 0.7]])
+        stacked = (np.stack([t.batch(qs, e) for t in legit]).min(axis=0)
+                   - np.stack([t.batch(qs, e) for t in wire]).max(axis=0))
+        assert np.array_equal(_objective(legit, wire)(qs, e), stacked)
+        single = legit[0].batch(qs, e) - wire[0].batch(qs, e)
+        assert np.array_equal(_objective(legit[:1], wire[:1])(qs, e), single)

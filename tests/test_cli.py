@@ -115,7 +115,9 @@ class TestSimulateCommand:
         assert rc == EXIT_CAP
 
     def test_golden_instances_rerun_bit_identically(self, tmp_path):
-        for name in ("golden_sim1", "golden_sim2", "golden_sim3", "golden_entangle1"):
+        for name in ("golden_sim1", "golden_sim2", "golden_sim3", "golden_entangle1",
+                     "golden_capacity1", "golden_capacity2", "golden_capacity3",
+                     "golden_capacity4", "golden_capacity5"):
             golden = json.load(open(os.path.join(DATA, f"{name}.json")))
             argv = list(golden["manifest"]["argv"])
             # rerun from the recorded manifest into a fresh output location

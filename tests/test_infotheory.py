@@ -3,6 +3,7 @@ import pytest
 
 from qwk.channels import (
     CQChannel,
+    KrausChannel,
     bsc,
     classical_to_cq,
     depolarizing_kraus,
@@ -31,6 +32,7 @@ from qwk.qcore import (
     maximally_mixed,
     purify,
     random_density,
+    random_unitary,
     tensor_product,
     trace_norm,
 )
@@ -205,3 +207,45 @@ class TestFannes:
             gap = abs(von_neumann_entropy(rho) - von_neumann_entropy(sigma))
             assert gap <= fannes_bound(dist, 2) + 1e-12
             checked += 1
+
+
+def _coherent_information_reference(rho, kraus):
+    """The former purification-based computation, kept as an oracle."""
+    out_entropy = von_neumann_entropy(kraus.apply_matrix(rho.matrix))
+    ref = HilbertLabel("_ref", rho.dim)
+    psi = purify(rho, ref)
+    joint = np.outer(psi.vector, psi.vector.conj())
+    dref, dout = ref.dim, kraus.out_space.dim
+    lifted = np.zeros((dout * dref, dout * dref), dtype=complex)
+    for a in kraus.kraus_ops:
+        op = np.kron(a, np.eye(dref))
+        lifted += op @ joint @ op.conj().T
+    return out_entropy - von_neumann_entropy(lifted)
+
+
+class TestCoherentInformationAgainstPurification:
+    def _random_two_operator_channel(self, rng):
+        iso = random_unitary(4, rng)[:, :2]
+        return KrausChannel(A, A, [iso[:2], iso[2:]])
+
+    @pytest.mark.parametrize("rank", [None, 1])
+    def test_matches_reference(self, rank):
+        rng = np.random.default_rng(21)
+        channels = [depolarizing_kraus(0.3), self._random_two_operator_channel(rng)]
+        for chan in channels:
+            for _ in range(3):
+                rho = random_density(A, rng, rank=rank)
+                assert coherent_information(rho, chan) == pytest.approx(
+                    _coherent_information_reference(rho, chan), abs=1e-12
+                )
+
+    def test_stinespring_form_and_checks(self):
+        rho = random_density(A, np.random.default_rng(22))
+        chan = depolarizing_kraus(0.3)
+        assert coherent_information(rho, kraus_to_stinespring(chan)) == pytest.approx(
+            coherent_information(rho, chan), abs=1e-12
+        )
+        with pytest.raises(QcoreError):
+            coherent_information(rho, bsc(0.1))
+        with pytest.raises(QcoreError):
+            coherent_information(random_density(HilbertLabel("C", 3), np.random.default_rng(0)), chan)
