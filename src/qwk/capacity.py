@@ -33,6 +33,8 @@ from .infotheory import coherent_information_matrix
 from .qcore import check_dim_cap, random_unitary
 
 _GRID_BUDGET = 300_000
+# (prefix-row combination, prior point) pairs scored per grid-scan call
+_GRID_CHUNK = 1024
 _EIG_FLOOR = 1e-12
 
 
@@ -69,6 +71,8 @@ class CapacityReport:
     argmax: dict
     config: dict
     flags: dict = field(default_factory=dict)
+    # what the solver did (the grid after shrinking): manifest only, not payload
+    solver: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
         return {
@@ -108,14 +112,16 @@ def simplex_grid_size(resolution: int, dim: int) -> int:
 
 
 def project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex."""
+    """Euclidean projection onto the probability simplex, row by row along
+    the last axis."""
     v = np.asarray(v, dtype=float)
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    idx = np.arange(1, len(v) + 1)
+    u = np.sort(v, axis=-1)[..., ::-1]
+    css = np.cumsum(u, axis=-1) - 1.0
+    k = v.shape[-1]
+    idx = np.arange(1, k + 1)
     cond = u - css / idx > 0
-    rho = idx[cond][-1]
-    theta = css[rho - 1] / rho
+    rho = k - np.argmax(cond[..., ::-1], axis=-1)
+    theta = np.take_along_axis(css, (rho - 1)[..., None], axis=-1) / rho[..., None]
     return np.clip(v - theta, 0.0, None)
 
 
@@ -133,14 +139,29 @@ def _entropy_batch(mats: np.ndarray) -> np.ndarray:
 
 
 def _kron_power(m: np.ndarray, n: int) -> np.ndarray:
-    out = np.array([[1.0 + 0j]])
+    """n-th Kronecker power of each matrix in a (..., d, d) stack.
+
+    Each entry is the product ``np.kron`` forms, in the same order.
+    """
+    out = np.ones(m.shape[:-2] + (1, 1), dtype=complex)
     for _ in range(n):
-        out = np.kron(out, m)
+        r, d = out.shape[-1], m.shape[-1]
+        out = (out[..., :, None, :, None] * m[..., None, :, None, :]).reshape(
+            m.shape[:-2] + (r * d, r * d)
+        )
     return out
 
 
 # ---------------------------------------------------------------------------
-# objective terms: each maps (q over U, E rows U->A) to a scalar rate term
+# objective terms: each maps priors q over U, shape (..., Q, m), and prefix
+# channels E (rows U->A), shape (..., m, a), to rate terms of shape (..., Q)
+
+
+def _holevo(qs: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """chi of the ensembles (qs, z): qs is (..., Q, m), z is (..., m, D, D)."""
+    s_u = _entropy_batch(z)
+    avg = np.einsum("...qu,...ujk->...qjk", qs, z)
+    return _entropy_batch(avg) - (qs @ s_u[..., None])[..., 0]
 
 
 class _ClassicalTerm:
@@ -153,7 +174,7 @@ class _ClassicalTerm:
         rows = e @ self.m
         h_rows = _entropy_rows(rows)
         p_out = qs @ rows
-        return _entropy_rows(p_out) - qs @ h_rows
+        return _entropy_rows(p_out) - (qs @ h_rows[..., None])[..., 0]
 
 
 class _ChiPowerTerm:
@@ -164,11 +185,8 @@ class _ChiPowerTerm:
         self.n = n
 
     def batch(self, qs: np.ndarray, e: np.ndarray) -> np.ndarray:
-        z = np.einsum("ua,adk->udk", e, self.states)
-        zn = np.stack([_kron_power(z[u], self.n) for u in range(z.shape[0])])
-        s_u = _entropy_batch(zn)
-        avg = np.einsum("qu,ujk->qjk", qs, zn)
-        return (_entropy_batch(avg) - qs @ s_u) / self.n
+        z = np.einsum("...ua,adk->...udk", e, self.states)
+        return _holevo(qs, _kron_power(z, self.n)) / self.n
 
 
 class _ChiMixTerm:
@@ -179,10 +197,8 @@ class _ChiMixTerm:
         self.n = n
 
     def batch(self, qs: np.ndarray, e: np.ndarray) -> np.ndarray:
-        z = np.einsum("uw,wjk->ujk", e, self.word_states)
-        s_u = _entropy_batch(z)
-        avg = np.einsum("qu,ujk->qjk", qs, z)
-        return (_entropy_batch(avg) - qs @ s_u) / self.n
+        z = np.einsum("...uw,wjk->...ujk", e, self.word_states)
+        return _holevo(qs, z) / self.n
 
 
 def _objective(legit_terms, wiretap_terms):
@@ -235,47 +251,59 @@ def _special_prefixes(m: int, a: int) -> list[np.ndarray]:
     return outs
 
 
+def _step_ladder(step: float, floor: float) -> np.ndarray:
+    """step, step/2, step/4, ... while above ``floor``."""
+    steps = []
+    while step > floor:
+        steps.append(step)
+        step /= 2.0
+    return np.array(steps)
+
+
 def _ascend_simplices(val, x0: np.ndarray, blocks: list[slice], iters: int, tol: float):
     """Forward-difference projected ascent of ``val`` on a flat vector.
 
-    Each slice in ``blocks`` stays on a probability simplex.  The step starts
-    at 0.25, is carried across iterations and halves down to 1e-6; a step is
-    taken when it raises ``val`` by more than ``tol``.
+    ``val`` maps a (B, dim) stack of points to their (B,) values.  Each slice
+    in ``blocks`` stays on a probability simplex.  The step starts at 0.25,
+    is carried across iterations and halves down to 1e-6; the first step of
+    the halving ladder that raises ``val`` by more than ``tol`` is taken.
+    All probes of an iteration, and then its whole ladder, are one call.
     """
     x = np.array(x0, dtype=float)
-    best = val(x)
+    best = float(val(x[None])[0])
     step = 0.25
     h = 1e-5
+    diag = np.arange(len(x))
     for _ in range(iters):
-        grad = np.zeros(len(x))
+        probes = np.repeat(x[None], len(x), axis=0)
+        probes[diag, diag] += h
         for blk in blocks:
-            for i in range(blk.start, blk.stop):
-                xp = x.copy()
-                xp[i] += h
-                xp[blk] = project_simplex(xp[blk])
-                grad[i] = (val(xp) - best) / h
-        improved = False
-        while step > 1e-6:
-            x_new = x + step * grad
-            for blk in blocks:
-                x_new[blk] = project_simplex(x_new[blk])
-            cand = val(x_new)
-            if cand > best + tol:
-                x, best = x_new, cand
-                improved = True
-                break
-            step /= 2.0
-        if not improved:
+            probes[blk, blk] = project_simplex(probes[blk, blk])
+        grad = (val(probes) - best) / h
+        steps = _step_ladder(step, 1e-6)
+        cands = x + steps[:, None] * grad
+        for blk in blocks:
+            cands[:, blk] = project_simplex(cands[:, blk])
+        vals = val(cands)
+        ok = np.flatnonzero(vals > best + tol)
+        if len(ok) == 0:
             break
+        k = ok[0]
+        x, best, step = cands[k], float(vals[k]), steps[k]
     return best, x
+
+
+def _prior_resolution(g: int, a: int) -> int:
+    """Shrink the prior-grid resolution until the grid fits the budget."""
+    res = g
+    while simplex_grid_size(res, a) > _GRID_BUDGET and res > 2:
+        res = max(2, int(res * 0.7))
+    return res
 
 
 def _maximize_prior(objective, a: int, cfg: SolverConfig, tag: int):
     """Maximize a batched objective over a single prior (no prefix channel)."""
-    res = cfg.grid_resolution
-    while simplex_grid_size(res, a) > _GRID_BUDGET and res > 2:
-        res = max(2, int(res * 0.7))
-    q_grid = simplex_grid(res, a)
+    q_grid = simplex_grid(_prior_resolution(cfg.grid_resolution, a), a)
     eye = np.eye(a)
     vals = objective(q_grid, eye)
     order = np.argsort(-vals)
@@ -285,8 +313,8 @@ def _maximize_prior(objective, a: int, cfg: SolverConfig, tag: int):
     for _ in range(cfg.restarts):
         starts.append(rng.dirichlet(np.ones(a)))
 
-    def val(q):
-        return float(objective(q[None, :], eye)[0])
+    def val(qs):
+        return objective(qs[:, None, :], eye)[:, 0]
 
     best = (-np.inf, None)
     for q0 in starts:
@@ -296,25 +324,36 @@ def _maximize_prior(objective, a: int, cfg: SolverConfig, tag: int):
     return best
 
 
+def _prior_grid_used(cfg: SolverConfig, a: int) -> dict:
+    return {"grid_used": {"prior": _prior_resolution(cfg.grid_resolution, a)}}
+
+
+def _aux_cards(cfg: SolverConfig, a: int) -> range:
+    return range(1, (cfg.aux_card if cfg.aux_card is not None else a + 1) + 1)
+
+
 def _maximize_aux(objective, a: int, cfg: SolverConfig, tag: int):
     """Maximize over prior and prefix channel, scanning aux cardinalities.
 
+    The grid scores every combination of prefix rows against the whole prior
+    grid, in chunks of at most ``_GRID_CHUNK`` (combination, prior) pairs.
     The ascent runs on the flat vector (q, rows of E).  Scanning sizes
     1..aux_card and keeping the best makes the optimum monotone in aux_card
     by construction.
     """
-    aux_card = cfg.aux_card if cfg.aux_card is not None else a + 1
     best = (-np.inf, None, None, None)
-    for m in range(1, aux_card + 1):
+    for m in _aux_cards(cfg, a):
         gq, ge = _grid_resolutions(cfg.grid_resolution, m, a)
         q_grid = simplex_grid(gq, m)
         row_grid = simplex_grid(ge, a)
+        combos = np.indices((len(row_grid),) * m).reshape(m, -1).T
+        chunk = max(1, _GRID_CHUNK // len(q_grid))
         candidates = []
-        for rows in itertools.product(range(len(row_grid)), repeat=m):
-            e = row_grid[list(rows)]
-            vals = objective(q_grid, e)
-            k = int(np.argmax(vals))
-            candidates.append((float(vals[k]), q_grid[k], e))
+        for c0 in range(0, len(combos), chunk):
+            es = row_grid[combos[c0 : c0 + chunk]]
+            vals = objective(q_grid, es)
+            for e, v, k in zip(es, vals, np.argmax(vals, axis=1)):
+                candidates.append((float(v[k]), q_grid[k], e))
         candidates.sort(key=lambda c: -c[0])
         starts = [(c[1], c[2]) for c in candidates[:6]]
         for e in _special_prefixes(m, a):
@@ -324,8 +363,8 @@ def _maximize_aux(objective, a: int, cfg: SolverConfig, tag: int):
             starts.append((rng.dirichlet(np.ones(m)), rng.dirichlet(np.ones(a), size=m)))
         blocks = [slice(0, m)] + [slice(m + u * a, m + (u + 1) * a) for u in range(m)]
 
-        def val(x, m=m):
-            return float(objective(x[None, :m], x[m:].reshape(m, a))[0])
+        def val(xs, m=m):
+            return objective(xs[:, None, :m], xs[:, m:].reshape(-1, m, a))[:, 0]
 
         for q0, e0 in starts:
             x0 = np.concatenate([q0, e0.reshape(-1)])
@@ -333,6 +372,12 @@ def _maximize_aux(objective, a: int, cfg: SolverConfig, tag: int):
             if v > best[0] + 1e-15:
                 best = (v, x[:m], x[m:].reshape(m, a), m)
     return best
+
+
+def _aux_grid_used(cfg: SolverConfig, a: int) -> dict:
+    """The (prior, row) resolutions the aux maximizer scans, per aux size."""
+    used = [(m, *_grid_resolutions(cfg.grid_resolution, m, a)) for m in _aux_cards(cfg, a)]
+    return {"grid_used": {"aux": [{"aux_card": m, "q": gq, "row": ge} for m, gq, ge in used]}}
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +395,7 @@ def _cq_states_array(ch: CQChannel) -> np.ndarray:
     return np.stack([ch.state_matrix(x) for x in ch.input_alphabet])
 
 
-def _clamped_report(formula_id, raw, n, per_t, argmax, cfg):
+def _clamped_report(formula_id, raw, n, per_t, argmax, cfg, solver):
     return CapacityReport(
         formula_id=formula_id,
         value=float(max(0.0, raw)),
@@ -360,6 +405,7 @@ def _clamped_report(formula_id, raw, n, per_t, argmax, cfg):
         argmax=argmax,
         config=asdict(cfg),
         flags={"fixed_n_evaluation": True, "clamped": bool(raw < 0)},
+        solver=solver,
     )
 
 
@@ -376,7 +422,7 @@ def _csi_report(formula_id, spec, legit_terms, wire_terms, a, n, cfg) -> Capacit
         per_t[name] = {"legit": _term_at(legit, q, e), "wiretap": _term_at(wire, q, e), "value": v}
         argmax[name] = _prefix_argmax(q, e, m)
         values.append(v)
-    return _clamped_report(formula_id, min(values), n, per_t, argmax, cfg)
+    return _clamped_report(formula_id, min(values), n, per_t, argmax, cfg, _aux_grid_used(cfg, a))
 
 
 def _nocsi_report(formula_id, spec, legit_terms, wire_terms, a, n, cfg) -> CapacityReport:
@@ -387,7 +433,9 @@ def _nocsi_report(formula_id, spec, legit_terms, wire_terms, a, n, cfg) -> Capac
         name: {"legit": _term_at(legit, q, e), "wiretap": _term_at(wire, q, e)}
         for name, legit, wire in zip(spec.names, legit_terms, wire_terms)
     }
-    return _clamped_report(formula_id, raw, n, per_t, _prefix_argmax(q, e, m), cfg)
+    return _clamped_report(
+        formula_id, raw, n, per_t, _prefix_argmax(q, e, m), cfg, _aux_grid_used(cfg, a)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +518,9 @@ def cq_csi_capacity(spec: CompoundWiretapSpec, cfg: SolverConfig) -> CapacityRep
         }
         argmax[name] = {"word_prior": q.tolist()}
         values.append(v)
-    return _clamped_report("e1q", min(values), cfg.n, per_t, argmax, cfg)
+    return _clamped_report(
+        "e1q", min(values), cfg.n, per_t, argmax, cfg, _prior_grid_used(cfg, n_words)
+    )
 
 
 def cq_nocsi_capacity(spec: CompoundWiretapSpec, cfg: SolverConfig) -> CapacityReport:
@@ -522,11 +572,30 @@ def entgen_lower_bound(family: Sequence, cfg: SolverConfig) -> CapacityReport:
         "basis_real": u.real.tolist(),
         "basis_imag": u.imag.tolist(),
     }
-    return _clamped_report("entheorem", raw, 1, per_t, argmax, cfg)
+    return _clamped_report("entheorem", raw, 1, per_t, argmax, cfg, _prior_grid_used(cfg, d))
 
 
 def _family_names(family) -> list[str]:
     return [f"t{i+1}" for i in range(len(family))]
+
+
+def _coherent_objective(folded: KrausChannel):
+    """Coherent information of rho = M M* / tr(M M*) for a (B, 2 dim^2) stack
+    of (Re M, Im M) parameter rows; -inf where the trace vanishes."""
+    dim = folded.in_space.dim
+
+    def objective(params):
+        re, im = params[:, : dim * dim], params[:, dim * dim :]
+        m = re.reshape(-1, dim, dim) + 1j * im.reshape(-1, dim, dim)
+        g = m @ m.conj().swapaxes(-1, -2)
+        tr = np.trace(g, axis1=-2, axis2=-1).real
+        ok = tr >= 1e-14
+        out = np.full(len(params), -np.inf)
+        if ok.any():
+            out[ok] = coherent_information_matrix(g[ok] / tr[ok, None, None], folded)
+        return out
+
+    return objective
 
 
 def entgen_csi_capacity(family: Sequence, cfg: SolverConfig) -> CapacityReport:
@@ -541,15 +610,7 @@ def entgen_csi_capacity(family: Sequence, cfg: SolverConfig) -> CapacityReport:
         folded = n_fold(kraus, cfg.n) if cfg.n > 1 else kraus
         dim = folded.in_space.dim
         check_dim_cap(dim * dim, "coherent-information reference")
-
-        def objective(params, folded=folded, dim=dim):
-            m = params[: dim * dim].reshape(dim, dim) + 1j * params[dim * dim :].reshape(dim, dim)
-            g = m @ m.conj().T
-            tr = np.trace(g).real
-            if tr < 1e-14:
-                return -np.inf
-            return coherent_information_matrix(g / tr, folded)
-
+        objective = _coherent_objective(folded)
         rng = np.random.default_rng([cfg.seed, 88, idx])
         starts = []
         eye = np.eye(dim) / np.sqrt(dim)
@@ -572,34 +633,34 @@ def entgen_csi_capacity(family: Sequence, cfg: SolverConfig) -> CapacityReport:
         argmax[name] = {"rho_real": rho.real.tolist(), "rho_imag": rho.imag.tolist()}
         values.append(best_v / cfg.n)
     raw = min(values)
-    return _clamped_report("propo1", raw, cfg.n, per_t, argmax, cfg)
+    return _clamped_report("propo1", raw, cfg.n, per_t, argmax, cfg, {})
 
 
 def _ascend_unconstrained(objective, p0: np.ndarray, iters: int):
+    """Forward-difference ascent with normalised steps; ``objective`` maps a
+    (B, dim) stack to (B,).  The step starts at 0.2, is carried across
+    iterations and halves down to 1e-7; the first step of the ladder that
+    raises the value by more than 1e-12 is taken."""
     p = p0.copy()
-    best = objective(p)
+    best = objective(p[None])[0]
     step = 0.2
     h = 1e-5
+    diag = np.arange(len(p))
     for _ in range(iters):
-        grad = np.zeros_like(p)
-        for i in range(len(p)):
-            pp = p.copy()
-            pp[i] += h
-            grad[i] = (objective(pp) - best) / h
+        probes = np.repeat(p[None], len(p), axis=0)
+        probes[diag, diag] += h
+        grad = (objective(probes) - best) / h
         norm = np.linalg.norm(grad)
         if norm < 1e-12:
             break
-        improved = False
-        while step > 1e-7:
-            cand = p + step * grad / norm
-            cv = objective(cand)
-            if cv > best + 1e-12:
-                p, best = cand, cv
-                improved = True
-                break
-            step /= 2.0
-        if not improved:
+        steps = _step_ladder(step, 1e-7)
+        cands = p + steps[:, None] * grad / norm
+        vals = objective(cands)
+        ok = np.flatnonzero(vals > best + 1e-12)
+        if len(ok) == 0:
             break
+        k = ok[0]
+        p, best, step = cands[k], vals[k], steps[k]
     return best, p
 
 

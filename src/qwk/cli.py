@@ -247,7 +247,8 @@ def cmd_capacity(args) -> int:
         solver = FORMULAS[formula]
         report = solver(spec, cfg)
     payload = report.to_json_dict()
-    write_report(args.out, _manifest(args, "capacity", {"spec": args.spec, "formula": args.formula}), payload)
+    extra = {"spec": args.spec, "formula": args.formula, "solver": report.solver}
+    write_report(args.out, _manifest(args, "capacity", extra), payload)
     if args.csv:
         with open(args.csv, "w") as fh:
             fh.write("t,legit,wiretap\n")

@@ -116,29 +116,40 @@ def holevo_chi(ensemble_or_prior, states=None) -> float:
     return max(0.0, von_neumann_entropy(avg) - mean_entropy)
 
 
-def coherent_information_matrix(rho_m: np.ndarray, kraus: KrausChannel) -> float:
+def coherent_information_matrix(rho_m: np.ndarray, kraus: KrausChannel):
     """Coherent information of the density matrix ``rho_m``, unchecked.
 
-    Computed through the purification of ``rho_m`` in its eigenbasis; the
-    value is independent of which purification is chosen.
+    ``rho_m`` may be one matrix (a float is returned) or a (..., d, d) stack
+    (an array of shape ``...``).  Computed through the purification of each
+    matrix in its eigenbasis; the value is independent of which
+    purification is chosen.
     """
     din = kraus.in_space.dim
     w, v = np.linalg.eigh(rho_m)
     w = np.clip(w, 0.0, None)
-    w = w / w.sum()
-    psi = np.zeros((kraus.in_space.dim * din,), dtype=complex)
-    for i in range(len(w)):
-        ref = np.zeros(din)
-        ref[i] = 1.0
-        psi += np.sqrt(w[i]) * np.kron(v[:, i], ref)
-    joint = np.outer(psi, psi.conj())
+    w = w / w.sum(axis=-1, keepdims=True)
+    # sum_i sqrt(w_i) v_i (x) e_i has entry v[j, i] sqrt(w_i) at index j*din + i
+    psi = (v * np.sqrt(w)[..., None, :]).reshape(v.shape[:-2] + (-1,))
+    joint = psi[..., :, None] * psi.conj()[..., None, :]
     out = None
     for a in kraus.kraus_ops:
         op = np.kron(a, np.eye(din))
         term = op @ joint @ op.conj().T
         out = term if out is None else out + term
-    s_out = von_neumann_entropy(kraus.apply_matrix(rho_m))
-    return s_out - von_neumann_entropy(out)
+    s_out = _entropies(kraus.apply_matrix(rho_m))
+    vals = s_out - _entropies(out)
+    return float(vals) if vals.ndim == 0 else vals
+
+
+def _entropies(mats: np.ndarray) -> np.ndarray:
+    """von Neumann entropy of each matrix of a (..., d, d) stack, in bits.
+
+    Each row goes through ``_entropy_from_probs``: a ``where``-sum over a whole
+    row groups the terms differently once 8 or more survive the floor.
+    """
+    ev = np.clip(np.linalg.eigvalsh(mats), 0.0, None)
+    flat = ev.reshape(-1, ev.shape[-1])
+    return np.array([_entropy_from_probs(p) for p in flat]).reshape(ev.shape[:-1])
 
 
 def coherent_information(rho: DensityOperator, ch) -> float:

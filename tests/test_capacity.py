@@ -403,8 +403,8 @@ class TestSimplexAscent:
                                 for _ in range(3)]
             blocks = [slice(0, m)] + [slice(m + u * a, m + (u + 1) * a) for u in range(m)]
 
-            def val(x, m=m):
-                return float(objective(x[None, :m], x[m:].reshape(m, a))[0])
+            def val(xs, m=m):
+                return objective(xs[:, None, :m], xs[:, m:].reshape(-1, m, a))[:, 0]
 
             for q0, e0 in grid_starts + dirichlet_starts:
                 ref_v, ref_q, ref_e = _refine_reference(objective, q0, e0, self.ITERS, self.TOL)
@@ -422,8 +422,8 @@ class TestSimplexAscent:
         objective = _objective(legit, wire)
         eye = np.eye(n_words)
 
-        def val(q):
-            return float(objective(q[None, :], eye)[0])
+        def val(qs):
+            return objective(qs[:, None, :], eye)[:, 0]
 
         rng = np.random.default_rng(12)
         starts = list(simplex_grid(3, n_words)[::4]) + [rng.dirichlet(np.ones(n_words))
@@ -445,3 +445,128 @@ class TestSimplexAscent:
         assert np.array_equal(_objective(legit, wire)(qs, e), stacked)
         single = legit[0].batch(qs, e) - wire[0].batch(qs, e)
         assert np.array_equal(_objective(legit[:1], wire[:1])(qs, e), single)
+
+
+# ---------------------------------------------------------------------------
+# stacked evaluation against per-point and per-matrix references
+
+import os
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qwk import capacity
+from qwk.capacity import (
+    _as_stinespring,
+    _ascend_unconstrained,
+    _ChiPowerTerm,
+    _coherent_objective,
+    _cq_states_array,
+    _kron_power,
+    _maximize_aux,
+)
+from qwk.channels import n_fold, stinespring_to_kraus
+from qwk.cli import load_spec
+from qwk.infotheory import coherent_information_matrix
+
+SPECS = os.path.join(os.path.dirname(__file__), "..", "specs")
+
+# a few repeated values so that rows have ties, plus negatives and arbitrary floats
+_ENTRIES = st.one_of(st.sampled_from([-1.0, -0.25, 0.0, 0.25, 0.5, 1.0]),
+                     st.floats(-3.0, 3.0, allow_nan=False))
+
+
+def _unconstrained_reference(objective, p0, iters):
+    """The former one-point-per-call ascent of propo1, kept as an oracle."""
+    p = p0.copy()
+    best = objective(p)
+    step = 0.2
+    h = 1e-5
+    for _ in range(iters):
+        grad = np.zeros_like(p)
+        for i in range(len(p)):
+            pp = p.copy()
+            pp[i] += h
+            grad[i] = (objective(pp) - best) / h
+        norm = np.linalg.norm(grad)
+        if norm < 1e-12:
+            break
+        improved = False
+        while step > 1e-7:
+            cand = p + step * grad / norm
+            cv = objective(cand)
+            if cv > best + 1e-12:
+                p, best = cand, cv
+                improved = True
+                break
+            step /= 2.0
+        if not improved:
+            break
+    return best, p
+
+
+class TestStackedSolver:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 6).flatmap(
+        lambda k: st.lists(st.lists(_ENTRIES, min_size=k, max_size=k), min_size=1, max_size=8)))
+    def test_projection_rows_match_one_dimensional_calls(self, rows):
+        v = np.array(rows)
+        rowwise = np.stack([project_simplex(r) for r in v])
+        assert np.array_equal(project_simplex(v), rowwise)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_kron_power_matches_kron_loop(self, n):
+        rng = np.random.default_rng(31)
+        stack = rng.normal(size=(3, 2, 2, 2)) + 1j * rng.normal(size=(3, 2, 2, 2))
+        powered = _kron_power(stack, n)
+        for b in range(3):
+            for u in range(2):
+                ref = np.array([[1.0 + 0j]])
+                for _ in range(n):
+                    ref = np.kron(ref, stack[b, u])
+                assert np.array_equal(powered[b, u], ref)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_unconstrained_ascent_matches_reference(self, n):
+        family = load_spec(os.path.join(SPECS, "two_channel_family.json")).legitimate
+        kraus = stinespring_to_kraus(_as_stinespring(family[1]))
+        folded = n_fold(kraus, n) if n > 1 else kraus
+        dim = folded.in_space.dim
+        objective = _coherent_objective(folded)
+
+        def scalar_objective(params):
+            m = params[: dim * dim].reshape(dim, dim) + 1j * params[dim * dim :].reshape(dim, dim)
+            g = m @ m.conj().T
+            tr = np.trace(g).real
+            if tr < 1e-14:
+                return -np.inf
+            return coherent_information_matrix(g / tr, folded)
+
+        rng = np.random.default_rng(32)
+        starts = [np.concatenate([np.eye(dim).reshape(-1) / np.sqrt(dim), np.zeros(dim * dim)])]
+        starts += [rng.normal(size=2 * dim * dim) for _ in range(2)]
+        for p0 in starts:
+            ref_v, ref_p = _unconstrained_reference(scalar_objective, p0, 40)
+            v, p = _ascend_unconstrained(objective, p0, 40)
+            assert v == ref_v
+            assert np.array_equal(p, ref_p)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 100])
+    def test_grid_scan_chunk_invariance(self, chunk, monkeypatch):
+        b1 = load_spec(os.path.join(SPECS, "bsc_dominated.json"))
+        csi = load_spec(os.path.join(SPECS, "qwiretap_orthogonal.json"))
+        cases = [
+            (_objective([_ClassicalTerm(b1.legitimate[0].matrix)],
+                        [_ClassicalTerm(b1.wiretap[0].matrix)]), SolverConfig(grid_resolution=8)),
+            (_objective([_ClassicalTerm(csi.legitimate[0].matrix)],
+                        [_ChiPowerTerm(_cq_states_array(csi.wiretap[0]), 2)]),
+             SolverConfig(n=2, grid_resolution=8, restarts=2)),
+        ]
+        for objective, cfg in cases:
+            default = _maximize_aux(objective, 2, cfg, tag=0)
+            monkeypatch.setattr(capacity, "_GRID_CHUNK", chunk)
+            patched = _maximize_aux(objective, 2, cfg, tag=0)
+            monkeypatch.undo()
+            assert patched[0] == default[0] and patched[3] == default[3]
+            assert np.array_equal(patched[1], default[1])
+            assert np.array_equal(patched[2], default[2])

@@ -117,7 +117,8 @@ class TestSimulateCommand:
     def test_golden_instances_rerun_bit_identically(self, tmp_path):
         for name in ("golden_sim1", "golden_sim2", "golden_sim3", "golden_entangle1",
                      "golden_capacity1", "golden_capacity2", "golden_capacity3",
-                     "golden_capacity4", "golden_capacity5"):
+                     "golden_capacity4", "golden_capacity5", "golden_capacity6",
+                     "golden_capacity7", "golden_capacity8", "golden_capacity9"):
             golden = json.load(open(os.path.join(DATA, f"{name}.json")))
             argv = list(golden["manifest"]["argv"])
             # rerun from the recorded manifest into a fresh output location
@@ -287,3 +288,33 @@ class TestVerifyExitCode:
         out = tmp_path / "ver.json"
         assert run_cli(["verify", "gentle", "--out", str(out)]) == EXIT_SEMANTIC
         assert json.loads(out.read_text())["payload"]["n_fail"] == 1
+
+
+class TestCapacitySolverManifest:
+    # sha256 of the canonical payload bytes of this request before the solver
+    # recorded its grid; the record must go to the manifest only
+    B1_GRID64_SHA256 = "943357dcca5bf92078c7bba1bef1d869138f24de69ce6d326062c6168fcfc561"
+
+    def test_shrunk_grid_reported_in_manifest_only(self, tmp_path):
+        import hashlib
+
+        out = tmp_path / "cap.json"
+        rc = run_cli(["capacity", "--formula", "b1", "--spec", spec_path("bsc_dominated.json"),
+                      "--grid", "64", "--refine", "50", "--out", str(out)])
+        assert rc == 0
+        doc = json.loads(out.read_text())
+        used = doc["manifest"]["solver"]["grid_used"]["aux"]
+        assert [u["aux_card"] for u in used] == [1, 2, 3]
+        assert used[2] == {"aux_card": 3, "q": 64, "row": 4}
+        assert doc["payload"]["config"]["grid_resolution"] == 64
+        digest = hashlib.sha256(canonical_payload_bytes(doc["payload"])).hexdigest()
+        assert digest == self.B1_GRID64_SHA256
+
+    def test_prior_grid_reported(self, tmp_path):
+        out = tmp_path / "cap.json"
+        rc = run_cli(["capacity", "--formula", "e1q", "--spec", spec_path("cq_pair.json"),
+                      "--grid", "16", "--refine", "10", "--restarts", "2", "--out", str(out)])
+        assert rc == 0
+        doc = json.loads(out.read_text())
+        assert doc["manifest"]["solver"] == {"grid_used": {"prior": 16}}
+        assert "solver" not in doc["payload"]

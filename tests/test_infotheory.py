@@ -249,3 +249,50 @@ class TestCoherentInformationAgainstPurification:
             coherent_information(rho, bsc(0.1))
         with pytest.raises(QcoreError):
             coherent_information(random_density(HilbertLabel("C", 3), np.random.default_rng(0)), chan)
+
+
+
+def _kron_loop_reference(rho_m, kraus):
+    """The former one-matrix coherent information (one np.kron per
+    eigenvector, entropies through von_neumann_entropy), kept as an oracle."""
+    din = kraus.in_space.dim
+    w, v = np.linalg.eigh(rho_m)
+    w = np.clip(w, 0.0, None)
+    w = w / w.sum()
+    psi = np.zeros((din * din,), dtype=complex)
+    for i in range(len(w)):
+        ref = np.zeros(din)
+        ref[i] = 1.0
+        psi += np.sqrt(w[i]) * np.kron(v[:, i], ref)
+    joint = np.outer(psi, psi.conj())
+    out = None
+    for a in kraus.kraus_ops:
+        op = np.kron(a, np.eye(din))
+        term = op @ joint @ op.conj().T
+        out = term if out is None else out + term
+    return von_neumann_entropy(kraus.apply_matrix(rho_m)) - von_neumann_entropy(out)
+
+
+class TestStackedCoherentInformation:
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_stack_matches_per_matrix_calls(self, n):
+        from qwk.channels import n_fold
+        from qwk.infotheory import coherent_information_matrix
+
+        rng = np.random.default_rng(23)
+        iso = random_unitary(6, rng)[:, :2]
+        three_op = KrausChannel(A, A, [iso[:2], iso[2:4], iso[4:]])
+        # at n=3 the 64-dimensional joint state keeps 27 nonzero eigenvalues,
+        # enough for the pairwise summation to depend on which terms are summed
+        chan = n_fold(three_op, n) if n > 1 else three_op
+        space = chan.in_space
+        mats = [random_density(space, rng, rank=1).matrix]
+        mats += [random_density(space, rng).matrix for _ in range(3)]
+        stack = np.stack(mats).reshape(2, 2, space.dim, space.dim)
+        stacked = coherent_information_matrix(stack, chan)
+        assert stacked.shape == (2, 2)
+        per_matrix = [coherent_information_matrix(m, chan) for m in mats]
+        assert all(isinstance(v, float) for v in per_matrix)
+        reference = [_kron_loop_reference(m, chan) for m in mats]
+        assert np.array_equal(stacked.reshape(-1), reference)
+        assert np.array_equal(per_matrix, reference)
