@@ -4,8 +4,8 @@ Pipeline (exact state-vector evolution throughout):
 
 1. ``build_entgen_code``   sample codewords against the classical-quantum
    pair a channel family induces on a signal basis, build the joint
-   pretty-good measurement and the coherent measurement unitary (its
-   isometry on the |0,0,0> ancilla, completed by one QR decomposition).
+   pretty-good measurement and the coherent measurement as the isometry
+   it is on the |0,0,0> ancilla.
 2. ``purify_codewords``    replace mixed codewords by eligible eigenvectors
    (product codewords are already pure; the general rule is exposed).
 3. ``compute_uhlmann_partners``  best pure approximations of the
@@ -121,7 +121,7 @@ class EntgenCode:
     detect_prob: np.ndarray  # (T, J, L)
     env_avg: list  # per-state averaged environment state (De, De)
     env_spread: np.ndarray  # (T,) max_j deviation of the j-averaged env state
-    v_unitary: np.ndarray  # on [Q^n, M, L, T']
+    v_unitary: np.ndarray  # (D, Dq) isometry Q^n -> [Q^n, M, L, T'], D = Dq*J*L*(T+1)
     params: TypicalParams
     seed: int
     partners: list | None = None  # per state: (J, L, Dq*De) partner vectors
@@ -161,7 +161,7 @@ class FidelityAudit:
 
 
 # ---------------------------------------------------------------------------
-# stage 1: codewords, measurement, coherent measurement unitary
+# stage 1: codewords, measurement, coherent measurement isometry
 
 
 def _as_isometries(family) -> list[StinespringIsometry]:
@@ -228,7 +228,7 @@ def build_entgen_code(
     seed: int,
     params: TypicalParams | None = None,
 ) -> EntgenCode:
-    """Codewords, joint pretty-good measurement, and the measurement unitary.
+    """Codewords, joint pretty-good measurement, and the measurement isometry.
 
     Codewords are sampled from the truncated typical distribution and kept
     distinct across all (j, l) so that the encoder superposition stays
@@ -270,6 +270,12 @@ def build_entgen_code(
                      for rec in rec_cqs]).reshape(T, J, L, dq_n, dq_n)
     inv_sqrt = pgm_inverse_sqrt(sand.sum(axis=(0, 1, 2)))
     povm = np.einsum("ab,tjlbc,cd->tjlad", inv_sqrt, sand, inv_sqrt)
+    # rounding in the normaliser of a nearly singular sum can push the POVM
+    # past I; shrink those directions so the measurement stays an isometry
+    w, u = np.linalg.eigh(povm.sum(axis=(0, 1, 2)))
+    if w[-1] > 1.0 + 1e-11:
+        shrink = (u / np.sqrt(np.maximum(w, 1.0))) @ u.conj().T
+        povm = shrink @ povm @ shrink
     detect_prob = np.zeros((T, J, L))
     for t in range(T):
         for j in range(J):
@@ -299,13 +305,13 @@ def build_entgen_code(
 
 
 def _measurement_unitary(povm: np.ndarray, dq_n: int, J: int, L: int, T: int) -> np.ndarray:
-    """Coherent measurement on [Q^n, M, L, T']: records (j, l, t) into the
-    ancillas via sqrt-operator branches, with a fail branch at t = T
-    absorbing the measurement defect.
+    """Coherent measurement as the (D, Dq) isometry from Q^n into
+    [Q^n, M, L, T'], D = Dq*J*L*(T+1): records (j, l, t) into the ancillas
+    via sqrt-operator branches, with a fail branch at t = T absorbing the
+    measurement defect.
 
-    The branches are the isometry on the inputs |q, 0, 0, 0>; the other
-    columns come from one complete QR decomposition of it.  Every use of
-    the unitary meets those columns only through zero ancilla amplitudes.
+    These are the columns of the measurement unitary on the inputs
+    |q, 0, 0, 0>; the ancillas always start there, so no use needs the rest.
     """
     tp = T + 1
     leftover = np.eye(dq_n) - povm.sum(axis=(0, 1, 2))
@@ -314,13 +320,7 @@ def _measurement_unitary(povm: np.ndarray, dq_n: int, J: int, L: int, T: int) ->
     branches = np.zeros((dq_n, J, L, tp, dq_n), dtype=complex)
     branches[:, :, :, :T] += sqrts.reshape(T, J, L, dq_n, dq_n).transpose(3, 1, 2, 0, 4)
     branches[:, 0, 0, T] += psd_sqrt(leftover)
-    iso = branches.reshape(-1, dq_n)
-    full = iso.shape[0]
-    completion = np.linalg.qr(iso, mode="complete")[0][:, dq_n:]
-    u = np.empty((full, dq_n, J * L * tp), dtype=complex)
-    u[:, :, 0] = iso
-    u[:, :, 1:] = completion.reshape(full, dq_n, -1)
-    return u.reshape(full, full)
+    return branches.reshape(-1, dq_n)
 
 
 # ---------------------------------------------------------------------------
@@ -394,25 +394,15 @@ def compute_uhlmann_partners(code: EntgenCode, family) -> EntgenCode:
     partner_fid = np.zeros((code.T, code.J, code.L))
     for t in range(code.T):
         de = code.de[t]
+        dims = [code.Dq, code.J, code.L, tp, de]
         zt = np.zeros((code.J, code.L, code.Dq * de), dtype=complex)
         for j in range(code.J):
             for l in range(code.L):
-                vec = blocks[t].dilate_vector(code.codeword_vecs[j, l])  # [Q^n (x) E^n]
-                dims = [code.Dq, de]
-                anc = np.zeros(code.J * code.L * tp, dtype=complex)
-                anc[0] = 1.0
-                vec = np.kron(vec, anc)
-                dims = [code.Dq, de, code.J, code.L, tp]
-                vec, dims = apply_on_axes(vec, dims, code.v_unitary, [0, 2, 3, 4])
-                # merged axis [Q^n M L T'] back apart
-                dims = [code.Dq, code.J, code.L, tp, de]
-                vec = vec.reshape(code.Dq * code.J * code.L * tp, de).reshape(
-                    code.Dq, code.J, code.L, tp, de
-                ).transpose(0, 4, 1, 2, 3).reshape(-1)
-                dims = [code.Dq, de, code.J, code.L, tp]
+                dilated = blocks[t].dilate_vector(code.codeword_vecs[j, l])  # [Q^n (x) E^n]
+                vec = (code.v_unitary @ dilated.reshape(code.Dq, de)).reshape(-1)
                 record = np.zeros(code.J * code.L * tp, dtype=complex)
                 record[(j * code.L + l) * tp + t] = 1.0
-                zvec, fid = uhlmann_partner(vec, dims, [2, 3, 4], record)
+                zvec, fid = uhlmann_partner(vec, dims, [1, 2, 3], record)
                 zt[j, l] = zvec
                 partner_fid[t, j, l] = fid
         partners.append(zt)
@@ -437,30 +427,18 @@ def phase_align(code: EntgenCode, family) -> EntgenCode:
     fourier_idx = np.zeros(code.J, dtype=int)
     align_phase = np.zeros(code.J)
     aligned_overlap = np.zeros((code.T, code.J), dtype=complex)
-    v_dagger = code.v_unitary.conj().T
+    branches = code.v_unitary.reshape(code.Dq, code.J, L, tp, code.Dq)
     for j in range(code.J):
-        # b_{j,l,t}: pull the partner (x) record back through V and the dilation
-        b = np.zeros((code.T, L, code.Dp * code.J * L * tp), dtype=complex)
+        # b_{j,l,t}: pull the partner (x) record back through V and the
+        # dilation, using <V W a|z (x) record> = <W a|V_{jlt}^dag z> for the
+        # branch V_{jlt} that writes the record
+        b = np.zeros((code.T, L, code.Dp), dtype=complex)
         for t in range(code.T):
             de = code.de[t]
             for l in range(L):
-                record = np.zeros(code.J * L * tp, dtype=complex)
-                record[(j * L + l) * tp + t] = 1.0
-                vec = np.kron(code.partners[t][j, l], record)
-                dims = [code.Dq, de, code.J, L, tp]
-                vec, dims = apply_on_axes(vec, dims, v_dagger, [0, 2, 3, 4])
-                dims = [code.Dq, code.J, L, tp, de]
-                vec = vec.reshape(dims).transpose(0, 4, 1, 2, 3).reshape(-1)
-                dims = [code.Dq, de, code.J, L, tp]
-                vec, dims = apply_on_axes(
-                    vec, dims, blocks[t].isometry.conj().T, [0, 1]
-                )
-                b[t, l] = vec
-        a = np.zeros((L, code.Dp * code.J * L * tp), dtype=complex)
-        for l in range(L):
-            anc = np.zeros(code.J * L * tp, dtype=complex)
-            anc[0] = 1.0
-            a[l] = np.kron(code.codeword_vecs[j, l], anc)
+                pulled = branches[:, j, l, t, :].conj().T @ code.partners[t][j, l].reshape(code.Dq, de)
+                b[t, l] = blocks[t].isometry.conj().T @ pulled.reshape(-1)
+        a = code.codeword_vecs[j]
         best_k, best_val = 1, -np.inf
         overlaps_at_best = None
         for k in range(1, L + 1):
@@ -590,27 +568,13 @@ def run_protocol(code: EntgenCode, family, t_true: int) -> FidelityAudit:
             psi += phases[l] * np.kron(a_vec, code.codeword_vecs[j, l])
     norm = np.linalg.norm(psi)
     psi /= norm
-    dims = [J, code.Dp]
-    psi, dims = apply_on_axes(psi, dims, blocks[t_idx].isometry, [1])
-    # split [Q^n E^n] and append ancillas
-    dims = [J, code.Dq, de]
-    anc = np.zeros(J * L * tp, dtype=complex)
-    anc[0] = 1.0
-    psi = np.kron(psi, anc)
-    dims = [J, code.Dq, de, J, L, tp]
-    psi, _ = apply_on_axes(psi, dims, code.v_unitary, [1, 3, 4, 5])
-    psi = psi.reshape(J, code.Dq, J, L, tp, de).transpose(0, 1, 5, 2, 3, 4).reshape(-1)
-    dims = [J, code.Dq, de, J, L, tp]
-    # controlled correction on [Q^n, M, L] keyed by the T' register,
-    # identity on the fail slot; assemble over indices [q, m, l, t]
-    big = np.zeros((code.Dq, J, L, tp, code.Dq, J, L, tp), dtype=complex)
+    psi, _ = apply_on_axes(psi, [J, code.Dp], blocks[t_idx].isometry, [1])
+    # the measurement on [Q^n] alone: its ancillas [M, L, T'] start in |0,0,0>
+    psi, _ = apply_on_axes(psi, [J, code.Dq, de], code.v_unitary, [1])
+    psi = psi.reshape(J, code.Dq * J * L, tp, de)
+    # correction on [Q^n, M, L] keyed by the T' register, identity on the fail slot
     for t in range(code.T):
-        u_t = code.corrections[t].reshape(code.Dq, J, L, code.Dq, J, L)
-        big[:, :, :, t, :, :, :, t] = u_t
-    eye_qml = np.eye(code.Dq * J * L).reshape(code.Dq, J, L, code.Dq, J, L)
-    big[:, :, :, code.T, :, :, :, code.T] = eye_qml
-    ctrl = big.reshape(code.Dq * J * L * tp, code.Dq * J * L * tp)
-    psi, _ = apply_on_axes(psi, dims, ctrl, [1, 3, 4, 5])
+        psi[:, :, t] = code.corrections[t] @ psi[:, :, t]
     psi = psi.reshape(J, code.Dq, J, L, tp, de).transpose(0, 1, 5, 2, 3, 4).reshape(-1)
     dims = [J, code.Dq, de, J, L, tp]
     rho_am = vector_partial_density(psi, dims, [0, 3])
@@ -622,8 +586,8 @@ def run_protocol(code: EntgenCode, family, t_true: int) -> FidelityAudit:
         min(1.0, np.real(target.conj() @ rho_am @ target))
     )
     # intermediates for the audit
-    mid1 = np.zeros_like(psi)
-    mid2 = np.zeros_like(psi)
+    mid1 = np.zeros((J, code.Dq, de, J, L, tp), dtype=complex)
+    mid2 = np.zeros_like(mid1)
     for j in range(J):
         phases = np.exp(
             2j * np.pi * np.arange(1, L + 1) * code.fourier_idx[j] / L + 1j * code.align_phase[j]
@@ -633,14 +597,9 @@ def run_protocol(code: EntgenCode, family, t_true: int) -> FidelityAudit:
             branch_sum[:, :, l] = phases[l] * code.partners[t_idx][j, l].reshape(code.Dq, de) / np.sqrt(L)
         u_t = code.corrections[t_idx].reshape(code.Dq, J, L, code.Dq, J, L)
         corrected_j = np.einsum("qmlQL,QeL->qmle", u_t[:, :, :, :, j, :], branch_sum)
-        # corrected_j axes (q, m, l, e) -> block layout (Q, e, M, L)
-        block1 = np.zeros((J, code.Dq, de, J, L, tp), dtype=complex)
-        block1[j, :, :, :, :, t_idx] = corrected_j.transpose(0, 3, 1, 2)
-        mid1 += block1.reshape(-1) / np.sqrt(J)
-        env_avg_vec = code.env_avg_pur[t_idx].reshape(code.Dq, de, L)
-        block2 = np.zeros((J, code.Dq, de, J, L, tp), dtype=complex)
-        block2[j, :, :, j, :, t_idx] = env_avg_vec
-        mid2 += block2.reshape(-1) / np.sqrt(J)
+        # corrected_j axes (q, m, l, e) -> layout (Q, e, M, L); j-slices are disjoint
+        mid1[j, :, :, :, :, t_idx] = corrected_j.transpose(0, 3, 1, 2) / np.sqrt(J)
+        mid2[j, :, :, j, :, t_idx] = code.env_avg_pur[t_idx].reshape(code.Dq, de, L) / np.sqrt(J)
     f_decoded_vs_aligned = _pure_overlap_fidelity(psi, mid1 / np.linalg.norm(mid1))
     f_aligned_vs_target = _pure_overlap_fidelity(mid1 / np.linalg.norm(mid1), mid2 / np.linalg.norm(mid2))
     f_decoded_vs_target = _pure_overlap_fidelity(psi, mid2 / np.linalg.norm(mid2))

@@ -236,9 +236,13 @@ class TestDeterminism:
         assert canonical_payload_bytes(outs[0]) == canonical_payload_bytes(outs[1])
 
     def test_console_entry_point(self):
+        # the subprocess does not see pytest's pythonpath setting, so pass src on
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "qwk.cli", "net", "--tau", "2.0", "--budget", "1"],
             capture_output=True,
+            env=dict(os.environ, PYTHONPATH=path),
         )
         assert proc.returncode == 0
 

@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from qwk.channels import KrausChannel, depolarizing_kraus, identity_kraus
+from qwk.channels import (
+    KrausChannel,
+    depolarizing_kraus,
+    identity_kraus,
+    kraus_to_stinespring,
+    n_fold,
+)
 from qwk.entgen import (
     EntgenCode,
     apply_on_axes,
@@ -18,7 +26,7 @@ from qwk.entgen import (
     uhlmann_partner,
     vector_partial_density,
 )
-from qwk.qcore import HilbertLabel, QcoreError, psd_sqrt, random_density
+from qwk.qcore import HilbertLabel, QcoreError, pgm_inverse_sqrt, psd_sqrt, random_density
 from qwk.typicality import TypicalParams
 
 Q = HilbertLabel("q", 2)
@@ -89,7 +97,19 @@ class TestBuildCode:
         fam = [depolarizing_kraus(0.1)]
         code = build_entgen_code(fam, [0.5, 0.5], None, 2, 2, 1, 3, PARAMS2)
         u = code.v_unitary
-        assert np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) < 1e-8
+        assert np.max(np.abs(u.conj().T @ u - np.eye(u.shape[1]))) < 1e-8
+
+    def test_povm_past_identity_is_shrunk(self, monkeypatch):
+        import qwk.entgen
+
+        # a normaliser 1e-6 too large pushes the PGM sum past the identity
+        monkeypatch.setattr(qwk.entgen, "pgm_inverse_sqrt",
+                            lambda total: pgm_inverse_sqrt(total) * (1 + 1e-6))
+        fam = [rotated_channel(0.0), rotated_channel(0.3)]
+        code = build_entgen_code(fam, [0.5, 0.5], None, 2, 2, 2, 3, PARAMS2)
+        assert np.linalg.eigvalsh(code.povm.sum(axis=(0, 1, 2)))[-1] <= 1 + 1e-12
+        v = code.v_unitary
+        assert np.max(np.abs(v.conj().T @ v - np.eye(code.Dq))) < 1e-10
 
     def test_single_message_trivial(self):
         code = build_pipeline([identity_kraus()], 1, 1, 1, 0, PARAMS1)
@@ -198,7 +218,7 @@ class TestDecoderUnitaries:
         fam = [rotated_channel(0.0), rotated_channel(0.3)]
         code = build_pipeline(fam, 2, 2, 2, 3, PARAMS2)
         for u in [code.v_unitary] + code.corrections:
-            assert np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) < 1e-8
+            assert np.max(np.abs(u.conj().T @ u - np.eye(u.shape[1]))) < 1e-8
 
     def test_ideal_case_wir2_is_one(self):
         code = build_pipeline([identity_kraus()], 1, 2, 1, 5, PARAMS1)
@@ -323,4 +343,95 @@ class TestMeasurementIsometry:
         assert (code.T, code.L) == (2, 2)
         ref = gram_schmidt_measurement_unitary(code.povm, code.Dq, code.J, code.L, code.T)
         inputs = np.arange(code.Dq) * (code.J * code.L * (code.T + 1))
-        assert np.array_equal(code.v_unitary[:, inputs], ref[:, inputs])
+        assert np.array_equal(code.v_unitary, ref[:, inputs])
+
+
+def dense_protocol_reference(code, family, t_true):
+    """Reference: the evolution on the full measurement unitary, with the
+    ancillas appended in |0,0,0> and the theta-controlled correction as one
+    dense matrix that acts as the identity on the fail slot.  Returns the
+    final fidelity and the three f_* audit intermediates."""
+    J, L, T, Dq, tp = code.J, code.L, code.T, code.Dq, code.T + 1
+    de = code.de[t_true]
+    w = n_fold(kraus_to_stinespring(family[t_true]), code.n).isometry
+    psi = np.zeros(J * code.Dp, dtype=complex)
+    for j in range(J):
+        phases = np.exp(2j * np.pi * np.arange(1, L + 1) * code.fourier_idx[j] / L)
+        for l in range(L):
+            psi += phases[l] * np.kron(np.eye(J)[j], code.codeword_vecs[j, l])
+    psi /= np.linalg.norm(psi)
+    psi, _ = apply_on_axes(psi, [J, code.Dp], w, [1])
+    anc = np.zeros(J * L * tp)
+    anc[0] = 1.0
+    psi = np.kron(psi, anc)
+    dims = [J, Dq, de, J, L, tp]
+    u = gram_schmidt_measurement_unitary(code.povm, Dq, J, L, T)
+    big = np.zeros((Dq, J, L, tp, Dq, J, L, tp), dtype=complex)
+    for t in range(T):
+        big[:, :, :, t, :, :, :, t] = code.corrections[t].reshape(Dq, J, L, Dq, J, L)
+    big[:, :, :, T, :, :, :, T] = np.eye(Dq * J * L).reshape(Dq, J, L, Dq, J, L)
+    for op in (u, big.reshape(Dq * J * L * tp, -1)):
+        psi, _ = apply_on_axes(psi, dims, op, [1, 3, 4, 5])
+        psi = psi.reshape(J, Dq, J, L, tp, de).transpose(0, 1, 5, 2, 3, 4).reshape(-1)
+    rho_am = vector_partial_density(psi, dims, [0, 3])
+    target = np.eye(J).reshape(-1) / np.sqrt(J)
+    fidelity = float(np.real(target @ rho_am @ target))
+    mid1 = np.zeros_like(psi)
+    mid2 = np.zeros_like(psi)
+    for j in range(J):
+        phases = np.exp(2j * np.pi * np.arange(1, L + 1) * code.fourier_idx[j] / L
+                        + 1j * code.align_phase[j])
+        branch_sum = np.stack([phases[l] * code.partners[t_true][j, l].reshape(Dq, de)
+                               for l in range(L)], axis=-1) / np.sqrt(L)
+        u_t = code.corrections[t_true].reshape(Dq, J, L, Dq, J, L)
+        corrected = np.einsum("qmlQL,QeL->qmle", u_t[:, :, :, :, j, :], branch_sum)
+        block1 = np.zeros(dims, dtype=complex)
+        block1[j, :, :, :, :, t_true] = corrected.transpose(0, 3, 1, 2)
+        mid1 += block1.reshape(-1) / np.sqrt(J)
+        block2 = np.zeros(dims, dtype=complex)
+        block2[j, :, :, j, :, t_true] = code.env_avg_pur[t_true].reshape(Dq, de, L)
+        mid2 += block2.reshape(-1) / np.sqrt(J)
+    mid1 /= np.linalg.norm(mid1)
+    mid2 /= np.linalg.norm(mid2)
+
+    def overlap(x, y):
+        return abs(np.vdot(x, y)) ** 2
+
+    return fidelity, {
+        "f_decoded_vs_aligned": overlap(psi, mid1),
+        "f_aligned_vs_target": overlap(mid1, mid2),
+        "f_decoded_vs_target": overlap(psi, mid2),
+    }
+
+
+class TestProtocolRunAgainstDenseReference:
+    def test_fidelity_and_intermediates_match(self):
+        fam = [rotated_channel(0.0), rotated_channel(0.3)]
+        code = build_pipeline(fam, 2, 2, 2, 3, PARAMS2)
+        assert (code.T, code.L) == (2, 2)
+        for t in range(code.T):
+            audit = run_protocol(code, fam, t)
+            fidelity, mids = dense_protocol_reference(code, fam, t)
+            assert audit.min_fidelity == pytest.approx(fidelity, abs=1e-12)
+            for key, val in mids.items():
+                assert audit.intermediates[key] == pytest.approx(val, abs=1e-12)
+
+
+class TestEntgenProperties:
+    @settings(max_examples=25, deadline=None)
+    # nearly equal rotations: rounding in the PGM normaliser pushed the POVM
+    # 1.4e-4 past I here before the sum was shrunk back
+    @example(thetas=(0.0, 1.7782794100389227e-06), L=1, seed=0)
+    @given(
+        thetas=st.tuples(st.floats(0.0, np.pi), st.floats(0.0, np.pi)),
+        L=st.sampled_from([1, 2]),
+        seed=st.integers(0, 50),
+    )
+    def test_isometry_and_bound_on_two_rotation_families(self, thetas, L, seed):
+        fam = [rotated_channel(theta) for theta in thetas]
+        code = build_pipeline(fam, 2, 2, L, seed, PARAMS2)
+        v = code.v_unitary
+        assert v.shape == (code.Dq * code.J * L * (code.T + 1), code.Dq)
+        assert np.max(np.abs(v.conj().T @ v - np.eye(code.Dq))) < 1e-10
+        audit = run_full_audit(code, fam)
+        assert audit.min_fidelity >= audit.bound_rhs - 1e-9
