@@ -12,4 +12,13 @@ Submodules:
 - ``cli``         command-line front end
 """
 
+import os
+
+# The matrices are small: one BLAS thread is fastest and keeps a busy core
+# from stalling every product.  Set before numpy loads; a value in the
+# environment still wins.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+for _var in BLAS_THREAD_VARS:
+    os.environ.setdefault(_var, "1")
+
 __version__ = "0.1.0"

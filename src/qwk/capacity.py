@@ -35,6 +35,8 @@ from .qcore import check_dim_cap, random_unitary
 _GRID_BUDGET = 300_000
 # (prefix-row combination, prior point) pairs scored per grid-scan call
 _GRID_CHUNK = 1024
+# points scored per objective call in the ascents, whatever the number of starts
+_ASCENT_CHUNK = 1024
 _EIG_FLOOR = 1e-12
 
 
@@ -260,37 +262,132 @@ def _step_ladder(step: float, floor: float) -> np.ndarray:
     return np.array(steps)
 
 
-def _ascend_simplices(val, x0: np.ndarray, blocks: list[slice], iters: int, tol: float):
-    """Forward-difference projected ascent of ``val`` on a flat vector.
+def _chunked(val, rows: np.ndarray) -> np.ndarray:
+    """``val`` on a (B, dim) stack, at most ``_ASCENT_CHUNK`` rows per call."""
+    return np.concatenate(
+        [val(rows[r : r + _ASCENT_CHUNK]) for r in range(0, len(rows), _ASCENT_CHUNK)]
+    )
 
-    ``val`` maps a (B, dim) stack of points to their (B,) values.  Each slice
-    in ``blocks`` stays on a probability simplex.  The step starts at 0.25,
-    is carried across iterations and halves down to 1e-6; the first step of
-    the halving ladder that raises ``val`` by more than ``tol`` is taken.
-    All probes of an iteration, and then its whole ladder, are one call.
+
+def _simplex_groups(blocks: list[slice], dim: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Simplex blocks grouped by width: per group the (blocks, width) table of
+    coordinates and, per coordinate, its row in that table (-1 outside)."""
+    widths: dict[int, list[np.ndarray]] = {}
+    for blk in blocks:
+        idx = np.arange(dim)[blk]
+        widths.setdefault(len(idx), []).append(idx)
+    groups = []
+    for rows in widths.values():
+        cols = np.array(rows)
+        where = np.full(dim, -1)
+        where[cols] = np.arange(len(cols))[:, None]
+        groups.append((cols, where))
+    return groups
+
+
+def _forward_differences(val, xs: np.ndarray, best: np.ndarray, groups) -> np.ndarray:
+    """Forward differences (h = 1e-5) of ``val`` at every row of ``xs``.
+
+    The probes of all rows are built and scored ``_ASCENT_CHUNK`` at a time.
+    A probe re-projects only the simplex block that holds its perturbed
+    coordinate.
     """
-    x = np.array(x0, dtype=float)
-    best = float(val(x[None])[0])
-    step = 0.25
     h = 1e-5
-    diag = np.arange(len(x))
-    for _ in range(iters):
-        probes = np.repeat(x[None], len(x), axis=0)
-        probes[diag, diag] += h
-        for blk in blocks:
-            probes[blk, blk] = project_simplex(probes[blk, blk])
-        grad = (val(probes) - best) / h
-        steps = _step_ladder(step, 1e-6)
-        cands = x + steps[:, None] * grad
-        for blk in blocks:
-            cands[:, blk] = project_simplex(cands[:, blk])
-        vals = val(cands)
-        ok = np.flatnonzero(vals > best + tol)
-        if len(ok) == 0:
-            break
-        k = ok[0]
-        x, best, step = cands[k], float(vals[k]), steps[k]
-    return best, x
+    n_rows, dim = xs.shape
+    vals = np.empty(n_rows * dim)
+    for r0 in range(0, len(vals), _ASCENT_CHUNK):
+        row, coord = np.divmod(np.arange(r0, min(r0 + _ASCENT_CHUNK, len(vals))), dim)
+        probes = xs[row]
+        probes[np.arange(len(coord)), coord] += h
+        for cols, where in groups:
+            sel = np.flatnonzero(where[coord] >= 0)[:, None]
+            idx = cols[where[coord[sel[:, 0]]]]
+            probes[sel, idx] = project_simplex(probes[sel, idx])
+        vals[r0 : r0 + len(coord)] = val(probes)
+    return (vals.reshape(n_rows, dim) - best[:, None]) / h
+
+
+def _lockstep_ascent(val, x0s, iters, step, floor, tol, groups=(), normalise=False):
+    """Forward-difference ascent of every row of ``x0s`` together.
+
+    ``val`` maps a (B, dim) stack of points to their (B,) values.  Each start
+    carries its own step.  Per iteration all live starts' probes are one
+    (chunked) call and all their ladders ``step, step/2, ...`` above
+    ``floor`` another; a start takes the first candidate of its ladder that
+    beats its value by more than ``tol`` and stops when none does.  The
+    blocks in ``groups`` (see ``_simplex_groups``) stay on simplices.  With
+    ``normalise`` the step runs along grad / |grad| and a start whose
+    gradient norm is below 1e-12 stops.  Each row follows exactly the
+    trajectory it follows alone.
+
+    Returns the values, the points and a record of the run for the report's
+    manifest: starts, lockstep iterations, starts that stopped without an
+    improving step, and starts still improving when the iterations ran out.
+    """
+    xs = np.array(x0s, dtype=float)
+    best = _chunked(val, xs)
+    steps_now = np.full(len(xs), step)
+    alive = np.ones(len(xs), dtype=bool)
+    iterations = 0
+    while iterations < iters and alive.any():
+        iterations += 1
+        live = np.flatnonzero(alive)
+        grad = _forward_differences(val, xs[live], best[live], groups)
+        if normalise:
+            norm = np.array([np.linalg.norm(g) for g in grad])
+            flat = norm < 1e-12
+            alive[live[flat]] = False
+            live, grad, norm = live[~flat], grad[~flat], norm[~flat]
+            if len(live) == 0:
+                continue
+        ladders = [_step_ladder(s, floor) for s in steps_now[live]]
+        owner = np.repeat(np.arange(len(live)), [len(lad) for lad in ladders])
+        steps = np.concatenate(ladders)
+        delta = steps[:, None] * grad[owner]
+        if normalise:
+            delta = delta / norm[owner, None]
+        cands = xs[live][owner] + delta
+        for cols, _ in groups:
+            cands[:, cols] = project_simplex(cands[:, cols])
+        vals = _chunked(val, cands)
+        hit = np.flatnonzero(vals > best[live][owner] + tol)
+        moved, first = np.unique(owner[hit], return_index=True)
+        alive[live] = False
+        k, live = hit[first], live[moved]
+        alive[live] = True
+        xs[live], best[live], steps_now[live] = cands[k], vals[k], steps[k]
+    at_limit = int(alive.sum())
+    run = {"starts": len(xs), "iterations": iterations, "stalled": len(xs) - at_limit,
+           "at_limit": at_limit}
+    return best, xs, run
+
+
+def _ascend_simplices(val, x0s: np.ndarray, blocks: list[slice], iters: int, tol: float):
+    """Forward-difference projected ascent of the (S, dim) starts ``x0s``.
+
+    Each slice in ``blocks`` stays on a probability simplex; equal-width
+    blocks are projected as one stack.  The step starts at 0.25 and halves
+    down to 1e-6; a step must raise ``val`` by more than ``tol``.
+    """
+    groups = _simplex_groups(blocks, np.shape(x0s)[1])
+    return _lockstep_ascent(val, x0s, iters, 0.25, 1e-6, tol, groups)
+
+
+def _ascend_unconstrained(objective, p0s: np.ndarray, iters: int):
+    """Forward-difference ascent of the (S, dim) starts ``p0s`` along
+    normalised gradients.  The step starts at 0.2 and halves down to 1e-7;
+    a step must raise the value by more than 1e-12."""
+    return _lockstep_ascent(objective, p0s, iters, 0.2, 1e-7, 1e-12, normalise=True)
+
+
+def _first_best(vals, floor: float = -np.inf, margin: float = 1e-15):
+    """Start-order winner: a start replaces the best so far only when it beats
+    it by more than ``margin``; None when no start beats ``floor``."""
+    k = None
+    for i, v in enumerate(vals):
+        if v > floor + margin:
+            k, floor = i, v
+    return k
 
 
 def _prior_resolution(g: int, a: int) -> int:
@@ -302,7 +399,9 @@ def _prior_resolution(g: int, a: int) -> int:
 
 
 def _maximize_prior(objective, a: int, cfg: SolverConfig, tag: int):
-    """Maximize a batched objective over a single prior (no prefix channel)."""
+    """Maximize a batched objective over a single prior (no prefix channel).
+
+    Returns the value, the prior and the record of the ascent."""
     q_grid = simplex_grid(_prior_resolution(cfg.grid_resolution, a), a)
     eye = np.eye(a)
     vals = objective(q_grid, eye)
@@ -316,12 +415,11 @@ def _maximize_prior(objective, a: int, cfg: SolverConfig, tag: int):
     def val(qs):
         return objective(qs[:, None, :], eye)[:, 0]
 
-    best = (-np.inf, None)
-    for q0 in starts:
-        v, q = _ascend_simplices(val, q0, [slice(0, a)], cfg.refine_iters, cfg.tolerance)
-        if v > best[0] + 1e-15:
-            best = (v, q)
-    return best
+    vals, qs, run = _ascend_simplices(
+        val, np.array(starts), [slice(0, a)], cfg.refine_iters, cfg.tolerance
+    )
+    k = _first_best(vals)
+    return float(vals[k]), qs[k], {**run, "winner": k}
 
 
 def _prior_grid_used(cfg: SolverConfig, a: int) -> dict:
@@ -337,11 +435,14 @@ def _maximize_aux(objective, a: int, cfg: SolverConfig, tag: int):
 
     The grid scores every combination of prefix rows against the whole prior
     grid, in chunks of at most ``_GRID_CHUNK`` (combination, prior) pairs.
-    The ascent runs on the flat vector (q, rows of E).  Scanning sizes
-    1..aux_card and keeping the best makes the optimum monotone in aux_card
-    by construction.
+    The ascent runs on the flat vectors (q, rows of E) of all starts of an
+    aux cardinality together.  Scanning sizes 1..aux_card and keeping the
+    best makes the optimum monotone in aux_card by construction.  Returns
+    the value, prior, prefix rows, aux cardinality and one ascent record per
+    aux cardinality.
     """
     best = (-np.inf, None, None, None)
+    runs = []
     for m in _aux_cards(cfg, a):
         gq, ge = _grid_resolutions(cfg.grid_resolution, m, a)
         q_grid = simplex_grid(gq, m)
@@ -366,12 +467,13 @@ def _maximize_aux(objective, a: int, cfg: SolverConfig, tag: int):
         def val(xs, m=m):
             return objective(xs[:, None, :m], xs[:, m:].reshape(-1, m, a))[:, 0]
 
-        for q0, e0 in starts:
-            x0 = np.concatenate([q0, e0.reshape(-1)])
-            v, x = _ascend_simplices(val, x0, blocks, cfg.refine_iters, cfg.tolerance)
-            if v > best[0] + 1e-15:
-                best = (v, x[:m], x[m:].reshape(m, a), m)
-    return best
+        x0s = np.array([np.concatenate([q0, e0.reshape(-1)]) for q0, e0 in starts])
+        vals, xs, run = _ascend_simplices(val, x0s, blocks, cfg.refine_iters, cfg.tolerance)
+        runs.append({"aux_card": m, **run, "winner": _first_best(vals)})
+        k = _first_best(vals, best[0])
+        if k is not None:
+            best = (float(vals[k]), xs[k, :m], xs[k, m:].reshape(m, a), m)
+    return (*best, runs)
 
 
 def _aux_grid_used(cfg: SolverConfig, a: int) -> dict:
@@ -416,26 +518,27 @@ def _prefix_argmax(q: np.ndarray, e: np.ndarray, m: int) -> dict:
 def _csi_report(formula_id, spec, legit_terms, wire_terms, a, n, cfg) -> CapacityReport:
     """Sender knows the state: the worst state of the per-state best of
     legitimate minus leakage term, each over its own prior and prefix."""
-    per_t, argmax, values = {}, {}, []
+    per_t, argmax, values, runs = {}, {}, [], []
     for idx, (name, legit, wire) in enumerate(zip(spec.names, legit_terms, wire_terms)):
-        v, q, e, m = _maximize_aux(_objective([legit], [wire]), a, cfg, tag=idx)
+        v, q, e, m, state_runs = _maximize_aux(_objective([legit], [wire]), a, cfg, tag=idx)
         per_t[name] = {"legit": _term_at(legit, q, e), "wiretap": _term_at(wire, q, e), "value": v}
         argmax[name] = _prefix_argmax(q, e, m)
         values.append(v)
-    return _clamped_report(formula_id, min(values), n, per_t, argmax, cfg, _aux_grid_used(cfg, a))
+        runs += [{"state": name, **run} for run in state_runs]
+    solver = {**_aux_grid_used(cfg, a), "ascent": runs}
+    return _clamped_report(formula_id, min(values), n, per_t, argmax, cfg, solver)
 
 
 def _nocsi_report(formula_id, spec, legit_terms, wire_terms, a, n, cfg) -> CapacityReport:
     """One prior and prefix for all states: the worst legitimate term minus
     the largest leakage term."""
-    raw, q, e, m = _maximize_aux(_objective(legit_terms, wire_terms), a, cfg, tag=0)
+    raw, q, e, m, runs = _maximize_aux(_objective(legit_terms, wire_terms), a, cfg, tag=0)
     per_t = {
         name: {"legit": _term_at(legit, q, e), "wiretap": _term_at(wire, q, e)}
         for name, legit, wire in zip(spec.names, legit_terms, wire_terms)
     }
-    return _clamped_report(
-        formula_id, raw, n, per_t, _prefix_argmax(q, e, m), cfg, _aux_grid_used(cfg, a)
-    )
+    solver = {**_aux_grid_used(cfg, a), "ascent": runs}
+    return _clamped_report(formula_id, raw, n, per_t, _prefix_argmax(q, e, m), cfg, solver)
 
 
 # ---------------------------------------------------------------------------
@@ -508,9 +611,10 @@ def cq_csi_capacity(spec: CompoundWiretapSpec, cfg: SolverConfig) -> CapacityRep
     _require_variant(spec, "cq", "e1q")
     legit_terms, wire_terms, n_words = _cq_block_terms(spec, cfg.n)
     eye = np.eye(n_words)
-    per_t, argmax, values = {}, {}, []
+    per_t, argmax, values, runs = {}, {}, [], []
     for idx, (name, legit, wire) in enumerate(zip(spec.names, legit_terms, wire_terms)):
-        v, q = _maximize_prior(_objective([legit], [wire]), n_words, cfg, tag=idx)
+        v, q, run = _maximize_prior(_objective([legit], [wire]), n_words, cfg, tag=idx)
+        runs.append({"state": name, **run})
         per_t[name] = {
             "legit": _term_at(legit, q, eye),
             "wiretap": _term_at(wire, q, eye),
@@ -518,9 +622,8 @@ def cq_csi_capacity(spec: CompoundWiretapSpec, cfg: SolverConfig) -> CapacityRep
         }
         argmax[name] = {"word_prior": q.tolist()}
         values.append(v)
-    return _clamped_report(
-        "e1q", min(values), cfg.n, per_t, argmax, cfg, _prior_grid_used(cfg, n_words)
-    )
+    solver = {**_prior_grid_used(cfg, n_words), "ascent": runs}
+    return _clamped_report("e1q", min(values), cfg.n, per_t, argmax, cfg, solver)
 
 
 def cq_nocsi_capacity(spec: CompoundWiretapSpec, cfg: SolverConfig) -> CapacityReport:
@@ -554,11 +657,13 @@ def entgen_lower_bound(family: Sequence, cfg: SolverConfig) -> CapacityReport:
     for _ in range(cfg.restarts):
         bases.append(random_unitary(d, rng))
     best = (-np.inf, None, None, None, None)
-    for u in bases:
+    runs = []
+    for i, u in enumerate(bases):
         rhos = [np.outer(u[:, x], u[:, x].conj()) for x in range(d)]
         legit_terms = [_ChiMixTerm(np.stack([s.apply_matrix(r) for r in rhos]), 1) for s in isos]
         wire_terms = [_ChiMixTerm(np.stack([s.env_matrix(r) for r in rhos]), 1) for s in isos]
-        v, q = _maximize_prior(_objective(legit_terms, wire_terms), d, cfg, tag=99)
+        v, q, run = _maximize_prior(_objective(legit_terms, wire_terms), d, cfg, tag=99)
+        runs.append({"basis": i, **run})
         if v > best[0] + 1e-15:
             best = (v, q, u, legit_terms, wire_terms)
     raw, prior, u, legit_terms, wire_terms = best
@@ -572,7 +677,8 @@ def entgen_lower_bound(family: Sequence, cfg: SolverConfig) -> CapacityReport:
         "basis_real": u.real.tolist(),
         "basis_imag": u.imag.tolist(),
     }
-    return _clamped_report("entheorem", raw, 1, per_t, argmax, cfg, _prior_grid_used(cfg, d))
+    solver = {**_prior_grid_used(cfg, d), "ascent": runs}
+    return _clamped_report("entheorem", raw, 1, per_t, argmax, cfg, solver)
 
 
 def _family_names(family) -> list[str]:
@@ -604,12 +710,14 @@ def entgen_csi_capacity(family: Sequence, cfg: SolverConfig) -> CapacityReport:
     d = isos[0].in_space.dim
     if any(s.in_space.dim != d for s in isos):
         raise SolverError("family members act on different input spaces")
-    per_t, argmax, values = {}, {}, []
-    for idx, (s, name) in enumerate(zip(isos, _family_names(family))):
-        kraus = stinespring_to_kraus(s)
+    krauses = [stinespring_to_kraus(s) for s in isos]
+    dim = d ** cfg.n
+    # dim^2 bounds each start's 2 dim^2 parameters and each probe's matrix
+    check_dim_cap(dim * dim, "propo1 parameter matrix")
+    check_dim_cap(max(len(k.kraus_ops) for k in krauses) ** cfg.n, "environment state")
+    per_t, argmax, values, runs = {}, {}, [], []
+    for idx, (kraus, name) in enumerate(zip(krauses, _family_names(family))):
         folded = n_fold(kraus, cfg.n) if cfg.n > 1 else kraus
-        dim = folded.in_space.dim
-        check_dim_cap(dim * dim, "coherent-information reference")
         objective = _coherent_objective(folded)
         rng = np.random.default_rng([cfg.seed, 88, idx])
         starts = []
@@ -621,11 +729,10 @@ def entgen_csi_capacity(family: Sequence, cfg: SolverConfig) -> CapacityReport:
             starts.append(np.concatenate([m0.reshape(-1), np.zeros(dim * dim)]))
         for _ in range(cfg.restarts):
             starts.append(rng.normal(size=2 * dim * dim))
-        best_v, best_p = -np.inf, None
-        for p0 in starts:
-            v, p = _ascend_unconstrained(objective, np.asarray(p0, dtype=float), cfg.refine_iters)
-            if v > best_v:
-                best_v, best_p = v, p
+        vals, ps, run = _ascend_unconstrained(objective, np.array(starts), cfg.refine_iters)
+        k = _first_best(vals, margin=0.0)
+        runs.append({"state": name, **run, "winner": k})
+        best_v, best_p = vals[k], ps[k]
         m = best_p[: dim * dim].reshape(dim, dim) + 1j * best_p[dim * dim :].reshape(dim, dim)
         g = m @ m.conj().T
         rho = g / np.trace(g).real
@@ -633,35 +740,7 @@ def entgen_csi_capacity(family: Sequence, cfg: SolverConfig) -> CapacityReport:
         argmax[name] = {"rho_real": rho.real.tolist(), "rho_imag": rho.imag.tolist()}
         values.append(best_v / cfg.n)
     raw = min(values)
-    return _clamped_report("propo1", raw, cfg.n, per_t, argmax, cfg, {})
-
-
-def _ascend_unconstrained(objective, p0: np.ndarray, iters: int):
-    """Forward-difference ascent with normalised steps; ``objective`` maps a
-    (B, dim) stack to (B,).  The step starts at 0.2, is carried across
-    iterations and halves down to 1e-7; the first step of the ladder that
-    raises the value by more than 1e-12 is taken."""
-    p = p0.copy()
-    best = objective(p[None])[0]
-    step = 0.2
-    h = 1e-5
-    diag = np.arange(len(p))
-    for _ in range(iters):
-        probes = np.repeat(p[None], len(p), axis=0)
-        probes[diag, diag] += h
-        grad = (objective(probes) - best) / h
-        norm = np.linalg.norm(grad)
-        if norm < 1e-12:
-            break
-        steps = _step_ladder(step, 1e-7)
-        cands = p + steps[:, None] * grad / norm
-        vals = objective(cands)
-        ok = np.flatnonzero(vals > best + 1e-12)
-        if len(ok) == 0:
-            break
-        k = ok[0]
-        p, best, step = cands[k], vals[k], steps[k]
-    return best, p
+    return _clamped_report("propo1", raw, cfg.n, per_t, argmax, cfg, {"ascent": runs})
 
 
 FORMULAS: dict[str, Callable] = {

@@ -20,12 +20,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
 import numpy as np
 
-from . import __version__
+from . import BLAS_THREAD_VARS, __version__
 from .capacity import FORMULAS, SolverConfig, SolverError, entgen_csi_capacity, entgen_lower_bound
 from .channels import (
     ChannelError,
@@ -215,6 +216,7 @@ def _manifest(args, command: str, extra: dict | None = None) -> dict:
         "version": __version__,
         "seed": getattr(args, "seed", None),
         "wallclock_s": time.time(),
+        "blas_threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
     }
     if extra:
         man.update(extra)

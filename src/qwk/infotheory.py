@@ -120,24 +120,15 @@ def coherent_information_matrix(rho_m: np.ndarray, kraus: KrausChannel):
     """Coherent information of the density matrix ``rho_m``, unchecked.
 
     ``rho_m`` may be one matrix (a float is returned) or a (..., d, d) stack
-    (an array of shape ``...``).  Computed through the purification of each
-    matrix in its eigenbasis; the value is independent of which
-    purification is chosen.
+    (an array of shape ``...``).  Output and reference of a purification
+    share their nonzero spectrum with the environment, so this is
+    S(N(rho)) - S(E) with the k x k environment state
+    E_ab = tr(A_a rho A_b^dag) of the k Kraus operators.
     """
-    din = kraus.in_space.dim
-    w, v = np.linalg.eigh(rho_m)
-    w = np.clip(w, 0.0, None)
-    w = w / w.sum(axis=-1, keepdims=True)
-    # sum_i sqrt(w_i) v_i (x) e_i has entry v[j, i] sqrt(w_i) at index j*din + i
-    psi = (v * np.sqrt(w)[..., None, :]).reshape(v.shape[:-2] + (-1,))
-    joint = psi[..., :, None] * psi.conj()[..., None, :]
-    out = None
-    for a in kraus.kraus_ops:
-        op = np.kron(a, np.eye(din))
-        term = op @ joint @ op.conj().T
-        out = term if out is None else out + term
-    s_out = _entropies(kraus.apply_matrix(rho_m))
-    vals = s_out - _entropies(out)
+    ops = np.stack(kraus.kraus_ops)
+    a_rho = ops @ rho_m[..., None, :, :]
+    env = a_rho.reshape(a_rho.shape[:-2] + (-1,)) @ ops.conj().reshape(len(ops), -1).T
+    vals = _entropies(kraus.apply_matrix(rho_m)) - _entropies(env)
     return float(vals) if vals.ndim == 0 else vals
 
 

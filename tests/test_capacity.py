@@ -406,10 +406,11 @@ class TestSimplexAscent:
             def val(xs, m=m):
                 return objective(xs[:, None, :m], xs[:, m:].reshape(-1, m, a))[:, 0]
 
-            for q0, e0 in grid_starts + dirichlet_starts:
+            starts = grid_starts + dirichlet_starts
+            x0s = np.array([np.concatenate([q0, e0.reshape(-1)]) for q0, e0 in starts])
+            vs, xs, _ = _ascend_simplices(val, x0s, blocks, self.ITERS, self.TOL)
+            for (q0, e0), v, x in zip(starts, vs, xs):
                 ref_v, ref_q, ref_e = _refine_reference(objective, q0, e0, self.ITERS, self.TOL)
-                x0 = np.concatenate([q0, e0.reshape(-1)])
-                v, x = _ascend_simplices(val, x0, blocks, self.ITERS, self.TOL)
                 assert v == ref_v
                 assert np.array_equal(x[:m], ref_q)
                 assert np.array_equal(x[m:].reshape(m, a), ref_e)
@@ -428,9 +429,10 @@ class TestSimplexAscent:
         rng = np.random.default_rng(12)
         starts = list(simplex_grid(3, n_words)[::4]) + [rng.dirichlet(np.ones(n_words))
                                                          for _ in range(4)]
-        for q0 in starts:
+        vs, qs, _ = _ascend_simplices(val, np.array(starts), [slice(0, n_words)],
+                                      self.ITERS, self.TOL)
+        for q0, v, q in zip(starts, vs, qs):
             ref_v, ref_q = _prior_ascent_reference(objective, q0, self.ITERS, self.TOL)
-            v, q = _ascend_simplices(val, q0, [slice(0, n_words)], self.ITERS, self.TOL)
             assert v == ref_v
             assert np.array_equal(q, ref_q)
 
@@ -545,9 +547,9 @@ class TestStackedSolver:
         rng = np.random.default_rng(32)
         starts = [np.concatenate([np.eye(dim).reshape(-1) / np.sqrt(dim), np.zeros(dim * dim)])]
         starts += [rng.normal(size=2 * dim * dim) for _ in range(2)]
-        for p0 in starts:
+        vs, ps, _ = _ascend_unconstrained(objective, np.array(starts), 40)
+        for p0, v, p in zip(starts, vs, ps):
             ref_v, ref_p = _unconstrained_reference(scalar_objective, p0, 40)
-            v, p = _ascend_unconstrained(objective, p0, 40)
             assert v == ref_v
             assert np.array_equal(p, ref_p)
 
@@ -570,3 +572,85 @@ class TestStackedSolver:
             assert patched[0] == default[0] and patched[3] == default[3]
             assert np.array_equal(patched[1], default[1])
             assert np.array_equal(patched[2], default[2])
+
+
+class TestLockstepAscent:
+    """Every start of a lockstep run follows the trajectory it follows alone."""
+
+    ITERS, TOL = 40, 1e-9
+
+    def _b1prime_val(self, m):
+        b1p = load_spec(os.path.join(SPECS, "bsc_two_state.json"))
+        objective = _objective([_ClassicalTerm(w.matrix) for w in b1p.legitimate],
+                               [_ClassicalTerm(v.matrix) for v in b1p.wiretap])
+
+        def val(xs):
+            return objective(xs[:, None, :m], xs[:, m:].reshape(-1, m, 2))[:, 0]
+
+        return val
+
+    @staticmethod
+    def _assert_rows_match_one_row_runs(ascend, val, x0s, *args):
+        vs, xs, run = ascend(val, x0s, *args)
+        alone = [ascend(val, x0[None], *args) for x0 in x0s]
+        for k, (v1, x1, _) in enumerate(alone):
+            assert vs[k] == v1[0]
+            assert np.array_equal(xs[k], x1[0])
+        assert run["iterations"] == max(r["iterations"] for _, _, r in alone)
+        assert run["stalled"] == sum(r["stalled"] for _, _, r in alone)
+        assert run["stalled"] + run["at_limit"] == len(x0s)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_simplex_rows_match_one_row_runs(self, m):
+        a = 2
+        rng = np.random.default_rng(40 + m)
+        x0s = np.array([np.concatenate([rng.dirichlet(np.ones(m)),
+                                        rng.dirichlet(np.ones(a), size=m).reshape(-1)])
+                        for _ in range(9)])
+        blocks = [slice(0, m)] + [slice(m + u * a, m + (u + 1) * a) for u in range(m)]
+        self._assert_rows_match_one_row_runs(_ascend_simplices, self._b1prime_val(m), x0s,
+                                             blocks, self.ITERS, self.TOL)
+
+    def test_prior_rows_match_one_row_runs(self):
+        legit_cq = CQChannel((0, 1), Z, {0: _qubit_state(1.0, 0.0), 1: _qubit_state(1.0, 1.2)})
+        wire_cq = CQChannel((0, 1), Z, {0: _qubit_state(0.8, 0.3), 1: _qubit_state(0.8, 1.2)})
+        legit, wire, n_words = _cq_block_terms(cq_spec([(legit_cq, wire_cq)]), 2)
+        objective = _objective(legit, wire)
+        eye = np.eye(n_words)
+
+        def val(qs):
+            return objective(qs[:, None, :], eye)[:, 0]
+
+        x0s = np.random.default_rng(44).dirichlet(np.ones(n_words), size=9)
+        self._assert_rows_match_one_row_runs(_ascend_simplices, val, x0s,
+                                             [slice(0, n_words)], self.ITERS, self.TOL)
+
+    def test_unconstrained_rows_match_one_row_runs(self):
+        family = load_spec(os.path.join(SPECS, "two_channel_family.json")).legitimate
+        folded = n_fold(stinespring_to_kraus(_as_stinespring(family[1])), 2)
+        objective = _coherent_objective(folded)
+        rng = np.random.default_rng(43)
+        p0s = rng.normal(size=(9, 2 * 16))
+        p0s[0] = np.concatenate([np.eye(4).reshape(-1) / 2.0, np.zeros(16)])
+        self._assert_rows_match_one_row_runs(_ascend_unconstrained, objective, p0s, self.ITERS)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 100])
+    def test_ascent_chunk_invariance(self, chunk, monkeypatch):
+        b1 = load_spec(os.path.join(SPECS, "bsc_dominated.json"))
+        objective = _objective([_ClassicalTerm(b1.legitimate[0].matrix)],
+                               [_ClassicalTerm(b1.wiretap[0].matrix)])
+        cfg = SolverConfig(grid_resolution=8, restarts=2)
+        family = load_spec(os.path.join(SPECS, "two_channel_family.json")).legitimate
+        propo1_cfg = SolverConfig(n=2, grid_resolution=8, restarts=2)
+        default = _maximize_aux(objective, 2, cfg, tag=0)
+        default_propo1 = entgen_csi_capacity(family, propo1_cfg)
+        monkeypatch.setattr(capacity, "_ASCENT_CHUNK", chunk)
+        patched = _maximize_aux(objective, 2, cfg, tag=0)
+        patched_propo1 = entgen_csi_capacity(family, propo1_cfg)
+        monkeypatch.undo()
+        assert patched[0] == default[0] and patched[3] == default[3]
+        assert np.array_equal(patched[1], default[1])
+        assert np.array_equal(patched[2], default[2])
+        assert patched[4] == default[4]
+        assert patched_propo1.to_json_dict() == default_propo1.to_json_dict()
+        assert patched_propo1.solver == default_propo1.solver

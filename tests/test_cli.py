@@ -118,7 +118,8 @@ class TestSimulateCommand:
         for name in ("golden_sim1", "golden_sim2", "golden_sim3", "golden_entangle1",
                      "golden_capacity1", "golden_capacity2", "golden_capacity3",
                      "golden_capacity4", "golden_capacity5", "golden_capacity6",
-                     "golden_capacity7", "golden_capacity8", "golden_capacity9"):
+                     "golden_capacity7", "golden_capacity8", "golden_capacity9",
+                     "golden_capacity10"):
             golden = json.load(open(os.path.join(DATA, f"{name}.json")))
             argv = list(golden["manifest"]["argv"])
             # rerun from the recorded manifest into a fresh output location
@@ -320,5 +321,82 @@ class TestCapacitySolverManifest:
                       "--grid", "16", "--refine", "10", "--restarts", "2", "--out", str(out)])
         assert rc == 0
         doc = json.loads(out.read_text())
-        assert doc["manifest"]["solver"] == {"grid_used": {"prior": 16}}
+        # six grid starts, the uniform prior and two restarts, all stopped
+        # without an improving step by the ninth iteration
+        ascent = {"state": "t1", "starts": 9, "iterations": 9, "stalled": 9, "at_limit": 0,
+                  "winner": 0}
+        assert doc["manifest"]["solver"] == {"grid_used": {"prior": 16}, "ascent": [ascent]}
         assert "solver" not in doc["payload"]
+
+    @staticmethod
+    def _check_runs(runs, refine):
+        for run in runs:
+            assert run["stalled"] + run["at_limit"] == run["starts"]
+            assert 0 <= run["winner"] < run["starts"]
+            assert 1 <= run["iterations"] <= refine
+
+    def test_ascent_diagnostics_in_manifest_only(self, tmp_path):
+        out = tmp_path / "cap.json"
+        rc = run_cli(["capacity", "--formula", "b1", "--spec", spec_path("bsc_dominated.json"),
+                      "--grid", "8", "--restarts", "2", "--refine", "30", "--out", str(out)])
+        assert rc == 0
+        doc = json.loads(out.read_text())
+        runs = doc["manifest"]["solver"]["ascent"]
+        # six grid starts, two special prefixes and two restarts per aux cardinality
+        assert [(r["state"], r["aux_card"], r["starts"]) for r in runs] == [
+            (t, m, 10) for t in ("t1", "t2") for m in (1, 2, 3)]
+        self._check_runs(runs, 30)
+        assert "ascent" not in json.dumps(doc["payload"])
+
+    def test_propo1_diagnostics_per_state(self, tmp_path):
+        out = tmp_path / "cap.json"
+        rc = run_cli(["capacity", "--formula", "propo1", "--spec",
+                      spec_path("two_channel_family.json"), "--n", "2", "--grid", "8",
+                      "--restarts", "2", "--out", str(out)])
+        assert rc == 0
+        runs = json.loads(out.read_text())["manifest"]["solver"]["ascent"]
+        # the maximally mixed start, one start per basis vector, two restarts
+        assert [(r["state"], r["starts"]) for r in runs] == [("t1", 7), ("t2", 7)]
+        self._check_runs(runs, 40)
+
+
+class TestCapacityCaps:
+    def test_propo1_parameter_cap(self, monkeypatch, capsys):
+        monkeypatch.setenv("QWK_CAP_DIM", "32")
+        rc = run_cli(["capacity", "--formula", "propo1", "--spec",
+                      spec_path("two_channel_family.json"), "--n", "3"])
+        assert rc == EXIT_CAP
+        assert "propo1 parameter matrix needs dimension 64" in capsys.readouterr().err
+
+    def test_propo1_environment_cap(self, tmp_path, monkeypatch, capsys):
+        # five Kraus operators sqrt(1/5) I: a five-dimensional environment on a qubit
+        op = [[[0.2 ** 0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.2 ** 0.5, 0.0]]]
+        ch = {"kind": "kraus", "dim_in": 2, "dim_out": 2, "operators": [op] * 5}
+        spec = tmp_path / "five.json"
+        spec.write_text(json.dumps({"variant": "quantum", "theta": [{"t": "t1", "W": ch}]}))
+        monkeypatch.setenv("QWK_CAP_DIM", "4")
+        rc = run_cli(["capacity", "--formula", "propo1", "--spec", str(spec)])
+        assert rc == EXIT_CAP
+        assert "environment state needs dimension 5" in capsys.readouterr().err
+        monkeypatch.setenv("QWK_CAP_DIM", "5")
+        assert run_cli(["capacity", "--formula", "propo1", "--spec", str(spec),
+                        "--out", str(tmp_path / "cap.json")]) == 0
+
+
+class TestBlasThreads:
+    def _child(self, extra_env):
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env.update(extra_env)
+        proc = subprocess.run(
+            [sys.executable, "-m", "qwk.cli", "net", "--tau", "2.0", "--budget", "1"],
+            capture_output=True, env=env, text=True, check=True,
+        )
+        return json.loads(proc.stdout)["manifest"]["blas_threads"]
+
+    def test_one_thread_by_default_and_user_value_wins(self):
+        assert self._child({}) == {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+                                   "MKL_NUM_THREADS": "1"}
+        assert self._child({"OPENBLAS_NUM_THREADS": "2"})["OPENBLAS_NUM_THREADS"] == "2"

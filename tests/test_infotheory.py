@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qwk.channels import (
     CQChannel,
@@ -293,6 +295,25 @@ class TestStackedCoherentInformation:
         assert stacked.shape == (2, 2)
         per_matrix = [coherent_information_matrix(m, chan) for m in mats]
         assert all(isinstance(v, float) for v in per_matrix)
+        assert np.array_equal(stacked.reshape(-1), per_matrix)
+        # the environment form moves the last bits of the former joint-state form
         reference = [_kron_loop_reference(m, chan) for m in mats]
-        assert np.array_equal(stacked.reshape(-1), reference)
-        assert np.array_equal(per_matrix, reference)
+        np.testing.assert_allclose(per_matrix, reference, rtol=0, atol=1e-12)
+
+
+class TestEnvironmentForm:
+    """S(N(rho)) - S(E) with the environment state E against the
+    purification form on random Kraus channels."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 3), st.integers(1, 4), st.sampled_from([None, 1]),
+           st.integers(0, 2 ** 32 - 1))
+    def test_matches_purification_form(self, d, k, rank, seed):
+        rng = np.random.default_rng(seed)
+        space = HilbertLabel("D", d)
+        iso = random_unitary(k * d, rng)[:, :d]
+        chan = KrausChannel(space, space, [iso[i * d:(i + 1) * d] for i in range(k)])
+        rho = random_density(space, rng, rank=rank)
+        assert coherent_information(rho, chan) == pytest.approx(
+            _coherent_information_reference(rho, chan), abs=1e-12
+        )
