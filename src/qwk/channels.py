@@ -296,38 +296,26 @@ def n_fold(ch, n: int):
 
 
 def kraus_to_stinespring(k: KrausChannel) -> StinespringIsometry:
-    """Stack Kraus operators into an isometry with one environment slot each."""
-    denv = len(k.kraus_ops)
-    u = np.zeros((k.out_space.dim * denv, k.in_space.dim), dtype=complex)
-    for j, a in enumerate(k.kraus_ops):
-        for o in range(k.out_space.dim):
-            u[o * denv + j, :] = a[o, :]
-    env = HilbertLabel(f"{k.in_space.name}_env", denv)
+    """Stack Kraus operators into an isometry with one environment slot each.
+
+    Row o * denv + j of the isometry is row o of Kraus operator j, i.e. the
+    isometry is the (dout, denv, din) stack of the operators, flattened.
+    """
+    u = np.stack(k.kraus_ops, axis=1).reshape(-1, k.in_space.dim)
+    env = HilbertLabel(f"{k.in_space.name}_env", len(k.kraus_ops))
     return StinespringIsometry(k.in_space, k.out_space, env, u)
 
 
 def stinespring_to_kraus(s: StinespringIsometry) -> KrausChannel:
     """Read Kraus operators off the environment slots of the isometry."""
-    de = s.env_space.dim
-    ops = []
-    for j in range(de):
-        a = np.zeros((s.out_space.dim, s.in_space.dim), dtype=complex)
-        for o in range(s.out_space.dim):
-            a[o, :] = s.isometry[o * de + j, :]
-        ops.append(a)
-    return KrausChannel(s.in_space, s.out_space, ops)
+    blocks = s.isometry.reshape(s.out_space.dim, s.env_space.dim, s.in_space.dim)
+    return KrausChannel(s.in_space, s.out_space, np.ascontiguousarray(blocks.transpose(1, 0, 2)))
 
 
 def complementary_channel(s: StinespringIsometry) -> KrausChannel:
     """Map to the environment: trace the main output out of the dilation."""
-    de, do = s.env_space.dim, s.out_space.dim
-    ops = []
-    for o in range(do):
-        b = np.zeros((de, s.in_space.dim), dtype=complex)
-        for e in range(de):
-            b[e, :] = s.isometry[o * de + e, :]
-        ops.append(b)
-    return KrausChannel(s.in_space, s.env_space, ops)
+    blocks = s.isometry.reshape(s.out_space.dim, s.env_space.dim, s.in_space.dim)
+    return KrausChannel(s.in_space, s.env_space, blocks)
 
 
 def choi_matrix(ch) -> np.ndarray:

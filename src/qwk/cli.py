@@ -340,7 +340,7 @@ def cmd_verify(args) -> int:
     from .verify import run_suite
 
     try:
-        records = run_suite(args.suite, jobs=args.jobs)
+        records = run_suite(args.suite)
     except KeyError:
         raise FlagError(f"unknown suite {args.suite!r}")
     n_fail = sum(1 for r in records if not r["pass"])
@@ -361,7 +361,8 @@ def cmd_verify(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="qwk", description="compound wiretap channel toolkit")
-    ap.add_argument("--jobs", type=int, default=1, help="parallel workers for independent parts")
+    ap.add_argument("--jobs", type=int, default=1,
+                    help="accepted and ignored: verify runs its suites in order")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     cap = sub.add_parser("capacity", help="evaluate a capacity formula on a spec file")

@@ -183,21 +183,11 @@ def _block_isometry(s: StinespringIsometry, n: int) -> StinespringIsometry:
     return s if n == 1 else n_fold(s, n)
 
 
-def _induced_cq(s: StinespringIsometry, basis: np.ndarray) -> tuple[CQChannel, CQChannel]:
-    """Classical-quantum pair (receiver side, environment side) on the basis."""
+def _induced_cq(s: StinespringIsometry, basis: np.ndarray) -> CQChannel:
+    """Classical-quantum channel the receiver sees on the basis."""
     dp = s.in_space.dim
-    rec, env = {}, {}
-    for x in range(dp):
-        phi = basis[:, x]
-        rho = np.outer(phi, phi.conj())
-        rec[x] = s.apply_matrix(rho)
-        env[x] = s.env_matrix(rho)
-    out_l = HilbertLabel("q", s.out_space.dim)
-    env_l = HilbertLabel("e", s.env_space.dim)
-    return (
-        CQChannel(tuple(range(dp)), out_l, rec),
-        CQChannel(tuple(range(dp)), env_l, env),
-    )
+    rec = {x: s.apply_matrix(np.outer(basis[:, x], basis[:, x].conj())) for x in range(dp)}
+    return CQChannel(tuple(range(dp)), HilbertLabel("q", s.out_space.dim), rec)
 
 
 def _sample_distinct_words(p, n, count, seed, delta):
@@ -258,12 +248,7 @@ def build_entgen_code(
                 v = np.kron(v, basis[:, x])
             codeword_vecs[j, l] = v
     # joint pretty-good measurement over (state, message, randomization)
-    rec_cqs = []
-    env_cqs = []
-    for s in isos:
-        rec, env = _induced_cq(s, basis)
-        rec_cqs.append(rec)
-        env_cqs.append(env)
+    rec_cqs = [_induced_cq(s, basis) for s in isos]
     prior = np.asarray(p, dtype=float)
     dq_n = dq ** n
     sand = np.stack([sandwiched_outputs(rec, words.reshape(J * L, n), prior, params)

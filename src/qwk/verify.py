@@ -166,22 +166,9 @@ SUITES = {
 }
 
 
-def run_suite(suite_id: str, jobs: int = 1) -> list[dict]:
+def run_suite(suite_id: str) -> list[dict]:
     if suite_id == "all":
-        names = list(SUITES)
-        if jobs > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                outs = list(pool.map(lambda nm: SUITES[nm](), names))
-            records = []
-            for out in outs:
-                records.extend(out)
-            return records
-        records = []
-        for nm in names:
-            records.extend(SUITES[nm]())
-        return records
+        return [rec for suite in SUITES.values() for rec in suite()]
     if suite_id not in SUITES:
         raise KeyError(suite_id)
     return SUITES[suite_id]()

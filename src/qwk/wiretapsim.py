@@ -24,7 +24,8 @@ from .channels import (
     CompoundWiretapSpec,
     cq_word_state,
 )
-from .infotheory import cq_mutual_information, von_neumann_entropy
+from .capacity import simplex_grid
+from .infotheory import cq_mutual_information, mutual_information, von_neumann_entropy
 from .qcore import (
     CapExceededError,
     QcoreError,
@@ -65,9 +66,6 @@ class Codebook:
     n: int
     source: dict
 
-    def word(self, j: int, l: int) -> tuple:
-        return tuple(int(x) for x in self.words[j, l])
-
 
 @dataclass
 class SimReport:
@@ -102,8 +100,6 @@ def sample_codebook(p, n: int, J: int, L: int, seed: int, delta: float = 0.1) ->
 
 def _wiretap_rate(p, ch) -> float:
     if isinstance(ch, ClassicalChannel):
-        from .infotheory import mutual_information
-
         return mutual_information(p, ch)
     if isinstance(ch, CQChannel):
         return cq_mutual_information(p, ch)
@@ -258,8 +254,7 @@ class PrettyGoodDecoder:
         if prior is None:
             a = len(channel.input_alphabet)
             prior = np.full(a, 1.0 / a)
-        words = [codebook.word(j, l) for j in range(codebook.J) for l in range(codebook.L)]
-        outs = sandwiched_outputs(channel, words, prior, params)
+        outs = sandwiched_outputs(channel, codebook.words.reshape(-1, codebook.n), prior, params)
         outs = outs.reshape(codebook.J, codebook.L, *outs.shape[1:])
         sigmas = [sum(per_l[1:], per_l[0]) / codebook.L for per_l in outs]
         total = sum(sigmas)
@@ -391,16 +386,26 @@ def _mc_classical_error(
     }
 
 
-def _exact_quantum_error(legit: CQChannel, codebook: Codebook, decoder) -> dict:
-    per_j = []
+def _word_state(ch: CQChannel, word) -> np.ndarray:
+    """Output state of a cq channel for a word of symbol indices."""
+    return cq_word_state(ch, [ch.input_alphabet[x] for x in word]).matrix
+
+
+def _message_states(ch: CQChannel, codebook: Codebook) -> list:
+    """Per-message output states (1/L) sum_l rho(x_jl)."""
+    rhos = []
     for j in range(codebook.J):
-        rho = None
+        acc = None
         for l in range(codebook.L):
-            m = cq_word_state(legit, [legit.input_alphabet[x] for x in codebook.words[j, l]]).matrix
-            rho = m if rho is None else rho + m
-        rho = rho / codebook.L
-        good = np.trace(decoder.povm[j] @ rho).real
-        per_j.append(float(1.0 - good))
+            m = _word_state(ch, codebook.words[j, l])
+            acc = m if acc is None else acc + m
+        rhos.append(acc / codebook.L)
+    return rhos
+
+
+def _exact_quantum_error(legit: CQChannel, codebook: Codebook, decoder) -> dict:
+    per_j = [float(1.0 - np.trace(povm @ rho).real)
+             for povm, rho in zip(decoder.povm, _message_states(legit, codebook))]
     return {"max_error": float(max(per_j)), "per_j": per_j, "method": "exact"}
 
 
@@ -452,13 +457,7 @@ def _classical_leakage(wire: ClassicalChannel, codebook: Codebook) -> float:
 
 def _quantum_leakage(wire: CQChannel, codebook: Codebook) -> float:
     check_dim_cap(wire.output_space.dim ** codebook.n, "wiretap block state")
-    rhos = []
-    for j in range(codebook.J):
-        acc = None
-        for l in range(codebook.L):
-            m = cq_word_state(wire, [wire.input_alphabet[x] for x in codebook.words[j, l]]).matrix
-            acc = m if acc is None else acc + m
-        rhos.append(acc / codebook.L)
+    rhos = _message_states(wire, codebook)
     avg = sum(rhos) / codebook.J
     return max(
         0.0,
@@ -529,71 +528,59 @@ def _strictly_decreasing(vals) -> bool:
 
 def _min_rate_over_states(spec: CompoundWiretapSpec, resolution: int = 16) -> float:
     """Best worst-state single-letter rate of the legitimate family."""
-    from .capacity import simplex_grid
-
     a = len(spec.legitimate[0].input_alphabet)
-    grid = simplex_grid(resolution, a)
     best = 0.0
-    for q in grid:
-        rates = [_wiretap_rate(q, w) for w in spec.legitimate]
-        best = max(best, min(rates))
+    for q in simplex_grid(resolution, a):
+        best = max(best, min(_wiretap_rate(q, w) for w in spec.legitimate))
     return best
 
 
-def _cq_state_povm(spec: CompoundWiretapSpec, block1_words, n1: int):
-    """Pretty-good measurement distinguishing the per-state block-1 outputs."""
-    states = []
-    for ti in range(len(spec)):
-        ch = spec.legitimate[ti]
-        word = [ch.input_alphabet[x] for x in block1_words[ti]]
-        states.append(cq_word_state(ch, word).matrix)
-    inv_sqrt = pgm_inverse_sqrt(sum(states))
-    return [inv_sqrt @ s @ inv_sqrt for s in states]
+def _two_part_exact(spec, t_idx, block1_words, codebook, decoder) -> dict:
+    """cq receivers: the pretty-good measurement over the per-state block-1
+    word states fails with probability 1 - tr(E_t rho_t); block 2 is then
+    decoded with the exact error of the true state's code."""
+    b1_fail = 0.0
+    if len(spec) > 1:
+        states = [_word_state(ch, w) for ch, w in zip(spec.legitimate, block1_words)]
+        inv_sqrt = pgm_inverse_sqrt(sum(states))
+        povm_t = inv_sqrt @ states[t_idx] @ inv_sqrt
+        b1_fail = float(1.0 - np.trace(povm_t @ states[t_idx]).real)
+    b2_given = _exact_quantum_error(spec.legitimate[t_idx], codebook, decoder)["max_error"]
+    return {
+        "block1_fail_rate": b1_fail,
+        "block2_fail_given_success": b2_given,
+        "total_error_rate": b1_fail + b2_given * (1 - b1_fail),
+    }
 
 
-def _two_part_protocol_cq(spec, t_true, t_idx, n1, n2, J, L, seed, delta, p) -> SimReport:
-    """Exact two-part run for classical-quantum receivers."""
-    params = TypicalParams(n=n2, delta=delta)
-    codebooks = {
-        name: sample_codebook(p, n2, J, L, seed + 1000 + ti, delta=delta)
-        for ti, name in enumerate(spec.names)
+def _two_part_mc(spec, t_idx, block1_words, codebook, decoder, trials, seed) -> dict:
+    """Classical receivers, by Monte Carlo: a maximum-likelihood state
+    decision on the block-1 output, then typicality decoding of block 2."""
+    cdf = _output_cdf(spec.legitimate[t_idx].matrix)
+    b1_fail = b2_fail = 0
+    for k in range(trials):
+        rng = counter_rng(seed, _STREAM_PROTOCOL, 1, k)
+        j = int(rng.integers(codebook.J))
+        l = int(rng.integers(codebook.L))
+        if len(spec) > 1:
+            y1 = _sample_outputs(rng, cdf, block1_words[t_idx])
+            t_hat, best_ll = 0, -np.inf
+            for ti, (ch, word) in enumerate(zip(spec.legitimate, block1_words)):
+                ll = np.sum(np.log(np.clip(ch.matrix[word, y1], 1e-300, None)))
+                if ll > best_ll + 1e-12:
+                    t_hat, best_ll = ti, ll
+            if t_hat != t_idx:
+                b1_fail += 1
+                continue
+        y2 = _sample_outputs(rng, cdf, codebook.words[j, l])
+        if decoder.decide(y2) != j:
+            b2_fail += 1
+    successes = trials - b1_fail
+    return {
+        "block1_fail_rate": b1_fail / trials,
+        "block2_fail_given_success": b2_fail / successes if successes else 0.0,
+        "total_error_rate": (b1_fail + b2_fail) / trials,
     }
-    decoders = {
-        name: build_decoder(spec, codebooks[name], delta=delta, params=params, t_index=ti)
-        for ti, name in enumerate(spec.names)
-    }
-    if len(spec) == 1:
-        b1_fail = 0.0
-    else:
-        a = len(spec.legitimate[0].input_alphabet)
-        block1_words = np.zeros((len(spec), n1), dtype=int)
-        for ti in range(len(spec)):
-            rng = counter_rng(seed, _STREAM_PROTOCOL, 0, ti)
-            block1_words[ti] = rng.integers(a, size=n1)
-        povm = _cq_state_povm(spec, block1_words, n1)
-        ch_true = spec.legitimate[t_idx]
-        word = [ch_true.input_alphabet[x] for x in block1_words[t_idx]]
-        out = cq_word_state(ch_true, word).matrix
-        b1_fail = float(1.0 - np.trace(povm[t_idx] @ out).real)
-    err2 = _exact_quantum_error(spec.legitimate[t_idx], codebooks[t_true], decoders[t_true])
-    b2_given = err2["max_error"]
-    total = b1_fail + b2_given * (1 - b1_fail)
-    leak = eval_leakage(spec, codebooks[t_true])
-    return SimReport(
-        kind="two-part",
-        per_t={name: {"leakage": leak.per_t[name]["leakage"]} for name in spec.names},
-        stats={
-            "degenerate": False,
-            "block1_fail_rate": b1_fail,
-            "block2_fail_given_success": b2_given,
-            "total_error_rate": total,
-            "t_true": str(t_true),
-            "method": "exact",
-        },
-        seed=seed,
-        trials=0,
-        params={"n1": n1, "n2": n2, "J": J, "L": L, "delta": delta},
-    )
 
 
 def two_part_protocol(
@@ -609,10 +596,14 @@ def two_part_protocol(
     p=None,
 ) -> SimReport:
     """Send the channel state with a short first block, then the message
-    with the state-specific code; state mis-decodes count as errors.
+    with that state's code.
 
-    The first block is not required to be secure; leakage is evaluated on
-    the second block only.
+    Only the true state's codebook is sampled and only its decoder built: a
+    mis-decoded state counts as an error whatever block 2 would give, so no
+    other state's code is ever used.  cq receivers are evaluated exactly;
+    classical receivers by Monte Carlo over ``trials`` runs.  The first block
+    is not required to be secure; leakage is evaluated on the second block
+    only.
     """
     t_idx = list(spec.names).index(t_true)
     a = len(spec.legitimate[0].input_alphabet)
@@ -628,69 +619,23 @@ def two_part_protocol(
             trials=0,
             params={"reason": "state information cannot be transmitted"},
         )
+    block1_words = np.stack([counter_rng(seed, _STREAM_PROTOCOL, 0, ti).integers(a, size=n1)
+                             for ti in range(len(spec))])
+    codebook = sample_codebook(p, n2, J, L, seed + 1000 + t_idx, delta=delta)
+    decoder = build_decoder(spec, codebook, delta=delta, params=TypicalParams(n=n2, delta=delta),
+                            t_index=t_idx)
     if isinstance(spec.legitimate[t_idx], CQChannel):
-        return _two_part_protocol_cq(spec, t_true, t_idx, n1, n2, J, L, seed, delta, p)
-    if len(spec) == 1:
-        block1_words = None
+        stats = {**_two_part_exact(spec, t_idx, block1_words, codebook, decoder),
+                 "t_true": str(t_true), "method": "exact"}
+        trials = 0
     else:
-        block1_words = np.zeros((len(spec), n1), dtype=int)
-        for ti in range(len(spec)):
-            rng = counter_rng(seed, _STREAM_PROTOCOL, 0, ti)
-            block1_words[ti] = rng.integers(a, size=n1)
-    codebooks = {
-        name: sample_codebook(p, n2, J, L, seed + 1000 + ti, delta=delta)
-        for ti, name in enumerate(spec.names)
-    }
-    decoders = {
-        name: build_decoder(spec, codebooks[name], delta=delta, t_index=ti)
-        for ti, name in enumerate(spec.names)
-    }
-    legit_true = spec.legitimate[t_idx]
-
-    def decode_state(y1: np.ndarray) -> int:
-        # maximum-likelihood partition over the hypothesis codewords
-        best_t, best_ll = 0, -np.inf
-        for ti in range(len(spec)):
-            w = spec.legitimate[ti].matrix
-            probs = w[block1_words[ti], y1]
-            ll = np.sum(np.log(np.clip(probs, 1e-300, None)))
-            if ll > best_ll + 1e-12:
-                best_t, best_ll = ti, ll
-        return best_t
-
-    b1_fail = 0
-    b2_fail_after_success = 0
-    cb_true = codebooks[t_true]
-    cdf_true = _output_cdf(legit_true.matrix)
-    for k in range(trials):
-        rng = counter_rng(seed, _STREAM_PROTOCOL, 1, k)
-        j = int(rng.integers(J))
-        l = int(rng.integers(L))
-        if block1_words is None:
-            t_hat = 0
-        else:
-            t_hat = decode_state(_sample_outputs(rng, cdf_true, block1_words[t_idx]))
-        if t_hat != t_idx:
-            b1_fail += 1
-            continue
-        y2 = _sample_outputs(rng, cdf_true, cb_true.words[j, l])
-        if decoders[t_true].decide(y2) != j:
-            b2_fail_after_success += 1
-    b1_rate = b1_fail / trials
-    successes = trials - b1_fail
-    b2_given = b2_fail_after_success / successes if successes else 0.0
-    total = (b1_fail + b2_fail_after_success) / trials
-    leak = eval_leakage(spec, cb_true)
+        stats = {**_two_part_mc(spec, t_idx, block1_words, codebook, decoder, trials, seed),
+                 "t_true": str(t_true)}
+    leak = eval_leakage(spec, codebook)
     return SimReport(
         kind="two-part",
         per_t={name: {"leakage": leak.per_t[name]["leakage"]} for name in spec.names},
-        stats={
-            "degenerate": False,
-            "block1_fail_rate": b1_rate,
-            "block2_fail_given_success": b2_given,
-            "total_error_rate": total,
-            "t_true": str(t_true),
-        },
+        stats={"degenerate": False, **stats},
         seed=seed,
         trials=trials,
         params={"n1": n1, "n2": n2, "J": J, "L": L, "delta": delta},

@@ -150,6 +150,45 @@ class TestKrausStinespring:
             )
             assert lhs == pytest.approx(coherent_information(rho, chan), abs=1e-8)
 
+    def test_reshapes_match_row_copy_loops(self):
+        # the row-by-row forms that the (dout, denv, din) reshapes replaced
+        def loop_kraus_to_stinespring(k):
+            denv = len(k.kraus_ops)
+            u = np.zeros((k.out_space.dim * denv, k.in_space.dim), dtype=complex)
+            for j, a in enumerate(k.kraus_ops):
+                for o in range(k.out_space.dim):
+                    u[o * denv + j, :] = a[o, :]
+            return u
+
+        def loop_stinespring_to_kraus(s):
+            de = s.env_space.dim
+            ops = []
+            for j in range(de):
+                a = np.zeros((s.out_space.dim, s.in_space.dim), dtype=complex)
+                for o in range(s.out_space.dim):
+                    a[o, :] = s.isometry[o * de + j, :]
+                ops.append(a)
+            return ops
+
+        def loop_complementary(s):
+            de, do = s.env_space.dim, s.out_space.dim
+            ops = []
+            for o in range(do):
+                b = np.zeros((de, s.in_space.dim), dtype=complex)
+                for e in range(de):
+                    b[e, :] = s.isometry[o * de + e, :]
+                ops.append(b)
+            return ops
+
+        for chan in (n_fold(depolarizing_kraus(0.3), 2),
+                     random_kraus_channel(np.random.default_rng(7), d=3, k=2)):
+            s = kraus_to_stinespring(chan)
+            assert np.array_equal(s.isometry, loop_kraus_to_stinespring(chan))
+            for got, want in ((stinespring_to_kraus(s), loop_stinespring_to_kraus(s)),
+                              (complementary_channel(s), loop_complementary(s))):
+                assert len(got.kraus_ops) == len(want)
+                assert all(np.array_equal(a, b) for a, b in zip(got.kraus_ops, want))
+
 
 class TestKrausEquivalence:
     def test_identity_equivalent_to_itself(self):

@@ -1,7 +1,11 @@
+import json
+import os
+
 import numpy as np
 import pytest
 
 from qwk.channels import CQChannel, ClassicalChannel, CompoundWiretapSpec, bsc
+from qwk.cli import canonical_payload_bytes, parse_spec
 from qwk.qcore import HilbertLabel, QcoreError
 from qwk.typicality import TypicalParams
 from qwk.wiretapsim import (
@@ -17,6 +21,7 @@ from qwk.wiretapsim import (
 )
 
 Z = HilbertLabel("z", 2)
+DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 def qubit_wiretap(theta0=0.0, theta1=0.35):
@@ -229,6 +234,12 @@ class TestCovering:
         assert rep.stats["per_L"][64]["median"] < 0.1
 
 
+def _twopart_golden_cases():
+    """Two-part reports made before the protocol's two forks were merged."""
+    with open(os.path.join(DATA, "golden_twopart.json")) as fh:
+        return {case["name"]: case for case in json.load(fh)["cases"]}
+
+
 class TestTwoPartProtocol:
     def two_state_spec(self):
         # identity-like and flipped channels: easy to tell apart from block 1
@@ -281,6 +292,36 @@ class TestTwoPartProtocol:
         )
         assert s["total_error_rate"] == pytest.approx(recomputed, abs=1e-12)
         assert rep.per_t["t1"]["leakage"] == pytest.approx(0.0, abs=1e-10)
+
+    def test_golden_reports_rerun_byte_identically(self):
+        cases = _twopart_golden_cases()
+        assert len(cases) >= 7
+        for case in cases.values():
+            rep = two_part_protocol(parse_spec(case["spec"]), case["t_true"], **case["kwargs"])
+            assert canonical_payload_bytes(rep.to_json_dict()) == canonical_payload_bytes(
+                case["payload"]), case["name"]
+
+    @pytest.mark.parametrize("case", ["three_state_cq", "three_state_classical"])
+    def test_only_the_true_states_code_is_built(self, case, monkeypatch):
+        import qwk.wiretapsim as ws
+
+        calls = {"sample_codebook": 0, "build_decoder": 0}
+
+        def counted(name):
+            fn = getattr(ws, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(ws, name, counted(name))
+        golden = _twopart_golden_cases()[case]
+        spec = parse_spec(golden["spec"])
+        assert len(spec) == 3
+        two_part_protocol(spec, golden["t_true"], **golden["kwargs"])
+        assert calls == {"sample_codebook": 1, "build_decoder": 1}
 
 
 # ---------------------------------------------------------------------------
