@@ -168,8 +168,8 @@ def _neglog(vals: np.ndarray) -> np.ndarray:
 class TypicalProjector:
     """Projector onto the kept eigen-words of a product reference state.
 
-    The dense matrix is materialized lazily; bound checks only need the
-    diagonal data.
+    Bound checks only need the diagonal data; the dense matrix is built
+    afresh on each access of ``matrix`` and never kept.
     """
 
     letter_unitaries: list
@@ -179,7 +179,6 @@ class TypicalProjector:
     half_width: float
     context: dict
     checks: list = field(default_factory=list)
-    _matrix: np.ndarray | None = None
 
     @property
     def dims(self) -> list[int]:
@@ -195,14 +194,13 @@ class TypicalProjector:
 
     @property
     def matrix(self) -> np.ndarray:
-        if self._matrix is None:
-            d = self.total_dim
-            check_dim_cap(d, "typical projector matrix")
-            u = np.array([[1.0 + 0j]])
-            for ul in self.letter_unitaries:
-                u = np.kron(u, ul)
-            self._matrix = (u * self.kept.astype(float)) @ u.conj().T
-        return self._matrix
+        check_dim_cap(self.total_dim, "typical projector matrix")
+        u = np.array([[1.0 + 0j]])
+        for ul in self.letter_unitaries:
+            u = np.kron(u, ul)
+        uh = u.conj().T
+        u *= self.kept.astype(float)  # (u * kept) @ u^dag without a third copy of u
+        return u @ uh
 
     def trace_with_reference(self) -> float:
         """tr(rho_words * projector) computed from the diagonal data."""
@@ -367,13 +365,25 @@ def sandwiched_output(
 
     Returns (matrix, deviation, bound).
     """
-    n, alpha = params.n, params.alpha
+    q, state = next(_sandwiches(v, [word], prior, params))
+    return q, trace_norm(q - state), sandwich_bound(v, params)
+
+
+def sandwich_bound(v: CQChannel, params: TypicalParams) -> float:
+    """The bound sqrt(2(ad + d)/(n alpha^2)) on the trace-norm deviation of a
+    word's sandwiched output from its output state."""
     a = len(v.input_alphabet)
     d = v.output_space.dim
-    q, state = next(_sandwiches(v, [word], prior, params))
-    deviation = trace_norm(q - state)
-    bound = float(np.sqrt(2 * (a * d + d) / (n * alpha ** 2)))
-    return q, deviation, bound
+    return float(np.sqrt(2 * (a * d + d) / (params.n * params.alpha ** 2)))
+
+
+def sandwich_deviation(avg: TypicalProjector, cond: TypicalProjector, state: np.ndarray) -> float:
+    """||Pa Pc state Pc Pa - state||_1 for the averaged-output projector Pa
+    and a word's conditional projector Pc, both built afresh."""
+    pa, pc = avg.matrix, cond.matrix
+    q = pa @ pc @ state @ pc @ pa
+    del pa, pc  # the trace-norm SVD needs neither projector
+    return trace_norm(q - state)
 
 
 def sandwiched_outputs(v: CQChannel, words, prior, params: TypicalParams) -> np.ndarray:

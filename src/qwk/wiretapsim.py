@@ -605,6 +605,8 @@ def two_part_protocol(
     is not required to be secure; leakage is evaluated on the second block
     only.
     """
+    if trials < 1:
+        raise QcoreError("trials must be >= 1")
     t_idx = list(spec.names).index(t_true)
     a = len(spec.legitimate[0].input_alphabet)
     if p is None:

@@ -119,7 +119,7 @@ class TestSimulateCommand:
                      "golden_capacity1", "golden_capacity2", "golden_capacity3",
                      "golden_capacity4", "golden_capacity5", "golden_capacity6",
                      "golden_capacity7", "golden_capacity8", "golden_capacity9",
-                     "golden_capacity10"):
+                     "golden_capacity10", "golden_verify1"):
             golden = json.load(open(os.path.join(DATA, f"{name}.json")))
             argv = list(golden["manifest"]["argv"])
             # rerun from the recorded manifest into a fresh output location
@@ -208,7 +208,7 @@ class TestVerifyCommand:
         p1 = json.loads(out1.read_text())["payload"]
         p2 = json.loads(out2.read_text())["payload"]
         assert p1["n_fail"] == 0
-        # parallel collection is deterministic: same records either way
+        # --jobs is accepted and ignored: same records either way
         assert canonical_payload_bytes(p1["records"]) == canonical_payload_bytes(p2["records"])
 
 

@@ -323,6 +323,13 @@ class TestTwoPartProtocol:
         two_part_protocol(spec, golden["t_true"], **golden["kwargs"])
         assert calls == {"sample_codebook": 1, "build_decoder": 1}
 
+    @pytest.mark.parametrize("case", ["three_state_cq", "three_state_classical"])
+    def test_zero_trials_rejected_for_both_receiver_kinds(self, case):
+        golden = _twopart_golden_cases()[case]
+        kwargs = {**golden["kwargs"], "trials": 0}
+        with pytest.raises(QcoreError, match="trials must be >= 1"):
+            two_part_protocol(parse_spec(golden["spec"]), golden["t_true"], **kwargs)
+
 
 # ---------------------------------------------------------------------------
 # batched decoding and sampling against per-word references
