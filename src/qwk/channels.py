@@ -151,19 +151,28 @@ class StinespringIsometry:
         return np.trace(big.reshape(do, de, do, de), axis1=0, axis2=2)
 
 
+_QUANTUM_KINDS = (KrausChannel, StinespringIsometry)
+# variant -> channel kinds of its (legitimate, wiretap) members
+_VARIANT_KINDS = {
+    "classical": (ClassicalChannel, ClassicalChannel),
+    "classical-quantum-wiretap": (ClassicalChannel, CQChannel),
+    "cq": (CQChannel, CQChannel),
+    "quantum": (_QUANTUM_KINDS, _QUANTUM_KINDS),
+}
+
+
 @dataclass(frozen=True)
 class CompoundWiretapSpec:
-    """Indexed family of (legitimate, wiretap) channel pairs."""
+    """Indexed family of (legitimate, wiretap) channel pairs whose kinds
+    match the variant."""
 
     variant: str
     names: tuple
     legitimate: tuple
     wiretap: tuple
 
-    VARIANTS = ("classical", "classical-quantum-wiretap", "cq", "quantum")
-
     def __init__(self, variant, names, legitimate, wiretap):
-        if variant not in self.VARIANTS:
+        if variant not in _VARIANT_KINDS:
             raise ChannelError(f"unknown variant {variant!r}")
         names = tuple(names)
         legitimate = tuple(legitimate)
@@ -172,6 +181,12 @@ class CompoundWiretapSpec:
             raise ChannelError("state set must be nonempty")
         if not (len(names) == len(legitimate) == len(wiretap)):
             raise ChannelError("names and channel lists must align")
+        for role, kinds, members in zip(("legitimate", "wiretap"), _VARIANT_KINDS[variant],
+                                        (legitimate, wiretap)):
+            for ch in members:
+                if ch is not None and not isinstance(ch, kinds):
+                    raise ChannelError(f"variant {variant!r} does not take a "
+                                       f"{type(ch).__name__} as a {role} channel")
         first = legitimate[0]
         for ch in legitimate + tuple(w for w in wiretap if w is not None):
             if _input_signature(ch) != _input_signature(first):
@@ -186,13 +201,9 @@ class CompoundWiretapSpec:
 
 
 def _input_signature(ch):
-    if isinstance(ch, (ClassicalChannel, CQChannel)):
-        return ("alphabet", ch.input_alphabet)
-    if isinstance(ch, KrausChannel):
-        return ("space", ch.in_space.dim)
-    if isinstance(ch, StinespringIsometry):
-        return ("space", ch.in_space.dim)
-    raise ChannelError(f"not a channel: {ch!r}")
+    """Input alphabet or input dimension; a variant's members all have one
+    of the two, so they compare directly."""
+    return ch.in_space.dim if isinstance(ch, _QUANTUM_KINDS) else ch.input_alphabet
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +281,7 @@ def n_fold(ch, n: int):
         check_dim_cap(dim, "n-fold cq channel")
         words = list(itertools.product(ch.input_alphabet, repeat=n))
         label = HilbertLabel(f"{ch.output_space.name}^{n}", dim)
-        states = {w: cq_word_state(ch, w).matrix for w in words}
+        states = {w: cq_word_state(ch, w) for w in words}
         return CQChannel(words, label, states)
     if isinstance(ch, KrausChannel):
         din, dout = ch.in_space.dim ** n, ch.out_space.dim ** n

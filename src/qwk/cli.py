@@ -6,9 +6,10 @@ version, wall-clock) next to the numeric payload; payloads are canonical
 JSON (sorted keys, floats at 12 significant digits) so re-running a
 manifest reproduces byte-identical numbers.
 
-Exit codes: 0 success, 2 input schema error, 3 semantic mismatch (also a
-``verify`` run with a failed check), 4 invalid flag value, 5 resource cap
-exceeded (``simulate`` decides every cap before it samples a codebook).
+Exit codes: 0 success, 2 input schema error (also a spec whose channel
+kinds do not match its variant), 3 semantic mismatch (also a ``verify`` run
+with a failed check), 4 invalid flag value, 5 resource cap exceeded
+(``simulate`` decides every cap before it samples a codebook).
 
 Channel-object schema (shared by all spec files): a JSON object tagged by
 "kind" in {stochastic, cq, kraus, stinespring}; complex numbers are
@@ -265,6 +266,8 @@ def cmd_simulate(args) -> int:
     if args.trials < 1:
         raise FlagError("--trials must be >= 1")
     spec = load_spec(args.spec)
+    if spec.variant == "quantum":
+        raise SolverError("simulate needs classical-input channels, not variant 'quantum'")
     a = len(spec.legitimate[0].input_alphabet)
     p = np.full(a, 1.0 / a)
     if args.L == "auto":
@@ -330,8 +333,8 @@ def cmd_entangle(args) -> int:
     dp = family[0].in_space.dim
     p = np.full(dp, 1.0 / dp)
     code = build_entgen_code(family, p, None, args.n, args.J, args.L, args.seed, params)
-    code = build_decoder_unitaries(code, family)
-    audit = run_full_audit(code, family)
+    code = build_decoder_unitaries(code)
+    audit = run_full_audit(code)
     write_report(args.out, _manifest(args, "entangle", {"family": args.family}), audit.to_json_dict())
     return 0
 

@@ -5,7 +5,8 @@ Pipeline (exact state-vector evolution throughout):
 1. ``build_entgen_code``   sample codewords against the classical-quantum
    pair a channel family induces on a signal basis, build the joint
    pretty-good measurement and the coherent measurement as the isometry
-   it is on the |0,0,0> ancilla.
+   it is on the |0,0,0> ancilla.  The code keeps each state's n-fold
+   Stinespring isometry, so every later stage takes the code alone.
 2. ``purify_codewords``    replace mixed codewords by eligible eigenvectors
    (product codewords are already pure; the general rule is exposed).
 3. ``compute_uhlmann_partners``  best pure approximations of the
@@ -113,7 +114,7 @@ class EntgenCode:
     T: int
     dp: int
     dq: int
-    de: list  # per-state environment dimension (block level)
+    blocks: list  # per-state n-fold StinespringIsometry
     basis: np.ndarray  # (dp, dp) signal basis columns
     words: np.ndarray  # (J, L, n)
     codeword_vecs: np.ndarray  # (J, L, dp^n) codeword vectors
@@ -133,6 +134,11 @@ class EntgenCode:
     correction_fid: np.ndarray | None = None  # (T, J) correction fidelities
     env_avg_pur: list | None = None  # per state: purification vector on [Q^n, E^n, L]
     notes: dict = field(default_factory=dict)
+
+    @property
+    def de(self) -> list[int]:
+        """Per-state environment dimension (block level)."""
+        return [b.env_space.dim for b in self.blocks]
 
     @property
     def Dq(self) -> int:
@@ -179,10 +185,6 @@ def _as_isometries(family) -> list[StinespringIsometry]:
     return out
 
 
-def _block_isometry(s: StinespringIsometry, n: int) -> StinespringIsometry:
-    return s if n == 1 else n_fold(s, n)
-
-
 def _induced_cq(s: StinespringIsometry, basis: np.ndarray) -> CQChannel:
     """Classical-quantum channel the receiver sees on the basis."""
     dp = s.in_space.dim
@@ -200,12 +202,11 @@ def _sample_distinct_words(p, n, count, seed, delta):
         )
     picked = []
     avail = list(range(len(words)))
-    w = np.asarray(probs, dtype=float)
     for i in range(count):
         rng_i = counter_rng(seed, _STREAM_ENTGEN, 1, i)
-        idx = rng_i.choice(len(avail), p=w[avail] / w[avail].sum())
+        idx = rng_i.choice(len(avail), p=probs[avail] / probs[avail].sum())
         picked.append(avail.pop(idx))
-    return np.asarray([words[i] for i in picked], dtype=int)
+    return words[picked]
 
 
 def build_entgen_code(
@@ -235,7 +236,7 @@ def build_entgen_code(
     basis = np.asarray(basis, dtype=complex)
     if J < 1 or L < 1:
         raise QcoreError("J and L must be >= 1")
-    blocks = [_block_isometry(s, n) for s in isos]
+    blocks = [n_fold(s, n) for s in isos]
     de = [b.env_space.dim for b in blocks]
     check_dim_cap(J * dq ** n * max(de) * J * L * (T + 1), "protocol state vector")
     words = _sample_distinct_words(np.asarray(p, float), n, J * L, seed, params.delta)
@@ -283,7 +284,7 @@ def build_entgen_code(
         spread[t] = max(trace_norm(om - env_avg_t) for om in per_msg_env)
     v_unitary = _measurement_unitary(povm, dq_n, J, L, T)
     return EntgenCode(
-        n=n, J=J, L=L, T=T, dp=dp, dq=dq, de=de, basis=basis, words=words,
+        n=n, J=J, L=L, T=T, dp=dp, dq=dq, blocks=blocks, basis=basis, words=words,
         codeword_vecs=codeword_vecs, povm=povm, detect_prob=detect_prob, env_avg=env_states, env_spread=spread, v_unitary=v_unitary,
         params=params, seed=seed,
     )
@@ -345,51 +346,31 @@ def purify_codewords(code: EntgenCode) -> EntgenCode:
 # stage 3: Uhlmann partners
 
 
-def uhlmann_partner(psi: np.ndarray, dims: list[int], record_axes: list[int],
-                    record_vec: np.ndarray):
-    """Best pure approximation on the non-record axes.
+def compute_uhlmann_partners(code: EntgenCode) -> EntgenCode:
+    """Post-measurement partner vectors for every (j, l, state).
 
-    For a global pure state psi and a pure reference on the record axes,
-    the optimizer is the normalized contraction <record|psi>; the achieved
-    squared overlap equals the fidelity of the reduced record state with
-    the reference.
+    The best pure approximation of the measured state with the record
+    |j, l, t> factored out is the normalised image of the dilated codeword
+    under the branch of the measurement that writes that record; its
+    squared norm is the fidelity of the reduced record state with |j, l, t>.
+    A branch that annihilates the codeword gets partner e_0, fidelity 0.
     """
-    n = len(dims)
-    rest = [i for i in range(n) if i not in record_axes]
-    perm = rest + list(record_axes)
-    dr = int(np.prod([dims[i] for i in rest]))
-    dm = int(np.prod([dims[i] for i in record_axes]))
-    mat = psi.reshape(dims).transpose(perm).reshape(dr, dm)
-    contracted = mat @ record_vec.conj()
-    norm = np.linalg.norm(contracted)
-    fidelity = float(norm ** 2)
-    if norm < 1e-15:
-        partners = np.zeros(dr, dtype=complex)
-        partners[0] = 1.0
-        return partners, 0.0
-    return contracted / norm, fidelity
-
-
-def compute_uhlmann_partners(code: EntgenCode, family) -> EntgenCode:
-    """Post-measurement partner vectors for every (j, l, state)."""
-    isos = _as_isometries(family)
-    blocks = [_block_isometry(s, code.n) for s in isos]
-    tp = code.T + 1
+    branches = code.v_unitary.reshape(code.Dq, code.J, code.L, code.T + 1, code.Dq)
     partners = []
     partner_fid = np.zeros((code.T, code.J, code.L))
-    for t in range(code.T):
-        de = code.de[t]
-        dims = [code.Dq, code.J, code.L, tp, de]
+    for t, block in enumerate(code.blocks):
+        de = block.env_space.dim
         zt = np.zeros((code.J, code.L, code.Dq * de), dtype=complex)
         for j in range(code.J):
             for l in range(code.L):
-                dilated = blocks[t].dilate_vector(code.codeword_vecs[j, l])  # [Q^n (x) E^n]
-                vec = (code.v_unitary @ dilated.reshape(code.Dq, de)).reshape(-1)
-                record = np.zeros(code.J * code.L * tp, dtype=complex)
-                record[(j * code.L + l) * tp + t] = 1.0
-                zvec, fid = uhlmann_partner(vec, dims, [1, 2, 3], record)
-                zt[j, l] = zvec
-                partner_fid[t, j, l] = fid
+                dilated = block.dilate_vector(code.codeword_vecs[j, l])  # [Q^n (x) E^n]
+                contracted = (branches[:, j, l, t, :] @ dilated.reshape(code.Dq, de)).reshape(-1)
+                norm = np.linalg.norm(contracted)
+                if norm < 1e-15:
+                    zt[j, l, 0] = 1.0
+                    continue
+                zt[j, l] = contracted / norm
+                partner_fid[t, j, l] = float(norm ** 2)
         partners.append(zt)
     code.partners = partners
     code.partner_fid = partner_fid
@@ -400,13 +381,16 @@ def compute_uhlmann_partners(code: EntgenCode, family) -> EntgenCode:
 # stage 4: phase alignment
 
 
-def phase_align(code: EntgenCode, family) -> EntgenCode:
+def _fourier_phases(L: int, k: int, phase: float = 0.0) -> np.ndarray:
+    """exp(2 pi i l k / L + i phase) for l = 1..L."""
+    return np.exp(2j * np.pi * np.arange(1, L + 1) * k / L + 1j * phase)
+
+
+def phase_align(code: EntgenCode) -> EntgenCode:
     """Pick the Fourier index maximizing the state-averaged aligned overlap
     and the phase making it real positive; record the per-state overlaps."""
     if code.partners is None:
-        code = compute_uhlmann_partners(code, family)
-    isos = _as_isometries(family)
-    blocks = [_block_isometry(s, code.n) for s in isos]
+        code = compute_uhlmann_partners(code)
     tp = code.T + 1
     L = code.L
     fourier_idx = np.zeros(code.J, dtype=int)
@@ -418,16 +402,16 @@ def phase_align(code: EntgenCode, family) -> EntgenCode:
         # dilation, using <V W a|z (x) record> = <W a|V_{jlt}^dag z> for the
         # branch V_{jlt} that writes the record
         b = np.zeros((code.T, L, code.Dp), dtype=complex)
-        for t in range(code.T):
-            de = code.de[t]
+        for t, block in enumerate(code.blocks):
+            de = block.env_space.dim
             for l in range(L):
                 pulled = branches[:, j, l, t, :].conj().T @ code.partners[t][j, l].reshape(code.Dq, de)
-                b[t, l] = blocks[t].isometry.conj().T @ pulled.reshape(-1)
+                b[t, l] = block.isometry.conj().T @ pulled.reshape(-1)
         a = code.codeword_vecs[j]
         best_k, best_val = 1, -np.inf
         overlaps_at_best = None
         for k in range(1, L + 1):
-            phases = np.exp(2j * np.pi * np.arange(1, L + 1) * k / L)
+            phases = _fourier_phases(L, k)
             a_hat = (phases[:, None] * a).sum(axis=0) / np.sqrt(L)
             per_t = np.zeros(code.T, dtype=complex)
             for t in range(code.T):
@@ -475,11 +459,19 @@ def _env_avg_purification(env_avg_t: np.ndarray, dq_n: int, L: int):
     return vec.reshape(-1), truncated
 
 
-def build_decoder_unitaries(code: EntgenCode, family) -> EntgenCode:
+def _branch_sum(code: EntgenCode, t: int, j: int) -> np.ndarray:
+    """Aligned Fourier superposition of message j's partners for state t,
+    on [Q^n, E^n, L]."""
+    phases = _fourier_phases(code.L, code.fourier_idx[j], code.align_phase[j])
+    terms = phases[:, None] * code.partners[t][j] / np.sqrt(code.L)  # (L, Dq*De)
+    return np.ascontiguousarray(terms.reshape(code.L, code.Dq, -1).transpose(1, 2, 0))
+
+
+def build_decoder_unitaries(code: EntgenCode) -> EntgenCode:
     """Correction unitaries matching the decoded branches to a purification
     of the averaged environment state, block-diagonal over the messages."""
     if code.fourier_idx is None:
-        code = phase_align(code, family)
+        code = phase_align(code)
     corrections = []
     correction_fid = np.zeros((code.T, code.J))
     env_avg_pur = []
@@ -494,14 +486,7 @@ def build_decoder_unitaries(code: EntgenCode, family) -> EntgenCode:
         u_t = np.zeros((code.Dq * code.J * code.L,) * 2, dtype=complex)
         u6 = u_t.reshape(code.Dq, code.J, code.L, code.Dq, code.J, code.L)
         for j in range(code.J):
-            phases = np.exp(
-                2j * np.pi * np.arange(1, code.L + 1) * code.fourier_idx[j] / code.L
-                + 1j * code.align_phase[j]
-            )
-            branch_sum = np.zeros((code.Dq, de, code.L), dtype=complex)
-            for l in range(code.L):
-                branch_sum[:, :, l] = phases[l] * code.partners[t][j, l].reshape(code.Dq, de) / np.sqrt(code.L)
-            branch_sum_mat = branch_sum.transpose(1, 0, 2).reshape(de, -1)
+            branch_sum_mat = _branch_sum(code, t, j).transpose(1, 0, 2).reshape(de, -1)
             # overlap(U) = tr(F_avg^dag F_branch U^T); the maximizing unitary
             # comes from the SVD of the transposed frame product
             frame = (env_avg_mat.conj().T @ branch_sum_mat).T  # acts on (Q^n x L)
@@ -531,12 +516,10 @@ def final_bound(epsilon: float, T: int) -> float:
     return float(1.0 - np.sqrt(2 * T) * np.sqrt(epsilon) - np.sqrt(8.0) * epsilon ** 0.25)
 
 
-def run_protocol(code: EntgenCode, family, t_true: int) -> FidelityAudit:
+def run_protocol(code: EntgenCode, t_true: int) -> FidelityAudit:
     """Exact evolution for the given true channel state, with the audit."""
     if code.corrections is None:
-        code = build_decoder_unitaries(code, family)
-    isos = _as_isometries(family)
-    blocks = [_block_isometry(s, code.n) for s in isos]
+        code = build_decoder_unitaries(code)
     t_idx = int(t_true)
     if not 0 <= t_idx < code.T:
         raise QcoreError("t_true out of range")
@@ -546,14 +529,14 @@ def run_protocol(code: EntgenCode, family, t_true: int) -> FidelityAudit:
     # sender superposition on [A, P^n]
     psi = np.zeros(J * code.Dp, dtype=complex)
     for j in range(J):
-        phases = np.exp(2j * np.pi * np.arange(1, L + 1) * code.fourier_idx[j] / L)
+        phases = _fourier_phases(L, code.fourier_idx[j])
         for l in range(L):
             a_vec = np.zeros(J, dtype=complex)
             a_vec[j] = 1.0
             psi += phases[l] * np.kron(a_vec, code.codeword_vecs[j, l])
     norm = np.linalg.norm(psi)
     psi /= norm
-    psi, _ = apply_on_axes(psi, [J, code.Dp], blocks[t_idx].isometry, [1])
+    psi, _ = apply_on_axes(psi, [J, code.Dp], code.blocks[t_idx].isometry, [1])
     # the measurement on [Q^n] alone: its ancillas [M, L, T'] start in |0,0,0>
     psi, _ = apply_on_axes(psi, [J, code.Dq, de], code.v_unitary, [1])
     psi = psi.reshape(J, code.Dq * J * L, tp, de)
@@ -573,15 +556,9 @@ def run_protocol(code: EntgenCode, family, t_true: int) -> FidelityAudit:
     # intermediates for the audit
     mid1 = np.zeros((J, code.Dq, de, J, L, tp), dtype=complex)
     mid2 = np.zeros_like(mid1)
+    u_t = code.corrections[t_idx].reshape(code.Dq, J, L, code.Dq, J, L)
     for j in range(J):
-        phases = np.exp(
-            2j * np.pi * np.arange(1, L + 1) * code.fourier_idx[j] / L + 1j * code.align_phase[j]
-        )
-        branch_sum = np.zeros((code.Dq, de, L), dtype=complex)
-        for l in range(L):
-            branch_sum[:, :, l] = phases[l] * code.partners[t_idx][j, l].reshape(code.Dq, de) / np.sqrt(L)
-        u_t = code.corrections[t_idx].reshape(code.Dq, J, L, code.Dq, J, L)
-        corrected_j = np.einsum("qmlQL,QeL->qmle", u_t[:, :, :, :, j, :], branch_sum)
+        corrected_j = np.einsum("qmlQL,QeL->qmle", u_t[:, :, :, :, j, :], _branch_sum(code, t_idx, j))
         # corrected_j axes (q, m, l, e) -> layout (Q, e, M, L); j-slices are disjoint
         mid1[j, :, :, :, :, t_idx] = corrected_j.transpose(0, 3, 1, 2) / np.sqrt(J)
         mid2[j, :, :, j, :, t_idx] = code.env_avg_pur[t_idx].reshape(code.Dq, de, L) / np.sqrt(J)
@@ -625,11 +602,11 @@ def run_protocol(code: EntgenCode, family, t_true: int) -> FidelityAudit:
     )
 
 
-def run_full_audit(code: EntgenCode, family) -> FidelityAudit:
+def run_full_audit(code: EntgenCode) -> FidelityAudit:
     """Protocol audit over every channel state; reports the worst fidelity."""
     if code.corrections is None:
-        code = build_decoder_unitaries(code, family)
-    audits = [run_protocol(code, family, t) for t in range(code.T)]
+        code = build_decoder_unitaries(code)
+    audits = [run_protocol(code, t) for t in range(code.T)]
     per_t = {str(t): a.min_fidelity for t, a in enumerate(audits)}
     worst = min(per_t.values())
     eps = measured_epsilon(code)

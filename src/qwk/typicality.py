@@ -94,20 +94,21 @@ def enumerate_words(a: int, n: int, start: int, stop: int) -> np.ndarray:
     return np.arange(start, stop, dtype=np.int64)[:, None] // powers % a
 
 
-def typical_set(p, n: int, delta: float) -> list[tuple]:
+def typical_set(p, n: int, delta: float) -> np.ndarray:
     """Words whose empirical frequencies are delta-close to p, with zero
-    frequency wherever p vanishes, in lexicographic order."""
+    frequency wherever p vanishes, in lexicographic order: an (N, n) int64
+    array with one word per row."""
     p = np.asarray(p, dtype=float)
     a = p.shape[0]
     total = a ** n
     if total > ENUM_CAP:
         raise CapExceededError(f"typical-set enumeration {a}^{n} exceeds the cap")
-    words = []
+    kept = []
     for start in range(0, total, _WORD_BLOCK):
         block = enumerate_words(a, n, start, min(start + _WORD_BLOCK, total))
         counts = np.stack([(block == x).sum(axis=1) for x in range(a)], axis=1)
-        words.extend(map(tuple, block[_is_typical(counts, p, delta)].tolist()))
-    return words
+        kept.append(block[_is_typical(counts, p, delta)])
+    return np.concatenate(kept)
 
 
 def word_probability(p, word) -> float:
@@ -121,17 +122,16 @@ def word_probability(p, word) -> float:
 def truncated_typical(p, n: int, delta: float):
     """Product distribution restricted to the typical set and renormalized.
 
-    Returns (words, probabilities).
+    Returns (words, probabilities), the words as rows of an (N, n) array.
     """
     words = typical_set(p, n, delta)
-    if not words:
+    if not len(words):
         raise QcoreError("typical set is empty; increase delta or n")
     p = np.asarray(p, dtype=float)
-    letters = np.asarray(words, dtype=int)
     # letter by letter, in the product order of word_probability
     probs = np.ones(len(words))
     for i in range(n):
-        probs *= p[letters[:, i]]
+        probs *= p[words[:, i]]
     total = probs.sum()
     if total <= 0:
         raise QcoreError("typical set carries no probability mass")
@@ -168,12 +168,15 @@ def _neglog(vals: np.ndarray) -> np.ndarray:
 class TypicalProjector:
     """Projector onto the kept eigen-words of a product reference state.
 
-    Bound checks only need the diagonal data; the dense matrix is built
-    afresh on each access of ``matrix`` and never kept.
+    ``neglogs`` and ``probs`` hold -log2 of each eigen-word's eigenvalue and
+    the eigenvalue itself, in the Kronecker order of the letter unitaries.
+    Bound checks only need these; the dense matrix is built afresh on each
+    access of ``matrix`` and never kept.
     """
 
     letter_unitaries: list
-    letter_eigs: list
+    neglogs: np.ndarray
+    probs: np.ndarray
     kept: np.ndarray
     center: float
     half_width: float
@@ -204,11 +207,7 @@ class TypicalProjector:
 
     def trace_with_reference(self) -> float:
         """tr(rho_words * projector) computed from the diagonal data."""
-        probs = accumulate_products(self.letter_eigs)
-        return float(probs[self.kept].sum())
-
-    def kept_eigenvalues(self) -> np.ndarray:
-        return accumulate_products(self.letter_eigs)[self.kept]
+        return float(self.probs[self.kept].sum())
 
     def report(self) -> list[dict]:
         return [c.as_record() for c in self.checks]
@@ -222,7 +221,8 @@ def _build_projector(letter_eigsystems, center, half_width, context):
         raise CapExceededError("eigen-word enumeration exceeds the cap")
     neglogs = _accumulate_sums([_neglog(w) for w in eigs])
     kept = np.abs(neglogs - center) <= half_width + 1e-12
-    return TypicalProjector(unitaries, eigs, kept, center, half_width, context)
+    return TypicalProjector(unitaries, neglogs, accumulate_products(eigs), kept,
+                            center, half_width, context)
 
 
 def _accumulate_sums(per_letter: Sequence[np.ndarray]) -> np.ndarray:
@@ -243,6 +243,25 @@ def _min_k_for_mass(neglogs, probs, center, target_mass, unit):
     return float(offsets[order][idx] / unit)
 
 
+def _window_checks(prefix: str, proj: TypicalProjector, need: float, unit) -> list[BoundCheck]:
+    """Trace, rank and peak checks of a projector's entropy window, each
+    with its smallest passing width coefficient in multiples of ``unit``."""
+    center, width = proj.center, proj.half_width
+    trace = proj.trace_with_reference()
+    rank = proj.rank
+    max_eig = float(proj.probs[proj.kept].max()) if rank else 0.0
+    return [
+        BoundCheck(f"{prefix}-trace", trace, need, trace >= need - 1e-12,
+                   _min_k_for_mass(proj.neglogs, proj.probs, center, need, unit)),
+        BoundCheck(f"{prefix}-rank", float(rank), float(2 ** (center + width)),
+                   rank <= 2 ** (center + width) * (1 + 1e-12),
+                   max(0.0, (np.log2(max(rank, 1)) - center) / unit)),
+        BoundCheck(f"{prefix}-peak", max_eig, float(2 ** (-center + width)),
+                   max_eig <= 2 ** (-center + width) * (1 + 1e-12),
+                   max(0.0, (np.log2(max_eig) + center) / unit) if max_eig > 0 else 0.0),
+    ]
+
+
 # ---------------------------------------------------------------------------
 # the three projector constructors
 
@@ -257,22 +276,7 @@ def typical_projector(rho: DensityOperator, params: TypicalParams) -> TypicalPro
     center = n * entropy
     unit = d * alpha * np.sqrt(n)
     proj = _build_projector([(w, v)] * n, center, k * unit, {"kind": "state", "params": params})
-    trace = proj.trace_with_reference()
-    kept_eigs = proj.kept_eigenvalues()
-    max_eig = float(kept_eigs.max()) if proj.rank else 0.0
-    neglogs = _accumulate_sums([_neglog(w)] * n)
-    probs = accumulate_products([w] * n)
-    need = 1.0 - d / (4 * n * alpha ** 2)
-    proj.checks = [
-        BoundCheck("state-trace", trace, need, trace >= need - 1e-12,
-                   _min_k_for_mass(neglogs, probs, center, need, unit)),
-        BoundCheck("state-rank", float(proj.rank), float(2 ** (center + k * unit)),
-                   proj.rank <= 2 ** (center + k * unit) * (1 + 1e-12),
-                   max(0.0, (np.log2(max(proj.rank, 1)) - center) / unit)),
-        BoundCheck("state-peak", max_eig, float(2 ** (-center + k * unit)),
-                   max_eig <= 2 ** (-center + k * unit) * (1 + 1e-12),
-                   max(0.0, (np.log2(max_eig) + center) / unit) if max_eig > 0 else 0.0),
-    ]
+    proj.checks = _window_checks("state", proj, 1.0 - d / (4 * n * alpha ** 2), unit)
     return proj
 
 
@@ -298,26 +302,9 @@ def conditional_typical_projector(
     letters = [systems[x] for x in word]
     center = n * conditional_channel_entropy(prior, v)
     unit = d * alpha * np.sqrt(n)
-    half_width = k * a * unit
-    proj = _build_projector(letters, center, half_width,
+    proj = _build_projector(letters, center, k * a * unit,
                             {"kind": "conditional", "word": tuple(word), "params": params})
-    trace = proj.trace_with_reference()
-    kept_eigs = proj.kept_eigenvalues()
-    max_eig = float(kept_eigs.max()) if proj.rank else 0.0
-    neglogs = _accumulate_sums([_neglog(w) for w, _ in letters])
-    probs = accumulate_products([w for w, _ in letters])
-    need = 1.0 - a * d / (4 * n * alpha ** 2)
-    aunit = a * unit
-    proj.checks = [
-        BoundCheck("cond-trace", trace, need, trace >= need - 1e-12,
-                   _min_k_for_mass(neglogs, probs, center, need, aunit)),
-        BoundCheck("cond-rank", float(proj.rank), float(2 ** (center + half_width)),
-                   proj.rank <= 2 ** (center + half_width) * (1 + 1e-12),
-                   max(0.0, (np.log2(max(proj.rank, 1)) - center) / aunit)),
-        BoundCheck("cond-peak", max_eig, float(2 ** (-center + half_width)),
-                   max_eig <= 2 ** (-center + half_width) * (1 + 1e-12),
-                   max(0.0, (np.log2(max_eig) + center) / aunit) if max_eig > 0 else 0.0),
-    ]
+    proj.checks = _window_checks("cond", proj, 1.0 - a * d / (4 * n * alpha ** 2), a * unit)
     return proj
 
 
@@ -347,9 +334,8 @@ def averaged_trace_check(proj: TypicalProjector, v: CQChannel, word, params: Typ
     weights = accumulate_products(per_letter)
     lhs = float(weights[proj.kept].sum())
     rhs = 1.0 - a * d / (4 * n * alpha ** 2)
-    neglogs = _accumulate_sums([_neglog(w) for w in proj.letter_eigs])
     unit = d * (alpha * np.sqrt(a)) * np.sqrt(n)
-    min_k = _min_k_for_mass(neglogs, weights, proj.center, rhs, unit)
+    min_k = _min_k_for_mass(proj.neglogs, weights, proj.center, rhs, unit)
     return BoundCheck("avg-trace", lhs, rhs, lhs >= rhs - 1e-12, min_k)
 
 

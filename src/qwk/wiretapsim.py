@@ -89,12 +89,11 @@ def sample_codebook(p, n: int, J: int, L: int, seed: int, delta: float = 0.1) ->
     if J < 1 or L < 1:
         raise QcoreError("J and L must be >= 1")
     words, probs = truncated_typical(p, n, delta)
-    words_arr = np.asarray(words, dtype=int)
     out = np.zeros((J, L, n), dtype=int)
     for j in range(J):
         for l in range(L):
             rng = counter_rng(seed, _STREAM_CODEBOOK, j, l)
-            out[j, l] = words_arr[rng.choice(len(words), p=probs)]
+            out[j, l] = words[rng.choice(len(words), p=probs)]
     return Codebook(out, J, L, n, {"p": list(np.asarray(p, float)), "delta": delta, "seed": seed})
 
 

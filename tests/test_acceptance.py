@@ -176,16 +176,16 @@ def test_criterion_7_entanglement_protocol():
     fids = {}
     for J, n, params in ((2, 1, p1), (4, 2, p2)):
         code = build_entgen_code([identity_kraus()], [0.5, 0.5], None, n, J, 1, 5, params)
-        code = build_decoder_unitaries(code, [identity_kraus()])
-        fids[J] = run_full_audit(code, [identity_kraus()]).min_fidelity
+        code = build_decoder_unitaries(code)
+        fids[J] = run_full_audit(code).min_fidelity
     theta = 0.1
     u = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]], dtype=complex)
     from qwk.channels import KrausChannel
 
     fam = [identity_kraus(), KrausChannel(Q, Q, [u])]
     code = build_entgen_code(fam, [0.5, 0.5], None, 2, 2, 2, 3, p2)
-    code = build_decoder_unitaries(code, fam)
-    audit = run_full_audit(code, fam)
+    code = build_decoder_unitaries(code)
+    audit = run_full_audit(code)
     ok = all(f >= 1 - 1e-9 for f in fids.values()) and audit.bound_satisfied
     elapsed = time.monotonic() - t0
     report(

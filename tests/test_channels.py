@@ -89,6 +89,25 @@ class TestApplyAndNFold:
         expect = np.kron(chan.apply_matrix(rho.matrix), chan.apply_matrix(sigma.matrix))
         assert np.max(np.abs(out2 - expect)) < 1e-10
 
+    def test_n_fold_cq_runs_no_dense_check_of_the_word_states(self, monkeypatch):
+        from qwk.channels import cq_word_state
+
+        rng = np.random.default_rng(2)
+        chan = CQChannel((0, 1), Q, {0: random_density(Q, rng).matrix,
+                                     1: random_density(Q, rng).matrix})
+        dims = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def recorded(m, *args, **kwargs):
+            dims.append(np.shape(m)[-1])
+            return eigvalsh(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
+        c3 = n_fold(chan, 3)
+        assert dims and max(dims) == 2
+        for word in c3.input_alphabet:
+            assert np.array_equal(c3.state_matrix(word), cq_word_state(chan, word).matrix)
+
     def test_apply_channel_domain_mismatch(self):
         with pytest.raises(ChannelError):
             apply_channel(identity_kraus(), maximally_mixed(HilbertLabel("x", 3)))

@@ -89,6 +89,25 @@ class TestCapacityCommand:
         rc = run_cli(["capacity", "--formula", "bogus", "--spec", spec_path("bsc_pair.json")])
         assert rc == EXIT_FLAG
 
+    def test_classical_spec_of_cq_channels_exits_2(self, tmp_path, capsys):
+        spec = json.load(open(spec_path("cq_pair.json")))
+        spec["variant"] = "classical"
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        rc = run_cli(["capacity", "--formula", "b1", "--spec", str(path)])
+        assert rc == EXIT_SCHEMA
+        assert "does not take a CQChannel" in capsys.readouterr().err
+
+    def test_cq_spec_of_kraus_channels_exits_2(self, tmp_path, capsys):
+        spec = json.load(open(spec_path("two_channel_family.json")))
+        spec["variant"] = "cq"
+        spec["theta"] = [dict(entry, V=entry["W"]) for entry in spec["theta"]]
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        rc = run_cli(["capacity", "--formula", "e1q", "--spec", str(path)])
+        assert rc == EXIT_SCHEMA
+        assert "does not take a KrausChannel" in capsys.readouterr().err
+
 
 class TestSimulateCommand:
     def test_trials_zero_exits_4(self):
@@ -99,6 +118,12 @@ class TestSimulateCommand:
     def test_missing_seed_exits_4(self):
         rc = run_cli(["simulate", "--spec", spec_path("bsc_pair.json"), "--n", "4"])
         assert rc == EXIT_FLAG
+
+    def test_quantum_spec_exits_3(self, capsys):
+        rc = run_cli(["simulate", "--spec", spec_path("two_channel_family.json"), "--n", "2",
+                      "--seed", "1"])
+        assert rc == EXIT_SEMANTIC
+        assert "variant 'quantum'" in capsys.readouterr().err
 
     def test_auto_l(self, tmp_path):
         out = tmp_path / "sim.json"

@@ -23,7 +23,6 @@ from qwk.entgen import (
     purify_codewords,
     run_full_audit,
     run_protocol,
-    uhlmann_partner,
     vector_partial_density,
 )
 from qwk.qcore import HilbertLabel, QcoreError, pgm_inverse_sqrt, psd_sqrt, random_density
@@ -45,9 +44,9 @@ def rotated_channel(theta):
 def build_pipeline(family, n, J, L, seed, params):
     code = build_entgen_code(family, [0.5, 0.5], None, n=n, J=J, L=L, seed=seed, params=params)
     code = purify_codewords(code)
-    code = compute_uhlmann_partners(code, family)
-    code = phase_align(code, family)
-    return build_decoder_unitaries(code, family)
+    code = compute_uhlmann_partners(code)
+    code = phase_align(code)
+    return build_decoder_unitaries(code)
 
 
 class TestTensorHelpers:
@@ -113,7 +112,7 @@ class TestBuildCode:
 
     def test_single_message_trivial(self):
         code = build_pipeline([identity_kraus()], 1, 1, 1, 0, PARAMS1)
-        audit = run_full_audit(code, [identity_kraus()])
+        audit = run_full_audit(code)
         assert audit.min_fidelity == pytest.approx(1.0, abs=1e-9)
 
     def test_distinct_words(self):
@@ -154,37 +153,78 @@ class TestPurifyCodewords:
         assert code.notes["purify"]["flagged"] == 0
 
 
-class TestUhlmann:
-    def test_product_state_gives_factor(self):
-        # psi = factor (x) record exactly: partner recovers the factor
-        rng = np.random.default_rng(3)
-        factor = rng.normal(size=4) + 1j * rng.normal(size=4)
-        factor /= np.linalg.norm(factor)
-        record = np.zeros(3, dtype=complex)
-        record[1] = 1.0
-        psi = np.kron(factor, record)
-        out, fid = uhlmann_partner(psi, [4, 3], [1], record)
-        assert fid == pytest.approx(1.0, abs=1e-12)
-        assert abs(abs(np.vdot(out, factor)) - 1.0) < 1e-10
+def full_product_partners(code):
+    """Reference: the partners through the full measurement image
+    v_unitary @ dilated, contracted with the one-hot record vector."""
+    tp = code.T + 1
+    partners = []
+    partner_fid = np.zeros((code.T, code.J, code.L))
+    for t, block in enumerate(code.blocks):
+        de = block.env_space.dim
+        zt = np.zeros((code.J, code.L, code.Dq * de), dtype=complex)
+        for j in range(code.J):
+            for l in range(code.L):
+                dilated = block.dilate_vector(code.codeword_vecs[j, l])
+                psi = (code.v_unitary @ dilated.reshape(code.Dq, de)).reshape(-1)
+                record = np.zeros(code.J * code.L * tp, dtype=complex)
+                record[(j * code.L + l) * tp + t] = 1.0
+                mat = psi.reshape(code.Dq, code.J, code.L, tp, de).transpose(0, 4, 1, 2, 3)
+                contracted = mat.reshape(code.Dq * de, -1) @ record.conj()
+                norm = np.linalg.norm(contracted)
+                if norm < 1e-15:
+                    zt[j, l, 0] = 1.0
+                else:
+                    zt[j, l] = contracted / norm
+                    partner_fid[t, j, l] = float(norm ** 2)
+        partners.append(zt)
+    return partners, partner_fid
 
-    def test_orthogonal_record_zero_fidelity(self):
-        factor = np.array([1.0, 0.0], dtype=complex)
-        record = np.zeros(2, dtype=complex)
-        record[0] = 1.0
-        psi = np.kron(factor, record)
-        wrong = np.array([0.0, 1.0], dtype=complex)
-        _, fid = uhlmann_partner(psi, [2, 2], [1], wrong)
-        assert fid == pytest.approx(0.0, abs=1e-12)
 
-    def test_fidelity_matches_reduced_state_overlap(self):
-        rng = np.random.default_rng(4)
-        psi = rng.normal(size=12) + 1j * rng.normal(size=12)
-        psi /= np.linalg.norm(psi)
-        record = np.zeros(3, dtype=complex)
-        record[2] = 1.0
-        _, fid = uhlmann_partner(psi, [4, 3], [1], record)
-        red = vector_partial_density(psi, [4, 3], [1])
-        assert fid == pytest.approx(float(np.real(record.conj() @ red @ record)), abs=1e-10)
+class TestUhlmannPartners:
+    @pytest.mark.parametrize("fam,de", [
+        ([rotated_channel(0.0), rotated_channel(0.3)], [1, 1]),
+        ([depolarizing_kraus(0.05), depolarizing_kraus(0.2)], [16, 16]),
+    ])
+    def test_partners_match_full_product_reference(self, fam, de):
+        code = build_entgen_code(fam, [0.5, 0.5], None, 2, 2, 2, 3, PARAMS2)
+        assert (code.T, code.L, code.de) == (2, 2, de)
+        code = compute_uhlmann_partners(code)
+        partners, partner_fid = full_product_partners(code)
+        assert np.array_equal(code.partner_fid, partner_fid)
+        for got, ref in zip(code.partners, partners):
+            assert np.array_equal(got, ref)
+
+    def test_annihilated_codeword_gets_zero_fidelity_fallback(self):
+        code = build_entgen_code([depolarizing_kraus(0.1)], [0.5, 0.5], None, 2, 2, 2, 3, PARAMS2)
+        v = code.v_unitary.copy()
+        v.reshape(code.Dq, code.J, code.L, code.T + 1, code.Dq)[:, 1, 0, 0, :] = 0.0
+        code.v_unitary = v
+        code = compute_uhlmann_partners(code)
+        e0 = np.zeros(code.Dq * code.de[0], dtype=complex)
+        e0[0] = 1.0
+        assert code.partner_fid[0, 1, 0] == 0.0
+        assert np.array_equal(code.partners[0][1, 0], e0)
+        assert np.count_nonzero(code.partner_fid) == code.partner_fid.size - 1
+
+    def test_entangle_builds_each_block_channel_once(self, monkeypatch, tmp_path):
+        import os
+
+        import qwk.entgen
+        from qwk.cli import main
+
+        calls = []
+        real = qwk.entgen.n_fold
+
+        def counted(ch, n):
+            calls.append(n)
+            return real(ch, n)
+
+        monkeypatch.setattr(qwk.entgen, "n_fold", counted)
+        family = os.path.join(os.path.dirname(__file__), "..", "specs", "two_channel_family.json")
+        rc = main(["entangle", "--family", family, "--n", "2", "--J", "2", "--L", "2",
+                   "--seed", "1", "--out", str(tmp_path / "audit.json")])
+        assert rc == 0
+        assert calls == [2, 2]
 
 
 class TestPhaseAlign:
@@ -234,25 +274,25 @@ class TestDecoderUnitaries:
 class TestRunProtocol:
     def test_identity_family_j2(self):
         code = build_pipeline([identity_kraus()], 1, 2, 1, 5, PARAMS1)
-        audit = run_full_audit(code, [identity_kraus()])
+        audit = run_full_audit(code)
         assert audit.min_fidelity >= 1 - 1e-9
 
     def test_identity_family_j4(self):
         code = build_pipeline([identity_kraus()], 2, 4, 1, 5, PARAMS2)
-        audit = run_full_audit(code, [identity_kraus()])
+        audit = run_full_audit(code)
         assert audit.min_fidelity >= 1 - 1e-9
 
     def test_depolarizing_bound_holds(self):
         fam = [depolarizing_kraus(0.05)]
         code = build_pipeline(fam, 2, 2, 1, 3, PARAMS2)
-        audit = run_full_audit(code, fam)
+        audit = run_full_audit(code)
         eps = audit.epsilon_measured
         assert audit.min_fidelity >= 1 - np.sqrt(8.0) * eps ** 0.25 - 1e-9
 
     def test_two_channel_family_bound_and_triangle(self):
         fam = [rotated_channel(0.0), rotated_channel(0.1)]
         code = build_pipeline(fam, 2, 2, 2, 3, PARAMS2)
-        audit = run_full_audit(code, fam)
+        audit = run_full_audit(code)
         assert audit.bound_satisfied
         assert all(c["pass"] for c in audit.triangle_checks)
         assert 0.9 <= audit.min_fidelity <= 1.0
@@ -264,13 +304,13 @@ class TestRunProtocol:
             ([rotated_channel(0.0), rotated_channel(0.4)], 2, 2, 1, PARAMS2),
         ]:
             code = build_pipeline(fam, n, J, L, 7, params)
-            audit = run_full_audit(code, fam)
+            audit = run_full_audit(code)
             assert audit.min_fidelity >= audit.bound_rhs - 1e-9
 
     def test_audit_reports_min_over_states(self):
         fam = [rotated_channel(0.0), rotated_channel(0.2)]
         code = build_pipeline(fam, 2, 2, 1, 3, PARAMS2)
-        audit = run_full_audit(code, fam)
+        audit = run_full_audit(code)
         assert audit.min_fidelity == pytest.approx(
             min(audit.per_t_fidelity.values()), abs=1e-15
         )
@@ -282,8 +322,8 @@ class TestRunProtocol:
         fam = [depolarizing_kraus(0.1)]
         c1 = build_pipeline(fam, 2, 2, 1, 9, PARAMS2)
         c2 = build_pipeline(fam, 2, 2, 1, 9, PARAMS2)
-        a1 = run_full_audit(c1, fam)
-        a2 = run_full_audit(c2, fam)
+        a1 = run_full_audit(c1)
+        a2 = run_full_audit(c2)
         assert a1.to_json_dict() == a2.to_json_dict()
 
 
@@ -410,7 +450,7 @@ class TestProtocolRunAgainstDenseReference:
         code = build_pipeline(fam, 2, 2, 2, 3, PARAMS2)
         assert (code.T, code.L) == (2, 2)
         for t in range(code.T):
-            audit = run_protocol(code, fam, t)
+            audit = run_protocol(code, t)
             fidelity, mids = dense_protocol_reference(code, fam, t)
             assert audit.min_fidelity == pytest.approx(fidelity, abs=1e-12)
             for key, val in mids.items():
@@ -433,5 +473,5 @@ class TestEntgenProperties:
         v = code.v_unitary
         assert v.shape == (code.Dq * code.J * L * (code.T + 1), code.Dq)
         assert np.max(np.abs(v.conj().T @ v - np.eye(code.Dq))) < 1e-10
-        audit = run_full_audit(code, fam)
+        audit = run_full_audit(code)
         assert audit.min_fidelity >= audit.bound_rhs - 1e-9

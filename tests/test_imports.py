@@ -1,7 +1,9 @@
-"""Every name a ``qwk`` module imports is used somewhere in that module.
+"""Every name a ``qwk`` module imports is used somewhere in that module, and
+so is every private function, class or constant it defines at module level.
 
 No linter runs on this repository, so this test parses each module with
-``ast`` and reports the imported names that the module never mentions.
+``ast`` and reports the imported names that the module never mentions and
+the private helpers that nothing in their module calls or reads.
 """
 
 import ast
@@ -27,6 +29,26 @@ def unused_imports(source: str) -> list[str]:
     return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
 
 
+def unreferenced_private_names(source: str) -> list[str]:
+    tree = ast.parse(source)
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                defined[name] = node.lineno
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted(f"{name} (line {line})" for name, line in defined.items() if name not in read)
+
+
 @pytest.mark.parametrize("module", MODULES)
 def test_module_uses_every_import(module):
     with open(os.path.join(SRC, module)) as fh:
@@ -36,3 +58,18 @@ def test_module_uses_every_import(module):
 def test_checker_flags_an_unused_name():
     source = "from x import used, unused\nimport a.b\nimport c as d\nused(a)\n"
     assert unused_imports(source) == ["d (line 3)", "unused (line 1)"]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_references_every_private_definition(module):
+    with open(os.path.join(SRC, module)) as fh:
+        assert unreferenced_private_names(fh.read()) == []
+
+
+def test_checker_flags_an_unreferenced_private_definition():
+    source = ("_CAP = 4\n_seen: set = set()\n__all__ = []\n"
+              "def _helper():\n    return _CAP\n"
+              "def _orphan():\n    pass\n"
+              "class _Unused:\n    pass\n"
+              "def public():\n    _seen.add(1)\n    return _helper()\n")
+    assert unreferenced_private_names(source) == ["_Unused (line 8)", "_orphan (line 6)"]

@@ -38,14 +38,14 @@ class TestTypicalSet:
 
     def test_point_mass_keeps_only_constant_word(self):
         words = typical_set([1.0, 0.0], 5, 0.2)
-        assert words == [(0, 0, 0, 0, 0)]
+        assert words.tolist() == [[0, 0, 0, 0, 0]]
 
     def test_balanced_words_enumeration(self):
         words = typical_set([0.5, 0.5], 4, 0.1)
         # oracle: exhaustive enumeration of exactly balanced words
-        oracle = [w for w in itertools.product(range(2), repeat=4) if sum(w) == 2]
-        assert words == oracle
-        assert len(words) == 6
+        oracle = [list(w) for w in itertools.product(range(2), repeat=4) if sum(w) == 2]
+        assert words.tolist() == oracle
+        assert words.shape == (6, 4) and words.dtype == np.int64
 
     def test_cap_enforced(self):
         with pytest.raises(CapExceededError):
@@ -55,7 +55,7 @@ class TestTypicalSet:
 class TestTruncatedTypical:
     def test_point_mass(self):
         words, probs = truncated_typical([1.0, 0.0], 4, 0.1)
-        assert words == [(0, 0, 0, 0)]
+        assert words.tolist() == [[0, 0, 0, 0]]
         assert probs[0] == pytest.approx(1.0)
 
     def test_uniform_large_delta(self):
@@ -122,6 +122,33 @@ class TestTypicalProjector:
             full = np.kron(full, rho.matrix)
         dense = np.trace(full @ proj.matrix).real
         assert proj.trace_with_reference() == pytest.approx(dense, abs=1e-10)
+
+    def test_spectrum_is_stored_and_computed_once(self, monkeypatch):
+        import qwk.typicality as ty
+
+        rng = np.random.default_rng(5)
+        rho = random_density(A, rng)
+        v = CQChannel((0, 1), A, {0: rho.matrix, 1: np.diag([0.4, 0.6])})
+        calls = []
+        products = ty.accumulate_products
+
+        def counted(per_letter):
+            calls.append(len(per_letter))
+            return products(per_letter)
+
+        monkeypatch.setattr(ty, "accumulate_products", counted)
+        params = TypicalParams(n=4, alpha=1.0)
+        state = typical_projector(rho, params)
+        cond = conditional_typical_projector(v, (0, 1, 1, 0), [0.5, 0.5], params)
+        assert calls == [4, 4]
+        full = np.array([[1.0 + 0j]])
+        for _ in range(4):
+            full = np.kron(full, rho.matrix)
+        assert np.allclose(np.sort(state.probs), np.linalg.eigvalsh(full), atol=1e-12)
+        for proj in (state, cond):
+            live = proj.probs > 1e-12
+            assert np.allclose(proj.neglogs[live], -np.log2(proj.probs[live]))
+            assert proj.trace_with_reference() == float(proj.probs[proj.kept].sum())
 
     def test_bound_suite_qubits(self):
         rng = np.random.default_rng(2)
@@ -265,10 +292,10 @@ class TestTypicalityByCounts:
 
         monkeypatch.setattr(ty, "_WORD_BLOCK", 50)  # several blocks, one partial
         ref = self.loop_typical_set(p, n, delta)
-        assert typical_set(p, n, delta) == ref
+        assert typical_set(p, n, delta).tolist() == [list(w) for w in ref]
         words, probs = truncated_typical(p, n, delta)
         raw = np.array([word_probability(p, w) for w in ref])
-        assert words == ref
+        assert words.tolist() == [list(w) for w in ref]
         assert np.array_equal(probs, raw / raw.sum())
 
     def test_conditional_membership_by_counts(self):

@@ -484,3 +484,27 @@ class TestResourcePlan:
         dec = build_decoder(spec, cb)
         rep = eval_error(spec, cb, dec, trials=1, seed=0)
         assert 0.0 <= rep.per_t["t1"]["max_error"] <= 1.0
+
+
+class TestLeakageEmbedding:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        crossovers=st.tuples(st.floats(0.05, 0.45), st.floats(0.05, 0.45)),
+        n=st.integers(1, 5),
+        J=st.integers(1, 4),
+        L=st.integers(1, 3),
+        seed=st.integers(0, 2 ** 32 - 1),
+    )
+    def test_classical_leakage_equals_its_cq_embedding(self, crossovers, n, J, L, seed):
+        from qwk.channels import classical_to_cq
+
+        a, b = crossovers
+        wire = ClassicalChannel((0, 1), (0, 1), [[1 - a, a], [b, 1 - b]])
+        words = np.random.default_rng(seed).integers(0, 2, size=(J, L, n))
+        cb = Codebook(words, J, L, n, {"seed": 0})
+        classical = CompoundWiretapSpec("classical", ("t1",), (bsc(0.1),), (wire,))
+        embedded = CompoundWiretapSpec("classical-quantum-wiretap", ("t1",), (bsc(0.1),),
+                                       (classical_to_cq(wire),))
+        leak = eval_leakage(classical, cb).per_t["t1"]["leakage"]
+        assert eval_leakage(embedded, cb).per_t["t1"]["leakage"] == pytest.approx(leak, abs=1e-9)
+        assert 0.0 <= leak <= np.log2(J) + 1e-12
