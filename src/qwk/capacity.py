@@ -29,7 +29,7 @@ from .channels import (
     n_fold,
     stinespring_to_kraus,
 )
-from .infotheory import coherent_information_matrix
+from .infotheory import coherent_information_matrix, eig_entropies, entropy_rows
 from .qcore import check_dim_cap, random_unitary
 
 _GRID_BUDGET = 300_000
@@ -37,7 +37,6 @@ _GRID_BUDGET = 300_000
 _GRID_CHUNK = 1024
 # points scored per objective call in the ascents, whatever the number of starts
 _ASCENT_CHUNK = 1024
-_EIG_FLOOR = 1e-12
 
 
 class SolverError(ValueError):
@@ -127,19 +126,6 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
     return np.clip(v - theta, 0.0, None)
 
 
-def _entropy_rows(p: np.ndarray) -> np.ndarray:
-    """Shannon entropy along the last axis, in bits."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(p > _EIG_FLOOR, -p * np.log2(np.where(p > _EIG_FLOOR, p, 1.0)), 0.0)
-    return terms.sum(axis=-1)
-
-
-def _entropy_batch(mats: np.ndarray) -> np.ndarray:
-    """von Neumann entropy of a (..., d, d) stack, in bits."""
-    ev = np.clip(np.linalg.eigvalsh(mats), 0.0, None)
-    return _entropy_rows(ev)
-
-
 def _kron_power(m: np.ndarray, n: int) -> np.ndarray:
     """n-th Kronecker power of each matrix in a (..., d, d) stack.
 
@@ -161,9 +147,9 @@ def _kron_power(m: np.ndarray, n: int) -> np.ndarray:
 
 def _holevo(qs: np.ndarray, z: np.ndarray) -> np.ndarray:
     """chi of the ensembles (qs, z): qs is (..., Q, m), z is (..., m, D, D)."""
-    s_u = _entropy_batch(z)
+    s_u = eig_entropies(z)
     avg = np.einsum("...qu,...ujk->...qjk", qs, z)
-    return _entropy_batch(avg) - (qs @ s_u[..., None])[..., 0]
+    return eig_entropies(avg) - (qs @ s_u[..., None])[..., 0]
 
 
 class _ClassicalTerm:
@@ -174,9 +160,9 @@ class _ClassicalTerm:
 
     def batch(self, qs: np.ndarray, e: np.ndarray) -> np.ndarray:
         rows = e @ self.m
-        h_rows = _entropy_rows(rows)
+        h_rows = entropy_rows(rows)
         p_out = qs @ rows
-        return _entropy_rows(p_out) - (qs @ h_rows[..., None])[..., 0]
+        return entropy_rows(p_out) - (qs @ h_rows[..., None])[..., 0]
 
 
 class _ChiPowerTerm:

@@ -210,38 +210,6 @@ def _input_signature(ch):
 # application and n-fold extension
 
 
-def apply_channel(ch, inp):
-    """Apply any channel kind to a matching input.
-
-    Classical channels take a symbol (or word) and return a probability
-    vector; cq channels take a symbol (or word) and return a DensityOperator;
-    Kraus/Stinespring channels take a DensityOperator.
-    """
-    if isinstance(ch, ClassicalChannel):
-        if inp in ch.input_alphabet:
-            return ch.row(inp).copy()
-        if isinstance(inp, (tuple, list)):
-            out = np.array([1.0])
-            for x in inp:
-                out = np.kron(out, ch.row(x))
-            return out
-        raise ChannelError(f"symbol {inp!r} not in the input alphabet")
-    if isinstance(ch, CQChannel):
-        if inp in ch.input_alphabet:
-            return ch.states[inp]
-        if isinstance(inp, (tuple, list)):
-            return cq_word_state(ch, inp)
-        raise ChannelError(f"symbol {inp!r} not in the input alphabet")
-    if isinstance(ch, (KrausChannel, StinespringIsometry)):
-        if not isinstance(inp, DensityOperator):
-            raise ChannelError("quantum channels take a DensityOperator input")
-        if inp.dim != ch.in_space.dim:
-            raise ChannelError("input dimension mismatch")
-        out = ch.apply_matrix(inp.matrix)
-        return DensityOperator((ch.out_space,), out)
-    raise ChannelError(f"not a channel: {ch!r}")
-
-
 def cq_word_state(ch: CQChannel, word) -> DensityOperator:
     """Tensor-product output state of a cq channel for an input word.
 
@@ -606,19 +574,6 @@ def build_tau_net(d_in: int, d_out: int, tau: float, budget: int) -> TauNet:
         if len(elements) >= limit:
             break
     return TauNet(tau, tuple(elements), bound, d_in, d_out)
-
-
-def nearest_in_net(net: TauNet, target, restarts: int = 2, seed: int = 0):
-    """Net element with the smallest diamond-distance estimate to ``target``."""
-    if not net.elements:
-        raise ChannelError("net is empty")
-    best = None
-    best_d = math.inf
-    for elem in net.elements:
-        d = diamond_distance(elem, target, restarts=restarts, seed=seed)
-        if d < best_d:
-            best, best_d = elem, d
-    return best, best_d
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,11 @@
 """Classical and quantum information measures.
 
 All logarithms are base 2 and all entropies are reported in bits.
-Eigenvalues below 1e-12 are treated as exact zeros inside entropy sums.
+``entropy_rows`` is the only Shannon sum in qwk: every entropy, Holevo
+quantity, coherent information and exact leakage goes through it, directly
+or through ``eig_entropies``.  Probabilities and eigenvalues at or below
+``EIG_FLOOR`` (1e-12) count as exact zeros; this includes the exact
+classical leakage, which used 1e-15 before.
 
 Sign convention for the conditional quantum entropy: the entropy of the
 full bipartite state minus the entropy of the reduced state on the
@@ -23,14 +27,20 @@ from .channels import (
 )
 from .qcore import DensityOperator, QcoreError, partial_trace
 
-_EIG_FLOOR = 1e-12
+EIG_FLOOR = 1e-12
 
 
-def _entropy_from_probs(p: np.ndarray) -> float:
+def entropy_rows(p) -> np.ndarray:
+    """Shannon entropy along the last axis, in bits; entries at or below
+    ``EIG_FLOOR`` count as zeros.  A pure row gives +0.0."""
     p = np.asarray(p, dtype=float)
-    mask = p > _EIG_FLOOR
-    vals = p[mask]
-    return float(-(vals * np.log2(vals)).sum())
+    logs = np.log2(p, out=np.zeros(p.shape), where=p > EIG_FLOOR)
+    return 0.0 - (p * logs).sum(axis=-1)
+
+
+def eig_entropies(mats) -> np.ndarray:
+    """von Neumann entropy of each matrix of a (..., d, d) stack, in bits."""
+    return entropy_rows(np.clip(np.linalg.eigvalsh(mats), 0.0, None))
 
 
 def shannon_entropy(p) -> float:
@@ -40,7 +50,7 @@ def shannon_entropy(p) -> float:
         raise QcoreError("probabilities must be nonnegative")
     if abs(p.sum() - 1.0) > 1e-9:
         raise QcoreError("probabilities must sum to 1")
-    return _entropy_from_probs(p)
+    return float(entropy_rows(p))
 
 
 def binary_entropy(p: float) -> float:
@@ -53,16 +63,15 @@ def mutual_information(prior, ch) -> float:
     m = ch.matrix if isinstance(ch, ClassicalChannel) else np.asarray(ch, dtype=float)
     if prior.shape[0] != m.shape[0]:
         raise QcoreError("prior length does not match the input alphabet")
-    p_out = prior @ m
-    h_cond = sum(prior[i] * _entropy_from_probs(m[i]) for i in range(m.shape[0]))
-    return max(0.0, _entropy_from_probs(p_out) - h_cond)
+    h = entropy_rows(np.vstack([prior @ m, m]))
+    h_cond = sum(q * h_row for q, h_row in zip(prior, h[1:]))
+    return max(0.0, float(h[0] - h_cond))
 
 
 def von_neumann_entropy(rho) -> float:
     """S(rho) = -tr(rho log rho) in bits."""
     m = rho.matrix if isinstance(rho, DensityOperator) else np.asarray(rho, dtype=complex)
-    ev = np.linalg.eigvalsh(m)
-    return _entropy_from_probs(np.clip(ev, 0.0, None))
+    return float(eig_entropies(m))
 
 
 def conditional_qentropy(phi: DensityOperator, cond_on) -> float:
@@ -110,10 +119,9 @@ def holevo_chi(ensemble_or_prior, states=None) -> float:
     else:
         ensemble = ensemble_or_prior
     avg = sum(p * s for p, s in zip(ensemble.prior, ensemble.states))
-    mean_entropy = sum(
-        p * von_neumann_entropy(s) for p, s in zip(ensemble.prior, ensemble.states) if p > 0
-    )
-    return max(0.0, von_neumann_entropy(avg) - mean_entropy)
+    s_avg, *s_states = eig_entropies(np.stack([avg, *ensemble.states]))
+    mean_entropy = sum(p * s for p, s in zip(ensemble.prior, s_states) if p > 0)
+    return max(0.0, float(s_avg - mean_entropy))
 
 
 def coherent_information_matrix(rho_m: np.ndarray, kraus: KrausChannel):
@@ -128,19 +136,8 @@ def coherent_information_matrix(rho_m: np.ndarray, kraus: KrausChannel):
     ops = np.stack(kraus.kraus_ops)
     a_rho = ops @ rho_m[..., None, :, :]
     env = a_rho.reshape(a_rho.shape[:-2] + (-1,)) @ ops.conj().reshape(len(ops), -1).T
-    vals = _entropies(kraus.apply_matrix(rho_m)) - _entropies(env)
+    vals = eig_entropies(kraus.apply_matrix(rho_m)) - eig_entropies(env)
     return float(vals) if vals.ndim == 0 else vals
-
-
-def _entropies(mats: np.ndarray) -> np.ndarray:
-    """von Neumann entropy of each matrix of a (..., d, d) stack, in bits.
-
-    Each row goes through ``_entropy_from_probs``: a ``where``-sum over a whole
-    row groups the terms differently once 8 or more survive the floor.
-    """
-    ev = np.clip(np.linalg.eigvalsh(mats), 0.0, None)
-    flat = ev.reshape(-1, ev.shape[-1])
-    return np.array([_entropy_from_probs(p) for p in flat]).reshape(ev.shape[:-1])
 
 
 def coherent_information(rho: DensityOperator, ch) -> float:
@@ -162,13 +159,8 @@ def conditional_channel_entropy(prior, v: CQChannel) -> float:
     prior = np.asarray(prior, dtype=float)
     if prior.shape[0] != len(v.input_alphabet):
         raise QcoreError("prior length does not match the channel alphabet")
-    return float(
-        sum(
-            prior[i] * von_neumann_entropy(v.state_matrix(x))
-            for i, x in enumerate(v.input_alphabet)
-            if prior[i] > 0
-        )
-    )
+    ents = eig_entropies(np.stack([v.state_matrix(x) for x in v.input_alphabet]))
+    return float(sum(q * s for q, s in zip(prior, ents) if q > 0))
 
 
 def cq_mutual_information(prior, v: CQChannel) -> float:

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .channels import CQChannel, cq_word_state
-from .infotheory import conditional_channel_entropy
+from .infotheory import EIG_FLOOR, conditional_channel_entropy, entropy_rows
 from .qcore import (
     CapExceededError,
     DensityOperator,
@@ -31,7 +31,6 @@ from .qcore import (
 )
 
 ENUM_CAP = 2 ** 24
-_ZERO_EIG = 1e-12
 _DEGENERACY_TOL = 1e-10
 _WORD_BLOCK = 1 << 14  # words enumerated per vectorised block
 
@@ -90,8 +89,14 @@ def _is_typical(counts, p, delta):
 
 def enumerate_words(a: int, n: int, start: int, stop: int) -> np.ndarray:
     """Words start..stop-1 of range(a)^n in lexicographic order, one per row."""
-    powers = a ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    return np.arange(start, stop, dtype=np.int64)[:, None] // powers % a
+    return _decode_words(np.arange(start, stop, dtype=np.int64), a, n)
+
+
+def _decode_words(index: np.ndarray, a: int, n: int) -> np.ndarray:
+    """Words of range(a)^n at lexicographic positions ``index``, decoded in place."""
+    words = np.empty((len(index), n), dtype=np.int64)
+    np.floor_divide(index[:, None], a ** np.arange(n - 1, -1, -1, dtype=np.int64), out=words)
+    return np.remainder(words, a, out=words)
 
 
 def typical_set(p, n: int, delta: float) -> np.ndarray:
@@ -103,12 +108,13 @@ def typical_set(p, n: int, delta: float) -> np.ndarray:
     total = a ** n
     if total > ENUM_CAP:
         raise CapExceededError(f"typical-set enumeration {a}^{n} exceeds the cap")
+    # positions of the kept words, one int64 each: only the result holds n per word
     kept = []
     for start in range(0, total, _WORD_BLOCK):
         block = enumerate_words(a, n, start, min(start + _WORD_BLOCK, total))
         counts = np.stack([(block == x).sum(axis=1) for x in range(a)], axis=1)
-        kept.append(block[_is_typical(counts, p, delta)])
-    return np.concatenate(kept)
+        kept.append(start + np.flatnonzero(_is_typical(counts, p, delta)))
+    return _decode_words(np.concatenate(kept), a, n)
 
 
 def word_probability(p, word) -> float:
@@ -159,7 +165,7 @@ def _grouped_eigensystem(matrix: np.ndarray):
 
 def _neglog(vals: np.ndarray) -> np.ndarray:
     out = np.full(vals.shape, np.inf)
-    mask = vals > _ZERO_EIG
+    mask = vals > EIG_FLOOR
     out[mask] = -np.log2(vals[mask])
     return out
 
@@ -272,8 +278,7 @@ def typical_projector(rho: DensityOperator, params: TypicalParams) -> TypicalPro
     d = rho.dim
     check_dim_cap(d ** n, "typical projector")
     w, v = _grouped_eigensystem(rho.matrix)
-    entropy = float(sum(x * l for x, l in zip(w, _neglog(w)) if x > _ZERO_EIG))
-    center = n * entropy
+    center = n * float(entropy_rows(w))
     unit = d * alpha * np.sqrt(n)
     proj = _build_projector([(w, v)] * n, center, k * unit, {"kind": "state", "params": params})
     proj.checks = _window_checks("state", proj, 1.0 - d / (4 * n * alpha ** 2), unit)

@@ -25,7 +25,12 @@ from .channels import (
     cq_word_state,
 )
 from .capacity import simplex_grid
-from .infotheory import cq_mutual_information, mutual_information, von_neumann_entropy
+from .infotheory import (
+    cq_mutual_information,
+    entropy_rows,
+    mutual_information,
+    von_neumann_entropy,
+)
 from .qcore import (
     CapExceededError,
     QcoreError,
@@ -445,13 +450,8 @@ def _classical_leakage(wire: ClassicalChannel, codebook: Codebook) -> float:
             pj += _word_output_probs(wire.matrix, codebook.words[j, l], y_words)
         dists.append(pj / codebook.L)
     dists = np.stack(dists)
-    avg = dists.mean(axis=0)
-
-    def h(p):
-        mask = p > 1e-15
-        return float(-(p[mask] * np.log2(p[mask])).sum())
-
-    return max(0.0, h(avg) - float(np.mean([h(d) for d in dists])))
+    h = entropy_rows(np.vstack([dists.mean(axis=0), dists]))
+    return max(0.0, float(h[0] - np.mean(h[1:])))
 
 
 def _quantum_leakage(wire: CQChannel, codebook: Codebook) -> float:

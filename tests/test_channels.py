@@ -9,7 +9,6 @@ from qwk.channels import (
     CompoundWiretapSpec,
     KrausChannel,
     StinespringIsometry,
-    apply_channel,
     bsc,
     build_tau_net,
     choi_matrix,
@@ -22,7 +21,6 @@ from qwk.channels import (
     kraus_to_stinespring,
     mix_kraus,
     n_fold,
-    nearest_in_net,
     pad_kraus,
     stinespring_to_kraus,
     tau_net_cardinality_bound,
@@ -52,21 +50,21 @@ def random_kraus_channel(rng, d=2, k=2):
 class TestApplyAndNFold:
     def test_identity_kraus_apply(self):
         rho = maximally_mixed(Q)
-        out = apply_channel(identity_kraus(), rho)
-        assert np.allclose(out.matrix, rho.matrix)
+        out = identity_kraus().apply_matrix(rho.matrix)
+        assert np.allclose(out, rho.matrix)
 
     def test_bsc_row(self):
-        out = apply_channel(bsc(0.1), 0)
+        out = bsc(0.1).row(0)
         assert np.allclose(out, [0.9, 0.1])
 
     def test_fully_depolarizing_sends_to_maximally_mixed(self):
         rng = np.random.default_rng(0)
         rho = random_density(Q, rng)
-        out = apply_channel(depolarizing_kraus(1.0), rho)
+        out = depolarizing_kraus(1.0).apply_matrix(rho.matrix)
         # oracle: explicit Kraus sum with the four scaled Paulis
         oracle = sum(a @ rho.matrix @ a.conj().T for a in depolarizing_kraus(1.0).kraus_ops)
-        assert np.allclose(out.matrix, oracle)
-        assert np.allclose(out.matrix, np.eye(2) / 2, atol=1e-12)
+        assert np.allclose(out, oracle)
+        assert np.allclose(out, np.eye(2) / 2, atol=1e-12)
 
     def test_n_fold_one_is_same_channel(self):
         c = bsc(0.1)
@@ -74,7 +72,7 @@ class TestApplyAndNFold:
 
     def test_n_fold_bsc_product_rule(self):
         c2 = n_fold(bsc(0.1), 2)
-        probs = apply_channel(c2, (0, 0))
+        probs = c2.matrix[c2.input_alphabet.index((0, 0))]
         q, p = 0.9, 0.1
         assert np.allclose(probs, [q * q, q * p, p * q, p * p])
 
@@ -107,10 +105,6 @@ class TestApplyAndNFold:
         assert dims and max(dims) == 2
         for word in c3.input_alphabet:
             assert np.array_equal(c3.state_matrix(word), cq_word_state(chan, word).matrix)
-
-    def test_apply_channel_domain_mismatch(self):
-        with pytest.raises(ChannelError):
-            apply_channel(identity_kraus(), maximally_mixed(HilbertLabel("x", 3)))
 
 
 class TestKrausStinespring:
@@ -300,19 +294,15 @@ class TestTauNet:
 
     def test_nearest_with_identity_in_net(self):
         net = ch.TauNet(1.0, (identity_kraus(), depolarizing_kraus(1.0)), 3.0 ** 32, 2, 2)
-        elem, dist = nearest_in_net(net, identity_kraus(), restarts=2, seed=0)
-        assert dist == pytest.approx(0.0, abs=1e-9)
-        assert kraus_equivalent(elem, identity_kraus())
+        dists = [diamond_distance(e, identity_kraus(), restarts=2, seed=0) for e in net.elements]
+        assert min(dists) == pytest.approx(0.0, abs=1e-9)
+        assert kraus_equivalent(net.elements[int(np.argmin(dists))], identity_kraus())
 
     def test_singleton_net_returns_its_element(self):
         net = ch.TauNet(2.0, (depolarizing_kraus(0.3),), 1.0, 2, 2)
-        elem, _ = nearest_in_net(net, identity_kraus())
-        assert kraus_equivalent(elem, depolarizing_kraus(0.3))
-
-    def test_empty_net_rejected(self):
-        net = ch.TauNet(1.0, tuple(), 1.0, 2, 2)
-        with pytest.raises(ChannelError):
-            nearest_in_net(net, identity_kraus())
+        dists = [diamond_distance(e, identity_kraus()) for e in net.elements]
+        assert min(dists) <= net.tau
+        assert kraus_equivalent(net.elements[int(np.argmin(dists))], depolarizing_kraus(0.3))
 
     def test_hand_built_net_covers_nearby_target(self):
         # lattice of targets built from mixtures of net members: nearest element
@@ -327,7 +317,7 @@ class TestTauNet:
         net = ch.TauNet(tau, members, tau_net_cardinality_bound(2, tau), 2, 2)
         for p in [0.05, 0.45, 0.95]:
             target = depolarizing_kraus(p)
-            _, dist = nearest_in_net(net, target, restarts=2, seed=0)
+            dist = min(diamond_distance(e, target, restarts=2, seed=0) for e in net.elements)
             assert dist <= tau + 1e-9
 
 

@@ -1,9 +1,12 @@
 """Every name a ``qwk`` module imports is used somewhere in that module, and
-so is every private function, class or constant it defines at module level.
+so is every private function, class or constant it defines at module level;
+and no private module-level name is defined in two ``qwk`` modules.
 
 No linter runs on this repository, so this test parses each module with
-``ast`` and reports the imported names that the module never mentions and
-the private helpers that nothing in their module calls or reads.
+``ast`` and reports the imported names that the module never mentions, the
+private helpers that nothing in their module calls or reads, and the private
+names that two modules each define for themselves (a constant or helper that
+one module should own).
 """
 
 import ast
@@ -29,8 +32,8 @@ def unused_imports(source: str) -> list[str]:
     return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
 
 
-def unreferenced_private_names(source: str) -> list[str]:
-    tree = ast.parse(source)
+def private_definitions(tree: ast.Module) -> dict[str, int]:
+    """Private names defined at module level, with their line."""
     defined = {}
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -44,6 +47,12 @@ def unreferenced_private_names(source: str) -> list[str]:
         for name in names:
             if name.startswith("_") and not name.startswith("__"):
                 defined[name] = node.lineno
+    return defined
+
+
+def unreferenced_private_names(source: str) -> list[str]:
+    tree = ast.parse(source)
+    defined = private_definitions(tree)
     read = {node.id for node in ast.walk(tree)
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
     return sorted(f"{name} (line {line})" for name, line in defined.items() if name not in read)
@@ -73,3 +82,29 @@ def test_checker_flags_an_unreferenced_private_definition():
               "class _Unused:\n    pass\n"
               "def public():\n    _seen.add(1)\n    return _helper()\n")
     assert unreferenced_private_names(source) == ["_Unused (line 8)", "_orphan (line 6)"]
+
+
+def duplicated_private_names(sources: dict[str, str]) -> list[str]:
+    """Private module-level names defined in more than one of ``sources``."""
+    owners = {}
+    for module, source in sorted(sources.items()):
+        for name in private_definitions(ast.parse(source)):
+            owners.setdefault(name, []).append(module)
+    return sorted(f"{name} ({', '.join(mods)})" for name, mods in owners.items() if len(mods) > 1)
+
+
+def test_no_private_name_is_defined_in_two_modules():
+    sources = {}
+    for module in MODULES:
+        with open(os.path.join(SRC, module)) as fh:
+            sources[module] = fh.read()
+    assert duplicated_private_names(sources) == []
+
+
+def test_checker_flags_a_private_name_defined_twice():
+    sources = {
+        "a.py": "_FLOOR = 1e-12\ndef _h(p):\n    return p\n_only_a = 1\n",
+        "b.py": "_FLOOR = 1e-15\n__all__ = []\ndef public():\n    pass\n",
+        "c.py": "def _h(p):\n    return -p\n__all__ = []\nimport numpy as _np\n",
+    }
+    assert duplicated_private_names(sources) == ["_FLOOR (a.py, b.py)", "_h (a.py, c.py)"]

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from qwk.infotheory import (
     conditional_channel_entropy,
     conditional_qentropy,
     cq_mutual_information,
+    entropy_rows,
     fannes_bound,
     holevo_chi,
     mutual_information,
@@ -56,6 +59,67 @@ class TestShannon:
     def test_negative_rejected(self):
         with pytest.raises(QcoreError):
             shannon_entropy([1.2, -0.2])
+
+
+def _compacted_entropy(p):
+    """The former 1-D entropy: a sum over the entries above the floor only."""
+    vals = p[p > 1e-12]
+    return float(-(vals * np.log2(vals)).sum())
+
+
+@st.composite
+def distributions(draw, max_len=40):
+    """A probability row with some exact zeros and some entries below the floor."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    k = draw(st.integers(1, max_len))
+    p = rng.random(k) ** draw(st.sampled_from([1, 4, 16]))
+    p[rng.random(k) < draw(st.sampled_from([0.0, 0.3, 0.7]))] = 0.0
+    p[rng.random(k) < 0.1] = 1e-14
+    p[rng.integers(k)] = 1.0  # at least one entry survives
+    return p / p.sum()
+
+
+class TestEntropyRows:
+    """Properties of the one Shannon sum every entropy goes through."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(distributions())
+    def test_bounded_by_log_of_the_support(self, p):
+        h = float(entropy_rows(p))
+        assert 0.0 <= h <= math.log2(np.count_nonzero(p > 1e-12)) + 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(distributions(), st.integers(0, 2 ** 32 - 1))
+    def test_permutation_invariant(self, p, seed):
+        q = np.random.default_rng(seed).permutation(p)
+        assert float(entropy_rows(q)) == pytest.approx(float(entropy_rows(p)), abs=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 40), st.integers(1, 6), st.integers(0, 2 ** 32 - 1))
+    def test_stacked_equals_row_by_row(self, k, rows, seed):
+        rng = np.random.default_rng(seed)
+        p = rng.random((2, rows, k)) ** 4
+        p[rng.random(p.shape) < 0.3] = 0.0
+        p /= np.maximum(p.sum(axis=-1, keepdims=True), 1e-300)
+        stacked = entropy_rows(p)
+        assert stacked.shape == (2, rows)
+        for idx in np.ndindex(2, rows):
+            assert stacked[idx] == entropy_rows(p[idx])
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 8, 20])
+    def test_one_hot_gives_positive_zero(self, k):
+        for i in range(k):
+            h = float(entropy_rows(np.eye(k)[i]))
+            assert h == 0.0 and math.copysign(1, h) == 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(distributions())
+    def test_matches_the_compacted_sum(self, p):
+        h = float(entropy_rows(p))
+        if len(p) <= 7:
+            assert h == _compacted_entropy(p)
+        else:
+            assert h == pytest.approx(_compacted_entropy(p), abs=1e-12)
 
 
 class TestMutualInformation:

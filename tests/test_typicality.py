@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -50,6 +51,17 @@ class TestTypicalSet:
     def test_cap_enforced(self):
         with pytest.raises(CapExceededError):
             typical_set([0.5, 0.5], 30, 0.1)
+
+    def test_peak_memory_holds_one_copy_of_the_words(self):
+        # kept rows and their concatenation coexisting would peak at 2x
+        tracemalloc.start()
+        try:
+            words = typical_set([0.5, 0.5], 18, 0.1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert words.shape == (136136, 18)
+        assert peak < 1.5 * words.nbytes
 
 
 class TestTruncatedTypical:
