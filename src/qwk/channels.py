@@ -440,13 +440,21 @@ def diamond_distance(n1, n2, restarts: int = 4, seed: int = 0) -> float:
 
 @dataclass(frozen=True)
 class TauNet:
-    """Finite family of channels declared to cover the CPTP set to radius tau."""
+    """Finite family of channels declared to cover the CPTP set to radius tau.
+
+    The last three fields record the lattice walk that built the net: how
+    many offsets were CPTP-projected, how many of those projected onto an
+    element already kept, and the L1 shell of the last offset projected.
+    """
 
     tau: float
     elements: tuple
     cardinality_bound: float
     d_in: int
     d_out: int
+    offsets_projected: int = 0
+    duplicates_dropped: int = 0
+    last_shell: int = 0
 
 
 def tau_net_cardinality_bound(d_in: int, tau: float):
@@ -519,22 +527,52 @@ def choi_to_kraus(j: np.ndarray, d_in: int, d_out: int) -> KrausChannel:
     return KrausChannel(inl, outl, ops)
 
 
+def _shell_vectors(n_params: int, shell: int):
+    """Sign vectors in {0, 1, -1}^n_params of L1 norm ``shell``, in product order.
+
+    A depth-first walk over positions, digits in the order 0, 1, -1, that
+    prunes every prefix whose remaining mass cannot fit in the positions
+    left.  Each step backs up to the rightmost position that can take its
+    next digit and gives the suffix its smallest completion (zeros, then
+    ones), so a vector costs O(n_params) and no recursion depth grows with
+    n_params.
+    """
+    v = [0] * (n_params - shell) + [1] * shell
+    while True:
+        yield tuple(v)
+        suffix = 0  # L1 mass of v[i + 1:]
+        for i in range(n_params - 1, -1, -1):
+            if v[i] == 1:
+                v[i], rest = -1, suffix
+                break
+            if v[i] == 0 and suffix:
+                v[i], rest = 1, suffix - 1
+                break
+            suffix += abs(v[i])
+        else:
+            return
+        tail = n_params - 1 - i
+        v[i + 1:] = [0] * (tail - rest) + [1] * rest
+
+
 def _lattice_offsets(n_params: int, budget: int):
-    """Deterministic enumeration of integer offset vectors by L1 shells."""
+    """The first ``budget`` integer offset vectors in {0, 1, -1}^n_params.
+
+    Order: the origin, then the L1 shells 1, 2, ... in turn, each shell in
+    ``itertools.product((0, 1, -1), repeat=n_params)`` order.  The shell
+    beyond n_params is empty, so the enumeration ends after all
+    3^n_params vectors.  Cost: O(n_params) per vector, so linear in the
+    budget.
+    """
     yield (0,) * n_params
     produced = 1
     shell = 1
-    while produced < budget:
-        found = False
-        for signs in itertools.product((0, 1, -1), repeat=n_params):
-            if sum(abs(s) for s in signs) == shell:
-                found = True
-                yield signs
-                produced += 1
-                if produced >= budget:
-                    return
-        if not found:
-            return
+    while produced < budget and shell <= n_params:
+        for signs in _shell_vectors(n_params, shell):
+            yield signs
+            produced += 1
+            if produced >= budget:
+                return
         shell += 1
 
 
@@ -544,9 +582,17 @@ def build_tau_net(d_in: int, d_out: int, tau: float, budget: int) -> TauNet:
     The declared covering radius is ``tau``; the cardinality never exceeds
     min(budget, ceil((3/tau)^(2 d_in^4))).  Any two CPTP maps are within
     diamond distance 2, so a request with tau >= 2 yields a singleton net.
+
+    Offsets from the maximally mixed Choi matrix are taken from
+    ``_lattice_offsets``: shells by L1 norm, product order within a shell,
+    at most four per requested element.  Each offset is projected onto the
+    CPTP set and kept unless it lands on an element already kept, so the
+    cost is linear in the budget.
     """
-    if budget == 0:
+    if budget < 1:
         raise ChannelError("budget must be positive")
+    if d_in < 1 or d_out < 1:
+        raise ChannelError("d_in and d_out must be positive")
     if not 0 < tau:
         raise ChannelError("tau must be positive")
     bound = tau_net_cardinality_bound(d_in, tau)
@@ -560,12 +606,14 @@ def build_tau_net(d_in: int, d_out: int, tau: float, budget: int) -> TauNet:
     step = tau / (2.0 * dim)
     elements = []
     seen = set()
+    projected = 0
     for offsets in _lattice_offsets(len(basis), limit * 4):
         j = center.copy()
         for coeff, b in zip(offsets, basis):
             if coeff:
                 j = j + step * coeff * b
         j = project_cptp(j, d_in, d_out)
+        projected += 1
         key = tuple(np.round(j, 8).reshape(-1).view(float))
         if key in seen:
             continue
@@ -573,7 +621,10 @@ def build_tau_net(d_in: int, d_out: int, tau: float, budget: int) -> TauNet:
         elements.append(choi_to_kraus(j, d_in, d_out))
         if len(elements) >= limit:
             break
-    return TauNet(tau, tuple(elements), bound, d_in, d_out)
+    return TauNet(tau, tuple(elements), bound, d_in, d_out,
+                  offsets_projected=projected,
+                  duplicates_dropped=projected - len(elements),
+                  last_shell=sum(map(abs, offsets)))
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,10 @@
 
 Subcommands: ``capacity``, ``simulate``, ``net``, ``entangle``, ``verify``.
 Every output file embeds a run manifest (command line, inputs, seed,
-version, wall-clock) next to the numeric payload; payloads are canonical
-JSON (sorted keys, floats at 12 significant digits) so re-running a
-manifest reproduces byte-identical numbers.
+version, wall-clock timestamp, seconds elapsed since ``main`` started)
+next to the numeric payload; payloads are canonical JSON (sorted keys,
+floats at 12 significant digits) so re-running a manifest reproduces
+byte-identical numbers.
 
 Exit codes: 0 success, 2 input schema error (also a spec whose channel
 kinds do not match its variant), 3 semantic mismatch (also a ``verify`` run
@@ -217,6 +218,7 @@ def _manifest(args, command: str, extra: dict | None = None) -> dict:
         "version": __version__,
         "seed": getattr(args, "seed", None),
         "wallclock_s": time.time(),
+        "elapsed_s": time.perf_counter() - args._t0,
         "blas_threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
     }
     if extra:
@@ -305,6 +307,8 @@ def cmd_simulate(args) -> int:
 def cmd_net(args) -> int:
     if args.budget < 1:
         raise FlagError("--budget must be >= 1")
+    if args.d_in < 1 or args.d_out < 1:
+        raise FlagError("--d-in and --d-out must be >= 1")
     if args.tau <= 0:
         raise FlagError("--tau must be positive")
     net = build_tau_net(args.d_in, args.d_out, args.tau, args.budget)
@@ -321,7 +325,12 @@ def cmd_net(args) -> int:
             for e in net.elements
         ],
     }
-    write_report(args.out, _manifest(args, "net"), payload)
+    lattice = {
+        "offsets_projected": net.offsets_projected,
+        "duplicates_dropped": net.duplicates_dropped,
+        "last_shell": net.last_shell,
+    }
+    write_report(args.out, _manifest(args, "net", {"net": lattice}), payload)
     return 0
 
 
@@ -423,10 +432,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    t0 = time.perf_counter()
     ap = build_parser()
     effective = list(argv) if argv is not None else sys.argv[1:]
     args = ap.parse_args(effective)
     args._argv = effective
+    args._t0 = t0
     try:
         return args.func(args)
     except SchemaError as exc:

@@ -285,3 +285,12 @@ def test_criterion_10_determinism(tmp_path):
         ok = ok and rc1 == 0 and rc2 == 0 and same
     elapsed = time.monotonic() - t0
     report(10, ok, f"{len(commands)} commands re-run from manifests", elapsed, 120)
+
+
+def test_criterion_11_net_budget_100(tmp_path):
+    t0 = time.monotonic()
+    out = tmp_path / "net.json"
+    rc = cli_main(["net", "--tau", "0.5", "--budget", "100", "--out", str(out)])
+    n_elements = json.loads(out.read_text())["payload"]["n_elements"]
+    elapsed = time.monotonic() - t0
+    report(11, rc == 0 and n_elements == 100, f"{n_elements} net elements", elapsed, 10)

@@ -1,5 +1,10 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qwk import channels as ch
 from qwk.channels import (
@@ -279,6 +284,32 @@ class TestTauNet:
         with pytest.raises(ChannelError):
             build_tau_net(2, 2, 0.5, budget=0)
 
+    def test_negative_budget_rejected(self):
+        with pytest.raises(ChannelError):
+            build_tau_net(2, 2, 0.5, budget=-3)
+
+    def test_zero_input_dimension_rejected(self):
+        with pytest.raises(ChannelError):
+            build_tau_net(0, 2, 0.5, budget=4)
+
+    def test_zero_output_dimension_rejected(self):
+        with pytest.raises(ChannelError):
+            build_tau_net(2, 0, 0.5, budget=4)
+
+    def test_budget_200_gives_200_cptp_elements(self):
+        net = build_tau_net(2, 2, 0.5, budget=200)
+        assert len(net.elements) == 200
+        for elem in net.elements:
+            comp = sum(a.conj().T @ a for a in elem.kraus_ops)
+            assert np.max(np.abs(comp - np.eye(2))) < 1e-8
+
+    def test_lattice_record(self):
+        net = build_tau_net(2, 2, 0.5, budget=22)
+        assert (net.offsets_projected, net.duplicates_dropped, net.last_shell) == (26, 4, 1)
+        net = build_tau_net(1, 2, 0.5, budget=30)
+        assert (net.offsets_projected, net.duplicates_dropped, net.last_shell) == (41, 11, 3)
+        assert len(net.elements) == net.offsets_projected - net.duplicates_dropped
+
     def test_net_elements_are_cptp(self):
         net = build_tau_net(2, 2, 0.5, budget=6)
         assert 1 <= len(net.elements) <= 6
@@ -319,6 +350,52 @@ class TestTauNet:
             target = depolarizing_kraus(p)
             dist = min(diamond_distance(e, target, restarts=2, seed=0) for e in net.elements)
             assert dist <= tau + 1e-9
+
+
+def scan_offsets(n_params, budget):
+    """The former enumeration: rescan the whole product once per L1 shell."""
+    yield (0,) * n_params
+    produced = 1
+    shell = 1
+    while produced < budget:
+        found = False
+        for signs in itertools.product((0, 1, -1), repeat=n_params):
+            if sum(abs(s) for s in signs) == shell:
+                found = True
+                yield signs
+                produced += 1
+                if produced >= budget:
+                    return
+        if not found:
+            return
+        shell += 1
+
+
+class TestLatticeOffsets:
+    @settings(max_examples=80, deadline=None)
+    @example((8, 3 ** 8 + 5))
+    @example((8, 3 ** 8))
+    @example((8, 40))
+    @given(st.integers(0, 8).flatmap(
+        lambda p: st.tuples(st.just(p), st.integers(0, 3 ** p + 5))))
+    def test_matches_product_scan(self, case):
+        p, budget = case
+        assert list(ch._lattice_offsets(p, budget)) == list(scan_offsets(p, budget))
+
+    @pytest.mark.parametrize("p", range(9))
+    def test_each_shell_lists_every_vector_once(self, p):
+        offsets = list(ch._lattice_offsets(p, 3 ** p + 1))
+        assert len(offsets) == len(set(offsets)) == 3 ** p
+        norms = [sum(map(abs, v)) for v in offsets]
+        assert norms == sorted(norms)
+        for s in range(p + 1):
+            assert norms.count(s) == math.comb(p, s) * 2 ** s
+
+    def test_large_parameter_count_needs_no_deep_recursion(self):
+        # d_in = d_out = 6: 1296 parameters, beyond the default recursion limit
+        offsets = list(ch._lattice_offsets(1296, 3000))
+        assert len(offsets) == 3000
+        assert sum(map(abs, offsets[-1])) == 2
 
 
 class TestCompoundSpec:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -144,7 +145,8 @@ class TestSimulateCommand:
                      "golden_capacity1", "golden_capacity2", "golden_capacity3",
                      "golden_capacity4", "golden_capacity5", "golden_capacity6",
                      "golden_capacity7", "golden_capacity8", "golden_capacity9",
-                     "golden_capacity10", "golden_verify1"):
+                     "golden_capacity10", "golden_verify1", "golden_net1",
+                     "golden_net2"):
             golden = json.load(open(os.path.join(DATA, f"{name}.json")))
             argv = list(golden["manifest"]["argv"])
             # rerun from the recorded manifest into a fresh output location
@@ -170,6 +172,24 @@ class TestNetCommand:
     def test_budget_zero_exits_4(self):
         rc = run_cli(["net", "--tau", "1.0", "--budget", "0"])
         assert rc == EXIT_FLAG
+
+    def test_d_in_zero_exits_4(self):
+        assert run_cli(["net", "--tau", "0.5", "--budget", "3", "--d-in", "0"]) == EXIT_FLAG
+
+    def test_d_out_zero_exits_4(self):
+        assert run_cli(["net", "--tau", "0.5", "--budget", "3", "--d-out", "0"]) == EXIT_FLAG
+
+    def test_negative_d_in_exits_4(self):
+        assert run_cli(["net", "--tau", "0.5", "--budget", "3", "--d-in", "-1"]) == EXIT_FLAG
+
+    def test_lattice_record_in_manifest_only(self, tmp_path):
+        out = tmp_path / "net.json"
+        rc = run_cli(["net", "--tau", "0.5", "--budget", "22", "--out", str(out)])
+        assert rc == 0
+        doc = json.loads(out.read_text())
+        assert doc["manifest"]["net"] == {
+            "offsets_projected": 26, "duplicates_dropped": 4, "last_shell": 1}
+        assert "offsets_projected" not in json.dumps(doc["payload"])
 
     def test_singleton_for_large_tau(self, tmp_path):
         out = tmp_path / "net.json"
@@ -235,6 +255,26 @@ class TestVerifyCommand:
         assert p1["n_fail"] == 0
         # --jobs is accepted and ignored: same records either way
         assert canonical_payload_bytes(p1["records"]) == canonical_payload_bytes(p2["records"])
+
+
+class TestManifestElapsed:
+    @pytest.mark.parametrize("argv", [
+        ["net", "--tau", "0.5", "--budget", "4"],
+        ["capacity", "--formula", "b1", "--spec", spec_path("bsc_pair.json"), "--grid", "4",
+         "--refine", "2", "--restarts", "0"],
+        ["simulate", "--spec", spec_path("bsc_pair.json"), "--n", "4", "--J", "2",
+         "--trials", "20", "--seed", "1"],
+        ["entangle", "--family", spec_path("identity_family.json"), "--n", "1", "--seed", "1"],
+        ["verify", "gentle"],
+    ], ids=lambda argv: argv[0])
+    def test_every_command_records_elapsed_seconds(self, tmp_path, argv):
+        out = tmp_path / "report.json"
+        t0 = time.perf_counter()
+        assert run_cli(argv + ["--out", str(out)]) == 0
+        took = time.perf_counter() - t0
+        manifest = json.loads(out.read_text())["manifest"]
+        assert 0 < manifest["elapsed_s"] <= took
+        assert "wallclock_s" in manifest
 
 
 class TestDeterminism:
