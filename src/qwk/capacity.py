@@ -24,10 +24,9 @@ from .channels import (
     CQChannel,
     CompoundWiretapSpec,
     KrausChannel,
-    StinespringIsometry,
-    kraus_to_stinespring,
+    as_kraus,
+    as_stinespring,
     n_fold,
-    stinespring_to_kraus,
 )
 from .infotheory import coherent_information_matrix, eig_entropies, entropy_rows
 from .qcore import check_dim_cap, random_unitary
@@ -413,7 +412,8 @@ def _prior_grid_used(cfg: SolverConfig, a: int) -> dict:
 
 
 def _aux_cards(cfg: SolverConfig, a: int) -> range:
-    return range(1, (cfg.aux_card if cfg.aux_card is not None else a + 1) + 1)
+    """Aux cardinalities the maximizer scans: 2 up to aux_card (default a + 1)."""
+    return range(2, (cfg.aux_card if cfg.aux_card is not None else a + 1) + 1)
 
 
 def _maximize_aux(objective, a: int, cfg: SolverConfig, tag: int):
@@ -422,12 +422,14 @@ def _maximize_aux(objective, a: int, cfg: SolverConfig, tag: int):
     The grid scores every combination of prefix rows against the whole prior
     grid, in chunks of at most ``_GRID_CHUNK`` (combination, prior) pairs.
     The ascent runs on the flat vectors (q, rows of E) of all starts of an
-    aux cardinality together.  Scanning sizes 1..aux_card and keeping the
-    best makes the optimum monotone in aux_card by construction.  Returns
-    the value, prior, prefix rows, aux cardinality and one ascent record per
-    aux cardinality.
+    aux cardinality together.  At aux cardinality 1, U is constant and
+    every term is exactly 0, so the scan starts at 2 from that point (value
+    0, the last unit vector as prefix row, which the grid scan of size 1
+    ranked first); keeping the best makes the optimum monotone in aux_card
+    by construction.  Returns the value, prior, prefix rows, aux cardinality
+    and one ascent record per aux cardinality scanned.
     """
-    best = (-np.inf, None, None, None)
+    best = (0.0, np.ones(1), np.eye(a)[-1:], 1)
     runs = []
     for m in _aux_cards(cfg, a):
         gq, ge = _grid_resolutions(cfg.grid_resolution, m, a)
@@ -623,18 +625,10 @@ def cq_nocsi_capacity(spec: CompoundWiretapSpec, cfg: SolverConfig) -> CapacityR
 # entanglement generation
 
 
-def _as_stinespring(ch) -> StinespringIsometry:
-    if isinstance(ch, StinespringIsometry):
-        return ch
-    if isinstance(ch, KrausChannel):
-        return kraus_to_stinespring(ch)
-    raise SolverError("entanglement solvers need quantum channels")
-
-
 def entgen_lower_bound(family: Sequence, cfg: SolverConfig) -> CapacityReport:
     """Worst-state receiver Holevo rate minus best-state environment rate,
     maximized over priors and orthonormal input bases."""
-    isos = [_as_stinespring(ch) for ch in family]
+    isos = [as_stinespring(ch) for ch in family]
     d = isos[0].in_space.dim
     if any(s.in_space.dim != d for s in isos):
         raise SolverError("family members act on different input spaces")
@@ -692,11 +686,10 @@ def _coherent_objective(folded: KrausChannel):
 
 def entgen_csi_capacity(family: Sequence, cfg: SolverConfig) -> CapacityReport:
     """Worst state of the per-state best coherent information at block n."""
-    isos = [_as_stinespring(ch) for ch in family]
-    d = isos[0].in_space.dim
-    if any(s.in_space.dim != d for s in isos):
+    krauses = [as_kraus(ch) for ch in family]
+    d = krauses[0].in_space.dim
+    if any(k.in_space.dim != d for k in krauses):
         raise SolverError("family members act on different input spaces")
-    krauses = [stinespring_to_kraus(s) for s in isos]
     dim = d ** cfg.n
     # dim^2 bounds each start's 2 dim^2 parameters and each probe's matrix
     check_dim_cap(dim * dim, "propo1 parameter matrix")

@@ -18,6 +18,7 @@ from .qcore import (
     CapExceededError,
     DensityOperator,
     HilbertLabel,
+    QcoreError,
     TOL_RECON,
     TOL_TRACE,
     accumulate_products,
@@ -28,7 +29,7 @@ from .qcore import (
 )
 
 
-class ChannelError(ValueError):
+class ChannelError(QcoreError):
     """A channel failed validation or was applied out of domain."""
 
 
@@ -291,6 +292,24 @@ def stinespring_to_kraus(s: StinespringIsometry) -> KrausChannel:
     return KrausChannel(s.in_space, s.out_space, np.ascontiguousarray(blocks.transpose(1, 0, 2)))
 
 
+def as_kraus(ch) -> KrausChannel:
+    """A quantum channel in Kraus form (a Stinespring isometry is read off)."""
+    if isinstance(ch, StinespringIsometry):
+        return stinespring_to_kraus(ch)
+    if not isinstance(ch, KrausChannel):
+        raise ChannelError("expected a quantum channel")
+    return ch
+
+
+def as_stinespring(ch) -> StinespringIsometry:
+    """A quantum channel as its Stinespring isometry (Kraus operators are stacked)."""
+    if isinstance(ch, KrausChannel):
+        return kraus_to_stinespring(ch)
+    if not isinstance(ch, StinespringIsometry):
+        raise ChannelError("expected a quantum channel")
+    return ch
+
+
 def complementary_channel(s: StinespringIsometry) -> KrausChannel:
     """Map to the environment: trace the main output out of the dilation."""
     blocks = s.isometry.reshape(s.out_space.dim, s.env_space.dim, s.in_space.dim)
@@ -299,10 +318,7 @@ def complementary_channel(s: StinespringIsometry) -> KrausChannel:
 
 def choi_matrix(ch) -> np.ndarray:
     """Choi matrix sum_ij |i><j| (x) N(|i><j|)."""
-    if isinstance(ch, StinespringIsometry):
-        ch = stinespring_to_kraus(ch)
-    if not isinstance(ch, KrausChannel):
-        raise ChannelError("choi_matrix expects a quantum channel")
+    ch = as_kraus(ch)
     din, dout = ch.in_space.dim, ch.out_space.dim
     j = np.zeros((din * dout, din * dout), dtype=complex)
     for a in ch.kraus_ops:
@@ -345,14 +361,6 @@ def mix_kraus(k: KrausChannel, unitary: np.ndarray) -> KrausChannel:
 # diamond-distance lower bound
 
 
-def _as_kraus(ch) -> KrausChannel:
-    if isinstance(ch, KrausChannel):
-        return ch
-    if isinstance(ch, StinespringIsometry):
-        return stinespring_to_kraus(ch)
-    raise ChannelError("expected a quantum channel")
-
-
 def _apply_ref(ops, rho, dref):
     """Apply sum_k (id_ref (x) A_k) rho (...)* without forming big krons."""
     out = None
@@ -371,7 +379,7 @@ def diamond_distance(n1, n2, restarts: int = 4, seed: int = 0) -> float:
     top eigenvector), from deterministic plus ``restarts`` random starts.
     The result is a certified LOWER bound only.
     """
-    k1, k2 = _as_kraus(n1), _as_kraus(n2)
+    k1, k2 = as_kraus(n1), as_kraus(n2)
     if (k1.in_space.dim, k1.out_space.dim) != (k2.in_space.dim, k2.out_space.dim):
         raise ChannelError("channels act between different spaces")
     din = k1.in_space.dim

@@ -262,27 +262,38 @@ def cmd_capacity(args) -> int:
     return 0
 
 
+def _require_sizes(**sizes) -> None:
+    """Refuse a size flag below 1 before any work; an unset flag (None) passes."""
+    for name, val in sizes.items():
+        if val is not None and val < 1:
+            raise FlagError(f"--{name} must be >= 1")
+
+
 def cmd_simulate(args) -> int:
     if args.seed is None:
         raise FlagError("simulate requires --seed (no hidden entropy)")
     if args.trials < 1:
         raise FlagError("--trials must be >= 1")
-    spec = load_spec(args.spec)
-    if spec.variant == "quantum":
-        raise SolverError("simulate needs classical-input channels, not variant 'quantum'")
-    a = len(spec.legitimate[0].input_alphabet)
-    p = np.full(a, 1.0 / a)
     if args.L == "auto":
-        j_auto, l_per_t, degenerate = sizes_from_rates(spec, p, args.n, rate_margin=args.rate_margin, leak_margin=args.leak_margin)
-        l_val = max(l_per_t.values())
-        j_val = args.J if args.J else j_auto
-        sizes_note = {"auto": True, "L_per_t": l_per_t, "degenerate": degenerate}
+        l_val = None
     else:
         try:
             l_val = int(args.L)
         except ValueError:
             raise FlagError("--L must be an integer or 'auto'")
-        j_val = args.J if args.J else 2
+    _require_sizes(n=args.n, J=args.J, L=l_val)
+    spec = load_spec(args.spec)
+    if spec.variant == "quantum":
+        raise SolverError("simulate needs classical-input channels, not variant 'quantum'")
+    a = len(spec.legitimate[0].input_alphabet)
+    p = np.full(a, 1.0 / a)
+    if l_val is None:
+        j_auto, l_per_t, degenerate = sizes_from_rates(spec, p, args.n, rate_margin=args.rate_margin, leak_margin=args.leak_margin)
+        l_val = max(l_per_t.values())
+        j_val = args.J if args.J is not None else j_auto
+        sizes_note = {"auto": True, "L_per_t": l_per_t, "degenerate": degenerate}
+    else:
+        j_val = args.J if args.J is not None else 2
         sizes_note = {"auto": False}
     # every cap is decided before any sampling; a refusal costs no work
     plan = plan_simulation(spec, args.n, j_val, l_val)
@@ -337,6 +348,7 @@ def cmd_net(args) -> int:
 def cmd_entangle(args) -> int:
     if args.seed is None:
         raise FlagError("entangle requires --seed (no hidden entropy)")
+    _require_sizes(n=args.n, J=args.J, L=args.L)
     family = load_family(args.family)
     params = TypicalParams(n=args.n, delta=args.delta, alpha=args.alpha)
     dp = family[0].in_space.dim
@@ -344,7 +356,8 @@ def cmd_entangle(args) -> int:
     code = build_entgen_code(family, p, None, args.n, args.J, args.L, args.seed, params)
     code = build_decoder_unitaries(code)
     audit = run_full_audit(code)
-    write_report(args.out, _manifest(args, "entangle", {"family": args.family}), audit.to_json_dict())
+    extra = {"family": args.family, "entangle": code.notes}
+    write_report(args.out, _manifest(args, "entangle", extra), audit.to_json_dict())
     return 0
 
 

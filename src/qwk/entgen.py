@@ -7,17 +7,17 @@ Pipeline (exact state-vector evolution throughout):
    pretty-good measurement and the coherent measurement as the isometry
    it is on the |0,0,0> ancilla.  The code keeps each state's n-fold
    Stinespring isometry, so every later stage takes the code alone.
-2. ``purify_codewords``    replace mixed codewords by eligible eigenvectors
-   (product codewords are already pure; the general rule is exposed).
-3. ``compute_uhlmann_partners``  best pure approximations of the
+2. ``compute_uhlmann_partners``  best pure approximations of the
    post-measurement states with the measurement record factored out.
-4. ``phase_align``         pick the discrete Fourier index and phase that
+3. ``phase_align``         pick the discrete Fourier index and phase that
    align the encoder superposition with its decoded image.
-5. ``build_decoder_unitaries``   per-state correction unitaries matching
+4. ``build_decoder_unitaries``   per-state correction unitaries matching
    Schmidt frames block-by-block over the message register.
-6. ``run_protocol``        full evolution, fidelity audit against the
+5. ``run_protocol``        full evolution, fidelity audit against the
    maximally entangled target, and the final bound comparison at the
    measured slack.
+
+Codewords are product vectors, hence pure, so no stage purifies them.
 
 Register order everywhere: [A, Q^n, E^n, M, L, T'] with T' carrying one
 extra fail slot that absorbs the measurement defect.
@@ -29,19 +29,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import (
-    CQChannel,
-    KrausChannel,
-    StinespringIsometry,
-    kraus_to_stinespring,
-    n_fold,
-)
+from .channels import CQChannel, StinespringIsometry, as_stinespring, n_fold
 from .qcore import (
     HilbertLabel,
     QcoreError,
+    accumulate_products,
     check_dim_cap,
     hermitian_eigensystem,
-    pgm_inverse_sqrt,
+    pretty_good_measurement,
     psd_sqrt,
     trace_norm,
 )
@@ -49,53 +44,6 @@ from .typicality import TypicalParams, sandwiched_outputs, truncated_typical
 from .wiretapsim import counter_rng
 
 _STREAM_ENTGEN = 7
-
-
-# ---------------------------------------------------------------------------
-# tensor helpers
-
-
-def apply_on_axes(vec: np.ndarray, dims: list[int], op: np.ndarray, targets: list[int]):
-    """Apply ``op`` to the given tensor factors of a state vector.
-
-    ``op`` may be rectangular; the target axes are replaced by a single
-    output axis at the position of the first target.  Returns the new
-    vector and the new dims list.
-    """
-    n = len(dims)
-    rest = [i for i in range(n) if i not in targets]
-    perm = list(targets) + rest
-    dt = int(np.prod([dims[i] for i in targets]))
-    dr = int(np.prod([dims[i] for i in rest]))
-    mat = vec.reshape(dims).transpose(perm).reshape(dt, dr)
-    out = op @ mat
-    d_new = op.shape[0]
-    new_dims_perm = [d_new] + [dims[i] for i in rest]
-    first = targets[0]
-    # invert the permutation for the merged layout
-    merged_positions = [first] + [i for i in rest]
-    order = np.argsort(np.argsort(merged_positions))
-    out_t = out.reshape(new_dims_perm).transpose(order)
-    new_dims = []
-    for i in range(n):
-        if i == first:
-            new_dims.append(d_new)
-        elif i in targets:
-            continue
-        else:
-            new_dims.append(dims[i])
-    return out_t.reshape(-1), new_dims
-
-
-def vector_partial_density(vec: np.ndarray, dims: list[int], keep: list[int]) -> np.ndarray:
-    """Reduced density matrix of a pure state on the kept axes."""
-    n = len(dims)
-    rest = [i for i in range(n) if i not in keep]
-    perm = list(keep) + rest
-    dk = int(np.prod([dims[i] for i in keep]))
-    dr = int(np.prod([dims[i] for i in rest]))
-    mat = vec.reshape(dims).transpose(perm).reshape(dk, dr)
-    return mat @ mat.conj().T
 
 
 def _pure_overlap_fidelity(v1: np.ndarray, v2: np.ndarray) -> float:
@@ -171,14 +119,7 @@ class FidelityAudit:
 
 
 def _as_isometries(family) -> list[StinespringIsometry]:
-    out = []
-    for ch in family:
-        if isinstance(ch, KrausChannel):
-            out.append(kraus_to_stinespring(ch))
-        elif isinstance(ch, StinespringIsometry):
-            out.append(ch)
-        else:
-            raise QcoreError("family members must be quantum channels")
+    out = [as_stinespring(ch) for ch in family]
     dims = {(s.in_space.dim, s.out_space.dim) for s in out}
     if len(dims) != 1:
         raise QcoreError("family members must share input and output spaces")
@@ -241,21 +182,15 @@ def build_entgen_code(
     check_dim_cap(J * dq ** n * max(de) * J * L * (T + 1), "protocol state vector")
     words = _sample_distinct_words(np.asarray(p, float), n, J * L, seed, params.delta)
     words = words.reshape(J, L, n)
-    codeword_vecs = np.zeros((J, L, dp ** n), dtype=complex)
-    for j in range(J):
-        for l in range(L):
-            v = np.array([1.0 + 0j])
-            for x in words[j, l]:
-                v = np.kron(v, basis[:, x])
-            codeword_vecs[j, l] = v
+    codeword_vecs = np.stack([accumulate_products(basis[:, w].T)
+                              for w in words.reshape(J * L, n)]).reshape(J, L, dp ** n)
     # joint pretty-good measurement over (state, message, randomization)
     rec_cqs = [_induced_cq(s, basis) for s in isos]
     prior = np.asarray(p, dtype=float)
     dq_n = dq ** n
     sand = np.stack([sandwiched_outputs(rec, words.reshape(J * L, n), prior, params)
                      for rec in rec_cqs]).reshape(T, J, L, dq_n, dq_n)
-    inv_sqrt = pgm_inverse_sqrt(sand.sum(axis=(0, 1, 2)))
-    povm = np.einsum("ab,tjlbc,cd->tjlad", inv_sqrt, sand, inv_sqrt)
+    povm = pretty_good_measurement(sand.reshape(-1, dq_n, dq_n)).reshape(sand.shape)
     # rounding in the normaliser of a nearly singular sum can push the POVM
     # past I; shrink those directions so the measurement stays an isometry
     w, u = np.linalg.eigh(povm.sum(axis=(0, 1, 2)))
@@ -310,40 +245,7 @@ def _measurement_unitary(povm: np.ndarray, dq_n: int, J: int, L: int, T: int) ->
 
 
 # ---------------------------------------------------------------------------
-# stage 2: codeword purification rule
-
-
-def purify_codeword(rho: np.ndarray, failure: float):
-    """Eigenvector of a mixed codeword whose weight clears the threshold
-    failure/(1-failure); flags when no eigenvector is eligible and keeps the
-    dominant one."""
-    w, v = hermitian_eigensystem(np.asarray(rho, dtype=complex))
-    threshold = failure / max(1.0 - failure, 1e-300)
-    eligible = [i for i in range(len(w)) if w[i] >= threshold - 1e-15]
-    if eligible:
-        pick = eligible[int(np.argmax(w[eligible]))]
-        return v[:, pick], float(w[pick]), False
-    return v[:, 0], float(w[0]), True
-
-
-def purify_codewords(code: EntgenCode) -> EntgenCode:
-    """Product codewords are already pure; record that and the threshold."""
-    failure = float(max(1.0 - code.detect_prob.min(), 0.0))
-    flagged = 0
-    for j in range(code.J):
-        for l in range(code.L):
-            rho = np.outer(code.codeword_vecs[j, l], code.codeword_vecs[j, l].conj())
-            vec, weight, flag = purify_codeword(rho, failure)
-            flagged += int(flag)
-            phase = np.vdot(vec, code.codeword_vecs[j, l])
-            if abs(abs(phase) - 1.0) > 1e-9:
-                code.codeword_vecs[j, l] = vec
-    code.notes["purify"] = {"failure": failure, "flagged": flagged}
-    return code
-
-
-# ---------------------------------------------------------------------------
-# stage 3: Uhlmann partners
+# stage 2: Uhlmann partners
 
 
 def compute_uhlmann_partners(code: EntgenCode) -> EntgenCode:
@@ -378,7 +280,7 @@ def compute_uhlmann_partners(code: EntgenCode) -> EntgenCode:
 
 
 # ---------------------------------------------------------------------------
-# stage 4: phase alignment
+# stage 3: phase alignment
 
 
 def _fourier_phases(L: int, k: int, phase: float = 0.0) -> np.ndarray:
@@ -432,7 +334,7 @@ def phase_align(code: EntgenCode) -> EntgenCode:
 
 
 # ---------------------------------------------------------------------------
-# stage 5: correction unitaries
+# stage 4: correction unitaries
 
 
 def _env_avg_purification(env_avg_t: np.ndarray, dq_n: int, L: int):
@@ -504,7 +406,7 @@ def build_decoder_unitaries(code: EntgenCode) -> EntgenCode:
 
 
 # ---------------------------------------------------------------------------
-# stage 6: the protocol run
+# stage 5: the protocol run
 
 
 def measured_epsilon(code: EntgenCode) -> float:
@@ -536,16 +438,18 @@ def run_protocol(code: EntgenCode, t_true: int) -> FidelityAudit:
             psi += phases[l] * np.kron(a_vec, code.codeword_vecs[j, l])
     norm = np.linalg.norm(psi)
     psi /= norm
-    psi, _ = apply_on_axes(psi, [J, code.Dp], code.blocks[t_idx].isometry, [1])
-    # the measurement on [Q^n] alone: its ancillas [M, L, T'] start in |0,0,0>
-    psi, _ = apply_on_axes(psi, [J, code.Dq, de], code.v_unitary, [1])
-    psi = psi.reshape(J, code.Dq * J * L, tp, de)
+    # the channel on [P^n], then the measurement on [Q^n] alone: its ancillas
+    # [M, L, T'] start in |0,0,0>
+    psi = code.blocks[t_idx].isometry @ np.ascontiguousarray(psi.reshape(J, code.Dp).T)
+    psi = code.v_unitary @ psi.reshape(code.Dq, de, J).transpose(0, 2, 1).reshape(code.Dq, -1)
+    psi = np.ascontiguousarray(psi.reshape(code.Dq * J * L, tp, J, de).transpose(2, 0, 1, 3))
     # correction on [Q^n, M, L] keyed by the T' register, identity on the fail slot
     for t in range(code.T):
         psi[:, :, t] = code.corrections[t] @ psi[:, :, t]
     psi = psi.reshape(J, code.Dq, J, L, tp, de).transpose(0, 1, 5, 2, 3, 4).reshape(-1)
-    dims = [J, code.Dq, de, J, L, tp]
-    rho_am = vector_partial_density(psi, dims, [0, 3])
+    # reduced state on [A, M]
+    am = psi.reshape(J, code.Dq, de, J, L, tp).transpose(0, 3, 1, 2, 4, 5).reshape(J * J, -1)
+    rho_am = am @ am.conj().T
     target = np.zeros(J * J, dtype=complex)
     for j in range(J):
         target[j * J + j] = 1.0

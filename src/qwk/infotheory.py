@@ -22,8 +22,7 @@ from .channels import (
     CQChannel,
     ClassicalChannel,
     KrausChannel,
-    StinespringIsometry,
-    stinespring_to_kraus,
+    as_kraus,
 )
 from .qcore import DensityOperator, QcoreError, partial_trace
 
@@ -143,12 +142,7 @@ def coherent_information_matrix(rho_m: np.ndarray, kraus: KrausChannel):
 def coherent_information(rho: DensityOperator, ch) -> float:
     """S(N(rho)) minus the entropy of the joint output on output (x) reference,
     for a Kraus or Stinespring channel whose input space matches ``rho``."""
-    if isinstance(ch, KrausChannel):
-        kraus = ch
-    elif isinstance(ch, StinespringIsometry):
-        kraus = stinespring_to_kraus(ch)
-    else:
-        raise QcoreError("coherent information needs a quantum channel")
+    kraus = as_kraus(ch)
     if rho.dim != kraus.in_space.dim:
         raise QcoreError("state and channel input dimensions differ")
     return coherent_information_matrix(rho.matrix, kraus)

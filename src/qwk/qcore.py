@@ -257,6 +257,14 @@ def pgm_inverse_sqrt(total) -> np.ndarray:
     return (v * np.where(w > 1e-12, 1.0 / np.sqrt(np.clip(w, 1e-300, None)), 0.0)) @ v.conj().T
 
 
+def pretty_good_measurement(states) -> np.ndarray:
+    """Square-root measurement of a (K, D, D) stack of PSD operators: the
+    elements S^-1/2 s_k S^-1/2, S the stack's sum, on the support of S."""
+    states = np.asarray(states)
+    inv_sqrt = pgm_inverse_sqrt(states.sum(axis=0))
+    return inv_sqrt @ states @ inv_sqrt
+
+
 def fidelity(rho: DensityOperator, sigma: DensityOperator) -> float:
     """Fidelity ``|| sqrt(rho) sqrt(sigma) ||_1^2`` of two states on one system."""
     if rho.label_names() != sigma.label_names():

@@ -36,7 +36,7 @@ from .qcore import (
     QcoreError,
     check_dim_cap,
     hilbert_dim_cap,
-    pgm_inverse_sqrt,
+    pretty_good_measurement,
     trace_norm,
 )
 from .typicality import (
@@ -250,8 +250,7 @@ class TypicalityDecoder:
 class PrettyGoodDecoder:
     """Square-root measurement over sandwiched codeword outputs."""
 
-    povm: list  # per-message operators
-    leftover: np.ndarray
+    povm: np.ndarray  # (J, D, D) per-message operators
 
     @classmethod
     def build(cls, channel: CQChannel, codebook: Codebook, params: TypicalParams, prior=None):
@@ -260,12 +259,7 @@ class PrettyGoodDecoder:
             prior = np.full(a, 1.0 / a)
         outs = sandwiched_outputs(channel, codebook.words.reshape(-1, codebook.n), prior, params)
         outs = outs.reshape(codebook.J, codebook.L, *outs.shape[1:])
-        sigmas = [sum(per_l[1:], per_l[0]) / codebook.L for per_l in outs]
-        total = sum(sigmas)
-        inv_sqrt = pgm_inverse_sqrt(total)
-        povm = [inv_sqrt @ s @ inv_sqrt for s in sigmas]
-        leftover = np.eye(total.shape[0]) - sum(povm)
-        return cls(povm, leftover)
+        return cls(pretty_good_measurement(outs.mean(axis=1)))
 
 
 def build_decoder(spec: CompoundWiretapSpec, codebook: Codebook, delta: float = 0.15,
@@ -540,9 +534,8 @@ def _two_part_exact(spec, t_idx, block1_words, codebook, decoder) -> dict:
     decoded with the exact error of the true state's code."""
     b1_fail = 0.0
     if len(spec) > 1:
-        states = [_word_state(ch, w) for ch, w in zip(spec.legitimate, block1_words)]
-        inv_sqrt = pgm_inverse_sqrt(sum(states))
-        povm_t = inv_sqrt @ states[t_idx] @ inv_sqrt
+        states = np.stack([_word_state(ch, w) for ch, w in zip(spec.legitimate, block1_words)])
+        povm_t = pretty_good_measurement(states)[t_idx]
         b1_fail = float(1.0 - np.trace(povm_t @ states[t_idx]).real)
     b2_given = _exact_quantum_error(spec.legitimate[t_idx], codebook, decoder)["max_error"]
     return {

@@ -226,6 +226,54 @@ class TestEntangleCommand:
         rc = run_cli(["entangle", "--family", spec_path("identity_family.json")])
         assert rc == EXIT_FLAG
 
+    def test_truncated_environment_mass_in_manifest_only(self, tmp_path):
+        from qwk.channels import depolarizing_kraus
+
+        # unitary channels have a one-dimensional environment: nothing to cut
+        out = tmp_path / "ent.json"
+        rc = run_cli(["entangle", "--family", spec_path("two_channel_family.json"),
+                      "--n", "2", "--J", "2", "--L", "2", "--seed", "3", "--out", str(out)])
+        assert rc == 0
+        doc = json.loads(out.read_text())
+        assert doc["manifest"]["entangle"] == {"env_avg_truncated_mass": [0.0, 0.0]}
+        # a depolarizing qubit's four-dimensional environment state has more
+        # eigenvalues than the two slots of [Q, L] at n=1, L=1
+        ops = [[[[z.real, z.imag] for z in row] for row in a]
+               for a in depolarizing_kraus(0.3).kraus_ops]
+        fam = tmp_path / "depol.json"
+        fam.write_text(json.dumps({"theta": [{"t": "t1", "W": {
+            "kind": "kraus", "dim_in": 2, "dim_out": 2, "operators": ops}}]}))
+        rc = run_cli(["entangle", "--family", str(fam), "--n", "1", "--J", "2", "--seed", "3",
+                      "--out", str(out)])
+        assert rc == 0
+        doc = json.loads(out.read_text())
+        [mass] = doc["manifest"]["entangle"]["env_avg_truncated_mass"]
+        assert 0.0 < mass < 1.0
+        assert "truncated" not in json.dumps(doc["payload"])
+
+
+SIZE_FLAG_ARGS = {
+    "simulate": ["simulate", "--spec", spec_path("bsc_pair.json"), "--seed", "1"],
+    "entangle": ["entangle", "--family", spec_path("two_channel_family.json"), "--seed", "1"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(SIZE_FLAG_ARGS))
+@pytest.mark.parametrize("flag", ["--n", "--J", "--L"])
+def test_size_flag_below_one_exits_4_without_a_report(command, flag, tmp_path, monkeypatch):
+    import qwk.cli
+
+    def no_work(path):
+        raise AssertionError("the input file was read before the flags were checked")
+
+    monkeypatch.setattr(qwk.cli, "load_spec", no_work)
+    monkeypatch.setattr(qwk.cli, "load_family", no_work)
+    sizes = {"--n": "2", "--J": "2", "--L": "1", flag: "0"}
+    out = tmp_path / "report.json"
+    argv = SIZE_FLAG_ARGS[command] + [x for kv in sizes.items() for x in kv] + ["--out", str(out)]
+    assert run_cli(argv) == EXIT_FLAG
+    assert not out.exists()
+
 
 class TestVerifyCommand:
     def test_unknown_suite_exits_4(self):
@@ -374,8 +422,8 @@ class TestCapacitySolverManifest:
         assert rc == 0
         doc = json.loads(out.read_text())
         used = doc["manifest"]["solver"]["grid_used"]["aux"]
-        assert [u["aux_card"] for u in used] == [1, 2, 3]
-        assert used[2] == {"aux_card": 3, "q": 64, "row": 4}
+        assert [u["aux_card"] for u in used] == [2, 3]
+        assert used[1] == {"aux_card": 3, "q": 64, "row": 4}
         assert doc["payload"]["config"]["grid_resolution"] == 64
         digest = hashlib.sha256(canonical_payload_bytes(doc["payload"])).hexdigest()
         assert digest == self.B1_GRID64_SHA256
@@ -409,7 +457,7 @@ class TestCapacitySolverManifest:
         runs = doc["manifest"]["solver"]["ascent"]
         # six grid starts, two special prefixes and two restarts per aux cardinality
         assert [(r["state"], r["aux_card"], r["starts"]) for r in runs] == [
-            (t, m, 10) for t in ("t1", "t2") for m in (1, 2, 3)]
+            (t, m, 10) for t in ("t1", "t2") for m in (2, 3)]
         self._check_runs(runs, 30)
         assert "ascent" not in json.dumps(doc["payload"])
 

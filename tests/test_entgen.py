@@ -12,18 +12,14 @@ from qwk.channels import (
 )
 from qwk.entgen import (
     EntgenCode,
-    apply_on_axes,
     build_decoder_unitaries,
     build_entgen_code,
     compute_uhlmann_partners,
     final_bound,
     measured_epsilon,
     phase_align,
-    purify_codeword,
-    purify_codewords,
     run_full_audit,
     run_protocol,
-    vector_partial_density,
 )
 from qwk.qcore import HilbertLabel, QcoreError, pgm_inverse_sqrt, psd_sqrt, random_density
 from qwk.typicality import TypicalParams
@@ -43,10 +39,42 @@ def rotated_channel(theta):
 
 def build_pipeline(family, n, J, L, seed, params):
     code = build_entgen_code(family, [0.5, 0.5], None, n=n, J=J, L=L, seed=seed, params=params)
-    code = purify_codewords(code)
     code = compute_uhlmann_partners(code)
     code = phase_align(code)
     return build_decoder_unitaries(code)
+
+
+def apply_on_axes(vec: np.ndarray, dims: list[int], op: np.ndarray, targets: list[int]):
+    """Apply ``op`` to the given tensor factors of a state vector.
+
+    ``op`` may be rectangular; the target axes are replaced by a single
+    output axis at the position of the first target.  Returns the new
+    vector and the new dims list.
+    """
+    n = len(dims)
+    rest = [i for i in range(n) if i not in targets]
+    perm = list(targets) + rest
+    dt = int(np.prod([dims[i] for i in targets]))
+    dr = int(np.prod([dims[i] for i in rest]))
+    mat = vec.reshape(dims).transpose(perm).reshape(dt, dr)
+    out = op @ mat
+    d_new = op.shape[0]
+    new_dims_perm = [d_new] + [dims[i] for i in rest]
+    first = targets[0]
+    # invert the permutation for the merged layout
+    order = np.argsort(np.argsort([first] + rest))
+    out_t = out.reshape(new_dims_perm).transpose(order)
+    new_dims = [d_new if i == first else dims[i] for i in range(n)
+                if i == first or i not in targets]
+    return out_t.reshape(-1), new_dims
+
+
+def vector_partial_density(vec: np.ndarray, dims: list[int], keep: list[int]) -> np.ndarray:
+    """Reduced density matrix of a pure state on the kept axes."""
+    rest = [i for i in range(len(dims)) if i not in keep]
+    dk = int(np.prod([dims[i] for i in keep]))
+    mat = vec.reshape(dims).transpose(list(keep) + rest).reshape(dk, -1)
+    return mat @ mat.conj().T
 
 
 class TestTensorHelpers:
@@ -99,10 +127,10 @@ class TestBuildCode:
         assert np.max(np.abs(u.conj().T @ u - np.eye(u.shape[1]))) < 1e-8
 
     def test_povm_past_identity_is_shrunk(self, monkeypatch):
-        import qwk.entgen
+        import qwk.qcore
 
         # a normaliser 1e-6 too large pushes the PGM sum past the identity
-        monkeypatch.setattr(qwk.entgen, "pgm_inverse_sqrt",
+        monkeypatch.setattr(qwk.qcore, "pgm_inverse_sqrt",
                             lambda total: pgm_inverse_sqrt(total) * (1 + 1e-6))
         fam = [rotated_channel(0.0), rotated_channel(0.3)]
         code = build_entgen_code(fam, [0.5, 0.5], None, 2, 2, 2, 3, PARAMS2)
@@ -123,34 +151,6 @@ class TestBuildCode:
     def test_too_many_words_rejected(self):
         with pytest.raises(QcoreError):
             build_entgen_code([identity_kraus()], [0.5, 0.5], None, 1, 4, 4, 0, PARAMS1)
-
-
-class TestPurifyCodewords:
-    def test_pure_input_unchanged(self):
-        vec = np.array([1.0, 0.0], dtype=complex)
-        out, weight, flag = purify_codeword(np.outer(vec, vec), 0.01)
-        assert abs(abs(np.vdot(out, vec)) - 1.0) < 1e-10
-        assert not flag
-
-    def test_dominant_eigenvector_chosen(self):
-        rho = np.diag([0.99, 0.01])
-        out, weight, flag = purify_codeword(rho, 0.02)
-        assert weight == pytest.approx(0.99)
-        assert not flag
-        assert abs(out[0]) == pytest.approx(1.0)
-
-    def test_no_eligible_eigenvector_flagged(self):
-        rho = np.eye(4) / 4
-        out, weight, flag = purify_codeword(rho, 0.9)
-        assert flag
-        assert weight == pytest.approx(0.25)
-
-    def test_code_level_noop_for_product_codewords(self):
-        code = build_entgen_code([identity_kraus()], [0.5, 0.5], None, 1, 2, 1, 5, PARAMS1)
-        before = code.codeword_vecs.copy()
-        code = purify_codewords(code)
-        assert np.allclose(np.abs(code.codeword_vecs), np.abs(before))
-        assert code.notes["purify"]["flagged"] == 0
 
 
 def full_product_partners(code):

@@ -1,21 +1,35 @@
 """Every name a ``qwk`` module imports is used somewhere in that module, and
 so is every private function, class or constant it defines at module level;
-and no private module-level name is defined in two ``qwk`` modules.
+no private module-level name is defined in two ``qwk`` modules; and every
+public module-level function is used by qwk, wrapped by the benchmark's
+tracer or declared library API.
 
 No linter runs on this repository, so this test parses each module with
 ``ast`` and reports the imported names that the module never mentions, the
-private helpers that nothing in their module calls or reads, and the private
+private helpers that nothing in their module calls or reads, the private
 names that two modules each define for themselves (a constant or helper that
-one module should own).
+one module should own), and the public functions that only tests call.
 """
 
 import ast
+import importlib.util
 import os
 
 import pytest
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src", "qwk")
 MODULES = sorted(f for f in os.listdir(SRC) if f.endswith(".py"))
+TRACER = os.path.join(os.path.dirname(__file__), "..", "perfbench", "tracer.py")
+
+# Public functions that no qwk code calls, kept for library users: channel
+# constructors and conversions, states, the canonical payload bytes of a
+# report, and the CSI two-part protocol.  Each is covered by the tests.
+LIBRARY_API = {
+    "basis_state", "bsc", "canonical_payload_bytes", "classical_to_cq",
+    "complementary_channel", "depolarizing_kraus", "diamond_distance", "identity_kraus",
+    "kraus_equivalent", "maximally_mixed", "mix_kraus", "pad_kraus", "purify",
+    "tensor_product", "two_part_protocol", "word_probability",
+}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -93,12 +107,16 @@ def duplicated_private_names(sources: dict[str, str]) -> list[str]:
     return sorted(f"{name} ({', '.join(mods)})" for name, mods in owners.items() if len(mods) > 1)
 
 
-def test_no_private_name_is_defined_in_two_modules():
+def read_sources() -> dict[str, str]:
     sources = {}
     for module in MODULES:
         with open(os.path.join(SRC, module)) as fh:
             sources[module] = fh.read()
-    assert duplicated_private_names(sources) == []
+    return sources
+
+
+def test_no_private_name_is_defined_in_two_modules():
+    assert duplicated_private_names(read_sources()) == []
 
 
 def test_checker_flags_a_private_name_defined_twice():
@@ -108,3 +126,58 @@ def test_checker_flags_a_private_name_defined_twice():
         "c.py": "def _h(p):\n    return -p\n__all__ = []\nimport numpy as _np\n",
     }
     assert duplicated_private_names(sources) == ["_FLOOR (a.py, b.py)", "_h (a.py, c.py)"]
+
+
+def public_functions(tree: ast.Module) -> dict[str, int]:
+    """Public functions defined at module level, with their line."""
+    return {node.name: node.lineno for node in tree.body
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+
+
+def unreferenced_public_functions(sources: dict[str, str], exempt: set) -> list[str]:
+    """Public module-level functions of ``sources`` that none of them names
+    (as a bare name or as an attribute) and that are not ``exempt``."""
+    trees = {module: ast.parse(source) for module, source in sorted(sources.items())}
+    referenced = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    return [f"{name} ({module}, line {line})" for module, tree in trees.items()
+            for name, line in public_functions(tree).items()
+            if name not in referenced and name not in exempt]
+
+
+def tracer_target_names() -> set:
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return {attr for _, _, attr in tracer.TARGETS}
+
+
+def test_every_public_function_is_used_traced_or_library_api():
+    sources = read_sources()
+    assert unreferenced_public_functions(sources, tracer_target_names() | LIBRARY_API) == []
+    defined = set()
+    for source in sources.values():
+        defined |= set(public_functions(ast.parse(source)))
+    assert sorted(LIBRARY_API - defined) == []
+
+
+def test_checker_flags_a_public_function_only_tests_call():
+    sources = {
+        "a.py": ("def used(x):\n    return x\n"
+                 "def by_attribute():\n    pass\n"
+                 "def orphan():\n    pass\n"
+                 "def traced():\n    pass\n"
+                 "def _private():\n    pass\n"
+                 "class Kind:\n    def method(self):\n        pass\n"),
+        "b.py": ("import a\nfrom a import used\n"
+                 "# orphan() is only named in this comment\n"
+                 "TEXT = 'orphan'\n"
+                 "def entry():\n    return used(a.by_attribute)\n"),
+    }
+    assert unreferenced_public_functions(sources, {"traced"}) == [
+        "orphan (a.py, line 5)", "entry (b.py, line 5)"]

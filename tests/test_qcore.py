@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qwk import qcore
 from qwk.qcore import (
@@ -14,6 +16,7 @@ from qwk.qcore import (
     maximally_mixed,
     partial_trace,
     pgm_inverse_sqrt,
+    pretty_good_measurement,
     psd_sqrt,
     purify,
     random_density,
@@ -233,3 +236,47 @@ def test_pgm_inverse_sqrt_is_pseudo_inverse_square_root_on_rank_deficient_sum():
     support = total @ np.linalg.pinv(total, hermitian=True)
     assert np.allclose(inv_sqrt @ total @ inv_sqrt, support, atol=1e-10)
 
+
+
+@st.composite
+def psd_stacks(draw):
+    """(K, D, D) stacks of unit-trace PSD operators, K <= 5 and D <= 8, all
+    supported on a random ``span``-dimensional subspace: the sum is rank
+    deficient whenever span < D, and a state whenever its rank is below D."""
+    k, d = draw(st.integers(1, 5)), draw(st.integers(1, 8))
+    span = draw(st.integers(1, d))
+    ranks = draw(st.lists(st.integers(1, span), min_size=k, max_size=k))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def ginibre(rows, cols):
+        return rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
+
+    frame = np.linalg.qr(ginibre(d, span))[0]
+    states = []
+    for r in ranks:
+        g = frame @ ginibre(span, r)
+        s = g @ g.conj().T
+        states.append(s / np.trace(s).real)
+    return np.stack(states)
+
+
+class TestPrettyGoodMeasurement:
+    @settings(max_examples=60, deadline=None)
+    @given(stack=psd_stacks())
+    def test_elements_against_former_forms(self, stack):
+        w = np.linalg.eigvalsh(sum(stack))
+        # rounding in S^-1/2 s S^-1/2 grows with the condition number of the
+        # sum's support; the 1e-12 comparison below needs it bounded
+        assume(w[w > 1e-9].min() > 1e-2)
+        povm = pretty_good_measurement(stack)
+        assert povm.shape == stack.shape
+        for e in povm:
+            assert np.max(np.abs(e - e.conj().T)) <= 1e-9
+            assert np.linalg.eigvalsh(e).min() >= -1e-9
+        assert np.linalg.eigvalsh(np.eye(stack.shape[1]) - povm.sum(axis=0)).min() >= -1e-9
+        # the per-matrix products of the former decoders, bit for bit
+        inv_sqrt = pgm_inverse_sqrt(sum(stack))
+        assert np.array_equal(povm, np.stack([inv_sqrt @ s @ inv_sqrt for s in stack]))
+        # the former three-operand einsum of the entanglement code (reference)
+        ref = np.einsum("ab,kbc,cd->kad", inv_sqrt, stack, inv_sqrt)
+        assert np.max(np.abs(povm - ref)) <= 1e-12
