@@ -26,10 +26,11 @@ from .channels import (
     KrausChannel,
     as_kraus,
     as_stinespring,
+    cq_word_state,
     n_fold,
 )
 from .infotheory import coherent_information_matrix, eig_entropies, entropy_rows
-from .qcore import check_dim_cap, random_unitary
+from .qcore import check_dim_cap, kron_chain, random_unitary
 
 _GRID_BUDGET = 300_000
 # (prefix-row combination, prior point) pairs scored per grid-scan call
@@ -125,20 +126,6 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
     return np.clip(v - theta, 0.0, None)
 
 
-def _kron_power(m: np.ndarray, n: int) -> np.ndarray:
-    """n-th Kronecker power of each matrix in a (..., d, d) stack.
-
-    Each entry is the product ``np.kron`` forms, in the same order.
-    """
-    out = np.ones(m.shape[:-2] + (1, 1), dtype=complex)
-    for _ in range(n):
-        r, d = out.shape[-1], m.shape[-1]
-        out = (out[..., :, None, :, None] * m[..., None, :, None, :]).reshape(
-            m.shape[:-2] + (r * d, r * d)
-        )
-    return out
-
-
 # ---------------------------------------------------------------------------
 # objective terms: each maps priors q over U, shape (..., Q, m), and prefix
 # channels E (rows U->A), shape (..., m, a), to rate terms of shape (..., Q)
@@ -173,7 +160,7 @@ class _ChiPowerTerm:
 
     def batch(self, qs: np.ndarray, e: np.ndarray) -> np.ndarray:
         z = np.einsum("...ua,adk->...udk", e, self.states)
-        return _holevo(qs, _kron_power(z, self.n)) / self.n
+        return _holevo(qs, kron_chain([z] * self.n)) / self.n
 
 
 class _ChiMixTerm:
@@ -481,10 +468,6 @@ def _require_variant(spec: CompoundWiretapSpec, variant: str, formula: str):
         )
 
 
-def _cq_states_array(ch: CQChannel) -> np.ndarray:
-    return np.stack([ch.state_matrix(x) for x in ch.input_alphabet])
-
-
 def _clamped_report(formula_id, raw, n, per_t, argmax, cfg, solver):
     return CapacityReport(
         formula_id=formula_id,
@@ -563,7 +546,7 @@ def qwiretap_csi_capacity(spec: CompoundWiretapSpec, cfg: SolverConfig) -> Capac
     a = len(spec.legitimate[0].input_alphabet)
     d = spec.wiretap[0].output_space.dim
     check_dim_cap(d ** cfg.n, "wiretap block state")
-    wire = [_ChiPowerTerm(_cq_states_array(v), cfg.n) for v in spec.wiretap]
+    wire = [_ChiPowerTerm(v.letters, cfg.n) for v in spec.wiretap]
     return _csi_report("CSIcap", spec, _classical_terms(spec.legitimate), wire, a, cfg.n, cfg)
 
 
@@ -571,7 +554,7 @@ def qwiretap_nocsi_lower(spec: CompoundWiretapSpec, cfg: SolverConfig) -> Capaci
     """Single-letter quantum leakage exactly as the formula prints it."""
     _require_variant(spec, "classical-quantum-wiretap", "noCSIcap")
     a = len(spec.legitimate[0].input_alphabet)
-    wire = [_ChiPowerTerm(_cq_states_array(v), 1) for v in spec.wiretap]
+    wire = [_ChiPowerTerm(v.letters, 1) for v in spec.wiretap]
     return _nocsi_report("noCSIcap", spec, _classical_terms(spec.legitimate), wire, a, 1, cfg)
 
 
@@ -579,19 +562,16 @@ def qwiretap_nocsi_lower(spec: CompoundWiretapSpec, cfg: SolverConfig) -> Capaci
 # compound classical-quantum wiretap channel
 
 
-def _word_states(ch: CQChannel, n: int) -> np.ndarray:
-    folded = n_fold(ch, n)
-    return np.stack([folded.state_matrix(w) for w in folded.input_alphabet])
-
-
 def _cq_block_terms(spec: CompoundWiretapSpec, n: int):
     """Holevo terms over n-fold input words, after the block-dimension caps."""
     check_dim_cap(spec.legitimate[0].output_space.dim ** n, "legitimate block state")
     check_dim_cap(spec.wiretap[0].output_space.dim ** n, "wiretap block state")
-    n_words = len(spec.legitimate[0].input_alphabet) ** n
-    legit = [_ChiMixTerm(_word_states(w, n), n) for w in spec.legitimate]
-    wire = [_ChiMixTerm(_word_states(v, n), n) for v in spec.wiretap]
-    return legit, wire, n_words
+    a = len(spec.legitimate[0].input_alphabet)
+    words = list(itertools.product(range(a), repeat=n))
+
+    def term(ch: CQChannel) -> _ChiMixTerm:
+        return _ChiMixTerm(np.stack([cq_word_state(ch, w).matrix for w in words]), n)
+    return [term(w) for w in spec.legitimate], [term(v) for v in spec.wiretap], len(words)
 
 
 def cq_csi_capacity(spec: CompoundWiretapSpec, cfg: SolverConfig) -> CapacityReport:

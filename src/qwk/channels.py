@@ -8,7 +8,6 @@ over the CPTP set.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -24,6 +23,7 @@ from .qcore import (
     accumulate_products,
     check_dim_cap,
     hermitian_eigensystem,
+    kron_chain,
     maximally_entangled,
     psd_sqrt,
 )
@@ -60,29 +60,35 @@ class ClassicalChannel:
 
 @dataclass(frozen=True)
 class CQChannel:
-    """Classical inputs, quantum outputs: each symbol maps to a fixed state."""
+    """Classical inputs, quantum outputs: each symbol maps to a fixed state.
+
+    ``letters`` is the read-only (a, d, d) stack of the validated output
+    states in input-alphabet order; words are arrays of indices into it.
+    """
 
     input_alphabet: tuple
     output_space: HilbertLabel
-    states: dict
+    letters: np.ndarray
 
     def __init__(self, input_alphabet, output_space, states):
         object.__setattr__(self, "input_alphabet", tuple(input_alphabet))
         object.__setattr__(self, "output_space", output_space)
-        st = dict(states)
+        mats = []
         for x in self.input_alphabet:
-            if x not in st:
+            if x not in states:
                 raise ChannelError(f"missing output state for symbol {x!r}")
-            rho = st[x]
+            rho = states[x]
             if not isinstance(rho, DensityOperator):
                 rho = DensityOperator((output_space,), rho)
-                st[x] = rho
             if rho.dim != output_space.dim:
                 raise ChannelError(f"state for {x!r} has wrong dimension")
-        object.__setattr__(self, "states", st)
+            mats.append(rho.matrix)
+        letters = np.stack(mats)
+        letters.setflags(write=False)
+        object.__setattr__(self, "letters", letters)
 
     def state_matrix(self, x) -> np.ndarray:
-        return self.states[x].matrix
+        return self.letters[self.input_alphabet.index(x)]
 
 
 @dataclass(frozen=True)
@@ -212,46 +218,29 @@ def _input_signature(ch):
 
 
 def cq_word_state(ch: CQChannel, word) -> DensityOperator:
-    """Tensor-product output state of a cq channel for an input word.
+    """Tensor-product output state of a cq channel for a word of letter indices.
 
     The spectrum of the product is the products of the letters' spectra, so
     the PSD check takes its least eigenvalue from those instead of
     diagonalising the dense block.
     """
+    word = np.asarray(word, dtype=np.intp)
     dim = ch.output_space.dim ** len(word)
     check_dim_cap(dim, "cq word output")
-    out = np.array([[1.0 + 0j]])
-    for x in word:
-        out = np.kron(out, ch.state_matrix(x))
-    spectra = {x: np.linalg.eigvalsh(ch.state_matrix(x)) for x in set(word)}
-    min_eig = accumulate_products([spectra[x] for x in word]).min()
+    out = kron_chain(ch.letters[word])
+    min_eig = accumulate_products(np.linalg.eigvalsh(ch.letters)[word]).min()
     label = HilbertLabel(f"{ch.output_space.name}^{len(word)}", dim)
     return DensityOperator((label,), out, min_eig=min_eig)
 
 
 def n_fold(ch, n: int):
-    """Memoryless n-fold extension acting on words / product inputs."""
+    """Memoryless n-fold extension of a quantum channel."""
     if n < 1:
         raise ChannelError("n must be >= 1")
+    if not isinstance(ch, _QUANTUM_KINDS):
+        raise ChannelError(f"n-fold extensions are of quantum channels, not {type(ch).__name__}")
     if n == 1:
         return ch
-    if isinstance(ch, ClassicalChannel):
-        a, b = len(ch.input_alphabet), len(ch.output_alphabet)
-        if (a * b) ** n > 2 ** 24:
-            raise CapExceededError("n-fold classical channel exceeds the cap")
-        words_in = list(itertools.product(ch.input_alphabet, repeat=n))
-        words_out = list(itertools.product(ch.output_alphabet, repeat=n))
-        m = np.array([[1.0]])
-        for _ in range(n):
-            m = np.kron(m, ch.matrix)
-        return ClassicalChannel(words_in, words_out, m)
-    if isinstance(ch, CQChannel):
-        dim = ch.output_space.dim ** n
-        check_dim_cap(dim, "n-fold cq channel")
-        words = list(itertools.product(ch.input_alphabet, repeat=n))
-        label = HilbertLabel(f"{ch.output_space.name}^{n}", dim)
-        states = {w: cq_word_state(ch, w) for w in words}
-        return CQChannel(words, label, states)
     if isinstance(ch, KrausChannel):
         din, dout = ch.in_space.dim ** n, ch.out_space.dim ** n
         check_dim_cap(max(din, dout), "n-fold Kraus channel")
@@ -266,9 +255,7 @@ def n_fold(ch, n: int):
             HilbertLabel(f"{ch.out_space.name}^{n}", dout),
             ops,
         )
-    if isinstance(ch, StinespringIsometry):
-        return kraus_to_stinespring(n_fold(stinespring_to_kraus(ch), n))
-    raise ChannelError(f"not a channel: {ch!r}")
+    return kraus_to_stinespring(n_fold(stinespring_to_kraus(ch), n))
 
 
 # ---------------------------------------------------------------------------

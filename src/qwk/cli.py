@@ -353,7 +353,7 @@ def cmd_entangle(args) -> int:
     params = TypicalParams(n=args.n, delta=args.delta, alpha=args.alpha)
     dp = family[0].in_space.dim
     p = np.full(dp, 1.0 / dp)
-    code = build_entgen_code(family, p, None, args.n, args.J, args.L, args.seed, params)
+    code = build_entgen_code(family, p, args.n, args.J, args.L, args.seed, params)
     code = build_decoder_unitaries(code)
     audit = run_full_audit(code)
     extra = {"family": args.family, "entangle": code.notes}

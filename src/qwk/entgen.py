@@ -3,7 +3,7 @@
 Pipeline (exact state-vector evolution throughout):
 
 1. ``build_entgen_code``   sample codewords against the classical-quantum
-   pair a channel family induces on a signal basis, build the joint
+   pair a channel family induces on the computational basis, build the joint
    pretty-good measurement and the coherent measurement as the isometry
    it is on the |0,0,0> ancilla.  The code keeps each state's n-fold
    Stinespring isometry, so every later stage takes the code alone.
@@ -63,7 +63,6 @@ class EntgenCode:
     dp: int
     dq: int
     blocks: list  # per-state n-fold StinespringIsometry
-    basis: np.ndarray  # (dp, dp) signal basis columns
     words: np.ndarray  # (J, L, n)
     codeword_vecs: np.ndarray  # (J, L, dp^n) codeword vectors
     povm: np.ndarray  # (T, J, L, Dq, Dq)
@@ -126,10 +125,11 @@ def _as_isometries(family) -> list[StinespringIsometry]:
     return out
 
 
-def _induced_cq(s: StinespringIsometry, basis: np.ndarray) -> CQChannel:
-    """Classical-quantum channel the receiver sees on the basis."""
+def _induced_cq(s: StinespringIsometry) -> CQChannel:
+    """Classical-quantum channel the receiver sees on the computational basis."""
     dp = s.in_space.dim
-    rec = {x: s.apply_matrix(np.outer(basis[:, x], basis[:, x].conj())) for x in range(dp)}
+    eye = np.eye(dp, dtype=complex)
+    rec = {x: s.apply_matrix(np.outer(eye[x], eye[x].conj())) for x in range(dp)}
     return CQChannel(tuple(range(dp)), HilbertLabel("q", s.out_space.dim), rec)
 
 
@@ -153,7 +153,6 @@ def _sample_distinct_words(p, n, count, seed, delta):
 def build_entgen_code(
     family,
     p,
-    basis: np.ndarray | None,
     n: int,
     J: int,
     L: int,
@@ -165,6 +164,7 @@ def build_entgen_code(
     Codewords are sampled from the truncated typical distribution and kept
     distinct across all (j, l) so that the encoder superposition stays
     normalized (repeated words would make Fourier branches collide).
+    Codewords are product vectors of the computational basis.
     """
     isos = _as_isometries(family)
     if params is None:
@@ -172,9 +172,6 @@ def build_entgen_code(
     dp = isos[0].in_space.dim
     dq = isos[0].out_space.dim
     T = len(isos)
-    if basis is None:
-        basis = np.eye(dp, dtype=complex)
-    basis = np.asarray(basis, dtype=complex)
     if J < 1 or L < 1:
         raise QcoreError("J and L must be >= 1")
     blocks = [n_fold(s, n) for s in isos]
@@ -182,10 +179,11 @@ def build_entgen_code(
     check_dim_cap(J * dq ** n * max(de) * J * L * (T + 1), "protocol state vector")
     words = _sample_distinct_words(np.asarray(p, float), n, J * L, seed, params.delta)
     words = words.reshape(J, L, n)
-    codeword_vecs = np.stack([accumulate_products(basis[:, w].T)
+    eye = np.eye(dp, dtype=complex)
+    codeword_vecs = np.stack([accumulate_products(eye[w])
                               for w in words.reshape(J * L, n)]).reshape(J, L, dp ** n)
     # joint pretty-good measurement over (state, message, randomization)
-    rec_cqs = [_induced_cq(s, basis) for s in isos]
+    rec_cqs = [_induced_cq(s) for s in isos]
     prior = np.asarray(p, dtype=float)
     dq_n = dq ** n
     sand = np.stack([sandwiched_outputs(rec, words.reshape(J * L, n), prior, params)
@@ -219,7 +217,7 @@ def build_entgen_code(
         spread[t] = max(trace_norm(om - env_avg_t) for om in per_msg_env)
     v_unitary = _measurement_unitary(povm, dq_n, J, L, T)
     return EntgenCode(
-        n=n, J=J, L=L, T=T, dp=dp, dq=dq, blocks=blocks, basis=basis, words=words,
+        n=n, J=J, L=L, T=T, dp=dp, dq=dq, blocks=blocks, words=words,
         codeword_vecs=codeword_vecs, povm=povm, detect_prob=detect_prob, env_avg=env_states, env_spread=spread, v_unitary=v_unitary,
         params=params, seed=seed,
     )

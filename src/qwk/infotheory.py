@@ -153,15 +153,13 @@ def conditional_channel_entropy(prior, v: CQChannel) -> float:
     prior = np.asarray(prior, dtype=float)
     if prior.shape[0] != len(v.input_alphabet):
         raise QcoreError("prior length does not match the channel alphabet")
-    ents = eig_entropies(np.stack([v.state_matrix(x) for x in v.input_alphabet]))
+    ents = eig_entropies(v.letters)
     return float(sum(q * s for q, s in zip(prior, ents) if q > 0))
 
 
 def cq_mutual_information(prior, v: CQChannel) -> float:
     """Holevo quantity of the ensemble a cq channel induces under a prior."""
-    prior = np.asarray(prior, dtype=float)
-    states = [v.state_matrix(x) for x in v.input_alphabet]
-    return holevo_chi(prior, states)
+    return holevo_chi(np.asarray(prior, dtype=float), v.letters)
 
 
 def fannes_bound(dist: float, dim: int) -> float:

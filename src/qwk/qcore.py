@@ -208,19 +208,37 @@ def hermitian_eigensystem(m) -> tuple[np.ndarray, np.ndarray]:
         r = np.round(c, 10)
         return tuple(x for pair in zip(r.real, r.imag) for x in pair)
 
-    i = 0
-    ordered = []
-    idx = list(range(len(cols)))
-    while i < len(idx):
-        j = i
-        while j + 1 < len(idx) and abs(w[idx[j + 1]] - w[idx[i]]) <= 1e-10:
-            j += 1
-        group = sorted(idx[i : j + 1], key=lambda k: lex_key(cols[k]))
-        ordered.extend(group)
-        i = j + 1
+    ordered = [k for i, j in degenerate_runs(w)
+               for k in sorted(range(i, j), key=lambda k: lex_key(cols[k]))]
     w = w[ordered]
     vecs = np.column_stack([cols[k] for k in ordered])
     return w, vecs
+
+
+def degenerate_runs(w) -> list[tuple[int, int]]:
+    """(start, stop) of each run of a sorted spectrum whose entries lie
+    within 1e-10 of the run's first entry."""
+    runs, i = [], 0
+    while i < len(w):
+        j = i + 1
+        while j < len(w) and abs(w[j] - w[i]) <= 1e-10:
+            j += 1
+        runs.append((i, j))
+        i = j
+    return runs
+
+
+def kron_chain(factors) -> np.ndarray:
+    """Left-to-right Kronecker product of (..., r, c) matrices, broadcast over
+    the leading axes.  It starts from a ones matrix of the factors' dtype, so
+    every entry is the product ``np.kron`` forms, in the same order."""
+    factors = [np.asarray(f) for f in factors]
+    out = np.ones((1, 1), dtype=np.result_type(*factors))
+    for f in factors:
+        (r, c), (fr, fc) = out.shape[-2:], f.shape[-2:]
+        prod = out[..., :, None, :, None] * f[..., None, :, None, :]
+        out = prod.reshape(prod.shape[:-4] + (r * fr, c * fc))
+    return out
 
 
 def accumulate_products(per_letter: Sequence[np.ndarray]) -> np.ndarray:

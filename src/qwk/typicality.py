@@ -26,12 +26,13 @@ from .qcore import (
     QcoreError,
     accumulate_products,
     check_dim_cap,
+    degenerate_runs,
     hermitian_eigensystem,
+    kron_chain,
     trace_norm,
 )
 
 ENUM_CAP = 2 ** 24
-_DEGENERACY_TOL = 1e-10
 _WORD_BLOCK = 1 << 14  # words enumerated per vectorised block
 
 
@@ -153,13 +154,8 @@ def _grouped_eigensystem(matrix: np.ndarray):
     w, v = hermitian_eigensystem(matrix)
     w = np.clip(w, 0.0, None)
     rep = w.copy()
-    i = 0
-    while i < len(w):
-        j = i
-        while j + 1 < len(w) and abs(w[j + 1] - w[i]) <= _DEGENERACY_TOL:
-            j += 1
-        rep[i : j + 1] = w[i : j + 1].mean()
-        i = j + 1
+    for i, j in degenerate_runs(w):
+        rep[i:j] = w[i:j].mean()
     return rep, v
 
 
@@ -204,9 +200,7 @@ class TypicalProjector:
     @property
     def matrix(self) -> np.ndarray:
         check_dim_cap(self.total_dim, "typical projector matrix")
-        u = np.array([[1.0 + 0j]])
-        for ul in self.letter_unitaries:
-            u = np.kron(u, ul)
+        u = kron_chain(self.letter_unitaries)
         uh = u.conj().T
         u *= self.kept.astype(float)  # (u * kept) @ u^dag without a third copy of u
         return u @ uh
@@ -301,9 +295,7 @@ def conditional_typical_projector(
     a = len(v.input_alphabet)
     d = v.output_space.dim
     check_dim_cap(d ** n, "conditional typical projector")
-    systems = {}
-    for x in set(word):
-        systems[x] = _grouped_eigensystem(v.state_matrix(v.input_alphabet[x]))
+    systems = {x: _grouped_eigensystem(v.letters[x]) for x in set(word)}
     letters = [systems[x] for x in word]
     center = n * conditional_channel_entropy(prior, v)
     unit = d * alpha * np.sqrt(n)
@@ -317,7 +309,7 @@ def averaged_output_projector(prior, v: CQChannel, params: TypicalParams) -> Typ
     """Typical projector of the prior-averaged output, width scaled by sqrt(a)."""
     prior = np.asarray(prior, dtype=float)
     a = len(v.input_alphabet)
-    avg = sum(prior[i] * v.state_matrix(x) for i, x in enumerate(v.input_alphabet))
+    avg = sum(q * m for q, m in zip(prior, v.letters))
     label = v.output_space
     rho = DensityOperator((label,), avg)
     scaled = TypicalParams(params.n, params.delta, params.alpha * np.sqrt(a), params.k_const)
@@ -334,7 +326,7 @@ def averaged_trace_check(proj: TypicalProjector, v: CQChannel, word, params: Typ
     u = proj.letter_unitaries[0]
     per_letter = []
     for x in word:
-        m = u.conj().T @ v.state_matrix(v.input_alphabet[x]) @ u
+        m = u.conj().T @ v.letters[x] @ u
         per_letter.append(np.clip(np.real(np.diag(m)), 0.0, None))
     weights = accumulate_products(per_letter)
     lhs = float(weights[proj.kept].sum())
@@ -391,5 +383,5 @@ def _sandwiches(v: CQChannel, words, prior, params: TypicalParams):
         pc = conditional_typical_projector(v, word, prior, params).matrix
         if pa is None:
             pa = averaged_output_projector(prior, v, params).matrix
-        state = cq_word_state(v, [v.input_alphabet[x] for x in word]).matrix
+        state = cq_word_state(v, word).matrix
         yield pa @ pc @ state @ pc @ pa, state

@@ -248,15 +248,14 @@ class TypicalityDecoder:
 
 @dataclass
 class PrettyGoodDecoder:
-    """Square-root measurement over sandwiched codeword outputs."""
+    """Square-root measurement over sandwiched codeword outputs, projected
+    with the prior the codebook was drawn from."""
 
     povm: np.ndarray  # (J, D, D) per-message operators
 
     @classmethod
-    def build(cls, channel: CQChannel, codebook: Codebook, params: TypicalParams, prior=None):
-        if prior is None:
-            a = len(channel.input_alphabet)
-            prior = np.full(a, 1.0 / a)
+    def build(cls, channel: CQChannel, codebook: Codebook, params: TypicalParams):
+        prior = codebook.source["p"]
         outs = sandwiched_outputs(channel, codebook.words.reshape(-1, codebook.n), prior, params)
         outs = outs.reshape(codebook.J, codebook.L, *outs.shape[1:])
         return cls(pretty_good_measurement(outs.mean(axis=1)))
@@ -384,18 +383,13 @@ def _mc_classical_error(
     }
 
 
-def _word_state(ch: CQChannel, word) -> np.ndarray:
-    """Output state of a cq channel for a word of symbol indices."""
-    return cq_word_state(ch, [ch.input_alphabet[x] for x in word]).matrix
-
-
 def _message_states(ch: CQChannel, codebook: Codebook) -> list:
     """Per-message output states (1/L) sum_l rho(x_jl)."""
     rhos = []
     for j in range(codebook.J):
         acc = None
         for l in range(codebook.L):
-            m = _word_state(ch, codebook.words[j, l])
+            m = cq_word_state(ch, codebook.words[j, l]).matrix
             acc = m if acc is None else acc + m
         rhos.append(acc / codebook.L)
     return rhos
@@ -534,7 +528,8 @@ def _two_part_exact(spec, t_idx, block1_words, codebook, decoder) -> dict:
     decoded with the exact error of the true state's code."""
     b1_fail = 0.0
     if len(spec) > 1:
-        states = np.stack([_word_state(ch, w) for ch, w in zip(spec.legitimate, block1_words)])
+        states = np.stack([cq_word_state(ch, w).matrix
+                           for ch, w in zip(spec.legitimate, block1_words)])
         povm_t = pretty_good_measurement(states)[t_idx]
         b1_fail = float(1.0 - np.trace(povm_t @ states[t_idx]).real)
     b2_given = _exact_quantum_error(spec.legitimate[t_idx], codebook, decoder)["max_error"]

@@ -175,7 +175,7 @@ def test_criterion_7_entanglement_protocol():
     p2 = TypicalParams(n=2, delta=0.5, alpha=2.0)
     fids = {}
     for J, n, params in ((2, 1, p1), (4, 2, p2)):
-        code = build_entgen_code([identity_kraus()], [0.5, 0.5], None, n, J, 1, 5, params)
+        code = build_entgen_code([identity_kraus()], [0.5, 0.5], n, J, 1, 5, params)
         code = build_decoder_unitaries(code)
         fids[J] = run_full_audit(code).min_fidelity
     theta = 0.1
@@ -183,7 +183,7 @@ def test_criterion_7_entanglement_protocol():
     from qwk.channels import KrausChannel
 
     fam = [identity_kraus(), KrausChannel(Q, Q, [u])]
-    code = build_entgen_code(fam, [0.5, 0.5], None, 2, 2, 2, 3, p2)
+    code = build_entgen_code(fam, [0.5, 0.5], 2, 2, 2, 3, p2)
     code = build_decoder_unitaries(code)
     audit = run_full_audit(code)
     ok = all(f >= 1 - 1e-9 for f in fids.values()) and audit.bound_satisfied

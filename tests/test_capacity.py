@@ -462,8 +462,6 @@ from qwk.capacity import (
     _ascend_unconstrained,
     _ChiPowerTerm,
     _coherent_objective,
-    _cq_states_array,
-    _kron_power,
     _maximize_aux,
 )
 from qwk.channels import as_stinespring, n_fold, stinespring_to_kraus
@@ -515,18 +513,6 @@ class TestStackedSolver:
         rowwise = np.stack([project_simplex(r) for r in v])
         assert np.array_equal(project_simplex(v), rowwise)
 
-    @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_kron_power_matches_kron_loop(self, n):
-        rng = np.random.default_rng(31)
-        stack = rng.normal(size=(3, 2, 2, 2)) + 1j * rng.normal(size=(3, 2, 2, 2))
-        powered = _kron_power(stack, n)
-        for b in range(3):
-            for u in range(2):
-                ref = np.array([[1.0 + 0j]])
-                for _ in range(n):
-                    ref = np.kron(ref, stack[b, u])
-                assert np.array_equal(powered[b, u], ref)
-
     @pytest.mark.parametrize("n", [1, 2])
     def test_unconstrained_ascent_matches_reference(self, n):
         family = load_spec(os.path.join(SPECS, "two_channel_family.json")).legitimate
@@ -560,7 +546,7 @@ class TestStackedSolver:
             (_objective([_ClassicalTerm(b1.legitimate[0].matrix)],
                         [_ClassicalTerm(b1.wiretap[0].matrix)]), SolverConfig(grid_resolution=8)),
             (_objective([_ClassicalTerm(csi.legitimate[0].matrix)],
-                        [_ChiPowerTerm(_cq_states_array(csi.wiretap[0]), 2)]),
+                        [_ChiPowerTerm(csi.wiretap[0].letters, 2)]),
              SolverConfig(n=2, grid_resolution=8, restarts=2)),
         ]
         for objective, cfg in cases:

@@ -72,14 +72,14 @@ class TestApplyAndNFold:
         assert np.allclose(out, np.eye(2) / 2, atol=1e-12)
 
     def test_n_fold_one_is_same_channel(self):
-        c = bsc(0.1)
+        c = depolarizing_kraus(0.1)
         assert n_fold(c, 1) is c
 
-    def test_n_fold_bsc_product_rule(self):
-        c2 = n_fold(bsc(0.1), 2)
-        probs = c2.matrix[c2.input_alphabet.index((0, 0))]
-        q, p = 0.9, 0.1
-        assert np.allclose(probs, [q * q, q * p, p * q, p * p])
+    def test_n_fold_rejects_classical_and_cq_channels(self):
+        for c in (bsc(0.1), classical_to_cq(bsc(0.1))):
+            for n in (1, 2):
+                with pytest.raises(ChannelError, match="quantum channels"):
+                    n_fold(c, n)
 
     def test_n_fold_quantum_acts_as_tensor_power(self):
         rng = np.random.default_rng(1)
@@ -92,7 +92,7 @@ class TestApplyAndNFold:
         expect = np.kron(chan.apply_matrix(rho.matrix), chan.apply_matrix(sigma.matrix))
         assert np.max(np.abs(out2 - expect)) < 1e-10
 
-    def test_n_fold_cq_runs_no_dense_check_of_the_word_states(self, monkeypatch):
+    def test_cq_word_state_runs_no_dense_check(self, monkeypatch):
         from qwk.channels import cq_word_state
 
         rng = np.random.default_rng(2)
@@ -106,10 +106,24 @@ class TestApplyAndNFold:
             return eigvalsh(m, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
-        c3 = n_fold(chan, 3)
+        for word in itertools.product(range(2), repeat=3):
+            state = cq_word_state(chan, word).matrix
+            a, b, c = chan.letters[list(word)]
+            assert np.array_equal(state, np.kron(np.kron(a, b), c))
         assert dims and max(dims) == 2
-        for word in c3.input_alphabet:
-            assert np.array_equal(c3.state_matrix(word), cq_word_state(chan, word).matrix)
+
+    def test_letters_follow_a_non_integer_alphabet(self):
+        from qwk.channels import cq_word_state
+
+        rng = np.random.default_rng(4)
+        rho_a, rho_b = random_density(Q, rng).matrix, random_density(Q, rng).matrix
+        chan = CQChannel(("a", "b"), Q, {"b": rho_b, "a": rho_a})
+        assert chan.letters.shape == (2, 2, 2) and not chan.letters.flags.writeable
+        assert np.array_equal(chan.letters[0], rho_a) and np.array_equal(chan.letters[1], rho_b)
+        assert np.array_equal(chan.state_matrix("b"), rho_b)
+        state = cq_word_state(chan, [0, 1])
+        assert state.dim == 4
+        assert np.array_equal(state.matrix, np.kron(rho_a, rho_b))
 
 
 class TestKrausStinespring:

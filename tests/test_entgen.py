@@ -38,7 +38,7 @@ def rotated_channel(theta):
 
 
 def build_pipeline(family, n, J, L, seed, params):
-    code = build_entgen_code(family, [0.5, 0.5], None, n=n, J=J, L=L, seed=seed, params=params)
+    code = build_entgen_code(family, [0.5, 0.5], n=n, J=J, L=L, seed=seed, params=params)
     code = compute_uhlmann_partners(code)
     code = phase_align(code)
     return build_decoder_unitaries(code)
@@ -110,19 +110,19 @@ class TestTensorHelpers:
 
 class TestBuildCode:
     def test_identity_family_measurement_is_exact(self):
-        code = build_entgen_code([identity_kraus()], [0.5, 0.5], None, 1, 2, 1, 5, PARAMS1)
+        code = build_entgen_code([identity_kraus()], [0.5, 0.5], 1, 2, 1, 5, PARAMS1)
         assert code.detect_prob.min() == pytest.approx(1.0, abs=1e-10)
         assert code.env_spread.max() == pytest.approx(0.0, abs=1e-12)
 
     def test_povm_sums_below_identity(self):
         fam = [rotated_channel(0.0), rotated_channel(0.25)]
-        code = build_entgen_code(fam, [0.5, 0.5], None, 2, 2, 2, 3, PARAMS2)
+        code = build_entgen_code(fam, [0.5, 0.5], 2, 2, 2, 3, PARAMS2)
         total = code.povm.sum(axis=(0, 1, 2))
         assert np.min(np.linalg.eigvalsh(np.eye(4) - total)) > -1e-9
 
     def test_measurement_unitary_is_unitary(self):
         fam = [depolarizing_kraus(0.1)]
-        code = build_entgen_code(fam, [0.5, 0.5], None, 2, 2, 1, 3, PARAMS2)
+        code = build_entgen_code(fam, [0.5, 0.5], 2, 2, 1, 3, PARAMS2)
         u = code.v_unitary
         assert np.max(np.abs(u.conj().T @ u - np.eye(u.shape[1]))) < 1e-8
 
@@ -133,7 +133,7 @@ class TestBuildCode:
         monkeypatch.setattr(qwk.qcore, "pgm_inverse_sqrt",
                             lambda total: pgm_inverse_sqrt(total) * (1 + 1e-6))
         fam = [rotated_channel(0.0), rotated_channel(0.3)]
-        code = build_entgen_code(fam, [0.5, 0.5], None, 2, 2, 2, 3, PARAMS2)
+        code = build_entgen_code(fam, [0.5, 0.5], 2, 2, 2, 3, PARAMS2)
         assert np.linalg.eigvalsh(code.povm.sum(axis=(0, 1, 2)))[-1] <= 1 + 1e-12
         v = code.v_unitary
         assert np.max(np.abs(v.conj().T @ v - np.eye(code.Dq))) < 1e-10
@@ -144,13 +144,13 @@ class TestBuildCode:
         assert audit.min_fidelity == pytest.approx(1.0, abs=1e-9)
 
     def test_distinct_words(self):
-        code = build_entgen_code([identity_kraus()], [0.5, 0.5], None, 2, 4, 1, 5, PARAMS2)
+        code = build_entgen_code([identity_kraus()], [0.5, 0.5], 2, 4, 1, 5, PARAMS2)
         flat = {tuple(w) for w in code.words.reshape(-1, 2)}
         assert len(flat) == 4
 
     def test_too_many_words_rejected(self):
         with pytest.raises(QcoreError):
-            build_entgen_code([identity_kraus()], [0.5, 0.5], None, 1, 4, 4, 0, PARAMS1)
+            build_entgen_code([identity_kraus()], [0.5, 0.5], 1, 4, 4, 0, PARAMS1)
 
 
 def full_product_partners(code):
@@ -186,7 +186,7 @@ class TestUhlmannPartners:
         ([depolarizing_kraus(0.05), depolarizing_kraus(0.2)], [16, 16]),
     ])
     def test_partners_match_full_product_reference(self, fam, de):
-        code = build_entgen_code(fam, [0.5, 0.5], None, 2, 2, 2, 3, PARAMS2)
+        code = build_entgen_code(fam, [0.5, 0.5], 2, 2, 2, 3, PARAMS2)
         assert (code.T, code.L, code.de) == (2, 2, de)
         code = compute_uhlmann_partners(code)
         partners, partner_fid = full_product_partners(code)
@@ -195,7 +195,7 @@ class TestUhlmannPartners:
             assert np.array_equal(got, ref)
 
     def test_annihilated_codeword_gets_zero_fidelity_fallback(self):
-        code = build_entgen_code([depolarizing_kraus(0.1)], [0.5, 0.5], None, 2, 2, 2, 3, PARAMS2)
+        code = build_entgen_code([depolarizing_kraus(0.1)], [0.5, 0.5], 2, 2, 2, 3, PARAMS2)
         v = code.v_unitary.copy()
         v.reshape(code.Dq, code.J, code.L, code.T + 1, code.Dq)[:, 1, 0, 0, :] = 0.0
         code.v_unitary = v
@@ -379,7 +379,7 @@ def gram_schmidt_measurement_unitary(povm, dq_n, J, L, T):
 class TestMeasurementIsometry:
     def test_isometry_columns_match_gram_schmidt_reference(self):
         fam = [rotated_channel(0.0), rotated_channel(0.3)]
-        code = build_entgen_code(fam, [0.5, 0.5], None, 2, 2, 2, 3, PARAMS2)
+        code = build_entgen_code(fam, [0.5, 0.5], 2, 2, 2, 3, PARAMS2)
         assert (code.T, code.L) == (2, 2)
         ref = gram_schmidt_measurement_unitary(code.povm, code.Dq, code.J, code.L, code.T)
         inputs = np.arange(code.Dq) * (code.J * code.L * (code.T + 1))

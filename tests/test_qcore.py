@@ -11,7 +11,9 @@ from qwk.qcore import (
     QcoreError,
     basis_state,
     fidelity,
+    degenerate_runs,
     hermitian_eigensystem,
+    kron_chain,
     maximally_entangled,
     maximally_mixed,
     partial_trace,
@@ -120,6 +122,13 @@ def test_eigensystem_reconstruction():
     for i in range(5):
         nz = np.nonzero(np.abs(v[:, i]) > 1e-12)[0][0]
         assert abs(np.angle(v[nz, i])) < 1e-9
+
+
+def test_degenerate_runs_are_anchored_at_their_first_entry():
+    # 1 - 0.6e-10 joins the run of 1; 1 - 1.2e-10 is past the anchor, so it starts a run
+    w = np.array([1.0, 1.0 - 0.6e-10, 1.0 - 1.2e-10, 0.5, 0.5, 0.0])
+    assert degenerate_runs(w) == [(0, 2), (2, 3), (3, 5), (5, 6)]
+    assert degenerate_runs(np.array([])) == []
 
 
 def test_eigensystem_rejects_nonhermitian():
@@ -280,3 +289,44 @@ class TestPrettyGoodMeasurement:
         # the former three-operand einsum of the entanglement code (reference)
         ref = np.einsum("ab,kbc,cd->kad", inv_sqrt, stack, inv_sqrt)
         assert np.max(np.abs(povm - ref)) <= 1e-12
+
+
+# a few exact values (zeros of both signs among them) plus arbitrary floats
+_KRON_ENTRIES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]),
+                          st.floats(-4.0, 4.0, allow_nan=False))
+
+
+@st.composite
+def kron_factors(draw):
+    """1 to 4 factors of shape batch + (r, c), r, c <= 3, complex or real; each
+    factor takes a common batch shape with some of its axes set to 1."""
+    batch = tuple(draw(st.lists(st.integers(1, 3), max_size=2)))
+    is_complex = draw(st.booleans())
+    factors = []
+    for _ in range(draw(st.integers(1, 4))):
+        shape = tuple(b if draw(st.booleans()) else 1 for b in batch)
+        shape += (draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+        size = int(np.prod(shape))
+        re = np.array(draw(st.lists(_KRON_ENTRIES, min_size=size, max_size=size)))
+        if is_complex:
+            im = np.array(draw(st.lists(_KRON_ENTRIES, min_size=size, max_size=size)))
+            factors.append((re + 1j * im).reshape(shape))
+        else:
+            factors.append(re.reshape(shape))
+    return factors
+
+
+class TestKronChain:
+    @settings(max_examples=150, deadline=None)
+    @given(factors=kron_factors())
+    def test_bit_equal_to_the_kron_loop(self, factors):
+        batch = np.broadcast_shapes(*(f.shape[:-2] for f in factors))
+        out = kron_chain(factors)
+        rows = int(np.prod([f.shape[-2] for f in factors]))
+        cols = int(np.prod([f.shape[-1] for f in factors]))
+        assert out.shape == batch + (rows, cols)
+        for idx in np.ndindex(*batch):
+            ref = np.ones((1, 1), dtype=factors[0].dtype)
+            for f in factors:
+                ref = np.kron(ref, f[tuple(i if f.shape[k] > 1 else 0 for k, i in enumerate(idx))])
+            assert out[idx].tobytes() == ref.tobytes()

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from qwk.channels import CQChannel, ClassicalChannel, CompoundWiretapSpec, bsc
-from qwk.cli import canonical_payload_bytes, parse_spec
-from qwk.qcore import HilbertLabel, QcoreError
-from qwk.typicality import TypicalParams
+from qwk.cli import canonical_payload_bytes, load_spec, parse_spec
+from qwk.qcore import HilbertLabel, QcoreError, pretty_good_measurement
+from qwk.typicality import TypicalParams, sandwiched_outputs
 from qwk.wiretapsim import (
     Codebook,
     build_decoder,
@@ -22,6 +22,7 @@ from qwk.wiretapsim import (
 
 Z = HilbertLabel("z", 2)
 DATA = os.path.join(os.path.dirname(__file__), "data")
+SPECS = os.path.join(os.path.dirname(__file__), "..", "specs")
 
 
 def qubit_wiretap(theta0=0.0, theta1=0.35):
@@ -159,7 +160,7 @@ class TestDecodingAndError:
         wire = CQChannel((0, 1), Z, {0: np.eye(2) / 2, 1: np.eye(2) / 2})
         spec = CompoundWiretapSpec("cq", ("t1",), (legit,), (wire,))
         words = np.array([[0, 0], [1, 1]]).reshape(2, 1, 2)
-        cb = Codebook(words, 2, 1, 2, {"seed": 0})
+        cb = Codebook(words, 2, 1, 2, {"seed": 0, "p": [0.5, 0.5]})
         dec = build_decoder(spec, cb, params=TypicalParams(n=2, alpha=2.0, delta=0.6))
         rep = eval_error(spec, cb, dec, trials=1, seed=0)
         assert rep.per_t["t1"]["max_error"] <= 0.2
@@ -292,6 +293,16 @@ class TestTwoPartProtocol:
         )
         assert s["total_error_rate"] == pytest.approx(recomputed, abs=1e-12)
         assert rep.per_t["t1"]["leakage"] == pytest.approx(0.0, abs=1e-10)
+
+    def test_cq_decoder_projects_with_the_codebook_prior(self):
+        # words drawn from (0.8, 0.2) are not typical for the uniform prior
+        spec = load_spec(os.path.join(SPECS, "cq_pair.json"))
+        rep = two_part_protocol(spec, "t1", 4, 6, 2, 1, 10, 3, delta=0.15, p=[0.8, 0.2])
+        assert rep.stats["method"] == "exact"
+        cb = sample_codebook([0.8, 0.2], 6, 2, 1, 1003, delta=0.15)
+        outs = sandwiched_outputs(spec.legitimate[0], cb.words.reshape(2, 6), [0.8, 0.2],
+                                  TypicalParams(n=6, delta=0.15))
+        assert np.array_equal(build_decoder(spec, cb).povm, pretty_good_measurement(outs))
 
     def test_golden_reports_rerun_byte_identically(self):
         cases = _twopart_golden_cases()
