@@ -467,6 +467,7 @@ from qwk.capacity import (
 from qwk.channels import as_stinespring, n_fold, stinespring_to_kraus
 from qwk.cli import load_spec
 from qwk.infotheory import coherent_information_matrix
+from qwk.qcore import kron_chain
 
 SPECS = os.path.join(os.path.dirname(__file__), "..", "specs")
 
@@ -512,6 +513,19 @@ class TestStackedSolver:
         v = np.array(rows)
         rowwise = np.stack([project_simplex(r) for r in v])
         assert np.array_equal(project_simplex(v), rowwise)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_kron_power_matches_kron_loop(self, n):
+        # the n-th tensor power of a letter stack, as the chi-power term forms it
+        rng = np.random.default_rng(31)
+        stack = rng.normal(size=(3, 2, 2, 2)) + 1j * rng.normal(size=(3, 2, 2, 2))
+        powered = kron_chain([stack] * n)
+        for b in range(3):
+            for u in range(2):
+                ref = np.array([[1.0 + 0j]])
+                for _ in range(n):
+                    ref = np.kron(ref, stack[b, u])
+                assert np.array_equal(powered[b, u], ref)
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_unconstrained_ascent_matches_reference(self, n):
