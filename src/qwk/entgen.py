@@ -234,7 +234,7 @@ def _measurement_unitary(povm: np.ndarray, dq_n: int, J: int, L: int, T: int) ->
     """
     tp = T + 1
     leftover = np.eye(dq_n) - povm.sum(axis=(0, 1, 2))
-    sqrts = np.stack([psd_sqrt(e) for e in povm.reshape(-1, dq_n, dq_n)])
+    sqrts = psd_sqrt(povm.reshape(-1, dq_n, dq_n))
     # branches[qo, j, l, t, q] = <qo| sqrt(E_tjl) |q>
     branches = np.zeros((dq_n, J, L, tp, dq_n), dtype=complex)
     branches[:, :, :, :T] += sqrts.reshape(T, J, L, dq_n, dq_n).transpose(3, 1, 2, 0, 4)

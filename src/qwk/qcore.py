@@ -84,6 +84,26 @@ def total_dim(system: Sequence[HilbertLabel]) -> int:
     return d
 
 
+def check_density(m: np.ndarray, min_eig: float | None = None) -> None:
+    """Reject a (..., d, d) stack unless every matrix is Hermitian, positive
+    semi-definite and of unit trace within tolerance.
+
+    The checks run in that order over the whole stack, so a stack with one
+    bad matrix raises what ``DensityOperator`` raises on that matrix.
+    ``min_eig``, when given, stands in for the stack's least eigenvalue.
+    """
+    if np.abs(m - m.conj().swapaxes(-1, -2)).max() > TOL_HERM:
+        raise QcoreError("matrix is not Hermitian within tolerance")
+    if min_eig is None:
+        min_eig = np.linalg.eigvalsh(m).min()
+    if min_eig < -TOL_PSD:
+        raise QcoreError(f"matrix has negative eigenvalue {min_eig:.3e}")
+    tr = m.trace(axis1=-2, axis2=-1).real
+    off = abs(tr - 1.0) > TOL_TRACE
+    if off.any():
+        raise QcoreError(f"trace {np.ravel(tr)[np.ravel(off)][0]} deviates from 1 beyond tolerance")
+
+
 @dataclass(frozen=True)
 class DensityOperator:
     """Positive semi-definite, unit-trace Hermitian matrix on a labeled system.
@@ -102,15 +122,7 @@ class DensityOperator:
         d = total_dim(self.system)
         if m.shape != (d, d):
             raise QcoreError(f"matrix shape {m.shape} does not match system dim {d}")
-        if np.max(np.abs(m - m.conj().T)) > TOL_HERM:
-            raise QcoreError("matrix is not Hermitian within tolerance")
-        if min_eig is None:
-            min_eig = np.linalg.eigvalsh(m).min()
-        if min_eig < -TOL_PSD:
-            raise QcoreError(f"matrix has negative eigenvalue {min_eig:.3e}")
-        tr = np.trace(m).real
-        if abs(tr - 1.0) > TOL_TRACE:
-            raise QcoreError(f"trace {tr} deviates from 1 beyond tolerance")
+        check_density(m, min_eig)
         object.__setattr__(self, "matrix", m)
 
     @property
@@ -252,20 +264,23 @@ def accumulate_products(per_letter: Sequence[np.ndarray]) -> np.ndarray:
     return total
 
 
-def trace_norm(m) -> float:
-    """Sum of singular values."""
+def trace_norm(m):
+    """Sum of singular values: a float for one matrix, an array for a
+    (..., d, d) stack."""
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
         raise QcoreError("trace norm expects a square matrix")
-    return float(np.linalg.svd(m, compute_uv=False).sum())
+    norms = np.linalg.svd(m, compute_uv=False).sum(axis=-1)
+    return float(norms) if m.ndim == 2 else norms
 
 
 def psd_sqrt(m) -> np.ndarray:
-    """Matrix square root via eigen-decomposition, clamping rounding negatives."""
+    """Matrix square root of each matrix of a (..., d, d) stack via
+    eigen-decomposition, clamping rounding negatives."""
     m = np.asarray(m, dtype=complex)
     w, v = np.linalg.eigh(m)
     w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)) @ v.conj().T
+    return (v * np.sqrt(w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def pgm_inverse_sqrt(total) -> np.ndarray:
@@ -283,12 +298,22 @@ def pretty_good_measurement(states) -> np.ndarray:
     return inv_sqrt @ states @ inv_sqrt
 
 
-def fidelity(rho: DensityOperator, sigma: DensityOperator) -> float:
-    """Fidelity ``|| sqrt(rho) sqrt(sigma) ||_1^2`` of two states on one system."""
-    if rho.label_names() != sigma.label_names():
-        raise QcoreError("fidelity requires states on the same system")
-    f = trace_norm(psd_sqrt(rho.matrix) @ psd_sqrt(sigma.matrix)) ** 2
-    return float(min(max(f, 0.0), 1.0 + 1e-9))
+def fidelity(rho, sigma):
+    """Fidelity ``|| sqrt(rho) sqrt(sigma) ||_1^2``, clamped to [0, 1 + 1e-9].
+
+    ``rho`` and ``sigma`` are two states on one system, which give a float,
+    or two (..., d, d) stacks of the states' square roots (``psd_sqrt``),
+    which give one fidelity per pair.  Each trace norm is squared as a
+    Python float: libm's ``x ** 2`` and numpy's ``x * x`` differ in the last
+    bit on some inputs.
+    """
+    if isinstance(rho, DensityOperator):
+        if not isinstance(sigma, DensityOperator) or rho.label_names() != sigma.label_names():
+            raise QcoreError("fidelity requires states on the same system")
+        return float(fidelity(psd_sqrt(rho.matrix), psd_sqrt(sigma.matrix)))
+    norms = trace_norm(rho @ sigma)
+    squares = np.reshape([x ** 2 for x in np.ravel(norms).tolist()], np.shape(norms))
+    return np.clip(squares, 0.0, 1.0 + 1e-9)
 
 
 def purify(rho: DensityOperator, ancilla: HilbertLabel) -> PureState:
@@ -332,15 +357,24 @@ def maximally_entangled(a: HilbertLabel, b: HilbertLabel) -> PureState:
     return PureState((a, b), v / np.sqrt(a.dim))
 
 
+def ginibre_factor(dim: int, rng: np.random.Generator, rank: int | None = None) -> np.ndarray:
+    """A (dim, rank) complex Ginibre matrix: the real parts are drawn first."""
+    k = rank if rank is not None else dim
+    return rng.normal(size=(dim, k)) + 1j * rng.normal(size=(dim, k))
+
+
+def ginibre_states(g) -> np.ndarray:
+    """g g^dagger / tr(g g^dagger) for each factor of a (..., d, k) stack,
+    not yet validated."""
+    m = g @ g.conj().swapaxes(-1, -2)
+    return m / m.trace(axis1=-2, axis2=-1).real[..., None, None]
+
+
 def random_density(label: HilbertLabel, rng: np.random.Generator, rank: int | None = None) -> DensityOperator:
     """Hilbert-Schmidt style random state (Ginibre factor with given rank)."""
-    k = rank if rank is not None else label.dim
-    g = rng.normal(size=(label.dim, k)) + 1j * rng.normal(size=(label.dim, k))
-    m = g @ g.conj().T
-    return DensityOperator((label,), m / np.trace(m).real)
+    return DensityOperator((label,), ginibre_states(ginibre_factor(label.dim, rng, rank)))
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    q, r = np.linalg.qr(g)
+    q, r = np.linalg.qr(ginibre_factor(dim, rng))
     return q * (np.diag(r) / np.abs(np.diag(r)))

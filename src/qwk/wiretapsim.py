@@ -483,12 +483,12 @@ def covering_concentration(
     mean_op = np.einsum("w,wjk->jk", probs, q_ops)
     per_l = {}
     for l_depth in l_schedule:
-        devs = np.zeros(trials)
+        avgs = np.empty((trials,) + mean_op.shape, dtype=q_ops.dtype)
         for k in range(trials):
             rng = counter_rng(seed, _STREAM_COVERING, l_depth, k)
             picks = rng.choice(len(words), size=l_depth, p=probs)
-            avg = q_ops[picks].mean(axis=0)
-            devs[k] = trace_norm(avg - mean_op)
+            avgs[k] = q_ops[picks].mean(axis=0)
+        devs = trace_norm(avgs - mean_op)
         per_l[int(l_depth)] = {
             "median": float(np.median(devs)),
             "mean": float(devs.mean()),

@@ -10,8 +10,11 @@ from qwk.qcore import (
     PureState,
     QcoreError,
     basis_state,
+    check_density,
     fidelity,
     degenerate_runs,
+    ginibre_factor,
+    ginibre_states,
     hermitian_eigensystem,
     kron_chain,
     maximally_entangled,
@@ -330,3 +333,76 @@ class TestKronChain:
             for f in factors:
                 ref = np.kron(ref, f[tuple(i if f.shape[k] > 1 else 0 for k, i in enumerate(idx))])
             assert out[idx].tobytes() == ref.tobytes()
+
+
+@st.composite
+def state_stacks(draw):
+    """(N, d, d) stacks of random states, N <= 6 and d <= 4, each of a random
+    rank (the Ginibre factor's later columns set to zero)."""
+    n, d = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    factors = np.stack([ginibre_factor(d, rng) for _ in range(n)])
+    for g in factors:
+        g[:, draw(st.integers(1, d)):] = 0.0
+    return ginibre_states(factors)
+
+
+class TestStackedKernels:
+    """A stack through ``psd_sqrt``, ``trace_norm``, ``fidelity`` or
+    ``check_density`` gives, bit for bit, what each matrix gives alone."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(stack=state_stacks())
+    def test_bit_equal_to_per_matrix_calls(self, stack):
+        label = HilbertLabel("X", stack.shape[-1])
+        check_density(stack)
+        states = [DensityOperator((label,), m) for m in stack]
+        roots = psd_sqrt(stack)
+        for root, m in zip(roots, stack):
+            assert root.tobytes() == psd_sqrt(m).tobytes()
+        other = stack[::-1]
+        norms = trace_norm(stack - other)
+        assert norms.shape == stack.shape[:1]
+        assert norms.tobytes() == np.array([trace_norm(a - b) for a, b in zip(stack, other)]).tobytes()
+        fids = fidelity(roots, roots[::-1])
+        assert fids.shape == stack.shape[:1]
+        assert fids.tobytes() == np.array(
+            [fidelity(a, b) for a, b in zip(states, states[::-1])]).tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(1, 4), n=st.integers(1, 6))
+    def test_ginibre_stack_equals_random_density(self, seed, d, n):
+        label = HilbertLabel("X", d)
+        rng = np.random.default_rng(seed)
+        stack = ginibre_states(np.stack([ginibre_factor(d, rng) for _ in range(n)]))
+        rng = np.random.default_rng(seed)
+        for m in stack:
+            assert m.tobytes() == random_density(label, rng).matrix.tobytes()
+
+    @settings(max_examples=120, deadline=None)
+    @given(stack=state_stacks(), data=st.data(),
+           fault=st.sampled_from(["hermitian", "negative", "trace"]))
+    def test_one_bad_matrix_raises_what_density_operator_raises(self, stack, data, fault):
+        d = stack.shape[-1]
+        i = data.draw(st.integers(0, len(stack) - 1))
+        stack = stack.copy()
+        if fault == "hermitian":
+            stack[i, 0, d - 1] += 1e-3j if d == 1 else 1e-3
+        elif fault == "negative":
+            stack[i] -= 2.0 * np.eye(d)
+        else:
+            stack[i] *= 1.5
+        with pytest.raises(QcoreError) as alone:
+            DensityOperator((HilbertLabel("X", d),), stack[i])
+        with pytest.raises(QcoreError) as stacked:
+            check_density(stack)
+        assert str(stacked.value) == str(alone.value)
+
+
+@pytest.mark.parametrize("d", [8, 32, 64])
+def test_stacked_psd_sqrt_is_bit_equal_at_entanglement_code_sizes(d):
+    rng = np.random.default_rng(d)
+    stack = ginibre_states(np.stack([ginibre_factor(d, rng, rank=d // 2) for _ in range(3)]))
+    roots = psd_sqrt(stack)
+    for root, m in zip(roots, stack):
+        assert root.tobytes() == psd_sqrt(m).tobytes()
