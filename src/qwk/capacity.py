@@ -13,7 +13,6 @@ achieves rate zero).
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Sequence
@@ -21,7 +20,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .channels import (
-    CQChannel,
     CompoundWiretapSpec,
     KrausChannel,
     as_kraus,
@@ -76,16 +74,8 @@ class CapacityReport:
     solver: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        return {
-            "formula_id": self.formula_id,
-            "value": self.value,
-            "value_raw": self.value_raw,
-            "n": self.n,
-            "per_t": self.per_t,
-            "argmax": self.argmax,
-            "config": self.config,
-            "flags": self.flags,
-        }
+        """The payload: every field but the solver record."""
+        return {k: v for k, v in asdict(self).items() if k != "solver"}
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +118,8 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # objective terms: each maps priors q over U, shape (..., Q, m), and prefix
-# channels E (rows U->A), shape (..., m, a), to rate terms of shape (..., Q)
+# channels E (rows U->A), shape (..., m, a), to rate terms of shape (..., Q, T),
+# one column per state
 
 
 def _holevo(qs: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -138,59 +129,67 @@ def _holevo(qs: np.ndarray, z: np.ndarray) -> np.ndarray:
     return eig_entropies(avg) - (qs @ s_u[..., None])[..., 0]
 
 
-class _ClassicalTerm:
-    """I(U;Y) through a stochastic matrix following the prefix channel E."""
+class _StateTerm:
+    """One rate term for every state of theta, batched over priors.
 
-    def __init__(self, matrix: np.ndarray):
-        self.m = np.asarray(matrix, dtype=float)
-
-    def batch(self, qs: np.ndarray, e: np.ndarray) -> np.ndarray:
-        rows = e @ self.m
-        h_rows = entropy_rows(rows)
-        p_out = qs @ rows
-        return entropy_rows(p_out) - (qs @ h_rows[..., None])[..., 0]
-
-
-class _ChiPowerTerm:
-    """(1/n) chi(U; Z^(x n)) where, given u, letters are i.i.d. E(.|u)."""
-
-    def __init__(self, states: np.ndarray, n: int):
-        self.states = np.asarray(states, dtype=complex)  # (a, d, d)
-        self.n = n
-
-    def batch(self, qs: np.ndarray, e: np.ndarray) -> np.ndarray:
-        z = np.einsum("...ua,adk->...udk", e, self.states)
-        return _holevo(qs, kron_chain([z] * self.n)) / self.n
-
-
-class _ChiMixTerm:
-    """(1/n) chi(U; .) over fixed word states mixed by E."""
-
-    def __init__(self, word_states: np.ndarray, n: int):
-        self.word_states = np.asarray(word_states, dtype=complex)  # (W, D, D)
-        self.n = n
-
-    def batch(self, qs: np.ndarray, e: np.ndarray) -> np.ndarray:
-        z = np.einsum("...uw,wjk->...ujk", e, self.word_states)
-        return _holevo(qs, z) / self.n
-
-
-def _objective(legit_terms, wiretap_terms):
-    """Worst legitimate term minus largest leakage term, batched over priors.
-
-    For one state of each kind this is the single-state difference itself.
+    The per-state arrays are kept as one stack per distinct shape, never
+    padded, so a family whose members share their output sizes has one
+    stack.  ``batch`` returns (..., Q, T), state t in column t; ``at(t)``
+    is the term of state t alone.
     """
 
-    def f(qs, e):
-        legit = functools.reduce(np.minimum, (t.batch(qs, e) for t in legit_terms))
-        wire = functools.reduce(np.maximum, (t.batch(qs, e) for t in wiretap_terms))
-        return legit - wire
+    def __init__(self, arrays, n: int = 1):
+        self.n = n
+        self.count = len(arrays)
+        shapes: dict[tuple, list[int]] = {}
+        for t, arr in enumerate(arrays):
+            shapes.setdefault(np.shape(arr), []).append(t)
+        self.stacks = [(ts, np.stack([arrays[t] for t in ts])) for ts in shapes.values()]
 
-    return f
+    def at(self, t: int) -> "_StateTerm":
+        ts, stack = next((ts, stack) for ts, stack in self.stacks if t in ts)
+        return type(self)([stack[ts.index(t)]], self.n)
+
+    def batch(self, qs: np.ndarray, e: np.ndarray) -> np.ndarray:
+        cols = [(ts, self._stacked(qs, e, stack).swapaxes(-1, -2)) for ts, stack in self.stacks]
+        if len(cols) == 1:
+            return cols[0][1]
+        out = np.empty(cols[0][1].shape[:-1] + (self.count,))
+        for ts, vals in cols:
+            out[..., ts] = vals
+        return out
 
 
-def _term_at(term, q: np.ndarray, e: np.ndarray) -> float:
-    return float(term.batch(q[None, :], e)[0])
+class _ClassicalTerm(_StateTerm):
+    """I(U;Y) through stochastic matrices following the prefix channel E."""
+
+    def _stacked(self, qs, e, m):
+        rows = e[..., None, :, :] @ m
+        qs = qs[..., None, :, :]
+        return entropy_rows(qs @ rows) - (qs @ entropy_rows(rows)[..., None])[..., 0]
+
+
+class _ChiPowerTerm(_StateTerm):
+    """(1/n) chi(U; Z^(x n)) where, given u, letters are i.i.d. E(.|u); the
+    arrays are (a, d, d) letter stacks."""
+
+    def _stacked(self, qs, e, states):
+        z = np.einsum("...ua,tadk->...tudk", e, states)
+        return _holevo(qs[..., None, :, :], kron_chain([z] * self.n)) / self.n
+
+
+class _ChiMixTerm(_StateTerm):
+    """(1/n) chi(U; .) over fixed (W, D, D) word states mixed by E."""
+
+    def _stacked(self, qs, e, word_states):
+        z = np.einsum("...uw,twjk->...tujk", e, word_states)
+        return _holevo(qs[..., None, :, :], z) / self.n
+
+
+def _objective(legit: _StateTerm, wire: _StateTerm):
+    """Worst legitimate term minus largest leakage term, batched over priors.
+    For one state of each kind this is the single-state difference itself."""
+    return lambda qs, e: legit.batch(qs, e).min(-1) - wire.batch(qs, e).max(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -486,28 +485,37 @@ def _prefix_argmax(q: np.ndarray, e: np.ndarray, m: int) -> dict:
     return {"prior": q.tolist(), "prefix_rows": e.tolist(), "aux_card_used": m}
 
 
-def _csi_report(formula_id, spec, legit_terms, wire_terms, a, n, cfg) -> CapacityReport:
+def _per_state(names, legit: _StateTerm, wire: _StateTerm, q: np.ndarray, e: np.ndarray):
+    """Both terms of every state at one prior and prefix, one batch call each."""
+    lv, wv = legit.batch(q[None, :], e)[0], wire.batch(q[None, :], e)[0]
+    return {name: {"legit": float(x), "wiretap": float(y)} for name, x, y in zip(names, lv, wv)}
+
+
+def _csi_report(formula_id, spec, legit, wire, a, n, cfg, words=False) -> CapacityReport:
     """Sender knows the state: the worst state of the per-state best of
-    legitimate minus leakage term, each over its own prior and prefix."""
-    per_t, argmax, values, runs = {}, {}, [], []
-    for idx, (name, legit, wire) in enumerate(zip(spec.names, legit_terms, wire_terms)):
-        v, q, e, m, state_runs = _maximize_aux(_objective([legit], [wire]), a, cfg, tag=idx)
-        per_t[name] = {"legit": _term_at(legit, q, e), "wiretap": _term_at(wire, q, e), "value": v}
-        argmax[name] = _prefix_argmax(q, e, m)
-        values.append(v)
+    legitimate minus leakage term.  Each state is maximized on its own over
+    prior and prefix, or with ``words`` over a prior on the a input words."""
+    per_t, argmax, runs = {}, {}, []
+    for t, name in enumerate(spec.names):
+        legit_t, wire_t = legit.at(t), wire.at(t)
+        if words:
+            v, q, run = _maximize_prior(_objective(legit_t, wire_t), a, cfg, tag=t)
+            e, argmax[name], state_runs = np.eye(a), {"word_prior": q.tolist()}, [run]
+        else:
+            v, q, e, m, state_runs = _maximize_aux(_objective(legit_t, wire_t), a, cfg, tag=t)
+            argmax[name] = _prefix_argmax(q, e, m)
+        per_t[name] = {**_per_state([name], legit_t, wire_t, q, e)[name], "value": v}
         runs += [{"state": name, **run} for run in state_runs]
-    solver = {**_aux_grid_used(cfg, a), "ascent": runs}
-    return _clamped_report(formula_id, min(values), n, per_t, argmax, cfg, solver)
+    raw = min(row["value"] for row in per_t.values())
+    grid = _prior_grid_used(cfg, a) if words else _aux_grid_used(cfg, a)
+    return _clamped_report(formula_id, raw, n, per_t, argmax, cfg, {**grid, "ascent": runs})
 
 
-def _nocsi_report(formula_id, spec, legit_terms, wire_terms, a, n, cfg) -> CapacityReport:
+def _nocsi_report(formula_id, spec, legit, wire, a, n, cfg) -> CapacityReport:
     """One prior and prefix for all states: the worst legitimate term minus
     the largest leakage term."""
-    raw, q, e, m, runs = _maximize_aux(_objective(legit_terms, wire_terms), a, cfg, tag=0)
-    per_t = {
-        name: {"legit": _term_at(legit, q, e), "wiretap": _term_at(wire, q, e)}
-        for name, legit, wire in zip(spec.names, legit_terms, wire_terms)
-    }
+    raw, q, e, m, runs = _maximize_aux(_objective(legit, wire), a, cfg, tag=0)
+    per_t = _per_state(spec.names, legit, wire, q, e)
     solver = {**_aux_grid_used(cfg, a), "ascent": runs}
     return _clamped_report(formula_id, raw, n, per_t, _prefix_argmax(q, e, m), cfg, solver)
 
@@ -516,15 +524,15 @@ def _nocsi_report(formula_id, spec, legit_terms, wire_terms, a, n, cfg) -> Capac
 # classical compound wiretap
 
 
-def _classical_terms(channels) -> list[_ClassicalTerm]:
-    return [_ClassicalTerm(ch.matrix) for ch in channels]
+def _classical_term(channels) -> _ClassicalTerm:
+    return _ClassicalTerm([ch.matrix for ch in channels])
 
 
 def classical_csi_capacity(spec: CompoundWiretapSpec, cfg: SolverConfig) -> CapacityReport:
     """Worst state of the per-state best prefix rates (sender knows the state)."""
     _require_variant(spec, "classical", "b1")
     a = len(spec.legitimate[0].input_alphabet)
-    legit, wire = _classical_terms(spec.legitimate), _classical_terms(spec.wiretap)
+    legit, wire = _classical_term(spec.legitimate), _classical_term(spec.wiretap)
     return _csi_report("b1", spec, legit, wire, a, 1, cfg)
 
 
@@ -532,7 +540,7 @@ def classical_nocsi_lower(spec: CompoundWiretapSpec, cfg: SolverConfig) -> Capac
     """One prefix for all states: min legitimate rate minus max leakage rate."""
     _require_variant(spec, "classical", "b1prime")
     a = len(spec.legitimate[0].input_alphabet)
-    legit, wire = _classical_terms(spec.legitimate), _classical_terms(spec.wiretap)
+    legit, wire = _classical_term(spec.legitimate), _classical_term(spec.wiretap)
     return _nocsi_report("b1prime", spec, legit, wire, a, 1, cfg)
 
 
@@ -544,18 +552,18 @@ def qwiretap_csi_capacity(spec: CompoundWiretapSpec, cfg: SolverConfig) -> Capac
     """Classical legitimate term, quantum leakage term at block length n."""
     _require_variant(spec, "classical-quantum-wiretap", "CSIcap")
     a = len(spec.legitimate[0].input_alphabet)
-    d = spec.wiretap[0].output_space.dim
-    check_dim_cap(d ** cfg.n, "wiretap block state")
-    wire = [_ChiPowerTerm(v.letters, cfg.n) for v in spec.wiretap]
-    return _csi_report("CSIcap", spec, _classical_terms(spec.legitimate), wire, a, cfg.n, cfg)
+    # the largest member's d^n, before any term is built
+    check_dim_cap(max(v.output_space.dim for v in spec.wiretap) ** cfg.n, "wiretap block state")
+    wire = _ChiPowerTerm([v.letters for v in spec.wiretap], cfg.n)
+    return _csi_report("CSIcap", spec, _classical_term(spec.legitimate), wire, a, cfg.n, cfg)
 
 
 def qwiretap_nocsi_lower(spec: CompoundWiretapSpec, cfg: SolverConfig) -> CapacityReport:
     """Single-letter quantum leakage exactly as the formula prints it."""
     _require_variant(spec, "classical-quantum-wiretap", "noCSIcap")
     a = len(spec.legitimate[0].input_alphabet)
-    wire = [_ChiPowerTerm(v.letters, 1) for v in spec.wiretap]
-    return _nocsi_report("noCSIcap", spec, _classical_terms(spec.legitimate), wire, a, 1, cfg)
+    wire = _ChiPowerTerm([v.letters for v in spec.wiretap], 1)
+    return _nocsi_report("noCSIcap", spec, _classical_term(spec.legitimate), wire, a, 1, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -563,35 +571,24 @@ def qwiretap_nocsi_lower(spec: CompoundWiretapSpec, cfg: SolverConfig) -> Capaci
 
 
 def _cq_block_terms(spec: CompoundWiretapSpec, n: int):
-    """Holevo terms over n-fold input words, after the block-dimension caps."""
-    check_dim_cap(spec.legitimate[0].output_space.dim ** n, "legitimate block state")
-    check_dim_cap(spec.wiretap[0].output_space.dim ** n, "wiretap block state")
+    """Holevo terms over n-fold input words, after the block-dimension caps
+    on the largest member's d^n."""
+    for role, members in (("legitimate", spec.legitimate), ("wiretap", spec.wiretap)):
+        check_dim_cap(max(ch.output_space.dim for ch in members) ** n, f"{role} block state")
     a = len(spec.legitimate[0].input_alphabet)
     words = list(itertools.product(range(a), repeat=n))
 
-    def term(ch: CQChannel) -> _ChiMixTerm:
-        return _ChiMixTerm(np.stack([cq_word_state(ch, w).matrix for w in words]), n)
-    return [term(w) for w in spec.legitimate], [term(v) for v in spec.wiretap], len(words)
+    def term(members) -> _ChiMixTerm:
+        return _ChiMixTerm([np.stack([cq_word_state(ch, w).matrix for w in words])
+                            for ch in members], n)
+    return term(spec.legitimate), term(spec.wiretap), len(words)
 
 
 def cq_csi_capacity(spec: CompoundWiretapSpec, cfg: SolverConfig) -> CapacityReport:
     """Per-state best prior over n-fold input words, then the worst state."""
     _require_variant(spec, "cq", "e1q")
-    legit_terms, wire_terms, n_words = _cq_block_terms(spec, cfg.n)
-    eye = np.eye(n_words)
-    per_t, argmax, values, runs = {}, {}, [], []
-    for idx, (name, legit, wire) in enumerate(zip(spec.names, legit_terms, wire_terms)):
-        v, q, run = _maximize_prior(_objective([legit], [wire]), n_words, cfg, tag=idx)
-        runs.append({"state": name, **run})
-        per_t[name] = {
-            "legit": _term_at(legit, q, eye),
-            "wiretap": _term_at(wire, q, eye),
-            "value": v,
-        }
-        argmax[name] = {"word_prior": q.tolist()}
-        values.append(v)
-    solver = {**_prior_grid_used(cfg, n_words), "ascent": runs}
-    return _clamped_report("e1q", min(values), cfg.n, per_t, argmax, cfg, solver)
+    legit, wire, n_words = _cq_block_terms(spec, cfg.n)
+    return _csi_report("e1q", spec, legit, wire, n_words, cfg.n, cfg, words=True)
 
 
 def cq_nocsi_capacity(spec: CompoundWiretapSpec, cfg: SolverConfig) -> CapacityReport:
@@ -620,18 +617,14 @@ def entgen_lower_bound(family: Sequence, cfg: SolverConfig) -> CapacityReport:
     runs = []
     for i, u in enumerate(bases):
         rhos = [np.outer(u[:, x], u[:, x].conj()) for x in range(d)]
-        legit_terms = [_ChiMixTerm(np.stack([s.apply_matrix(r) for r in rhos]), 1) for s in isos]
-        wire_terms = [_ChiMixTerm(np.stack([s.env_matrix(r) for r in rhos]), 1) for s in isos]
-        v, q, run = _maximize_prior(_objective(legit_terms, wire_terms), d, cfg, tag=99)
+        legit = _ChiMixTerm([np.stack([s.apply_matrix(r) for r in rhos]) for s in isos])
+        wire = _ChiMixTerm([np.stack([s.env_matrix(r) for r in rhos]) for s in isos])
+        v, q, run = _maximize_prior(_objective(legit, wire), d, cfg, tag=99)
         runs.append({"basis": i, **run})
         if v > best[0] + 1e-15:
-            best = (v, q, u, legit_terms, wire_terms)
-    raw, prior, u, legit_terms, wire_terms = best
-    eye = np.eye(d)
-    per_t = {
-        name: {"legit": _term_at(legit, prior, eye), "wiretap": _term_at(wire, prior, eye)}
-        for name, legit, wire in zip(_family_names(family), legit_terms, wire_terms)
-    }
+            best = (v, q, u, legit, wire)
+    raw, prior, u, legit, wire = best
+    per_t = _per_state(_family_names(family), legit, wire, prior, np.eye(d))
     argmax = {
         "prior": prior.tolist(),
         "basis_real": u.real.tolist(),

@@ -21,6 +21,7 @@ Channel-object schema (shared by all spec files): a JSON object tagged by
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
@@ -231,6 +232,7 @@ def _manifest(args, command: str, extra: dict | None = None) -> dict:
 
 
 def cmd_capacity(args) -> int:
+    _require_min(0, seed=args.seed, restarts=args.restarts, refine=args.refine)
     spec = load_spec(args.spec)
     formula = args.formula.lower().replace("'", "prime")
     cfg = SolverConfig(
@@ -255,23 +257,25 @@ def cmd_capacity(args) -> int:
     extra = {"spec": args.spec, "formula": args.formula, "solver": report.solver}
     write_report(args.out, _manifest(args, "capacity", extra), payload)
     if args.csv:
-        with open(args.csv, "w") as fh:
-            fh.write("t,legit,wiretap\n")
-            for t, row in payload["per_t"].items():
-                fh.write(f"{t},{row.get('legit', '')},{row.get('wiretap', '')}\n")
+        rows = [{"t": t, **row} for t, row in payload["per_t"].items()]
+        with open(args.csv, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, list(rows[0]), lineterminator="\n")
+            writer.writeheader()
+            writer.writerows(rows)
     return 0
 
 
-def _require_sizes(**sizes) -> None:
-    """Refuse a size flag below 1 before any work; an unset flag (None) passes."""
-    for name, val in sizes.items():
-        if val is not None and val < 1:
-            raise FlagError(f"--{name} must be >= 1")
+def _require_min(low: int, **flags) -> None:
+    """Refuse a flag below ``low`` before any work; an unset flag (None) passes."""
+    for name, val in flags.items():
+        if val is not None and val < low:
+            raise FlagError(f"--{name} must be >= {low}")
 
 
 def cmd_simulate(args) -> int:
     if args.seed is None:
         raise FlagError("simulate requires --seed (no hidden entropy)")
+    _require_min(0, seed=args.seed)
     if args.trials < 1:
         raise FlagError("--trials must be >= 1")
     if args.L == "auto":
@@ -281,7 +285,7 @@ def cmd_simulate(args) -> int:
             l_val = int(args.L)
         except ValueError:
             raise FlagError("--L must be an integer or 'auto'")
-    _require_sizes(n=args.n, J=args.J, L=l_val)
+    _require_min(1, n=args.n, J=args.J, L=l_val)
     spec = load_spec(args.spec)
     if spec.variant == "quantum":
         raise SolverError("simulate needs classical-input channels, not variant 'quantum'")
@@ -348,7 +352,8 @@ def cmd_net(args) -> int:
 def cmd_entangle(args) -> int:
     if args.seed is None:
         raise FlagError("entangle requires --seed (no hidden entropy)")
-    _require_sizes(n=args.n, J=args.J, L=args.L)
+    _require_min(0, seed=args.seed)
+    _require_min(1, n=args.n, J=args.J, L=args.L)
     family = load_family(args.family)
     params = TypicalParams(n=args.n, delta=args.delta, alpha=args.alpha)
     dp = family[0].in_space.dim

@@ -390,8 +390,8 @@ class TestSimplexAscent:
 
     def test_prior_and_prefix_ascent_matches_reference(self):
         spec = classical_spec([(bsc(0.1), bsc(0.3)), (bsc(0.15), bsc(0.22))])
-        legit = [_ClassicalTerm(w.matrix) for w in spec.legitimate]
-        wire = [_ClassicalTerm(v.matrix) for v in spec.wiretap]
+        legit = _ClassicalTerm([w.matrix for w in spec.legitimate])
+        wire = _ClassicalTerm([v.matrix for v in spec.wiretap])
         objective = _objective(legit, wire)
         a = 2
         rng = np.random.default_rng(11)
@@ -438,15 +438,15 @@ class TestSimplexAscent:
 
     def test_objective_matches_stacked_min_and_max(self):
         spec = classical_spec([(bsc(0.1), bsc(0.3)), (bsc(0.15), bsc(0.22)), (bsc(0.05), bsc(0.4))])
-        legit = [_ClassicalTerm(w.matrix) for w in spec.legitimate]
-        wire = [_ClassicalTerm(v.matrix) for v in spec.wiretap]
+        legit = _ClassicalTerm([w.matrix for w in spec.legitimate])
+        wire = _ClassicalTerm([v.matrix for v in spec.wiretap])
         qs = simplex_grid(8, 2)
         e = np.array([[0.9, 0.1], [0.3, 0.7]])
-        stacked = (np.stack([t.batch(qs, e) for t in legit]).min(axis=0)
-                   - np.stack([t.batch(qs, e) for t in wire]).max(axis=0))
-        assert np.array_equal(_objective(legit, wire)(qs, e), stacked)
-        single = legit[0].batch(qs, e) - wire[0].batch(qs, e)
-        assert np.array_equal(_objective(legit[:1], wire[:1])(qs, e), single)
+        per_state = (np.stack([legit.at(t).batch(qs, e)[..., 0] for t in range(3)]).min(axis=0)
+                     - np.stack([wire.at(t).batch(qs, e)[..., 0] for t in range(3)]).max(axis=0))
+        assert np.array_equal(_objective(legit, wire)(qs, e), per_state)
+        single = legit.at(0).batch(qs, e)[..., 0] - wire.at(0).batch(qs, e)[..., 0]
+        assert np.array_equal(_objective(legit.at(0), wire.at(0))(qs, e), single)
 
 
 # ---------------------------------------------------------------------------
@@ -460,6 +460,7 @@ from hypothesis import strategies as st
 from qwk import capacity
 from qwk.capacity import (
     _ascend_unconstrained,
+    _ChiMixTerm,
     _ChiPowerTerm,
     _coherent_objective,
     _maximize_aux,
@@ -557,10 +558,10 @@ class TestStackedSolver:
         b1 = load_spec(os.path.join(SPECS, "bsc_dominated.json"))
         csi = load_spec(os.path.join(SPECS, "qwiretap_orthogonal.json"))
         cases = [
-            (_objective([_ClassicalTerm(b1.legitimate[0].matrix)],
-                        [_ClassicalTerm(b1.wiretap[0].matrix)]), SolverConfig(grid_resolution=8)),
-            (_objective([_ClassicalTerm(csi.legitimate[0].matrix)],
-                        [_ChiPowerTerm(csi.wiretap[0].letters, 2)]),
+            (_objective(_ClassicalTerm([b1.legitimate[0].matrix]),
+                        _ClassicalTerm([b1.wiretap[0].matrix])), SolverConfig(grid_resolution=8)),
+            (_objective(_ClassicalTerm([csi.legitimate[0].matrix]),
+                        _ChiPowerTerm([csi.wiretap[0].letters], 2)),
              SolverConfig(n=2, grid_resolution=8, restarts=2)),
         ]
         for objective, cfg in cases:
@@ -580,8 +581,8 @@ class TestLockstepAscent:
 
     def _b1prime_val(self, m):
         b1p = load_spec(os.path.join(SPECS, "bsc_two_state.json"))
-        objective = _objective([_ClassicalTerm(w.matrix) for w in b1p.legitimate],
-                               [_ClassicalTerm(v.matrix) for v in b1p.wiretap])
+        objective = _objective(_ClassicalTerm([w.matrix for w in b1p.legitimate]),
+                               _ClassicalTerm([v.matrix for v in b1p.wiretap]))
 
         def val(xs):
             return objective(xs[:, None, :m], xs[:, m:].reshape(-1, m, 2))[:, 0]
@@ -636,8 +637,8 @@ class TestLockstepAscent:
     @pytest.mark.parametrize("chunk", [1, 7, 100])
     def test_ascent_chunk_invariance(self, chunk, monkeypatch):
         b1 = load_spec(os.path.join(SPECS, "bsc_dominated.json"))
-        objective = _objective([_ClassicalTerm(b1.legitimate[0].matrix)],
-                               [_ClassicalTerm(b1.wiretap[0].matrix)])
+        objective = _objective(_ClassicalTerm([b1.legitimate[0].matrix]),
+                               _ClassicalTerm([b1.wiretap[0].matrix]))
         cfg = SolverConfig(grid_resolution=8, restarts=2)
         family = load_spec(os.path.join(SPECS, "two_channel_family.json")).legitimate
         propo1_cfg = SolverConfig(n=2, grid_resolution=8, restarts=2)
@@ -653,3 +654,89 @@ class TestLockstepAscent:
         assert patched[4] == default[4]
         assert patched_propo1.to_json_dict() == default_propo1.to_json_dict()
         assert patched_propo1.solver == default_propo1.solver
+
+
+# ---------------------------------------------------------------------------
+# the state axis: one term object per role, state t in column t
+
+
+def _stochastic_rows(rng, a, o):
+    return rng.dirichlet(np.ones(o), size=a)
+
+
+def _random_letters(rng, a, d):
+    """An (a, d, d) stack of random d x d density matrices."""
+    g = rng.normal(size=(a, d, d)) + 1j * rng.normal(size=(a, d, d))
+    rho = g @ g.conj().swapaxes(-1, -2)
+    return rho / np.trace(rho, axis1=-2, axis2=-1).real[:, None, None]
+
+
+class TestStateAxis:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.lists(st.integers(2, 4), min_size=1, max_size=4),
+           st.integers(2, 4))
+    def test_adding_a_state_never_raises_the_nocsi_objective(self, seed, outs, m):
+        rng = np.random.default_rng(seed)
+        a = 2
+        legit = [_stochastic_rows(rng, a, o) for o in outs]
+        wire = [_stochastic_rows(rng, a, o) for o in reversed(outs)]
+        extra_l, extra_w = _stochastic_rows(rng, a, 3), _stochastic_rows(rng, a, 2)
+        qs = rng.dirichlet(np.ones(m), size=5)
+        e = rng.dirichlet(np.ones(a), size=(3, m))
+        base = _objective(_ClassicalTerm(legit), _ClassicalTerm(wire))(qs, e)
+        grown = _objective(_ClassicalTerm(legit + [extra_l]), _ClassicalTerm(wire + [extra_w]))
+        assert np.all(grown(qs, e) <= base)
+
+    @pytest.mark.parametrize("formula, spec_name", [
+        ("b1prime", "bsc_two_state.json"), ("noCSIcap", "qubit_wiretap.json"),
+        ("qnocsie1q", "cq_pair.json"), ("entheorem", "two_channel_family.json"),
+    ])
+    def test_reversing_theta_reverses_per_t_only(self, formula, spec_name):
+        spec = load_spec(os.path.join(SPECS, spec_name))
+        if len(spec) == 1:
+            # a second state, so that the order of theta matters
+            spec = CompoundWiretapSpec(spec.variant, ("t1", "t2"), spec.legitimate * 2,
+                                       spec.wiretap[:1] + (_other_wiretap(spec),))
+        flipped = CompoundWiretapSpec(spec.variant, spec.names[::-1], spec.legitimate[::-1],
+                                      spec.wiretap[::-1])
+        cfg = SolverConfig(grid_resolution=6, refine_iters=10, restarts=1)
+        if formula == "entheorem":
+            fwd, rev = (entgen_lower_bound(s.legitimate, cfg) for s in (spec, flipped))
+        else:
+            solver = {"b1prime": classical_nocsi_lower, "noCSIcap": qwiretap_nocsi_lower,
+                      "qnocsie1q": cq_nocsi_capacity}[formula]
+            fwd, rev = solver(spec, cfg), solver(flipped, cfg)
+            assert list(rev.per_t) == list(fwd.per_t)[::-1]
+        assert rev.value_raw == fwd.value_raw
+        assert rev.argmax == fwd.argmax
+        assert list(rev.per_t.values()) == list(fwd.per_t.values())[::-1]
+
+    @pytest.mark.parametrize("kind", ["classical", "chi_power", "chi_mix"])
+    def test_mixed_shape_columns_equal_single_state_terms(self, kind):
+        rng = np.random.default_rng(61)
+        sizes = [2, 3, 2, 4, 3]
+        if kind == "classical":
+            term = _ClassicalTerm([_stochastic_rows(rng, 2, o) for o in sizes])
+        elif kind == "chi_power":
+            term = _ChiPowerTerm([_random_letters(rng, 2, d) for d in sizes], 2)
+        else:
+            term = _ChiMixTerm([_random_letters(rng, 4, d) for d in sizes], 2)
+        assert len(term.stacks) == 3
+        m, a = 3, (4 if kind == "chi_mix" else 2)
+        for qs, e in [(rng.dirichlet(np.ones(m), size=4), rng.dirichlet(np.ones(a), size=(5, m))),
+                      (rng.dirichlet(np.ones(a), size=(6, 1)), np.eye(a))]:
+            cols = term.batch(qs, e)
+            assert cols.shape[-1] == len(sizes)
+            for t in range(len(sizes)):
+                assert np.array_equal(cols[..., t], term.at(t).batch(qs, e)[..., 0])
+
+
+def _other_wiretap(spec):
+    """A second wiretap channel of the kind of the spec's first."""
+    v = spec.wiretap[0]
+    if isinstance(v, ClassicalChannel):
+        return bsc(0.35)
+    d = v.output_space.dim
+    return CQChannel(v.input_alphabet, v.output_space,
+                     {x: 0.5 * v.letters[i] + 0.5 * np.eye(d) / d
+                      for i, x in enumerate(v.input_alphabet)})

@@ -496,6 +496,126 @@ class TestCapacityCaps:
                         "--out", str(tmp_path / "cap.json")]) == 0
 
 
+def _cq_letters(dim):
+    """Two letter states of a dim-dimensional cq channel, as spec JSON."""
+    first, second = np.zeros((dim, dim)), np.eye(dim) / dim
+    first[0, 0] = 1.0
+    return {"kind": "cq", "input_alphabet": [0, 1], "dim": dim,
+            "states": {"0": [[[x, 0.0] for x in row] for row in first],
+                       "1": [[[x, 0.0] for x in row] for row in second]}}
+
+
+MIXED_SIZE_SPECS = {
+    # the larger member comes second, so a cap read from member 0 misses it
+    "CSIcap": {"variant": "classical-quantum-wiretap", "theta": [
+        {"t": "t1", "W": {"kind": "stochastic", "input_alphabet": [0, 1],
+                          "output_alphabet": [0, 1], "matrix": [[0.9, 0.1], [0.1, 0.9]]},
+         "V": _cq_letters(2)},
+        {"t": "t2", "W": {"kind": "stochastic", "input_alphabet": [0, 1],
+                          "output_alphabet": [0, 1], "matrix": [[0.8, 0.2], [0.2, 0.8]]},
+         "V": _cq_letters(4)}]},
+    "cq": {"variant": "cq", "theta": [
+        {"t": "t1", "W": _cq_letters(2), "V": _cq_letters(2)},
+        {"t": "t2", "W": _cq_letters(3), "V": _cq_letters(3)}]},
+}
+
+
+class TestMixedSizeCaps:
+    @pytest.mark.parametrize("formula, family, cap, message", [
+        ("CSIcap", "CSIcap", "8", "wiretap block state needs dimension 16 > cap 8"),
+        ("e1q", "cq", "8", "legitimate block state needs dimension 9 > cap 8"),
+        ("qnocsie1q", "cq", "8", "legitimate block state needs dimension 9 > cap 8"),
+    ])
+    def test_largest_member_capped_before_any_term(self, formula, family, cap, message,
+                                                   tmp_path, monkeypatch, capsys):
+        import qwk.capacity
+
+        def no_terms(*args, **kwargs):
+            raise AssertionError("a rate term was built before the cap check")
+
+        for name in ("_ChiPowerTerm", "_ChiMixTerm", "cq_word_state"):
+            monkeypatch.setattr(qwk.capacity, name, no_terms)
+        spec = tmp_path / "mixed.json"
+        spec.write_text(json.dumps(MIXED_SIZE_SPECS[family]))
+        monkeypatch.setenv("QWK_CAP_DIM", cap)
+        rc = run_cli(["capacity", "--formula", formula, "--spec", str(spec), "--n", "2"])
+        assert rc == EXIT_CAP
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("formula, family", [("CSIcap", "CSIcap"), ("noCSIcap", "CSIcap"),
+                                                 ("e1q", "cq"), ("qnocsie1q", "cq")])
+    def test_mixed_sizes_run_under_the_default_cap(self, formula, family, tmp_path):
+        spec = tmp_path / "mixed.json"
+        spec.write_text(json.dumps(MIXED_SIZE_SPECS[family]))
+        out = tmp_path / "cap.json"
+        assert run_cli(["capacity", "--formula", formula, "--spec", str(spec), "--grid", "4",
+                        "--refine", "3", "--restarts", "0", "--out", str(out)]) == 0
+        assert list(json.loads(out.read_text())["payload"]["per_t"]) == ["t1", "t2"]
+
+
+class TestCapacityCsv:
+    @pytest.mark.parametrize("formula, spec, fields", [
+        ("b1", "bsc_two_state.json", ["legit", "wiretap", "value"]),
+        ("b1prime", "bsc_two_state.json", ["legit", "wiretap"]),
+        ("propo1", "two_channel_family.json", ["coherent_information", "value"]),
+    ])
+    def test_csv_holds_the_per_state_rows(self, formula, spec, fields, tmp_path):
+        import csv
+
+        out, table = tmp_path / "cap.json", tmp_path / "cap.csv"
+        assert run_cli(["capacity", "--formula", formula, "--spec", spec_path(spec), "--grid", "4",
+                        "--refine", "3", "--restarts", "0", "--out", str(out),
+                        "--csv", str(table)]) == 0
+        per_t = json.loads(out.read_text())["payload"]["per_t"]
+        with open(table, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert list(rows[0]) == ["t", *fields]
+        assert [row["t"] for row in rows] == list(per_t)
+        for row in rows:
+            for f in fields:
+                assert float(row[f]) == pytest.approx(per_t[row["t"]][f], rel=1e-11, abs=1e-15)
+
+
+NEGATIVE_FLAG_ARGS = {
+    "capacity": ["capacity", "--formula", "b1", "--spec", spec_path("bsc_pair.json")],
+    "simulate": ["simulate", "--spec", spec_path("bsc_pair.json"), "--n", "2"],
+    "entangle": ["entangle", "--family", spec_path("two_channel_family.json")],
+}
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("capacity", "--seed", "-1"), ("capacity", "--restarts", "-2"),
+    ("capacity", "--refine", "-1"), ("simulate", "--seed", "-1"), ("entangle", "--seed", "-1"),
+])
+def test_negative_flag_exits_4_without_a_report(command, flag, value, tmp_path, monkeypatch):
+    import qwk.cli
+
+    def no_work(path):
+        raise AssertionError("the input file was read before the flags were checked")
+
+    monkeypatch.setattr(qwk.cli, "load_spec", no_work)
+    monkeypatch.setattr(qwk.cli, "load_family", no_work)
+    out = tmp_path / "report.json"
+    extra = [] if flag == "--seed" else ["--seed", "1"]
+    argv = NEGATIVE_FLAG_ARGS[command] + extra + [flag, value, "--out", str(out)]
+    assert run_cli(argv) == EXIT_FLAG
+    assert not out.exists()
+
+
+def test_solver_records_match_golden(tmp_path):
+    """``manifest.solver`` of the capacity goldens' commands and of b1 and
+    b1prime on a family with a binary and a ternary output, as recorded
+    in golden_solver_records.json."""
+    golden = json.load(open(os.path.join(DATA, "golden_solver_records.json")))
+    mixed = tmp_path / "mixed.json"
+    mixed.write_text(json.dumps(golden["mixed_classical"]))
+    for record in golden["records"]:
+        out = tmp_path / "cap.json"
+        argv = [str(mixed) if a == "{mixed}" else a for a in record["argv"]]
+        assert run_cli(argv + ["--out", str(out)]) == 0
+        assert json.loads(out.read_text())["manifest"]["solver"] == record["solver"], argv
+
+
 class TestBlasThreads:
     def _child(self, extra_env):
         src = os.path.join(os.path.dirname(__file__), "..", "src")
