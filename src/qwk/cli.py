@@ -48,6 +48,7 @@ from .wiretapsim import (
     build_decoder,
     eval_error,
     eval_leakage,
+    leakage_dims,
     plan_simulation,
     sample_codebook,
     sizes_from_rates,
@@ -233,6 +234,8 @@ def _manifest(args, command: str, extra: dict | None = None) -> dict:
 
 def cmd_capacity(args) -> int:
     _require_min(0, seed=args.seed, restarts=args.restarts, refine=args.refine)
+    _require_min(1, n=args.n, **{"aux-card": args.aux_card})
+    _require_min(2, grid=args.grid)
     spec = load_spec(args.spec)
     formula = args.formula.lower().replace("'", "prime")
     cfg = SolverConfig(
@@ -310,7 +313,8 @@ def cmd_simulate(args) -> int:
         "leakage": leak.to_json_dict(),
         "sizes": sizes_note,
     }
-    write_report(args.out, _manifest(args, "simulate", {"spec": args.spec, "plan": plan}), payload)
+    extra = {"spec": args.spec, "plan": plan, "leakage_dims": leakage_dims(spec, codebook)}
+    write_report(args.out, _manifest(args, "simulate", extra), payload)
     if args.csv:
         with open(args.csv, "w") as fh:
             fh.write("t,max_error,leakage\n")

@@ -29,11 +29,11 @@ from .infotheory import (
     cq_mutual_information,
     entropy_rows,
     mutual_information,
-    von_neumann_entropy,
 )
 from .qcore import (
     CapExceededError,
     QcoreError,
+    accumulate_products,
     check_dim_cap,
     hilbert_dim_cap,
     pretty_good_measurement,
@@ -443,13 +443,48 @@ def _classical_leakage(wire: ClassicalChannel, codebook: Codebook) -> float:
 
 
 def _quantum_leakage(wire: CQChannel, codebook: Codebook) -> float:
+    """S(rho_bar) - (1/J) sum_j S(rho_j), each term a mixture of word states."""
     check_dim_cap(wire.output_space.dim ** codebook.n, "wiretap block state")
-    rhos = _message_states(wire, codebook)
-    avg = sum(rhos) / codebook.J
-    return max(
-        0.0,
-        von_neumann_entropy(avg) - float(np.mean([von_neumann_entropy(r) for r in rhos])),
-    )
+    s_avg = _mixture_entropy(wire, codebook.words.reshape(-1, codebook.n))
+    s_msg = [_mixture_entropy(wire, words) for words in codebook.words]
+    return max(0.0, s_avg - float(np.mean(s_msg)))
+
+
+def _differing(words: np.ndarray) -> np.ndarray:
+    """Mask of the positions where the (K, n) words do not all carry one letter."""
+    return (words != words[:1]).any(axis=0)
+
+
+def _mixture_entropy(ch: CQChannel, words) -> float:
+    """von Neumann entropy of the uniform mixture of the word states of (K, n) words.
+
+    The positions where all K words carry the same letter are a product
+    factor of the mixture.  Its spectrum is therefore the outer product of
+    those letters' spectra with the spectrum of the mixture restricted to
+    the differing positions, a d^(#differing) matrix summed word by word
+    (no matrix at all when no position differs).  The floor of
+    ``entropy_rows`` applies once, to the full product spectrum.
+    """
+    differ = _differing(words)
+    spectrum = accumulate_products(np.linalg.eigvalsh(ch.letters)[words[0, ~differ]])
+    if differ.any():
+        mix = 0.0
+        for word in words[:, differ]:
+            mix += cq_word_state(ch, word).matrix
+        spectrum = np.outer(spectrum, np.linalg.eigvalsh(mix / len(words))).reshape(-1)
+    return float(entropy_rows(np.clip(spectrum, 0.0, None)))
+
+
+def leakage_dims(spec: CompoundWiretapSpec, codebook: Codebook) -> dict:
+    """Per cq wiretap state, the dimension that ``eval_leakage`` diagonalises
+    for the average state and for the largest message state (1 when no
+    position differs); None for a classical wiretapper."""
+    average = int(_differing(codebook.words.reshape(-1, codebook.n)).sum())
+    message = max(int(_differing(words).sum()) for words in codebook.words)
+    return {name: {"average": wire.output_space.dim ** average,
+                   "max_message": wire.output_space.dim ** message}
+            if isinstance(wire, CQChannel) else None
+            for name, wire in zip(spec.names, spec.wiretap)}
 
 
 # ---------------------------------------------------------------------------

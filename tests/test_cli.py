@@ -388,6 +388,23 @@ class TestSimulatePlan:
             "typical-set enumeration", "classical error enumeration", "wiretap block state"}
         assert "plan" not in doc["payload"]
 
+    def test_leakage_dims_in_manifest_only(self, tmp_path):
+        out = tmp_path / "sim.json"
+        rc = run_cli(["simulate", "--spec", spec_path("qubit_wiretap.json"), "--n", "6",
+                      "--J", "4", "--L", "1", "--trials", "300", "--seed", "11",
+                      "--out", str(out)])
+        assert rc == 0
+        doc = json.loads(out.read_text())
+        dims = doc["manifest"]["leakage_dims"]["t1"]
+        # one word per message: no message state is ever diagonalised
+        assert dims["max_message"] == 1
+        assert dims["average"] in [2 ** k for k in range(7)]
+        assert "leakage_dims" not in json.dumps(doc["payload"])
+        rc = run_cli(["simulate", "--spec", spec_path("bsc_pair.json"), "--n", "4",
+                      "--trials", "10", "--seed", "1", "--out", str(out)])
+        assert rc == 0
+        assert json.loads(out.read_text())["manifest"]["leakage_dims"] == {"t1": None}
+
     def test_cq_default_delta_exits_0(self, tmp_path):
         out = tmp_path / "sim.json"
         rc = run_cli(["simulate", "--spec", spec_path("cq_pair.json"), "--n", "6", "--J", "2",
@@ -599,6 +616,18 @@ def test_negative_flag_exits_4_without_a_report(command, flag, value, tmp_path, 
     extra = [] if flag == "--seed" else ["--seed", "1"]
     argv = NEGATIVE_FLAG_ARGS[command] + extra + [flag, value, "--out", str(out)]
     assert run_cli(argv) == EXIT_FLAG
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--n", "0"), ("--grid", "1"), ("--aux-card", "0")])
+def test_capacity_size_flag_exits_4_before_the_spec(flag, value, tmp_path, capsys):
+    # the spec path does not exist: reading it would exit 2, not 4
+    missing = tmp_path / "missing.json"
+    out = tmp_path / "report.json"
+    argv = ["capacity", "--formula", "b1", "--spec", str(missing), flag, value,
+            "--out", str(out)]
+    assert run_cli(argv) == EXIT_FLAG
+    assert f"{flag} must be >= " in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -519,3 +519,92 @@ class TestLeakageEmbedding:
         leak = eval_leakage(classical, cb).per_t["t1"]["leakage"]
         assert eval_leakage(embedded, cb).per_t["t1"]["leakage"] == pytest.approx(leak, abs=1e-9)
         assert 0.0 <= leak <= np.log2(J) + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# cq leakage from the differing positions against dense message states
+
+import tracemalloc
+
+from qwk.channels import cq_word_state
+from qwk.infotheory import von_neumann_entropy
+from qwk.qcore import ginibre_factor, ginibre_states
+from qwk.wiretapsim import _mixture_entropy
+
+
+def _dense_mixture_entropy(ch, words):
+    """S of the mean of the dense word states: the reference for the kernel."""
+    return von_neumann_entropy(sum(cq_word_state(ch, w).matrix for w in words) / len(words))
+
+
+def _dense_leakage(ch, codebook):
+    msgs = [sum(cq_word_state(ch, w).matrix for w in words) / codebook.L
+            for words in codebook.words]
+    avg = sum(msgs) / codebook.J
+    return max(0.0, von_neumann_entropy(avg) - float(np.mean([von_neumann_entropy(r) for r in msgs])))
+
+
+def _wiretap_spec(ch):
+    """ch as the wiretapper, behind a uniform classical legitimate channel."""
+    a = len(ch.input_alphabet)
+    legit = ClassicalChannel(ch.input_alphabet, (0, 1), [[0.5, 0.5]] * a)
+    return CompoundWiretapSpec("classical-quantum-wiretap", ("t1",), (legit,), (ch,))
+
+
+@st.composite
+def _mixture_cases(draw):
+    """A cq wiretapper with mixed or pure letters and a (J, L, n) codebook
+    drawn at random, with all words equal, or with no position shared."""
+    a, d, n = draw(st.sampled_from([2, 3])), draw(st.integers(1, 3)), draw(st.integers(1, 6))
+    J, L = draw(st.integers(1, 4)), draw(st.integers(1, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    rank = 1 if draw(st.booleans()) else None
+    letters = ginibre_states(np.stack([ginibre_factor(d, rng, rank) for _ in range(a)]))
+    ch = CQChannel(tuple(range(a)), HilbertLabel("z", d), dict(enumerate(letters)))
+    words = rng.integers(0, a, size=(J, L, n))
+    layout = draw(st.sampled_from(["random", "equal", "no_shared"]))
+    if layout == "equal":
+        words[:] = words[0, 0]
+    elif layout == "no_shared" and J * L > 1:
+        flat = words.reshape(J * L, n)
+        flat[1] = (flat[0] + 1) % a
+    return ch, Codebook(words, J, L, n, {"seed": 0})
+
+
+class TestMixtureEntropy:
+    @settings(max_examples=100, deadline=None)
+    @given(_mixture_cases())
+    @example((qubit_wiretap(), Codebook(np.zeros((1, 1, 6), dtype=int), 1, 1, 6, {"seed": 0})))
+    def test_kernel_and_leakage_match_dense_states(self, case):
+        ch, cb = case
+        flat = cb.words.reshape(-1, cb.n)
+        assert _mixture_entropy(ch, flat) == pytest.approx(
+            _dense_mixture_entropy(ch, flat), abs=1e-12)
+        for words in cb.words:
+            assert _mixture_entropy(ch, words) == pytest.approx(
+                _dense_mixture_entropy(ch, words), abs=1e-12)
+        spec = _wiretap_spec(ch)
+        leak = eval_leakage(spec, cb).per_t["t1"]["leakage"]
+        assert leak == pytest.approx(_dense_leakage(ch, cb), abs=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_mixture_cases(), st.integers(0, 2 ** 32 - 1))
+    def test_position_permutation_leaves_leakage(self, case, perm_seed):
+        ch, cb = case
+        perm = np.random.default_rng(perm_seed).permutation(cb.n)
+        moved = Codebook(cb.words[..., perm], cb.J, cb.L, cb.n, cb.source)
+        spec = _wiretap_spec(ch)
+        assert eval_leakage(spec, moved).per_t["t1"]["leakage"] == pytest.approx(
+            eval_leakage(spec, cb).per_t["t1"]["leakage"], abs=1e-12)
+
+    def test_leakage_peak_memory(self):
+        # one dense 1024 x 1024 complex state alone is 16 MB
+        spec = load_spec(os.path.join(SPECS, "qubit_wiretap.json"))
+        cb = sample_codebook([0.5, 0.5], 10, J=4, L=1, seed=1, delta=0.25)
+        tracemalloc.start()
+        try:
+            eval_leakage(spec, cb)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
