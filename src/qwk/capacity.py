@@ -576,11 +576,10 @@ def _cq_block_terms(spec: CompoundWiretapSpec, n: int):
     for role, members in (("legitimate", spec.legitimate), ("wiretap", spec.wiretap)):
         check_dim_cap(max(ch.output_space.dim for ch in members) ** n, f"{role} block state")
     a = len(spec.legitimate[0].input_alphabet)
-    words = list(itertools.product(range(a), repeat=n))
+    words = np.array(list(itertools.product(range(a), repeat=n)))
 
     def term(members) -> _ChiMixTerm:
-        return _ChiMixTerm([np.stack([cq_word_state(ch, w).matrix for w in words])
-                            for ch in members], n)
+        return _ChiMixTerm([cq_word_state(ch, words) for ch in members], n)
     return term(spec.legitimate), term(spec.wiretap), len(words)
 
 
@@ -616,9 +615,8 @@ def entgen_lower_bound(family: Sequence, cfg: SolverConfig) -> CapacityReport:
     best = (-np.inf, None, None, None, None)
     runs = []
     for i, u in enumerate(bases):
-        rhos = [np.outer(u[:, x], u[:, x].conj()) for x in range(d)]
-        legit = _ChiMixTerm([np.stack([s.apply_matrix(r) for r in rhos]) for s in isos])
-        wire = _ChiMixTerm([np.stack([s.env_matrix(r) for r in rhos]) for s in isos])
+        rec, env = zip(*(s.basis_outputs(u) for s in isos))
+        legit, wire = _ChiMixTerm(rec), _ChiMixTerm(env)
         v, q, run = _maximize_prior(_objective(legit, wire), d, cfg, tag=99)
         runs.append({"basis": i, **run})
         if v > best[0] + 1e-15:

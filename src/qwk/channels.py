@@ -20,7 +20,6 @@ from .qcore import (
     QcoreError,
     TOL_RECON,
     TOL_TRACE,
-    accumulate_products,
     check_dim_cap,
     hermitian_eigensystem,
     kron_chain,
@@ -157,6 +156,13 @@ class StinespringIsometry:
         do, de = self.out_space.dim, self.env_space.dim
         return np.trace(big.reshape(do, de, do, de), axis1=0, axis2=2)
 
+    def basis_outputs(self, basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Receiver and environment letters the channel induces on the
+        columns of ``basis``: two (d_in, ., .) stacks in column order."""
+        rhos = [np.outer(b, b.conj()) for b in basis.T]
+        return (np.stack([self.apply_matrix(r) for r in rhos]),
+                np.stack([self.env_matrix(r) for r in rhos]))
+
 
 _QUANTUM_KINDS = (KrausChannel, StinespringIsometry)
 # variant -> channel kinds of its (legitimate, wiretap) members
@@ -217,20 +223,13 @@ def _input_signature(ch):
 # application and n-fold extension
 
 
-def cq_word_state(ch: CQChannel, word) -> DensityOperator:
-    """Tensor-product output state of a cq channel for a word of letter indices.
-
-    The spectrum of the product is the products of the letters' spectra, so
-    the PSD check takes its least eigenvalue from those instead of
-    diagonalising the dense block.
-    """
-    word = np.asarray(word, dtype=np.intp)
-    dim = ch.output_space.dim ** len(word)
-    check_dim_cap(dim, "cq word output")
-    out = kron_chain(ch.letters[word])
-    min_eig = accumulate_products(np.linalg.eigvalsh(ch.letters)[word]).min()
-    label = HilbertLabel(f"{ch.output_space.name}^{len(word)}", dim)
-    return DensityOperator((label,), out, min_eig=min_eig)
+def cq_word_state(ch: CQChannel, words) -> np.ndarray:
+    """Tensor-product output state of a cq channel for a word of letter
+    indices, or one per word of a (..., n) stack: the Kronecker product of
+    the word's letters, which were validated when the channel was built."""
+    words = np.asarray(words, dtype=np.intp)
+    check_dim_cap(ch.output_space.dim ** words.shape[-1], "cq word output")
+    return kron_chain(ch.letters[np.moveaxis(words, -1, 0)])
 
 
 def n_fold(ch, n: int):

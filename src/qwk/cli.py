@@ -268,11 +268,12 @@ def cmd_capacity(args) -> int:
     return 0
 
 
-def _require_min(low: int, **flags) -> None:
-    """Refuse a flag below ``low`` before any work; an unset flag (None) passes."""
+def _require_min(low: int, *, strict: bool = False, **flags) -> None:
+    """Refuse a flag below ``low`` (at or below it when ``strict``) before any
+    work; an unset flag (None) passes."""
     for name, val in flags.items():
-        if val is not None and val < low:
-            raise FlagError(f"--{name} must be >= {low}")
+        if val is not None and (val <= low if strict else val < low):
+            raise FlagError(f"--{name} must be {'>' if strict else '>='} {low}")
 
 
 def cmd_simulate(args) -> int:
@@ -289,6 +290,7 @@ def cmd_simulate(args) -> int:
         except ValueError:
             raise FlagError("--L must be an integer or 'auto'")
     _require_min(1, n=args.n, J=args.J, L=l_val)
+    _require_min(0, strict=True, delta=args.delta, **{"decode-delta": args.decode_delta})
     spec = load_spec(args.spec)
     if spec.variant == "quantum":
         raise SolverError("simulate needs classical-input channels, not variant 'quantum'")
@@ -328,8 +330,7 @@ def cmd_net(args) -> int:
         raise FlagError("--budget must be >= 1")
     if args.d_in < 1 or args.d_out < 1:
         raise FlagError("--d-in and --d-out must be >= 1")
-    if args.tau <= 0:
-        raise FlagError("--tau must be positive")
+    _require_min(0, strict=True, tau=args.tau)
     net = build_tau_net(args.d_in, args.d_out, args.tau, args.budget)
     bound = tau_net_cardinality_bound(args.d_in, args.tau)
     payload = {
@@ -358,6 +359,7 @@ def cmd_entangle(args) -> int:
         raise FlagError("entangle requires --seed (no hidden entropy)")
     _require_min(0, seed=args.seed)
     _require_min(1, n=args.n, J=args.J, L=args.L)
+    _require_min(0, strict=True, delta=args.delta, alpha=args.alpha)
     family = load_family(args.family)
     params = TypicalParams(n=args.n, delta=args.delta, alpha=args.alpha)
     dp = family[0].in_space.dim

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import CQChannel, StinespringIsometry, as_stinespring, n_fold
+from .channels import CQChannel, StinespringIsometry, as_stinespring, cq_word_state, n_fold
 from .qcore import (
     HilbertLabel,
     QcoreError,
@@ -127,10 +127,9 @@ def _as_isometries(family) -> list[StinespringIsometry]:
 
 def _induced_cq(s: StinespringIsometry) -> CQChannel:
     """Classical-quantum channel the receiver sees on the computational basis."""
-    dp = s.in_space.dim
-    eye = np.eye(dp, dtype=complex)
-    rec = {x: s.apply_matrix(np.outer(eye[x], eye[x].conj())) for x in range(dp)}
-    return CQChannel(tuple(range(dp)), HilbertLabel("q", s.out_space.dim), rec)
+    rec, _ = s.basis_outputs(np.eye(s.in_space.dim, dtype=complex))
+    return CQChannel(tuple(range(len(rec))), HilbertLabel("q", s.out_space.dim),
+                     dict(enumerate(rec)))
 
 
 def _sample_distinct_words(p, n, count, seed, delta):
@@ -195,12 +194,8 @@ def build_entgen_code(
     if w[-1] > 1.0 + 1e-11:
         shrink = (u / np.sqrt(np.maximum(w, 1.0))) @ u.conj().T
         povm = shrink @ povm @ shrink
-    detect_prob = np.zeros((T, J, L))
-    for t in range(T):
-        for j in range(J):
-            for l in range(L):
-                out = blocks[t].apply_matrix(np.outer(codeword_vecs[j, l], codeword_vecs[j, l].conj()))
-                detect_prob[t, j, l] = np.trace(povm[t, j, l] @ out).real
+    outs = np.stack([cq_word_state(rec, words) for rec in rec_cqs])
+    detect_prob = np.trace(povm @ outs, axis1=-2, axis2=-1).real
     # averaged environment states
     env_states = []
     spread = np.zeros(T)

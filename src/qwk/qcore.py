@@ -84,20 +84,18 @@ def total_dim(system: Sequence[HilbertLabel]) -> int:
     return d
 
 
-def check_density(m: np.ndarray, min_eig: float | None = None) -> None:
+def check_density(m: np.ndarray) -> None:
     """Reject a (..., d, d) stack unless every matrix is Hermitian, positive
     semi-definite and of unit trace within tolerance.
 
     The checks run in that order over the whole stack, so a stack with one
     bad matrix raises what ``DensityOperator`` raises on that matrix.
-    ``min_eig``, when given, stands in for the stack's least eigenvalue.
     """
     if np.abs(m - m.conj().swapaxes(-1, -2)).max() > TOL_HERM:
         raise QcoreError("matrix is not Hermitian within tolerance")
-    if min_eig is None:
-        min_eig = np.linalg.eigvalsh(m).min()
-    if min_eig < -TOL_PSD:
-        raise QcoreError(f"matrix has negative eigenvalue {min_eig:.3e}")
+    least = np.linalg.eigvalsh(m).min()
+    if least < -TOL_PSD:
+        raise QcoreError(f"matrix has negative eigenvalue {least:.3e}")
     tr = m.trace(axis1=-2, axis2=-1).real
     off = abs(tr - 1.0) > TOL_TRACE
     if off.any():
@@ -106,23 +104,24 @@ def check_density(m: np.ndarray, min_eig: float | None = None) -> None:
 
 @dataclass(frozen=True)
 class DensityOperator:
-    """Positive semi-definite, unit-trace Hermitian matrix on a labeled system.
+    """Positive semi-definite, unit-trace Hermitian matrix on a labeled system,
+    checked densely (``check_density``) when it is built.
 
-    ``min_eig`` lets a caller that knows the spectrum (a tensor product of
-    validated states) supply the least eigenvalue for the PSD check instead
-    of a dense diagonalisation.
+    Word output states of a cq channel are not wrapped in one: they are
+    products of letters validated when the channel was built, and
+    ``channels.cq_word_state`` returns them as plain arrays.
     """
 
     system: tuple[HilbertLabel, ...]
     matrix: np.ndarray
 
-    def __init__(self, system: Sequence[HilbertLabel], matrix, min_eig: float | None = None):
+    def __init__(self, system: Sequence[HilbertLabel], matrix):
         object.__setattr__(self, "system", _check_labels(system))
         m = _as_complex(matrix)
         d = total_dim(self.system)
         if m.shape != (d, d):
             raise QcoreError(f"matrix shape {m.shape} does not match system dim {d}")
-        check_density(m, min_eig)
+        check_density(m)
         object.__setattr__(self, "matrix", m)
 
     @property

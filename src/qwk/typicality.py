@@ -383,5 +383,5 @@ def _sandwiches(v: CQChannel, words, prior, params: TypicalParams):
         pc = conditional_typical_projector(v, word, prior, params).matrix
         if pa is None:
             pa = averaged_output_projector(prior, v, params).matrix
-        state = cq_word_state(v, word).matrix
+        state = cq_word_state(v, word)
         yield pa @ pc @ state @ pc @ pa, state

@@ -72,7 +72,7 @@ def suite_typicality(seed: int = 0, n_random: int = 10) -> list[dict]:
         prior = [0.5, 0.5]
         for n in (4, 6, 8):
             word = tuple(i % 2 for i in range(n))
-            state = cq_word_state(v, word).matrix
+            state = cq_word_state(v, word)
             deviations = {}
             for alpha in (0.5, 1.0, 2.0):
                 params = TypicalParams(n=n, alpha=alpha)

@@ -294,14 +294,6 @@ def _sample_outputs(rng: np.random.Generator, cdf: np.ndarray, x: np.ndarray) ->
     return np.count_nonzero(cdf[x] <= u[:, None], axis=1)
 
 
-def _word_output_probs(w: np.ndarray, x: np.ndarray, y_words: np.ndarray) -> np.ndarray:
-    """W^n(y|x) for every enumerated output word (vectorized per letter)."""
-    probs = np.ones(len(y_words))
-    for i, xi in enumerate(x):
-        probs *= w[xi, y_words[:, i]]
-    return probs
-
-
 def eval_error(
     spec: CompoundWiretapSpec,
     codebook: Codebook,
@@ -352,7 +344,7 @@ def _exact_classical_error(legit: ClassicalChannel, codebook: Codebook, decoder)
         wrong_mask = decisions != j
         err = 0.0
         for l in range(codebook.L):
-            probs = _word_output_probs(legit.matrix, codebook.words[j, l], y_words)
+            probs = accumulate_products(legit.matrix[codebook.words[j, l]])
             err += probs[wrong_mask].sum() / codebook.L
         per_j.append(float(err))
     return {"max_error": float(max(per_j)), "per_j": per_j, "method": "exact"}
@@ -389,7 +381,7 @@ def _message_states(ch: CQChannel, codebook: Codebook) -> list:
     for j in range(codebook.J):
         acc = None
         for l in range(codebook.L):
-            m = cq_word_state(ch, codebook.words[j, l]).matrix
+            m = cq_word_state(ch, codebook.words[j, l])
             acc = m if acc is None else acc + m
         rhos.append(acc / codebook.L)
     return rhos
@@ -430,14 +422,8 @@ def eval_leakage(spec: CompoundWiretapSpec, codebook: Codebook) -> SimReport:
 def _classical_leakage(wire: ClassicalChannel, codebook: Codebook) -> float:
     if not _enumerable(wire, codebook.n):
         raise CapExceededError("classical leakage enumeration exceeds the cap")
-    y_words = _all_output_words(wire, codebook.n)
-    dists = []
-    for j in range(codebook.J):
-        pj = np.zeros(len(y_words))
-        for l in range(codebook.L):
-            pj += _word_output_probs(wire.matrix, codebook.words[j, l], y_words)
-        dists.append(pj / codebook.L)
-    dists = np.stack(dists)
+    dists = np.stack([sum(accumulate_products(wire.matrix[x]) for x in words) / codebook.L
+                      for words in codebook.words])
     h = entropy_rows(np.vstack([dists.mean(axis=0), dists]))
     return max(0.0, float(h[0] - np.mean(h[1:])))
 
@@ -470,7 +456,7 @@ def _mixture_entropy(ch: CQChannel, words) -> float:
     if differ.any():
         mix = 0.0
         for word in words[:, differ]:
-            mix += cq_word_state(ch, word).matrix
+            mix += cq_word_state(ch, word)
         spectrum = np.outer(spectrum, np.linalg.eigvalsh(mix / len(words))).reshape(-1)
     return float(entropy_rows(np.clip(spectrum, 0.0, None)))
 
@@ -563,7 +549,7 @@ def _two_part_exact(spec, t_idx, block1_words, codebook, decoder) -> dict:
     decoded with the exact error of the true state's code."""
     b1_fail = 0.0
     if len(spec) > 1:
-        states = np.stack([cq_word_state(ch, w).matrix
+        states = np.stack([cq_word_state(ch, w)
                            for ch, w in zip(spec.legitimate, block1_words)])
         povm_t = pretty_good_measurement(states)[t_idx]
         b1_fail = float(1.0 - np.trace(povm_t @ states[t_idx]).real)

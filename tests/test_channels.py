@@ -92,25 +92,31 @@ class TestApplyAndNFold:
         expect = np.kron(chan.apply_matrix(rho.matrix), chan.apply_matrix(sigma.matrix))
         assert np.max(np.abs(out2 - expect)) < 1e-10
 
-    def test_cq_word_state_runs_no_dense_check(self, monkeypatch):
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([2, 3]), st.sampled_from([2, 3]), st.integers(1, 5),
+           st.integers(0, 2 ** 32 - 1))
+    def test_stacked_word_states_are_the_letters_kron_chain(self, a, d, n, seed):
         from qwk.channels import cq_word_state
 
-        rng = np.random.default_rng(2)
-        chan = CQChannel((0, 1), Q, {0: random_density(Q, rng).matrix,
-                                     1: random_density(Q, rng).matrix})
-        dims = []
-        eigvalsh = np.linalg.eigvalsh
+        rng = np.random.default_rng(seed)
+        z = HilbertLabel("z", d)
+        chan = CQChannel(tuple(range(a)), z, {x: random_density(z, rng).matrix for x in range(a)})
+        words = rng.integers(a, size=(2, 3, n))
 
-        def recorded(m, *args, **kwargs):
-            dims.append(np.shape(m)[-1])
-            return eigvalsh(m, *args, **kwargs)
+        def no_eigvalsh(*args, **kwargs):
+            raise AssertionError("a word state was diagonalised")
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
-        for word in itertools.product(range(2), repeat=3):
-            state = cq_word_state(chan, word).matrix
-            a, b, c = chan.letters[list(word)]
-            assert np.array_equal(state, np.kron(np.kron(a, b), c))
-        assert dims and max(dims) == 2
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np.linalg, "eigvalsh", no_eigvalsh)
+            stacked = cq_word_state(chan, words)
+            per_word = [cq_word_state(chan, w) for w in words.reshape(-1, n)]
+        assert stacked.shape == (2, 3, d ** n, d ** n)
+        for word, got, state in zip(words.reshape(-1, n), stacked.reshape(-1, d ** n, d ** n),
+                                    per_word):
+            ref = chan.letters[word[0]]
+            for x in word[1:]:
+                ref = np.kron(ref, chan.letters[x])
+            assert np.array_equal(got, state) and np.array_equal(state, ref)
 
     def test_letters_follow_a_non_integer_alphabet(self):
         from qwk.channels import cq_word_state
@@ -122,8 +128,18 @@ class TestApplyAndNFold:
         assert np.array_equal(chan.letters[0], rho_a) and np.array_equal(chan.letters[1], rho_b)
         assert np.array_equal(chan.state_matrix("b"), rho_b)
         state = cq_word_state(chan, [0, 1])
-        assert state.dim == 4
-        assert np.array_equal(state.matrix, np.kron(rho_a, rho_b))
+        assert state.shape == (4, 4)
+        assert np.array_equal(state, np.kron(rho_a, rho_b))
+
+    @pytest.mark.parametrize("d, k", [(2, 1), (2, 3), (3, 2)])
+    def test_basis_outputs_are_the_per_column_outputs(self, d, k):
+        rng = np.random.default_rng(d * 10 + k)
+        s = kraus_to_stinespring(random_kraus_channel(rng, d, k))
+        for u in (np.eye(d, dtype=complex), random_unitary(d, rng)):
+            rhos = [np.outer(u[:, x], u[:, x].conj()) for x in range(d)]
+            rec, env = s.basis_outputs(u)
+            assert np.array_equal(rec, np.stack([s.apply_matrix(r) for r in rhos]))
+            assert np.array_equal(env, np.stack([s.env_matrix(r) for r in rhos]))
 
 
 class TestKrausStinespring:

@@ -631,6 +631,48 @@ def test_capacity_size_flag_exits_4_before_the_spec(flag, value, tmp_path, capsy
     assert not out.exists()
 
 
+POSITIVE_FLAG_ARGS = {
+    "simulate": ["simulate", "--n", "2", "--seed", "1"],
+    "entangle": ["entangle", "--seed", "1"],
+    "net": ["net", "--budget", "3"],
+}
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("entangle", "--delta", "0"), ("entangle", "--alpha", "-1"),
+    ("simulate", "--delta", "-0.1"), ("simulate", "--decode-delta", "-1"), ("net", "--tau", "0"),
+])
+def test_positive_flag_exits_4_before_the_input(command, flag, value, tmp_path, capsys):
+    # the input path does not exist: reading it would exit 2, not 4
+    missing = str(tmp_path / "missing.json")
+    source = {"simulate": ["--spec", missing], "entangle": ["--family", missing]}.get(command, [])
+    out = tmp_path / "report.json"
+    argv = POSITIVE_FLAG_ARGS[command] + source + [flag, value, "--out", str(out)]
+    assert run_cli(argv) == EXIT_FLAG
+    assert f"{flag} must be > 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _drifting_cq_spec(path):
+    """A cq spec whose letters have trace 1 + 8e-10, inside the tolerance
+    for one letter but not for the n = 2 product computed densely."""
+    letters = [np.diag([0.7 + 8e-10, 0.3]), np.diag([0.2, 0.8 + 8e-10])]
+    ch = {"kind": "cq", "input_alphabet": [0, 1], "dim": 2,
+          "states": {str(x): [[[v, 0.0] for v in row] for row in m] for x, m in enumerate(letters)}}
+    path.write_text(json.dumps({"variant": "cq", "theta": [{"t": "t1", "W": ch, "V": ch}]}))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [
+    ["capacity", "--formula", "e1q", "--n", "2"],
+    ["capacity", "--formula", "qnocsie1q", "--n", "2"],
+    ["simulate", "--n", "4", "--J", "2", "--seed", "1", "--delta", "0.5", "--decode-delta", "0.5"],
+])
+def test_letter_trace_inside_tolerance_runs_at_every_n(argv, tmp_path):
+    spec = _drifting_cq_spec(tmp_path / "drift.json")
+    assert run_cli(argv + ["--spec", spec, "--out", str(tmp_path / "report.json")]) == 0
+
+
 def test_solver_records_match_golden(tmp_path):
     """``manifest.solver`` of the capacity goldens' commands and of b1 and
     b1prime on a family with a binary and a ternary output, as recorded

@@ -153,6 +153,35 @@ class TestBuildCode:
             build_entgen_code([identity_kraus()], [0.5, 0.5], 1, 4, 4, 0, PARAMS1)
 
 
+def amplitude_damping(gamma):
+    return KrausChannel(Q, Q, [np.array([[1.0, 0.0], [0.0, np.sqrt(1 - gamma)]]),
+                               np.array([[0.0, np.sqrt(gamma)], [0.0, 0.0]])])
+
+
+def isometry_detect_prob(code):
+    """Reference: tr(E_tjl rho) with rho the receiver's output of codeword
+    (j, l), conjugated through state t's n-fold isometry."""
+    ref = np.zeros((code.T, code.J, code.L))
+    for t in range(code.T):
+        for j in range(code.J):
+            for l in range(code.L):
+                v = code.codeword_vecs[j, l]
+                out = code.blocks[t].apply_matrix(np.outer(v, v.conj()))
+                ref[t, j, l] = np.trace(code.povm[t, j, l] @ out).real
+    return ref
+
+
+@pytest.mark.parametrize("fam", [
+    [rotated_channel(0.0), rotated_channel(0.3)],
+    [depolarizing_kraus(0.1), depolarizing_kraus(0.2)],
+    [amplitude_damping(0.1), amplitude_damping(0.3)],
+])
+@pytest.mark.parametrize("n, J, L, seed", [(2, 2, 1, 1), (3, 2, 2, 3)])
+def test_detect_prob_matches_the_isometry_reference(fam, n, J, L, seed):
+    code = build_entgen_code(fam, [0.5, 0.5], n, J, L, seed, TypicalParams(n=n, delta=0.5))
+    assert np.max(np.abs(code.detect_prob - isometry_detect_prob(code))) <= 1e-14
+
+
 def full_product_partners(code):
     """Reference: the partners through the full measurement image
     v_unitary @ dilated, contracted with the one-hot record vector."""

@@ -333,13 +333,8 @@ class TestWordStateValidation:
                                    1: basis_state(A, 1).to_density().matrix})
         word = [0, 1, 1, 0, 1]
         state = cq_word_state(v, word)
-        assert np.linalg.eigvalsh(state.matrix).min() == pytest.approx(0.0, abs=1e-12)
-        assert np.trace(state.matrix).real == pytest.approx(1.0)
-
-    def test_supplied_minimum_is_checked(self):
-        with pytest.raises(QcoreError, match="negative eigenvalue"):
-            DensityOperator((A,), np.eye(2) / 2, min_eig=-1e-6)
-        assert DensityOperator((A,), np.eye(2) / 2, min_eig=0.5).dim == 2
+        assert np.linalg.eigvalsh(state).min() == pytest.approx(0.0, abs=1e-12)
+        assert np.trace(state).real == pytest.approx(1.0)
 
 
 class TestSandwichedOutputs:

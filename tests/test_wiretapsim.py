@@ -6,7 +6,7 @@ import pytest
 
 from qwk.channels import CQChannel, ClassicalChannel, CompoundWiretapSpec, bsc
 from qwk.cli import canonical_payload_bytes, load_spec, parse_spec
-from qwk.qcore import HilbertLabel, QcoreError, pretty_good_measurement
+from qwk.qcore import HilbertLabel, QcoreError, accumulate_products, pretty_good_measurement
 from qwk.typicality import TypicalParams, sandwiched_outputs
 from qwk.wiretapsim import (
     Codebook,
@@ -122,15 +122,11 @@ class TestDecodingAndError:
 
     def test_decision_partition_is_exhaustive(self):
         # D_j and its complement split every output word: probabilities sum to 1
-        import itertools
-
         spec = classical_pair_spec(pw=0.1)
         cb = sample_codebook([0.5, 0.5], 4, J=2, L=1, seed=2, delta=0.3)
         dec = build_decoder(spec, cb, delta=0.2)
-        from qwk.wiretapsim import _word_output_probs
-
-        y_words = np.asarray(list(itertools.product(range(2), repeat=4)))
-        probs = _word_output_probs(bsc(0.1).matrix, cb.words[0, 0], y_words)
+        probs = accumulate_products(bsc(0.1).matrix[cb.words[0, 0]])
+        assert len(probs) == 2 ** 4
         assert probs.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_bsc_n16_monte_carlo_error_low(self):
@@ -534,11 +530,11 @@ from qwk.wiretapsim import _mixture_entropy
 
 def _dense_mixture_entropy(ch, words):
     """S of the mean of the dense word states: the reference for the kernel."""
-    return von_neumann_entropy(sum(cq_word_state(ch, w).matrix for w in words) / len(words))
+    return von_neumann_entropy(sum(cq_word_state(ch, w) for w in words) / len(words))
 
 
 def _dense_leakage(ch, codebook):
-    msgs = [sum(cq_word_state(ch, w).matrix for w in words) / codebook.L
+    msgs = [sum(cq_word_state(ch, w) for w in words) / codebook.L
             for words in codebook.words]
     avg = sum(msgs) / codebook.J
     return max(0.0, von_neumann_entropy(avg) - float(np.mean([von_neumann_entropy(r) for r in msgs])))
@@ -608,3 +604,26 @@ class TestMixtureEntropy:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2 ** 20
+
+
+# ---------------------------------------------------------------------------
+# classical word output probabilities against the per-letter loop
+
+
+def _per_letter_output_probs(w, x, y_words):
+    """W^n(y|x) over enumerated output words, one letter at a time: the
+    reference for the products that ``accumulate_products`` forms."""
+    probs = np.ones(len(y_words))
+    for i, xi in enumerate(x):
+        probs *= w[xi, y_words[:, i]]
+    return probs
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(2, 3), st.integers(1, 6), st.integers(0, 2 ** 32 - 1))
+def test_word_output_probs_are_the_per_letter_products(a, b, n, seed):
+    rng = np.random.default_rng(seed)
+    w = rng.dirichlet(np.ones(b), size=a)
+    x = rng.integers(a, size=n)
+    y_words = enumerate_words(b, n, 0, b ** n)
+    assert np.array_equal(accumulate_products(w[x]), _per_letter_output_probs(w, x, y_words))
