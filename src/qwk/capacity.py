@@ -122,9 +122,9 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
 # one column per state
 
 
-def _holevo(qs: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """chi of the ensembles (qs, z): qs is (..., Q, m), z is (..., m, D, D)."""
-    s_u = eig_entropies(z)
+def _holevo(qs: np.ndarray, z: np.ndarray, s_u: np.ndarray) -> np.ndarray:
+    """chi of the ensembles (qs, z) whose members have entropies s_u: qs is
+    (..., Q, m), z is (..., m, D, D) and s_u is (..., m)."""
     avg = np.einsum("...qu,...ujk->...qjk", qs, z)
     return eig_entropies(avg) - (qs @ s_u[..., None])[..., 0]
 
@@ -171,11 +171,13 @@ class _ClassicalTerm(_StateTerm):
 
 class _ChiPowerTerm(_StateTerm):
     """(1/n) chi(U; Z^(x n)) where, given u, letters are i.i.d. E(.|u); the
-    arrays are (a, d, d) letter stacks."""
+    arrays are (a, d, d) letter stacks.  S(z_u^(x n)) = n S(z_u), so only
+    the prior mixture is formed as a Kronecker power."""
 
     def _stacked(self, qs, e, states):
         z = np.einsum("...ua,tadk->...tudk", e, states)
-        return _holevo(qs[..., None, :, :], kron_chain([z] * self.n)) / self.n
+        s_u = self.n * eig_entropies(z)
+        return _holevo(qs[..., None, :, :], kron_chain([z] * self.n), s_u) / self.n
 
 
 class _ChiMixTerm(_StateTerm):
@@ -183,7 +185,7 @@ class _ChiMixTerm(_StateTerm):
 
     def _stacked(self, qs, e, word_states):
         z = np.einsum("...uw,twjk->...tujk", e, word_states)
-        return _holevo(qs[..., None, :, :], z) / self.n
+        return _holevo(qs[..., None, :, :], z, eig_entropies(z)) / self.n
 
 
 def _objective(legit: _StateTerm, wire: _StateTerm):
@@ -375,17 +377,17 @@ def _maximize_prior(objective, a: int, cfg: SolverConfig, tag: int):
     Returns the value, the prior and the record of the ascent."""
     q_grid = simplex_grid(_prior_resolution(cfg.grid_resolution, a), a)
     eye = np.eye(a)
-    vals = objective(q_grid, eye)
+
+    def val(qs):
+        return objective(qs[:, None, :], eye)[:, 0]
+
+    vals = _chunked(val, q_grid)
     order = np.argsort(-vals)
     starts = [q_grid[k] for k in order[:6]]
     starts.append(np.full(a, 1.0 / a))
     rng = np.random.default_rng([cfg.seed, tag])
     for _ in range(cfg.restarts):
         starts.append(rng.dirichlet(np.ones(a)))
-
-    def val(qs):
-        return objective(qs[:, None, :], eye)[:, 0]
-
     vals, qs, run = _ascend_simplices(
         val, np.array(starts), [slice(0, a)], cfg.refine_iters, cfg.tolerance
     )

@@ -367,7 +367,8 @@ def cmd_entangle(args) -> int:
     code = build_entgen_code(family, p, args.n, args.J, args.L, args.seed, params)
     code = build_decoder_unitaries(code)
     audit = run_full_audit(code)
-    extra = {"family": args.family, "entangle": code.notes}
+    notes = {**code.notes, "bound_vacuous": audit.bound_rhs <= 0}
+    extra = {"family": args.family, "entangle": notes}
     write_report(args.out, _manifest(args, "entangle", extra), audit.to_json_dict())
     return 0
 

@@ -7,6 +7,13 @@ or through ``eig_entropies``.  Probabilities and eigenvalues at or below
 ``EIG_FLOOR`` (1e-12) count as exact zeros; this includes the exact
 classical leakage, which used 1e-15 before.
 
+``eig_entropies`` diagonalises a whole (..., d, d) stack in one call: qubit
+spectra in closed form, (a + d)/2 -+ hypot((a - d)/2, |b|), every other d
+through ``eigvalsh``.  The entropy of a tensor power is additive,
+S(z^(x n)) = n S(z), so capacity's i.i.d. letter terms take each member's
+entropy from its d x d letter mixture z; only the prior mixture of the
+powers is diagonalised at d^n.
+
 Sign convention for the conditional quantum entropy: the entropy of the
 full bipartite state minus the entropy of the reduced state on the
 conditioning factor, which may be negative for entangled states.
@@ -37,9 +44,22 @@ def entropy_rows(p) -> np.ndarray:
     return 0.0 - (p * logs).sum(axis=-1)
 
 
+def _qubit_eigvals(mats: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a (..., 2, 2) Hermitian stack in closed form,
+    (a + d)/2 -+ hypot((a - d)/2, |b|), with b read from the lower triangle
+    as ``eigvalsh`` reads it."""
+    a, d = mats[..., 0, 0].real, mats[..., 1, 1].real
+    mid = (a + d) / 2
+    rad = np.hypot((a - d) / 2, np.abs(mats[..., 1, 0]))
+    return np.stack([mid - rad, mid + rad], axis=-1)
+
+
 def eig_entropies(mats) -> np.ndarray:
-    """von Neumann entropy of each matrix of a (..., d, d) stack, in bits."""
-    return entropy_rows(np.clip(np.linalg.eigvalsh(mats), 0.0, None))
+    """von Neumann entropy of each matrix of a (..., d, d) stack, in bits.
+    A qubit stack takes its spectra in closed form, any other d ``eigvalsh``."""
+    mats = np.asarray(mats)
+    vals = _qubit_eigvals(mats) if mats.shape[-2:] == (2, 2) else np.linalg.eigvalsh(mats)
+    return entropy_rows(np.clip(vals, 0.0, None))
 
 
 def shannon_entropy(p) -> float:

@@ -740,3 +740,53 @@ def _other_wiretap(spec):
     return CQChannel(v.input_alphabet, v.output_space,
                      {x: 0.5 * v.letters[i] + 0.5 * np.eye(d) / d
                       for i, x in enumerate(v.input_alphabet)})
+
+
+# ---------------------------------------------------------------------------
+# n S(z_u) for the i.i.d. letter terms, and the prior grid in chunks
+
+import tracemalloc
+
+from qwk.infotheory import entropy_rows
+
+
+def _chi_power_reference(qs, e, letters, n):
+    """The former Kronecker-power Holevo: every member z_u^(x n) is
+    diagonalised through ``eigvalsh``, as is the prior mixture."""
+    zn = kron_chain([np.einsum("...ua,adk->...udk", e, letters)] * n)
+    avg = np.einsum("...qu,...ujk->...qjk", qs, zn)
+
+    def ent(m):
+        return entropy_rows(np.clip(np.linalg.eigvalsh(m), 0.0, None))
+
+    return (ent(avg) - (qs @ ent(zn)[..., None])[..., 0]) / n
+
+
+class TestChiPowerTerm:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 3), st.sampled_from([2, 3]), st.integers(2, 3), st.integers(1, 3),
+           st.integers(0, 2**32 - 1))
+    def test_batch_matches_the_kronecker_power_reference(self, n, d, a, m, seed):
+        # qubit letters take the closed-form spectra, qutrit letters eigvalsh
+        rng = np.random.default_rng(seed)
+        letters = _random_letters(rng, a, d)
+        qs = rng.dirichlet(np.ones(m), size=4)
+        e = rng.dirichlet(np.ones(a), size=(3, m))
+        got = _ChiPowerTerm([letters], n).batch(qs, e)[..., 0]
+        np.testing.assert_allclose(got, _chi_power_reference(qs, e, letters, n),
+                                   rtol=0, atol=1e-12)
+
+
+def test_e1q_prior_grid_peak_memory():
+    # the resolution-4 grid over 16 words has 3,876 points: scored in one
+    # batch, its 16 x 16 mixtures take about 17 MB; in chunks, about 5 MB
+    spec = load_spec(os.path.join(SPECS, "cq_pair.json"))
+    cfg = SolverConfig(n=4, grid_resolution=4, refine_iters=1, restarts=0)
+    tracemalloc.start()
+    try:
+        report = cq_csi_capacity(spec, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.solver["grid_used"] == {"prior": 4}
+    assert peak < 8 * 2**20

@@ -235,7 +235,8 @@ class TestEntangleCommand:
                       "--n", "2", "--J", "2", "--L", "2", "--seed", "3", "--out", str(out)])
         assert rc == 0
         doc = json.loads(out.read_text())
-        assert doc["manifest"]["entangle"] == {"env_avg_truncated_mass": [0.0, 0.0]}
+        assert doc["manifest"]["entangle"] == {"env_avg_truncated_mass": [0.0, 0.0],
+                                               "bound_vacuous": True}
         # a depolarizing qubit's four-dimensional environment state has more
         # eigenvalues than the two slots of [Q, L] at n=1, L=1
         ops = [[[[z.real, z.imag] for z in row] for row in a]
@@ -250,6 +251,23 @@ class TestEntangleCommand:
         [mass] = doc["manifest"]["entangle"]["env_avg_truncated_mass"]
         assert 0.0 < mass < 1.0
         assert "truncated" not in json.dumps(doc["payload"])
+
+    @pytest.mark.parametrize("golden, argv, vacuous", [
+        ("golden_entangle1", None, True),
+        (None, ["entangle", "--family", spec_path("identity_family.json"), "--n", "1",
+                "--seed", "1"], False),
+    ])
+    def test_bound_vacuous_in_manifest_only(self, tmp_path, golden, argv, vacuous):
+        if golden is not None:
+            doc = json.load(open(os.path.join(DATA, f"{golden}.json")))
+            argv = list(doc["manifest"]["argv"])
+            argv = argv[:argv.index("--out")]
+        out = tmp_path / "ent.json"
+        assert run_cli(argv + ["--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["manifest"]["entangle"]["bound_vacuous"] is vacuous
+        assert (doc["payload"]["bound_rhs"] <= 0) is vacuous
+        assert "vacuous" not in json.dumps(doc["payload"])
 
 
 SIZE_FLAG_ARGS = {

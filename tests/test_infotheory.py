@@ -381,3 +381,85 @@ class TestEnvironmentForm:
         assert coherent_information(rho, chan) == pytest.approx(
             _coherent_information_reference(rho, chan), abs=1e-12
         )
+
+
+# ---------------------------------------------------------------------------
+# qubit spectra in closed form against eigvalsh
+
+from qwk.infotheory import _qubit_eigvals, eig_entropies
+from qwk.qcore import ginibre_factor, ginibre_states
+
+
+def _lapack_entropies(mats):
+    """Entropies through ``eigvalsh`` for every d: the reference for the
+    closed-form qubit branch."""
+    return entropy_rows(np.clip(np.linalg.eigvalsh(mats), 0.0, None))
+
+
+def _qubit_states(rng, shape, rank=None):
+    """A shape + (2, 2) stack of random qubit density matrices."""
+    k = 2 if rank is None else rank
+    return ginibre_states(rng.normal(size=shape + (2, k)) + 1j * rng.normal(size=shape + (2, k)))
+
+
+@st.composite
+def qubit_stacks(draw):
+    """A (s, 2, 2) Hermitian stack of one kind, at trace 1 or another trace."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    s = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(["mixed", "rank1", "real", "diagonal", "degenerate",
+                                 "tiny_offdiag"]))
+    if kind == "mixed":
+        m = _qubit_states(rng, (s,))
+    elif kind == "rank1":
+        m = _qubit_states(rng, (s,), rank=1)
+    elif kind == "real":
+        m = ginibre_states(rng.normal(size=(s, 2, 2)))
+    elif kind == "degenerate":
+        m = np.broadcast_to(np.eye(2, dtype=complex) / 2, (s, 2, 2))
+    else:
+        m = np.zeros((s, 2, 2), dtype=complex)
+        m[:, 0, 0] = rng.random(s)
+        m[:, 1, 1] = 1.0 - m[:, 0, 0]
+        if kind == "tiny_offdiag":
+            b = 1e-17 * (rng.normal(size=s) + 1j * rng.normal(size=s))
+            m[:, 1, 0], m[:, 0, 1] = b, b.conj()
+    return m * draw(st.sampled_from([1.0, 0.25, 3.5]))
+
+
+class TestQubitSpectra:
+    """The closed-form branch of ``eig_entropies`` on (..., 2, 2) stacks."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(qubit_stacks())
+    def test_eigenvalues_and_entropies_match_eigvalsh(self, m):
+        np.testing.assert_allclose(_qubit_eigvals(m), np.linalg.eigvalsh(m), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(eig_entropies(m), _lapack_entropies(m), rtol=0, atol=1e-12)
+
+    def test_reads_the_lower_triangle_as_eigvalsh_does(self):
+        m = _qubit_states(np.random.default_rng(9), ())
+        m[0, 1] = 0.3 - 4.0j  # ignored by eigvalsh's default UPLO='L'
+        np.testing.assert_allclose(_qubit_eigvals(m), np.linalg.eigvalsh(m), rtol=0, atol=1e-15)
+
+    def test_runs_without_eigvalsh(self, monkeypatch):
+        # the qubit branch must not fall back to LAPACK; other d still use it
+        mats = _qubit_states(np.random.default_rng(10), (3, 4))
+        expected = _lapack_entropies(mats)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigvalsh called")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        got = eig_entropies(mats)
+        assert got.shape == (3, 4)
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+        with pytest.raises(AssertionError, match="eigvalsh called"):
+            eig_entropies(np.eye(3) / 3)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 6), st.sampled_from([None, 1]), st.integers(0, 2 ** 32 - 1))
+    def test_holevo_chi_of_qubits_is_within_zero_and_log_d(self, k, rank, seed):
+        rng = np.random.default_rng(seed)
+        prior = rng.dirichlet(np.ones(k))
+        chi = holevo_chi(prior, list(_qubit_states(rng, (k,), rank=rank)))
+        assert 0.0 <= chi <= math.log2(2) + 1e-12
