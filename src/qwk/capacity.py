@@ -22,10 +22,9 @@ import numpy as np
 from .channels import (
     CompoundWiretapSpec,
     KrausChannel,
-    as_kraus,
-    as_stinespring,
     cq_word_state,
     n_fold,
+    require_quantum,
 )
 from .infotheory import coherent_information_matrix, eig_entropies, entropy_rows
 from .qcore import check_dim_cap, kron_chain, random_unitary
@@ -606,9 +605,9 @@ def cq_nocsi_capacity(spec: CompoundWiretapSpec, cfg: SolverConfig) -> CapacityR
 def entgen_lower_bound(family: Sequence, cfg: SolverConfig) -> CapacityReport:
     """Worst-state receiver Holevo rate minus best-state environment rate,
     maximized over priors and orthonormal input bases."""
-    isos = [as_stinespring(ch) for ch in family]
-    d = isos[0].in_space.dim
-    if any(s.in_space.dim != d for s in isos):
+    require_quantum(*family)
+    d = family[0].in_space.dim
+    if any(ch.in_space.dim != d for ch in family):
         raise SolverError("family members act on different input spaces")
     rng = np.random.default_rng([cfg.seed, 77])
     bases = [np.eye(d, dtype=complex)]
@@ -617,7 +616,7 @@ def entgen_lower_bound(family: Sequence, cfg: SolverConfig) -> CapacityReport:
     best = (-np.inf, None, None, None, None)
     runs = []
     for i, u in enumerate(bases):
-        rec, env = zip(*(s.basis_outputs(u) for s in isos))
+        rec, env = zip(*(ch.basis_outputs(u) for ch in family))
         legit, wire = _ChiMixTerm(rec), _ChiMixTerm(env)
         v, q, run = _maximize_prior(_objective(legit, wire), d, cfg, tag=99)
         runs.append({"basis": i, **run})
@@ -659,16 +658,16 @@ def _coherent_objective(folded: KrausChannel):
 
 def entgen_csi_capacity(family: Sequence, cfg: SolverConfig) -> CapacityReport:
     """Worst state of the per-state best coherent information at block n."""
-    krauses = [as_kraus(ch) for ch in family]
-    d = krauses[0].in_space.dim
-    if any(k.in_space.dim != d for k in krauses):
+    require_quantum(*family)
+    d = family[0].in_space.dim
+    if any(ch.in_space.dim != d for ch in family):
         raise SolverError("family members act on different input spaces")
     dim = d ** cfg.n
     # dim^2 bounds each start's 2 dim^2 parameters and each probe's matrix
     check_dim_cap(dim * dim, "propo1 parameter matrix")
-    check_dim_cap(max(len(k.kraus_ops) for k in krauses) ** cfg.n, "environment state")
+    check_dim_cap(max(ch.env_dim for ch in family) ** cfg.n, "environment state")
     per_t, argmax, values, runs = {}, {}, [], []
-    for idx, (kraus, name) in enumerate(zip(krauses, _family_names(family))):
+    for idx, (kraus, name) in enumerate(zip(family, _family_names(family))):
         folded = n_fold(kraus, cfg.n) if cfg.n > 1 else kraus
         objective = _coherent_objective(folded)
         rng = np.random.default_rng([cfg.seed, 88, idx])

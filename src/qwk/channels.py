@@ -1,9 +1,10 @@
 """Channel representations and the operations connecting them.
 
 Covers classical stochastic matrices, classical-quantum maps, quantum
-channels in Kraus or Stinespring form, interconversions, complementary
-channels, a diamond-distance lower-bound estimator, and finite tau-nets
-over the CPTP set.
+channels (one type, ``KrausChannel``, which stores the Stinespring
+isometry and reads its Kraus operators off the environment slots),
+complementary channels, a diamond-distance lower-bound estimator, and
+finite tau-nets over the CPTP set.
 """
 
 from __future__ import annotations
@@ -92,85 +93,90 @@ class CQChannel:
 
 @dataclass(frozen=True)
 class KrausChannel:
-    """Completely positive trace-preserving map given by Kraus operators."""
+    """Completely positive trace-preserving map, stored once as its
+    Stinespring isometry U: C^d_in -> out (x) env.
+
+    Row o * env_dim + i of the read-only (d_out * env_dim, d_in) ``isometry``
+    is row o of Kraus operator i, so ``kraus_ops`` are views of it, one
+    environment slot each.
+    """
 
     in_space: HilbertLabel
     out_space: HilbertLabel
+    isometry: np.ndarray
     kraus_ops: tuple
 
     def __init__(self, in_space, out_space, kraus_ops):
-        object.__setattr__(self, "in_space", in_space)
-        object.__setattr__(self, "out_space", out_space)
-        ops = tuple(np.asarray(a, dtype=complex) for a in kraus_ops)
+        ops = [np.asarray(a, dtype=complex) for a in kraus_ops]
         if not ops:
             raise ChannelError("at least one Kraus operator required")
         for a in ops:
             if a.shape != (out_space.dim, in_space.dim):
                 raise ChannelError(f"Kraus operator shape {a.shape} mismatch")
-            a.setflags(write=False)
-        comp = sum(a.conj().T @ a for a in ops)
-        if np.max(np.abs(comp - np.eye(in_space.dim))) > TOL_RECON:
-            raise ChannelError("Kraus operators do not satisfy completeness")
-        object.__setattr__(self, "kraus_ops", ops)
+        u = np.stack(ops, axis=1).reshape(-1, in_space.dim)
+        if np.max(np.abs(u.conj().T @ u - np.eye(in_space.dim))) > TOL_RECON:
+            raise ChannelError("not an isometry: the Kraus operators fail completeness")
+        u.setflags(write=False)
+        object.__setattr__(self, "in_space", in_space)
+        object.__setattr__(self, "out_space", out_space)
+        object.__setattr__(self, "isometry", u)
+        blocks = u.reshape(out_space.dim, len(ops), in_space.dim)
+        object.__setattr__(self, "kraus_ops", tuple(blocks.transpose(1, 0, 2)))
+
+    @classmethod
+    def from_isometry(cls, in_space, out_space, env_dim: int, isometry) -> KrausChannel:
+        """The channel of a Stinespring isometry with ``env_dim`` environment slots."""
+        u = np.asarray(isometry, dtype=complex)
+        if u.shape != (out_space.dim * env_dim, in_space.dim):
+            raise ChannelError(f"isometry shape {u.shape} mismatch")
+        ch = cls(in_space, out_space, u.reshape(out_space.dim, env_dim, -1).swapaxes(0, 1))
+        if env_dim > in_space.dim ** 2 * out_space.dim:
+            raise ChannelError("environment dimension is unnecessarily large")
+        return ch
+
+    @property
+    def env_dim(self) -> int:
+        return len(self.kraus_ops)
 
     def apply_matrix(self, rho: np.ndarray) -> np.ndarray:
         return sum(a @ rho @ a.conj().T for a in self.kraus_ops)
-
-
-@dataclass(frozen=True)
-class StinespringIsometry:
-    """Isometry into output (x) environment representing a quantum channel."""
-
-    in_space: HilbertLabel
-    out_space: HilbertLabel
-    env_space: HilbertLabel
-    isometry: np.ndarray
-
-    def __init__(self, in_space, out_space, env_space, isometry):
-        object.__setattr__(self, "in_space", in_space)
-        object.__setattr__(self, "out_space", out_space)
-        object.__setattr__(self, "env_space", env_space)
-        u = np.asarray(isometry, dtype=complex)
-        if u.shape != (out_space.dim * env_space.dim, in_space.dim):
-            raise ChannelError(f"isometry shape {u.shape} mismatch")
-        if np.max(np.abs(u.conj().T @ u - np.eye(in_space.dim))) > TOL_RECON:
-            raise ChannelError("matrix is not an isometry within tolerance")
-        if env_space.dim > in_space.dim ** 2 * out_space.dim:
-            raise ChannelError("environment dimension is unnecessarily large")
-        u.setflags(write=False)
-        object.__setattr__(self, "isometry", u)
 
     def dilate_vector(self, v: np.ndarray) -> np.ndarray:
         """Image of an input vector on out (x) env."""
         return self.isometry @ v
 
-    def apply_matrix(self, rho: np.ndarray) -> np.ndarray:
-        """Channel output: trace the environment out of U rho U*."""
+    def _dilated(self, rho: np.ndarray) -> np.ndarray:
+        """U rho U* as a (d_out, env_dim, d_out, env_dim) array."""
         big = self.isometry @ rho @ self.isometry.conj().T
-        do, de = self.out_space.dim, self.env_space.dim
-        return np.trace(big.reshape(do, de, do, de), axis1=1, axis2=3)
+        do, de = self.out_space.dim, self.env_dim
+        return big.reshape(do, de, do, de)
 
     def env_matrix(self, rho: np.ndarray) -> np.ndarray:
         """Environment output: trace the main output out of U rho U*."""
-        big = self.isometry @ rho @ self.isometry.conj().T
-        do, de = self.out_space.dim, self.env_space.dim
-        return np.trace(big.reshape(do, de, do, de), axis1=0, axis2=2)
+        return np.trace(self._dilated(rho), axis1=0, axis2=2)
 
     def basis_outputs(self, basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Receiver and environment letters the channel induces on the
-        columns of ``basis``: two (d_in, ., .) stacks in column order."""
-        rhos = [np.outer(b, b.conj()) for b in basis.T]
-        return (np.stack([self.apply_matrix(r) for r in rhos]),
-                np.stack([self.env_matrix(r) for r in rhos]))
+        columns of ``basis``: the two partial traces of U |b><b| U* for each
+        column b, as two (d_in, ., .) stacks in column order."""
+        bigs = [self._dilated(np.outer(b, b.conj())) for b in basis.T]
+        return (np.stack([np.trace(g, axis1=1, axis2=3) for g in bigs]),
+                np.stack([np.trace(g, axis1=0, axis2=2) for g in bigs]))
 
 
-_QUANTUM_KINDS = (KrausChannel, StinespringIsometry)
+def require_quantum(*channels) -> None:
+    """Raise ChannelError unless every argument is a quantum channel."""
+    for ch in channels:
+        if not isinstance(ch, KrausChannel):
+            raise ChannelError(f"only quantum channels are accepted, not a {type(ch).__name__}")
+
+
 # variant -> channel kinds of its (legitimate, wiretap) members
 _VARIANT_KINDS = {
     "classical": (ClassicalChannel, ClassicalChannel),
     "classical-quantum-wiretap": (ClassicalChannel, CQChannel),
     "cq": (CQChannel, CQChannel),
-    "quantum": (_QUANTUM_KINDS, _QUANTUM_KINDS),
+    "quantum": (KrausChannel, KrausChannel),
 }
 
 
@@ -216,7 +222,7 @@ class CompoundWiretapSpec:
 def _input_signature(ch):
     """Input alphabet or input dimension; a variant's members all have one
     of the two, so they compare directly."""
-    return ch.in_space.dim if isinstance(ch, _QUANTUM_KINDS) else ch.input_alphabet
+    return ch.in_space.dim if isinstance(ch, KrausChannel) else ch.input_alphabet
 
 
 # ---------------------------------------------------------------------------
@@ -236,75 +242,33 @@ def n_fold(ch, n: int):
     """Memoryless n-fold extension of a quantum channel."""
     if n < 1:
         raise ChannelError("n must be >= 1")
-    if not isinstance(ch, _QUANTUM_KINDS):
-        raise ChannelError(f"n-fold extensions are of quantum channels, not {type(ch).__name__}")
+    require_quantum(ch)
     if n == 1:
         return ch
-    if isinstance(ch, KrausChannel):
-        din, dout = ch.in_space.dim ** n, ch.out_space.dim ** n
-        check_dim_cap(max(din, dout), "n-fold Kraus channel")
-        n_ops = len(ch.kraus_ops) ** n
-        if n_ops * din * dout > 2 ** 24:
-            raise CapExceededError("n-fold Kraus operator count exceeds the cap")
-        ops = [np.array([[1.0 + 0j]])]
-        for _ in range(n):
-            ops = [np.kron(o, a) for o in ops for a in ch.kraus_ops]
-        return KrausChannel(
-            HilbertLabel(f"{ch.in_space.name}^{n}", din),
-            HilbertLabel(f"{ch.out_space.name}^{n}", dout),
-            ops,
-        )
-    return kraus_to_stinespring(n_fold(stinespring_to_kraus(ch), n))
+    din, dout = ch.in_space.dim ** n, ch.out_space.dim ** n
+    check_dim_cap(max(din, dout), "n-fold Kraus channel")
+    if ch.env_dim ** n * din * dout > 2 ** 24:
+        raise CapExceededError("n-fold Kraus operator count exceeds the cap")
+    ops = [np.array([[1.0 + 0j]])]
+    for _ in range(n):
+        ops = [np.kron(o, a) for o in ops for a in ch.kraus_ops]
+    return KrausChannel(
+        HilbertLabel(f"{ch.in_space.name}^{n}", din),
+        HilbertLabel(f"{ch.out_space.name}^{n}", dout),
+        ops,
+    )
 
 
-# ---------------------------------------------------------------------------
-# Kraus <-> Stinespring
-
-
-def kraus_to_stinespring(k: KrausChannel) -> StinespringIsometry:
-    """Stack Kraus operators into an isometry with one environment slot each.
-
-    Row o * denv + j of the isometry is row o of Kraus operator j, i.e. the
-    isometry is the (dout, denv, din) stack of the operators, flattened.
-    """
-    u = np.stack(k.kraus_ops, axis=1).reshape(-1, k.in_space.dim)
-    env = HilbertLabel(f"{k.in_space.name}_env", len(k.kraus_ops))
-    return StinespringIsometry(k.in_space, k.out_space, env, u)
-
-
-def stinespring_to_kraus(s: StinespringIsometry) -> KrausChannel:
-    """Read Kraus operators off the environment slots of the isometry."""
-    blocks = s.isometry.reshape(s.out_space.dim, s.env_space.dim, s.in_space.dim)
-    return KrausChannel(s.in_space, s.out_space, np.ascontiguousarray(blocks.transpose(1, 0, 2)))
-
-
-def as_kraus(ch) -> KrausChannel:
-    """A quantum channel in Kraus form (a Stinespring isometry is read off)."""
-    if isinstance(ch, StinespringIsometry):
-        return stinespring_to_kraus(ch)
-    if not isinstance(ch, KrausChannel):
-        raise ChannelError("expected a quantum channel")
-    return ch
-
-
-def as_stinespring(ch) -> StinespringIsometry:
-    """A quantum channel as its Stinespring isometry (Kraus operators are stacked)."""
-    if isinstance(ch, KrausChannel):
-        return kraus_to_stinespring(ch)
-    if not isinstance(ch, StinespringIsometry):
-        raise ChannelError("expected a quantum channel")
-    return ch
-
-
-def complementary_channel(s: StinespringIsometry) -> KrausChannel:
+def complementary_channel(ch: KrausChannel) -> KrausChannel:
     """Map to the environment: trace the main output out of the dilation."""
-    blocks = s.isometry.reshape(s.out_space.dim, s.env_space.dim, s.in_space.dim)
-    return KrausChannel(s.in_space, s.env_space, blocks)
+    require_quantum(ch)
+    blocks = ch.isometry.reshape(ch.out_space.dim, ch.env_dim, ch.in_space.dim)
+    return KrausChannel(ch.in_space, HilbertLabel(f"{ch.in_space.name}_env", ch.env_dim), blocks)
 
 
 def choi_matrix(ch) -> np.ndarray:
     """Choi matrix sum_ij |i><j| (x) N(|i><j|)."""
-    ch = as_kraus(ch)
+    require_quantum(ch)
     din, dout = ch.in_space.dim, ch.out_space.dim
     j = np.zeros((din * dout, din * dout), dtype=complex)
     for a in ch.kraus_ops:
@@ -365,18 +329,18 @@ def diamond_distance(n1, n2, restarts: int = 4, seed: int = 0) -> float:
     top eigenvector), from deterministic plus ``restarts`` random starts.
     The result is a certified LOWER bound only.
     """
-    k1, k2 = as_kraus(n1), as_kraus(n2)
-    if (k1.in_space.dim, k1.out_space.dim) != (k2.in_space.dim, k2.out_space.dim):
+    require_quantum(n1, n2)
+    if (n1.in_space.dim, n1.out_space.dim) != (n2.in_space.dim, n2.out_space.dim):
         raise ChannelError("channels act between different spaces")
-    din = k1.in_space.dim
+    din = n1.in_space.dim
     dref = din
 
     def delta(rho):
-        return _apply_ref(k1.kraus_ops, rho, dref) - _apply_ref(k2.kraus_ops, rho, dref)
+        return _apply_ref(n1.kraus_ops, rho, dref) - _apply_ref(n2.kraus_ops, rho, dref)
 
     def delta_adj(obs):
         out = None
-        for ops, sign in ((k1.kraus_ops, 1.0), (k2.kraus_ops, -1.0)):
+        for ops, sign in ((n1.kraus_ops, 1.0), (n2.kraus_ops, -1.0)):
             for a in ops:
                 lifted = np.kron(np.eye(dref), a)
                 term = sign * (lifted.conj().T @ obs @ lifted)

@@ -37,7 +37,6 @@ from .channels import (
     CompoundWiretapSpec,
     CQChannel,
     KrausChannel,
-    StinespringIsometry,
     build_tau_net,
     tau_net_cardinality_bound,
 )
@@ -105,16 +104,12 @@ def parse_channel(obj: dict):
                     raise SchemaError(f"missing state for symbol {key}")
                 states[x] = _complex_matrix(obj["states"][key])
             return CQChannel(tuple(alphabet), label, states)
-        if kind == "kraus":
-            din, dout = int(obj["dim_in"]), int(obj["dim_out"])
-            ops = [_complex_matrix(o) for o in obj["operators"]]
-            return KrausChannel(HilbertLabel("p", din), HilbertLabel("q", dout), ops)
-        if kind == "stinespring":
-            din, dout, denv = int(obj["dim_in"]), int(obj["dim_out"]), int(obj["dim_env"])
-            iso = _complex_matrix(obj["isometry"])
-            return StinespringIsometry(
-                HilbertLabel("p", din), HilbertLabel("q", dout), HilbertLabel("e", denv), iso
-            )
+        if kind in ("kraus", "stinespring"):
+            p, q = HilbertLabel("p", int(obj["dim_in"])), HilbertLabel("q", int(obj["dim_out"]))
+            if kind == "kraus":
+                return KrausChannel(p, q, [_complex_matrix(o) for o in obj["operators"]])
+            env_dim, isometry = int(obj["dim_env"]), _complex_matrix(obj["isometry"])
+            return KrausChannel.from_isometry(p, q, env_dim, isometry)
     except KeyError as exc:
         raise SchemaError(f"channel object missing field {exc}")
     except (ChannelError, QcoreError) as exc:
@@ -167,7 +162,7 @@ def load_family(path: str):
         if "W" not in entry:
             raise SchemaError("family entries need field 'W'")
         ch = parse_channel(entry["W"])
-        if not isinstance(ch, (KrausChannel, StinespringIsometry)):
+        if not isinstance(ch, KrausChannel):
             raise SchemaError("family members must be quantum channels")
         fam.append(ch)
     if not fam:

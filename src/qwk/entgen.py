@@ -6,7 +6,8 @@ Pipeline (exact state-vector evolution throughout):
    pair a channel family induces on the computational basis, build the joint
    pretty-good measurement and the coherent measurement as the isometry
    it is on the |0,0,0> ancilla.  The code keeps each state's n-fold
-   Stinespring isometry, so every later stage takes the code alone.
+   channel, whose stored Stinespring isometry the later stages apply, so
+   every later stage takes the code alone.
 2. ``compute_uhlmann_partners``  best pure approximations of the
    post-measurement states with the measurement record factored out.
 3. ``phase_align``         pick the discrete Fourier index and phase that
@@ -20,7 +21,8 @@ Pipeline (exact state-vector evolution throughout):
 Codewords are product vectors, hence pure, so no stage purifies them.
 
 Register order everywhere: [A, Q^n, E^n, M, L, T'] with T' carrying one
-extra fail slot that absorbs the measurement defect.
+extra fail slot that absorbs the measurement defect.  E^n is the
+environment of the n-fold isometry: one slot per n-fold Kraus operator.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import CQChannel, StinespringIsometry, as_stinespring, cq_word_state, n_fold
+from .channels import CQChannel, KrausChannel, cq_word_state, n_fold, require_quantum
 from .qcore import (
     HilbertLabel,
     QcoreError,
@@ -62,7 +64,7 @@ class EntgenCode:
     T: int
     dp: int
     dq: int
-    blocks: list  # per-state n-fold StinespringIsometry
+    blocks: list  # per-state n-fold KrausChannel
     words: np.ndarray  # (J, L, n)
     codeword_vecs: np.ndarray  # (J, L, dp^n) codeword vectors
     povm: np.ndarray  # (T, J, L, Dq, Dq)
@@ -85,7 +87,7 @@ class EntgenCode:
     @property
     def de(self) -> list[int]:
         """Per-state environment dimension (block level)."""
-        return [b.env_space.dim for b in self.blocks]
+        return [b.env_dim for b in self.blocks]
 
     @property
     def Dq(self) -> int:
@@ -117,18 +119,16 @@ class FidelityAudit:
 # stage 1: codewords, measurement, coherent measurement isometry
 
 
-def _as_isometries(family) -> list[StinespringIsometry]:
-    out = [as_stinespring(ch) for ch in family]
-    dims = {(s.in_space.dim, s.out_space.dim) for s in out}
-    if len(dims) != 1:
+def _check_family(family) -> None:
+    require_quantum(*family)
+    if len({(ch.in_space.dim, ch.out_space.dim) for ch in family}) != 1:
         raise QcoreError("family members must share input and output spaces")
-    return out
 
 
-def _induced_cq(s: StinespringIsometry) -> CQChannel:
+def _induced_cq(ch: KrausChannel) -> CQChannel:
     """Classical-quantum channel the receiver sees on the computational basis."""
-    rec, _ = s.basis_outputs(np.eye(s.in_space.dim, dtype=complex))
-    return CQChannel(tuple(range(len(rec))), HilbertLabel("q", s.out_space.dim),
+    rec, _ = ch.basis_outputs(np.eye(ch.in_space.dim, dtype=complex))
+    return CQChannel(tuple(range(len(rec))), HilbertLabel("q", ch.out_space.dim),
                      dict(enumerate(rec)))
 
 
@@ -165,16 +165,16 @@ def build_entgen_code(
     normalized (repeated words would make Fourier branches collide).
     Codewords are product vectors of the computational basis.
     """
-    isos = _as_isometries(family)
+    _check_family(family)
     if params is None:
         params = TypicalParams(n=n, delta=0.5, alpha=2.0)
-    dp = isos[0].in_space.dim
-    dq = isos[0].out_space.dim
-    T = len(isos)
+    dp = family[0].in_space.dim
+    dq = family[0].out_space.dim
+    T = len(family)
     if J < 1 or L < 1:
         raise QcoreError("J and L must be >= 1")
-    blocks = [n_fold(s, n) for s in isos]
-    de = [b.env_space.dim for b in blocks]
+    blocks = [n_fold(ch, n) for ch in family]
+    de = [b.env_dim for b in blocks]
     check_dim_cap(J * dq ** n * max(de) * J * L * (T + 1), "protocol state vector")
     words = _sample_distinct_words(np.asarray(p, float), n, J * L, seed, params.delta)
     words = words.reshape(J, L, n)
@@ -182,7 +182,7 @@ def build_entgen_code(
     codeword_vecs = np.stack([accumulate_products(eye[w])
                               for w in words.reshape(J * L, n)]).reshape(J, L, dp ** n)
     # joint pretty-good measurement over (state, message, randomization)
-    rec_cqs = [_induced_cq(s) for s in isos]
+    rec_cqs = [_induced_cq(ch) for ch in family]
     prior = np.asarray(p, dtype=float)
     dq_n = dq ** n
     sand = np.stack([sandwiched_outputs(rec, words.reshape(J * L, n), prior, params)
@@ -254,7 +254,7 @@ def compute_uhlmann_partners(code: EntgenCode) -> EntgenCode:
     partners = []
     partner_fid = np.zeros((code.T, code.J, code.L))
     for t, block in enumerate(code.blocks):
-        de = block.env_space.dim
+        de = block.env_dim
         zt = np.zeros((code.J, code.L, code.Dq * de), dtype=complex)
         for j in range(code.J):
             for l in range(code.L):
@@ -292,16 +292,16 @@ def phase_align(code: EntgenCode) -> EntgenCode:
     align_phase = np.zeros(code.J)
     aligned_overlap = np.zeros((code.T, code.J), dtype=complex)
     branches = code.v_unitary.reshape(code.Dq, code.J, L, tp, code.Dq)
+    adjoints = [block.isometry.conj().T for block in code.blocks]
     for j in range(code.J):
         # b_{j,l,t}: pull the partner (x) record back through V and the
         # dilation, using <V W a|z (x) record> = <W a|V_{jlt}^dag z> for the
         # branch V_{jlt} that writes the record
         b = np.zeros((code.T, L, code.Dp), dtype=complex)
-        for t, block in enumerate(code.blocks):
-            de = block.env_space.dim
+        for t, (de, adjoint) in enumerate(zip(code.de, adjoints)):
             for l in range(L):
                 pulled = branches[:, j, l, t, :].conj().T @ code.partners[t][j, l].reshape(code.Dq, de)
-                b[t, l] = block.isometry.conj().T @ pulled.reshape(-1)
+                b[t, l] = adjoint @ pulled.reshape(-1)
         a = code.codeword_vecs[j]
         best_k, best_val = 1, -np.inf
         overlaps_at_best = None

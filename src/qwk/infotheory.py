@@ -29,7 +29,7 @@ from .channels import (
     CQChannel,
     ClassicalChannel,
     KrausChannel,
-    as_kraus,
+    require_quantum,
 )
 from .qcore import DensityOperator, QcoreError, partial_trace
 
@@ -161,11 +161,11 @@ def coherent_information_matrix(rho_m: np.ndarray, kraus: KrausChannel):
 
 def coherent_information(rho: DensityOperator, ch) -> float:
     """S(N(rho)) minus the entropy of the joint output on output (x) reference,
-    for a Kraus or Stinespring channel whose input space matches ``rho``."""
-    kraus = as_kraus(ch)
-    if rho.dim != kraus.in_space.dim:
+    for a quantum channel whose input space matches ``rho``."""
+    require_quantum(ch)
+    if rho.dim != ch.in_space.dim:
         raise QcoreError("state and channel input dimensions differ")
-    return coherent_information_matrix(rho.matrix, kraus)
+    return coherent_information_matrix(rho.matrix, ch)
 
 
 def conditional_channel_entropy(prior, v: CQChannel) -> float:

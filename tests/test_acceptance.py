@@ -18,8 +18,6 @@ from qwk.channels import (
     complementary_channel,
     identity_kraus,
     kraus_equivalent,
-    kraus_to_stinespring,
-    stinespring_to_kraus,
 )
 from qwk.cli import canonical_payload_bytes, main as cli_main
 from qwk.entgen import build_decoder_unitaries, build_entgen_code, run_full_audit
@@ -150,14 +148,13 @@ def test_criterion_6_conversions_and_complementary():
         from qwk.channels import KrausChannel
 
         chan = KrausChannel(Q, Q, [q[0:2, :], q[2:4, :]])
-        s = kraus_to_stinespring(chan)
-        back = stinespring_to_kraus(s)
+        back = KrausChannel.from_isometry(Q, Q, 2, chan.isometry)
         rho = random_density(Q, rng)
         worst_channel = max(
             worst_channel,
             float(np.max(np.abs(chan.apply_matrix(rho.matrix) - back.apply_matrix(rho.matrix)))),
         )
-        comp = complementary_channel(s)
+        comp = complementary_channel(back)
         gap = abs(
             von_neumann_entropy(chan.apply_matrix(rho.matrix))
             - von_neumann_entropy(comp.apply_matrix(rho.matrix))

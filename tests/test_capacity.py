@@ -465,7 +465,7 @@ from qwk.capacity import (
     _coherent_objective,
     _maximize_aux,
 )
-from qwk.channels import as_stinespring, n_fold, stinespring_to_kraus
+from qwk.channels import n_fold
 from qwk.cli import load_spec
 from qwk.infotheory import coherent_information_matrix
 from qwk.qcore import kron_chain
@@ -531,7 +531,7 @@ class TestStackedSolver:
     @pytest.mark.parametrize("n", [1, 2])
     def test_unconstrained_ascent_matches_reference(self, n):
         family = load_spec(os.path.join(SPECS, "two_channel_family.json")).legitimate
-        kraus = stinespring_to_kraus(as_stinespring(family[1]))
+        kraus = family[1]
         folded = n_fold(kraus, n) if n > 1 else kraus
         dim = folded.in_space.dim
         objective = _coherent_objective(folded)
@@ -627,7 +627,7 @@ class TestLockstepAscent:
 
     def test_unconstrained_rows_match_one_row_runs(self):
         family = load_spec(os.path.join(SPECS, "two_channel_family.json")).legitimate
-        folded = n_fold(stinespring_to_kraus(as_stinespring(family[1])), 2)
+        folded = n_fold(family[1], 2)
         objective = _coherent_objective(folded)
         rng = np.random.default_rng(43)
         p0s = rng.normal(size=(9, 2 * 16))

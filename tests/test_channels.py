@@ -13,7 +13,6 @@ from qwk.channels import (
     CQChannel,
     CompoundWiretapSpec,
     KrausChannel,
-    StinespringIsometry,
     bsc,
     build_tau_net,
     choi_matrix,
@@ -23,13 +22,13 @@ from qwk.channels import (
     diamond_distance,
     identity_kraus,
     kraus_equivalent,
-    kraus_to_stinespring,
     mix_kraus,
     n_fold,
     pad_kraus,
-    stinespring_to_kraus,
     tau_net_cardinality_bound,
 )
+from qwk.capacity import SolverConfig, entgen_csi_capacity, entgen_lower_bound
+from qwk.entgen import build_entgen_code
 from qwk.infotheory import coherent_information, von_neumann_entropy
 from qwk.qcore import (
     DensityOperator,
@@ -134,36 +133,49 @@ class TestApplyAndNFold:
     @pytest.mark.parametrize("d, k", [(2, 1), (2, 3), (3, 2)])
     def test_basis_outputs_are_the_per_column_outputs(self, d, k):
         rng = np.random.default_rng(d * 10 + k)
-        s = kraus_to_stinespring(random_kraus_channel(rng, d, k))
+        s = random_kraus_channel(rng, d, k)
         for u in (np.eye(d, dtype=complex), random_unitary(d, rng)):
             rhos = [np.outer(u[:, x], u[:, x].conj()) for x in range(d)]
             rec, env = s.basis_outputs(u)
-            assert np.array_equal(rec, np.stack([s.apply_matrix(r) for r in rhos]))
+            dilated = [(s.isometry @ r @ s.isometry.conj().T).reshape(d, k, d, k) for r in rhos]
+            assert np.array_equal(rec, np.stack([np.trace(g, axis1=1, axis2=3) for g in dilated]))
             assert np.array_equal(env, np.stack([s.env_matrix(r) for r in rhos]))
+
+
+def dilation_output(s, rho):
+    """Receiver output as the partial trace of U rho U* over the environment."""
+    do, de = s.out_space.dim, s.env_dim
+    big = s.isometry @ rho @ s.isometry.conj().T
+    return np.trace(big.reshape(do, de, do, de), axis1=1, axis2=3)
 
 
 class TestKrausStinespring:
     def test_identity_dilation(self):
-        s = kraus_to_stinespring(identity_kraus())
-        assert s.env_space.dim == 1
+        s = identity_kraus()
+        assert s.env_dim == 1
         assert np.allclose(s.isometry, np.eye(2))
+
+    def test_kraus_ops_are_read_only_views_of_the_isometry(self):
+        s = random_kraus_channel(np.random.default_rng(1), d=3, k=2)
+        assert s.isometry.shape == (6, 3) and not s.isometry.flags.writeable
+        for i, a in enumerate(s.kraus_ops):
+            assert a.base is not None and np.shares_memory(a, s.isometry)
+            assert not a.flags.writeable
+            assert np.array_equal(a, s.isometry[i::2])
 
     def test_bit_flip_round_trip_on_states(self):
         rng = np.random.default_rng(2)
         flip = KrausChannel(
             Q, Q, [np.sqrt(0.5) * np.eye(2), np.sqrt(0.5) * np.array([[0, 1], [1, 0]])]
         )
-        s = kraus_to_stinespring(flip)
-        assert s.env_space.dim == 2
+        assert flip.env_dim == 2
         for _ in range(10):
             rho = random_density(Q, rng)
-            assert np.max(np.abs(s.apply_matrix(rho.matrix) - flip.apply_matrix(rho.matrix))) < 1e-10
+            assert np.max(np.abs(dilation_output(flip, rho.matrix) - flip.apply_matrix(rho.matrix))) < 1e-10
 
     def test_two_kraus_isometry_property(self):
         rng = np.random.default_rng(3)
-        chan = random_kraus_channel(rng)
-        s = kraus_to_stinespring(chan)
-        u = s.isometry
+        u = random_kraus_channel(rng).isometry
         assert np.max(np.abs(u.conj().T @ u - np.eye(2))) < 1e-10
 
     def test_round_trip_equivalence_100_random(self):
@@ -171,27 +183,44 @@ class TestKrausStinespring:
         for i in range(100):
             d = 2 if i % 3 else 3
             chan = random_kraus_channel(rng, d=d, k=2)
-            back = stinespring_to_kraus(kraus_to_stinespring(chan))
+            back = KrausChannel.from_isometry(chan.in_space, chan.out_space, 2, chan.isometry)
             assert kraus_equivalent(chan, back)
 
+    def test_from_isometry_refusals(self):
+        u = random_kraus_channel(np.random.default_rng(5)).isometry
+        with pytest.raises(ChannelError, match="shape"):
+            KrausChannel.from_isometry(Q, Q, 3, u)
+        with pytest.raises(ChannelError, match="isometry"):
+            KrausChannel.from_isometry(Q, Q, 2, 2 * u)
+        # d_in^2 d_out = 8 slots suffice for a qubit channel; 9 zero-padded ones do not
+        padded = np.zeros((18, 2), dtype=complex)
+        padded[::9] = np.eye(2)
+        with pytest.raises(ChannelError, match="unnecessarily large"):
+            KrausChannel.from_isometry(Q, Q, 9, padded)
+        assert KrausChannel.from_isometry(Q, Q, 8, padded[np.r_[0:8, 9:17]]).env_dim == 8
+
+    def test_long_kraus_list_is_accepted(self):
+        # the environment-size rule applies to isometry input alone
+        chan = pad_kraus(identity_kraus(), 9)
+        assert chan.env_dim == 9 and chan.isometry.shape == (18, 2)
+        assert kraus_equivalent(chan, identity_kraus())
+
     def test_complementary_identity_channel(self):
-        comp = complementary_channel(kraus_to_stinespring(identity_kraus()))
+        comp = complementary_channel(identity_kraus())
         rng = np.random.default_rng(5)
         rho = random_density(Q, rng)
         env = comp.apply_matrix(rho.matrix)
         assert np.allclose(env, [[1.0]])
 
     def test_complementary_depolarizing_env_entropy(self):
-        s = kraus_to_stinespring(depolarizing_kraus(1.0))
-        env = s.env_matrix(np.eye(2) / 2)
+        env = depolarizing_kraus(1.0).env_matrix(np.eye(2) / 2)
         assert von_neumann_entropy(env) == pytest.approx(2.0, abs=1e-9)
 
     def test_coherent_information_identity_on_outputs(self):
         rng = np.random.default_rng(6)
         for _ in range(10):
             chan = random_kraus_channel(rng)
-            s = kraus_to_stinespring(chan)
-            comp = complementary_channel(s)
+            comp = complementary_channel(chan)
             rho = random_density(Q, rng)
             lhs = von_neumann_entropy(chan.apply_matrix(rho.matrix)) - von_neumann_entropy(
                 comp.apply_matrix(rho.matrix)
@@ -209,7 +238,7 @@ class TestKrausStinespring:
             return u
 
         def loop_stinespring_to_kraus(s):
-            de = s.env_space.dim
+            de = s.env_dim
             ops = []
             for j in range(de):
                 a = np.zeros((s.out_space.dim, s.in_space.dim), dtype=complex)
@@ -219,7 +248,7 @@ class TestKrausStinespring:
             return ops
 
         def loop_complementary(s):
-            de, do = s.env_space.dim, s.out_space.dim
+            de, do = s.env_dim, s.out_space.dim
             ops = []
             for o in range(do):
                 b = np.zeros((de, s.in_space.dim), dtype=complex)
@@ -230,12 +259,33 @@ class TestKrausStinespring:
 
         for chan in (n_fold(depolarizing_kraus(0.3), 2),
                      random_kraus_channel(np.random.default_rng(7), d=3, k=2)):
-            s = kraus_to_stinespring(chan)
-            assert np.array_equal(s.isometry, loop_kraus_to_stinespring(chan))
-            for got, want in ((stinespring_to_kraus(s), loop_stinespring_to_kraus(s)),
-                              (complementary_channel(s), loop_complementary(s))):
+            assert np.array_equal(chan.isometry, loop_kraus_to_stinespring(chan))
+            back = KrausChannel.from_isometry(chan.in_space, chan.out_space, chan.env_dim,
+                                              chan.isometry)
+            for got, want in ((chan, loop_stinespring_to_kraus(chan)),
+                              (back, loop_stinespring_to_kraus(chan)),
+                              (complementary_channel(chan), loop_complementary(chan))):
                 assert len(got.kraus_ops) == len(want)
                 assert all(np.array_equal(a, b) for a, b in zip(got.kraus_ops, want))
+
+
+# every public function that takes a quantum channel, called on a classical one
+NON_CHANNEL_CALLS = {
+    "coherent_information": lambda c: coherent_information(maximally_mixed(Q), c),
+    "choi_matrix": choi_matrix,
+    "complementary_channel": complementary_channel,
+    "diamond_distance": lambda c: diamond_distance(identity_kraus(), c),
+    "n_fold": lambda c: n_fold(c, 2),
+    "entgen_lower_bound": lambda c: entgen_lower_bound([identity_kraus(), c], SolverConfig()),
+    "entgen_csi_capacity": lambda c: entgen_csi_capacity([identity_kraus(), c], SolverConfig()),
+    "build_entgen_code": lambda c: build_entgen_code([identity_kraus(), c], [0.5, 0.5], 1, 2, 1, 5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_CHANNEL_CALLS))
+def test_classical_channel_is_refused(name):
+    with pytest.raises(ChannelError, match="only quantum channels .* not a ClassicalChannel"):
+        NON_CHANNEL_CALLS[name](bsc(0.1))
 
 
 class TestKrausEquivalence:

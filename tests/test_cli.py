@@ -17,6 +17,8 @@ from qwk.cli import (
     main,
     parse_channel,
 )
+from qwk.channels import KrausChannel, depolarizing_kraus
+from qwk.qcore import HilbertLabel
 
 SPECS = os.path.join(os.path.dirname(__file__), "..", "specs")
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -268,6 +270,77 @@ class TestEntangleCommand:
         assert doc["manifest"]["entangle"]["bound_vacuous"] is vacuous
         assert (doc["payload"]["bound_rhs"] <= 0) is vacuous
         assert "vacuous" not in json.dumps(doc["payload"])
+
+
+def _complex_pairs(m):
+    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m)]
+
+
+def _rotation(angle):
+    c, s = np.cos(angle), np.sin(angle)
+    return KrausChannel(HilbertLabel("p", 2), HilbertLabel("q", 2), [[[c, -s], [s, c]]])
+
+
+class TestStinespringKind:
+    """A ``stinespring`` channel object is read into the same channel as the
+    Kraus list its environment slots hold."""
+
+    FAMILIES = {
+        "rotation": lambda: [_rotation(0.3), _rotation(1.1)],
+        "depolarizing": lambda: [depolarizing_kraus(0.1), depolarizing_kraus(0.3)],
+    }
+    RUNS = {
+        "entheorem": (["capacity", "--formula", "entheorem", "--grid", "8", "--restarts", "2",
+                       "--seed", "2"], "solver"),
+        "propo1": (["capacity", "--formula", "propo1", "--n", "2", "--grid", "8",
+                    "--restarts", "1", "--refine", "10", "--seed", "2"], "solver"),
+        "entangle": (["entangle", "--n", "2", "--J", "2", "--L", "2", "--seed", "3"], "entangle"),
+    }
+
+    @staticmethod
+    def _write(path, members):
+        path.write_text(json.dumps({"variant": "quantum", "theta": [
+            {"t": f"t{i + 1}", "W": w} for i, w in enumerate(members)]}))
+        return str(path)
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    @pytest.mark.parametrize("run", sorted(RUNS))
+    def test_both_forms_give_identical_reports(self, family, run, tmp_path):
+        channels = self.FAMILIES[family]()
+        kraus = self._write(tmp_path / "kraus.json", [
+            {"kind": "kraus", "dim_in": 2, "dim_out": 2,
+             "operators": [_complex_pairs(a) for a in ch.kraus_ops]} for ch in channels])
+        stine = self._write(tmp_path / "stinespring.json", [
+            {"kind": "stinespring", "dim_in": 2, "dim_out": 2, "dim_env": len(ch.kraus_ops),
+             "isometry": _complex_pairs(np.stack(ch.kraus_ops, axis=1).reshape(-1, 2))}
+            for ch in channels])
+        argv, section = self.RUNS[run]
+        source = "--family" if argv[0] == "entangle" else "--spec"
+        docs = []
+        for form, path in (("kraus", kraus), ("stinespring", stine)):
+            out = tmp_path / f"{form}-out.json"
+            assert run_cli(argv + [source, path, "--out", str(out)]) == 0
+            docs.append(json.loads(out.read_text()))
+        assert canonical_payload_bytes(docs[0]["payload"]) == canonical_payload_bytes(
+            docs[1]["payload"])
+        assert docs[0]["manifest"][section] == docs[1]["manifest"][section]
+
+    @pytest.mark.parametrize("dim_env, isometry, message", [
+        (2, np.eye(2), "shape"),  # a (2, 2) matrix where 2 * 2 rows are needed
+        (2, np.vstack([np.eye(2), np.eye(2)]), "not an isometry"),  # columns of norm sqrt 2
+        # an isometry, but 9 slots > d_in^2 d_out = 8
+        (9, np.vstack([np.eye(2), np.zeros((16, 2))]), "unnecessarily large"),
+    ])
+    @pytest.mark.parametrize("command", ["capacity", "entangle"])
+    def test_invalid_isometry_exits_2(self, command, dim_env, isometry, message, tmp_path,
+                                      capsys):
+        path = self._write(tmp_path / "bad.json", [
+            {"kind": "stinespring", "dim_in": 2, "dim_out": 2, "dim_env": dim_env,
+             "isometry": _complex_pairs(isometry)}])
+        argv = (["capacity", "--formula", "entheorem", "--spec", path] if command == "capacity"
+                else ["entangle", "--family", path, "--seed", "1"])
+        assert run_cli(argv) == EXIT_SCHEMA
+        assert message in capsys.readouterr().err
 
 
 SIZE_FLAG_ARGS = {

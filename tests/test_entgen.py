@@ -7,7 +7,6 @@ from qwk.channels import (
     KrausChannel,
     depolarizing_kraus,
     identity_kraus,
-    kraus_to_stinespring,
     n_fold,
 )
 from qwk.entgen import (
@@ -189,7 +188,7 @@ def full_product_partners(code):
     partners = []
     partner_fid = np.zeros((code.T, code.J, code.L))
     for t, block in enumerate(code.blocks):
-        de = block.env_space.dim
+        de = block.env_dim
         zt = np.zeros((code.J, code.L, code.Dq * de), dtype=complex)
         for j in range(code.J):
             for l in range(code.L):
@@ -266,6 +265,31 @@ class TestPhaseAlign:
     def test_l_one_forces_k_one(self):
         code = build_pipeline([depolarizing_kraus(0.1)], 2, 2, 1, 3, PARAMS2)
         assert np.all(code.fourier_idx == 1)
+
+    @pytest.mark.parametrize("fam", [
+        [KrausChannel(Q, Q, [np.diag([1.0, np.exp(0.7j)]) @ rotated_channel(0.3).kraus_ops[0]]),
+         rotated_channel(1.1)],
+        [depolarizing_kraus(0.05), depolarizing_kraus(0.2)],
+    ])
+    def test_overlaps_match_the_dilated_codeword_reference(self, fam):
+        # <a_hat|W^dag y> = <W a_hat|y>: the reference dilates the encoder
+        # superposition instead of pulling back through the adjoint, so a
+        # complex isometry's conjugation shows
+        code = phase_align(compute_uhlmann_partners(
+            build_entgen_code(fam, [0.5, 0.5], 2, 2, 2, 3, PARAMS2)))
+        tp, L = code.T + 1, code.L
+        branches = code.v_unitary.reshape(code.Dq, code.J, L, tp, code.Dq)
+        for j in range(code.J):
+            phases = np.exp(2j * np.pi * np.arange(1, L + 1) * code.fourier_idx[j] / L)
+            a_hat = (phases[:, None] * code.codeword_vecs[j]).sum(axis=0) / np.sqrt(L)
+            for t, block in enumerate(code.blocks):
+                dilated = block.dilate_vector(a_hat)
+                ref = sum(phases[l] / np.sqrt(L) * np.vdot(dilated, (
+                    branches[:, j, l, t, :].conj().T
+                    @ code.partners[t][j, l].reshape(code.Dq, code.de[t])).reshape(-1))
+                    for l in range(L))
+                got = code.aligned_overlap[t, j] * np.exp(-1j * code.align_phase[j])
+                assert abs(got - ref) <= 1e-12
 
     def test_planted_best_index_recovered(self):
         # synthetic: overlaps through a Fourier family peak at the planted k
@@ -422,7 +446,7 @@ def dense_protocol_reference(code, family, t_true):
     final fidelity and the three f_* audit intermediates."""
     J, L, T, Dq, tp = code.J, code.L, code.T, code.Dq, code.T + 1
     de = code.de[t_true]
-    w = n_fold(kraus_to_stinespring(family[t_true]), code.n).isometry
+    w = n_fold(family[t_true], code.n).isometry
     psi = np.zeros(J * code.Dp, dtype=complex)
     for j in range(J):
         phases = np.exp(2j * np.pi * np.arange(1, L + 1) * code.fourier_idx[j] / L)

@@ -12,7 +12,6 @@ from qwk.channels import (
     classical_to_cq,
     depolarizing_kraus,
     identity_kraus,
-    kraus_to_stinespring,
 )
 from qwk.infotheory import (
     Ensemble,
@@ -82,11 +81,27 @@ def distributions(draw, max_len=40):
 class TestEntropyRows:
     """Properties of the one Shannon sum every entropy goes through."""
 
+    @staticmethod
+    def _support_bound(p):
+        """Largest entropy of k entries holding mass s: s log2 k - s log2 s,
+        over the k entries above the floor; log2 k when s = 1."""
+        kept = p[p > 1e-12]
+        s = float(kept.sum())
+        return s * math.log2(len(kept)) - s * math.log2(s)
+
     @settings(max_examples=200, deadline=None)
     @given(distributions())
     def test_bounded_by_log_of_the_support(self, p):
         h = float(entropy_rows(p))
-        assert 0.0 <= h <= math.log2(np.count_nonzero(p > 1e-12)) + 1e-12
+        assert 0.0 <= h <= self._support_bound(p) + 1e-12
+
+    def test_mass_below_the_floor_raises_the_bound(self):
+        # one entry above the floor, yet h exceeds log2 1 + 1e-12: the
+        # surviving entry alone holds mass s = 1 - 9.9e-13 < 1
+        p = np.array([9.77e-13, 0.0, 1e-14, 3.0e-21, 0.0, 0.0, 1 - 9.9e-13, 0.0])
+        h = float(entropy_rows(p))
+        assert h > math.log2(1) + 1e-12
+        assert 0.0 <= h <= self._support_bound(p) + 1e-12
 
     @settings(max_examples=200, deadline=None)
     @given(distributions(), st.integers(0, 2 ** 32 - 1))
@@ -308,7 +323,7 @@ class TestCoherentInformationAgainstPurification:
     def test_stinespring_form_and_checks(self):
         rho = random_density(A, np.random.default_rng(22))
         chan = depolarizing_kraus(0.3)
-        assert coherent_information(rho, kraus_to_stinespring(chan)) == pytest.approx(
+        assert coherent_information(rho, KrausChannel.from_isometry(A, A, 4, chan.isometry)) == pytest.approx(
             coherent_information(rho, chan), abs=1e-12
         )
         with pytest.raises(QcoreError):

@@ -1,15 +1,25 @@
-"""Every qwk function that the benchmark's per-layer tracer wraps still exists.
+"""Every qwk function that the benchmark's per-layer tracer wraps still exists,
+and a traced benchmark pass runs.
 
 ``perfbench/tracer.py`` is loaded by path and not modified.  Its ``install``
 raises RuntimeError on a name that qwk no longer has, which would otherwise
-show only when ``python perfbench/run.py --trace 1`` runs.
+show only when ``python perfbench/run.py --trace 1`` runs.  The traced runs
+also catch what the name check cannot: an attribute the tracer's notes read
+off a traced call's arguments or result, and a traced pass whose payload
+digests differ from the untraced one.
 """
 
 import importlib
 import importlib.util
+import json
 import os
+import subprocess
+import sys
 
-TRACER = os.path.join(os.path.dirname(__file__), "..", "perfbench", "tracer.py")
+import pytest
+
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+TRACER = os.path.join(ROOT, "perfbench", "tracer.py")
 
 
 def load_tracer():
@@ -30,3 +40,17 @@ def test_every_trace_target_resolves_in_qwk():
         if not callable(obj):
             missing.append(f"{module}.{attr}")
     assert missing == []
+
+
+@pytest.mark.parametrize("workload", ["rates", "audit"])
+def test_traced_pass_matches_the_untraced_one(workload):
+    # the two workloads that build quantum channels; about 2 s each
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "1",
+         "--seconds", "1", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True
+    assert result["failed"] == 0
+    assert result["metrics"]["trace.digests_equal"]["value"] == 1
