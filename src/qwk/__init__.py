@@ -2,7 +2,7 @@
 
 Submodules:
 
-- ``qcore``       exact states/operators on labeled Hilbert spaces
+- ``qcore``       checked density matrices, eigensystems, norms, fidelity, PGM
 - ``channels``    channel kinds, conversions, diamond distance, tau-nets
 - ``infotheory``  entropies, mutual information, Holevo quantity
 - ``typicality``  typical sets and typical projectors with bound reports

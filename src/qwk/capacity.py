@@ -554,7 +554,7 @@ def qwiretap_csi_capacity(spec: CompoundWiretapSpec, cfg: SolverConfig) -> Capac
     _require_variant(spec, "classical-quantum-wiretap", "CSIcap")
     a = len(spec.legitimate[0].input_alphabet)
     # the largest member's d^n, before any term is built
-    check_dim_cap(max(v.output_space.dim for v in spec.wiretap) ** cfg.n, "wiretap block state")
+    check_dim_cap(max(v.d_out for v in spec.wiretap) ** cfg.n, "wiretap block state")
     wire = _ChiPowerTerm([v.letters for v in spec.wiretap], cfg.n)
     return _csi_report("CSIcap", spec, _classical_term(spec.legitimate), wire, a, cfg.n, cfg)
 
@@ -575,7 +575,7 @@ def _cq_block_terms(spec: CompoundWiretapSpec, n: int):
     """Holevo terms over n-fold input words, after the block-dimension caps
     on the largest member's d^n."""
     for role, members in (("legitimate", spec.legitimate), ("wiretap", spec.wiretap)):
-        check_dim_cap(max(ch.output_space.dim for ch in members) ** n, f"{role} block state")
+        check_dim_cap(max(ch.d_out for ch in members) ** n, f"{role} block state")
     a = len(spec.legitimate[0].input_alphabet)
     words = np.array(list(itertools.product(range(a), repeat=n)))
 
@@ -606,8 +606,8 @@ def entgen_lower_bound(family: Sequence, cfg: SolverConfig) -> CapacityReport:
     """Worst-state receiver Holevo rate minus best-state environment rate,
     maximized over priors and orthonormal input bases."""
     require_quantum(*family)
-    d = family[0].in_space.dim
-    if any(ch.in_space.dim != d for ch in family):
+    d = family[0].d_in
+    if any(ch.d_in != d for ch in family):
         raise SolverError("family members act on different input spaces")
     rng = np.random.default_rng([cfg.seed, 77])
     bases = [np.eye(d, dtype=complex)]
@@ -640,7 +640,7 @@ def _family_names(family) -> list[str]:
 def _coherent_objective(folded: KrausChannel):
     """Coherent information of rho = M M* / tr(M M*) for a (B, 2 dim^2) stack
     of (Re M, Im M) parameter rows; -inf where the trace vanishes."""
-    dim = folded.in_space.dim
+    dim = folded.d_in
 
     def objective(params):
         re, im = params[:, : dim * dim], params[:, dim * dim :]
@@ -659,8 +659,8 @@ def _coherent_objective(folded: KrausChannel):
 def entgen_csi_capacity(family: Sequence, cfg: SolverConfig) -> CapacityReport:
     """Worst state of the per-state best coherent information at block n."""
     require_quantum(*family)
-    d = family[0].in_space.dim
-    if any(ch.in_space.dim != d for ch in family):
+    d = family[0].d_in
+    if any(ch.d_in != d for ch in family):
         raise SolverError("family members act on different input spaces")
     dim = d ** cfg.n
     # dim^2 bounds each start's 2 dim^2 parameters and each probe's matrix

@@ -17,20 +17,24 @@ import numpy as np
 from .qcore import (
     CapExceededError,
     DensityOperator,
-    HilbertLabel,
     QcoreError,
     TOL_RECON,
     TOL_TRACE,
     check_dim_cap,
     hermitian_eigensystem,
     kron_chain,
-    maximally_entangled,
     psd_sqrt,
 )
 
 
 class ChannelError(QcoreError):
     """A channel failed validation or was applied out of domain."""
+
+
+def _check_dims(**dims) -> None:
+    for name, d in dims.items():
+        if d < 1:
+            raise ChannelError(f"{name} must be >= 1, got {d}")
 
 
 @dataclass(frozen=True)
@@ -62,25 +66,26 @@ class ClassicalChannel:
 class CQChannel:
     """Classical inputs, quantum outputs: each symbol maps to a fixed state.
 
-    ``letters`` is the read-only (a, d, d) stack of the validated output
-    states in input-alphabet order; words are arrays of indices into it.
+    ``letters`` is the read-only (a, d_out, d_out) stack of the validated
+    output states in input-alphabet order; words are arrays of indices into it.
     """
 
     input_alphabet: tuple
-    output_space: HilbertLabel
+    d_out: int
     letters: np.ndarray
 
-    def __init__(self, input_alphabet, output_space, states):
+    def __init__(self, input_alphabet, d_out: int, states):
+        _check_dims(d_out=d_out)
         object.__setattr__(self, "input_alphabet", tuple(input_alphabet))
-        object.__setattr__(self, "output_space", output_space)
+        object.__setattr__(self, "d_out", d_out)
         mats = []
         for x in self.input_alphabet:
             if x not in states:
                 raise ChannelError(f"missing output state for symbol {x!r}")
             rho = states[x]
             if not isinstance(rho, DensityOperator):
-                rho = DensityOperator((output_space,), rho)
-            if rho.dim != output_space.dim:
+                rho = DensityOperator(rho)
+            if rho.dim != d_out:
                 raise ChannelError(f"state for {x!r} has wrong dimension")
             mats.append(rho.matrix)
         letters = np.stack(mats)
@@ -101,36 +106,38 @@ class KrausChannel:
     environment slot each.
     """
 
-    in_space: HilbertLabel
-    out_space: HilbertLabel
+    d_in: int
+    d_out: int
     isometry: np.ndarray
     kraus_ops: tuple
 
-    def __init__(self, in_space, out_space, kraus_ops):
+    def __init__(self, d_in: int, d_out: int, kraus_ops):
+        _check_dims(d_in=d_in, d_out=d_out)
         ops = [np.asarray(a, dtype=complex) for a in kraus_ops]
         if not ops:
             raise ChannelError("at least one Kraus operator required")
         for a in ops:
-            if a.shape != (out_space.dim, in_space.dim):
+            if a.shape != (d_out, d_in):
                 raise ChannelError(f"Kraus operator shape {a.shape} mismatch")
-        u = np.stack(ops, axis=1).reshape(-1, in_space.dim)
-        if np.max(np.abs(u.conj().T @ u - np.eye(in_space.dim))) > TOL_RECON:
+        u = np.stack(ops, axis=1).reshape(-1, d_in)
+        if np.max(np.abs(u.conj().T @ u - np.eye(d_in))) > TOL_RECON:
             raise ChannelError("not an isometry: the Kraus operators fail completeness")
         u.setflags(write=False)
-        object.__setattr__(self, "in_space", in_space)
-        object.__setattr__(self, "out_space", out_space)
+        object.__setattr__(self, "d_in", d_in)
+        object.__setattr__(self, "d_out", d_out)
         object.__setattr__(self, "isometry", u)
-        blocks = u.reshape(out_space.dim, len(ops), in_space.dim)
+        blocks = u.reshape(d_out, len(ops), d_in)
         object.__setattr__(self, "kraus_ops", tuple(blocks.transpose(1, 0, 2)))
 
     @classmethod
-    def from_isometry(cls, in_space, out_space, env_dim: int, isometry) -> KrausChannel:
+    def from_isometry(cls, d_in: int, d_out: int, env_dim: int, isometry) -> KrausChannel:
         """The channel of a Stinespring isometry with ``env_dim`` environment slots."""
+        _check_dims(d_in=d_in, d_out=d_out, env_dim=env_dim)
         u = np.asarray(isometry, dtype=complex)
-        if u.shape != (out_space.dim * env_dim, in_space.dim):
+        if u.shape != (d_out * env_dim, d_in):
             raise ChannelError(f"isometry shape {u.shape} mismatch")
-        ch = cls(in_space, out_space, u.reshape(out_space.dim, env_dim, -1).swapaxes(0, 1))
-        if env_dim > in_space.dim ** 2 * out_space.dim:
+        ch = cls(d_in, d_out, u.reshape(d_out, env_dim, -1).swapaxes(0, 1))
+        if env_dim > d_in ** 2 * d_out:
             raise ChannelError("environment dimension is unnecessarily large")
         return ch
 
@@ -148,7 +155,7 @@ class KrausChannel:
     def _dilated(self, rho: np.ndarray) -> np.ndarray:
         """U rho U* as a (d_out, env_dim, d_out, env_dim) array."""
         big = self.isometry @ rho @ self.isometry.conj().T
-        do, de = self.out_space.dim, self.env_dim
+        do, de = self.d_out, self.env_dim
         return big.reshape(do, de, do, de)
 
     def env_matrix(self, rho: np.ndarray) -> np.ndarray:
@@ -222,7 +229,7 @@ class CompoundWiretapSpec:
 def _input_signature(ch):
     """Input alphabet or input dimension; a variant's members all have one
     of the two, so they compare directly."""
-    return ch.in_space.dim if isinstance(ch, KrausChannel) else ch.input_alphabet
+    return ch.d_in if isinstance(ch, KrausChannel) else ch.input_alphabet
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +241,7 @@ def cq_word_state(ch: CQChannel, words) -> np.ndarray:
     indices, or one per word of a (..., n) stack: the Kronecker product of
     the word's letters, which were validated when the channel was built."""
     words = np.asarray(words, dtype=np.intp)
-    check_dim_cap(ch.output_space.dim ** words.shape[-1], "cq word output")
+    check_dim_cap(ch.d_out ** words.shape[-1], "cq word output")
     return kron_chain(ch.letters[np.moveaxis(words, -1, 0)])
 
 
@@ -245,31 +252,27 @@ def n_fold(ch, n: int):
     require_quantum(ch)
     if n == 1:
         return ch
-    din, dout = ch.in_space.dim ** n, ch.out_space.dim ** n
+    din, dout = ch.d_in ** n, ch.d_out ** n
     check_dim_cap(max(din, dout), "n-fold Kraus channel")
     if ch.env_dim ** n * din * dout > 2 ** 24:
         raise CapExceededError("n-fold Kraus operator count exceeds the cap")
     ops = [np.array([[1.0 + 0j]])]
     for _ in range(n):
         ops = [np.kron(o, a) for o in ops for a in ch.kraus_ops]
-    return KrausChannel(
-        HilbertLabel(f"{ch.in_space.name}^{n}", din),
-        HilbertLabel(f"{ch.out_space.name}^{n}", dout),
-        ops,
-    )
+    return KrausChannel(din, dout, ops)
 
 
 def complementary_channel(ch: KrausChannel) -> KrausChannel:
     """Map to the environment: trace the main output out of the dilation."""
     require_quantum(ch)
-    blocks = ch.isometry.reshape(ch.out_space.dim, ch.env_dim, ch.in_space.dim)
-    return KrausChannel(ch.in_space, HilbertLabel(f"{ch.in_space.name}_env", ch.env_dim), blocks)
+    blocks = ch.isometry.reshape(ch.d_out, ch.env_dim, ch.d_in)
+    return KrausChannel(ch.d_in, ch.env_dim, blocks)
 
 
 def choi_matrix(ch) -> np.ndarray:
     """Choi matrix sum_ij |i><j| (x) N(|i><j|)."""
     require_quantum(ch)
-    din, dout = ch.in_space.dim, ch.out_space.dim
+    din, dout = ch.d_in, ch.d_out
     j = np.zeros((din * dout, din * dout), dtype=complex)
     for a in ch.kraus_ops:
         vec = a.T.reshape(-1)  # vec of A in |i>(x)|out> ordering
@@ -283,7 +286,7 @@ def kraus_equivalent(k1: KrausChannel, k2: KrausChannel, tol: float = TOL_RECON)
     Shorter lists are conceptually padded with zero operators; padding does
     not change the Choi matrix, so the comparison is direct.
     """
-    if (k1.in_space.dim, k1.out_space.dim) != (k2.in_space.dim, k2.out_space.dim):
+    if (k1.d_in, k1.d_out) != (k2.d_in, k2.d_out):
         raise ChannelError("channels act between different spaces")
     return bool(np.max(np.abs(choi_matrix(k1) - choi_matrix(k2))) <= tol)
 
@@ -292,9 +295,9 @@ def pad_kraus(k: KrausChannel, count: int) -> KrausChannel:
     """Append zero operators so the list has exactly ``count`` entries."""
     if count < len(k.kraus_ops):
         raise ChannelError("cannot pad to fewer operators")
-    zero = np.zeros((k.out_space.dim, k.in_space.dim))
+    zero = np.zeros((k.d_out, k.d_in))
     ops = list(k.kraus_ops) + [zero] * (count - len(k.kraus_ops))
-    return KrausChannel(k.in_space, k.out_space, ops)
+    return KrausChannel(k.d_in, k.d_out, ops)
 
 
 def mix_kraus(k: KrausChannel, unitary: np.ndarray) -> KrausChannel:
@@ -304,7 +307,7 @@ def mix_kraus(k: KrausChannel, unitary: np.ndarray) -> KrausChannel:
     if u.shape != (kk, kk):
         raise ChannelError("mixing matrix size must match the Kraus count")
     ops = [sum(u[i, j] * k.kraus_ops[j] for j in range(kk)) for i in range(kk)]
-    return KrausChannel(k.in_space, k.out_space, ops)
+    return KrausChannel(k.d_in, k.d_out, ops)
 
 
 # ---------------------------------------------------------------------------
@@ -330,9 +333,9 @@ def diamond_distance(n1, n2, restarts: int = 4, seed: int = 0) -> float:
     The result is a certified LOWER bound only.
     """
     require_quantum(n1, n2)
-    if (n1.in_space.dim, n1.out_space.dim) != (n2.in_space.dim, n2.out_space.dim):
+    if (n1.d_in, n1.d_out) != (n2.d_in, n2.d_out):
         raise ChannelError("channels act between different spaces")
-    din = n1.in_space.dim
+    din = n1.d_in
     dref = din
 
     def delta(rho):
@@ -366,9 +369,7 @@ def diamond_distance(n1, n2, restarts: int = 4, seed: int = 0) -> float:
             psi, best = cand, cv
         return best
 
-    starts = []
-    me = maximally_entangled(HilbertLabel("r", dref), HilbertLabel("i", din))
-    starts.append(me.vector)
+    starts = [np.eye(din, dtype=complex).reshape(-1) / np.sqrt(din)]
     for i in range(din):
         for r in range(dref):
             v = np.zeros(dref * din, dtype=complex)
@@ -476,13 +477,11 @@ def choi_to_kraus(j: np.ndarray, d_in: int, d_out: int) -> KrausChannel:
     for i in range(len(w)):
         if w[i] > 1e-12:
             ops.append(np.sqrt(w[i]) * v[:, i].reshape(d_in, d_out).T)
-    inl = HilbertLabel("in", d_in)
-    outl = HilbertLabel("out", d_out)
     comp = sum(a.conj().T @ a for a in ops)
     # tolerate alternating-projection residue by a final isometric repair
     fix = np.linalg.pinv(psd_sqrt(comp))
     ops = [a @ fix for a in ops]
-    return KrausChannel(inl, outl, ops)
+    return KrausChannel(d_in, d_out, ops)
 
 
 def _shell_vectors(n_params: int, shell: int):
@@ -594,27 +593,23 @@ def bsc(p: float) -> ClassicalChannel:
 
 
 def identity_kraus(dim: int = 2) -> KrausChannel:
-    l = HilbertLabel("q", dim)
-    return KrausChannel(l, l, [np.eye(dim)])
+    return KrausChannel(dim, dim, [np.eye(dim)])
 
 
 def depolarizing_kraus(p: float) -> KrausChannel:
     sx = np.array([[0, 1], [1, 0]], dtype=complex)
     sy = np.array([[0, -1j], [1j, 0]], dtype=complex)
     sz = np.array([[1, 0], [0, -1]], dtype=complex)
-    l = HilbertLabel("q", 2)
     ops = [
         np.sqrt(1 - 3 * p / 4) * np.eye(2),
         np.sqrt(p / 4) * sx,
         np.sqrt(p / 4) * sy,
         np.sqrt(p / 4) * sz,
     ]
-    return KrausChannel(l, l, ops)
+    return KrausChannel(2, 2, ops)
 
 
 def classical_to_cq(ch: ClassicalChannel) -> CQChannel:
     """Embed a classical channel as a cq channel with diagonal outputs."""
-    d = len(ch.output_alphabet)
-    label = HilbertLabel("z", d)
     states = {x: np.diag(ch.row(x)).astype(complex) for x in ch.input_alphabet}
-    return CQChannel(ch.input_alphabet, label, states)
+    return CQChannel(ch.input_alphabet, len(ch.output_alphabet), states)

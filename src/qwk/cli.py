@@ -41,7 +41,7 @@ from .channels import (
     tau_net_cardinality_bound,
 )
 from .entgen import build_decoder_unitaries, build_entgen_code, run_full_audit
-from .qcore import CapExceededError, HilbertLabel, QcoreError
+from .qcore import CapExceededError, QcoreError
 from .typicality import TypicalParams
 from .wiretapsim import (
     build_decoder,
@@ -95,7 +95,6 @@ def parse_channel(obj: dict):
             return ClassicalChannel(obj["input_alphabet"], obj["output_alphabet"], obj["matrix"])
         if kind == "cq":
             dim = int(obj["dim"])
-            label = HilbertLabel("z", dim)
             alphabet = obj["input_alphabet"]
             states = {}
             for x in alphabet:
@@ -103,13 +102,13 @@ def parse_channel(obj: dict):
                 if key not in obj["states"]:
                     raise SchemaError(f"missing state for symbol {key}")
                 states[x] = _complex_matrix(obj["states"][key])
-            return CQChannel(tuple(alphabet), label, states)
+            return CQChannel(tuple(alphabet), dim, states)
         if kind in ("kraus", "stinespring"):
-            p, q = HilbertLabel("p", int(obj["dim_in"])), HilbertLabel("q", int(obj["dim_out"]))
+            d_in, d_out = int(obj["dim_in"]), int(obj["dim_out"])
             if kind == "kraus":
-                return KrausChannel(p, q, [_complex_matrix(o) for o in obj["operators"]])
+                return KrausChannel(d_in, d_out, [_complex_matrix(o) for o in obj["operators"]])
             env_dim, isometry = int(obj["dim_env"]), _complex_matrix(obj["isometry"])
-            return KrausChannel.from_isometry(p, q, env_dim, isometry)
+            return KrausChannel.from_isometry(d_in, d_out, env_dim, isometry)
     except KeyError as exc:
         raise SchemaError(f"channel object missing field {exc}")
     except (ChannelError, QcoreError) as exc:
@@ -357,7 +356,7 @@ def cmd_entangle(args) -> int:
     _require_min(0, strict=True, delta=args.delta, alpha=args.alpha)
     family = load_family(args.family)
     params = TypicalParams(n=args.n, delta=args.delta, alpha=args.alpha)
-    dp = family[0].in_space.dim
+    dp = family[0].d_in
     p = np.full(dp, 1.0 / dp)
     code = build_entgen_code(family, p, args.n, args.J, args.L, args.seed, params)
     code = build_decoder_unitaries(code)

@@ -33,7 +33,6 @@ import numpy as np
 
 from .channels import CQChannel, KrausChannel, cq_word_state, n_fold, require_quantum
 from .qcore import (
-    HilbertLabel,
     QcoreError,
     accumulate_products,
     check_dim_cap,
@@ -121,15 +120,14 @@ class FidelityAudit:
 
 def _check_family(family) -> None:
     require_quantum(*family)
-    if len({(ch.in_space.dim, ch.out_space.dim) for ch in family}) != 1:
+    if len({(ch.d_in, ch.d_out) for ch in family}) != 1:
         raise QcoreError("family members must share input and output spaces")
 
 
 def _induced_cq(ch: KrausChannel) -> CQChannel:
     """Classical-quantum channel the receiver sees on the computational basis."""
-    rec, _ = ch.basis_outputs(np.eye(ch.in_space.dim, dtype=complex))
-    return CQChannel(tuple(range(len(rec))), HilbertLabel("q", ch.out_space.dim),
-                     dict(enumerate(rec)))
+    rec, _ = ch.basis_outputs(np.eye(ch.d_in, dtype=complex))
+    return CQChannel(tuple(range(len(rec))), ch.d_out, dict(enumerate(rec)))
 
 
 def _sample_distinct_words(p, n, count, seed, delta):
@@ -168,8 +166,8 @@ def build_entgen_code(
     _check_family(family)
     if params is None:
         params = TypicalParams(n=n, delta=0.5, alpha=2.0)
-    dp = family[0].in_space.dim
-    dq = family[0].out_space.dim
+    dp = family[0].d_in
+    dq = family[0].d_out
     T = len(family)
     if J < 1 or L < 1:
         raise QcoreError("J and L must be >= 1")

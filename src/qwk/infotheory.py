@@ -21,8 +21,6 @@ conditioning factor, which may be negative for entangled states.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .channels import (
@@ -31,7 +29,7 @@ from .channels import (
     KrausChannel,
     require_quantum,
 )
-from .qcore import DensityOperator, QcoreError, partial_trace
+from .qcore import DensityOperator, QcoreError
 
 EIG_FLOOR = 1e-12
 
@@ -93,53 +91,37 @@ def von_neumann_entropy(rho) -> float:
     return float(eig_entropies(m))
 
 
-def conditional_qentropy(phi: DensityOperator, cond_on) -> float:
+def conditional_qentropy(phi: DensityOperator, dims, keep: int) -> float:
     """Entropy of the joint state minus the entropy of the reduced state.
 
-    ``cond_on`` selects the factor(s) kept for the subtracted reduction.
+    ``phi`` lives on the product of factors of dimensions ``dims``; the
+    subtracted reduction keeps factor ``keep`` and traces out the others.
     """
-    name = cond_on if isinstance(cond_on, (list, tuple, set)) else [cond_on]
-    reduced = partial_trace(phi, name)
-    return von_neumann_entropy(phi) - von_neumann_entropy(reduced)
+    dims = list(dims)
+    n = len(dims)
+    if phi.dim != int(np.prod(dims)) or not 0 <= keep < n:
+        raise QcoreError(f"state of dimension {phi.dim} has no factor {keep} among {dims}")
+    m = phi.matrix.reshape(dims + dims)
+    for offset, i in enumerate(sorted(set(range(n)) - {keep}, reverse=True)):
+        m = np.trace(m, axis1=i, axis2=i + n - offset)
+    return von_neumann_entropy(phi) - von_neumann_entropy(m)
 
 
-@dataclass(frozen=True)
-class Ensemble:
-    """A prior over labeled quantum states on one common space."""
-
-    prior: np.ndarray
-    states: tuple
-
-    def __init__(self, prior, states):
-        prior = np.asarray(prior, dtype=float)
-        if prior.min() < -1e-12 or abs(prior.sum() - 1.0) > 1e-9:
-            raise QcoreError("ensemble prior must be a distribution")
-        states = tuple(states)
-        if len(states) != prior.shape[0]:
-            raise QcoreError("prior length does not match the state count")
-        mats = []
-        dim = None
-        for s in states:
-            m = s.matrix if isinstance(s, DensityOperator) else np.asarray(s, dtype=complex)
-            if dim is None:
-                dim = m.shape[0]
-            elif m.shape[0] != dim:
-                raise QcoreError("ensemble states live on different spaces")
-            mats.append(m)
-        prior.setflags(write=False)
-        object.__setattr__(self, "prior", prior)
-        object.__setattr__(self, "states", tuple(mats))
-
-
-def holevo_chi(ensemble_or_prior, states=None) -> float:
-    """Holevo quantity: S(average state) - average of state entropies."""
-    if states is not None:
-        ensemble = Ensemble(ensemble_or_prior, states)
-    else:
-        ensemble = ensemble_or_prior
-    avg = sum(p * s for p, s in zip(ensemble.prior, ensemble.states))
-    s_avg, *s_states = eig_entropies(np.stack([avg, *ensemble.states]))
-    mean_entropy = sum(p * s for p, s in zip(ensemble.prior, s_states) if p > 0)
+def holevo_chi(prior, states) -> float:
+    """Holevo quantity of the ensemble ``prior`` over ``states``:
+    S(average state) - average of state entropies."""
+    prior = np.asarray(prior, dtype=float)
+    if prior.min() < -1e-12 or abs(prior.sum() - 1.0) > 1e-9:
+        raise QcoreError("ensemble prior must be a distribution")
+    mats = [s.matrix if isinstance(s, DensityOperator) else np.asarray(s, dtype=complex)
+            for s in states]
+    if len(mats) != prior.shape[0]:
+        raise QcoreError("prior length does not match the state count")
+    if len({m.shape for m in mats}) > 1:
+        raise QcoreError("ensemble states have different shapes")
+    avg = sum(p * s for p, s in zip(prior, mats))
+    s_avg, *s_states = eig_entropies(np.stack([avg, *mats]))
+    mean_entropy = sum(p * s for p, s in zip(prior, s_states) if p > 0)
     return max(0.0, float(s_avg - mean_entropy))
 
 
@@ -163,7 +145,7 @@ def coherent_information(rho: DensityOperator, ch) -> float:
     """S(N(rho)) minus the entropy of the joint output on output (x) reference,
     for a quantum channel whose input space matches ``rho``."""
     require_quantum(ch)
-    if rho.dim != ch.in_space.dim:
+    if rho.dim != ch.d_in:
         raise QcoreError("state and channel input dimensions differ")
     return coherent_information_matrix(rho.matrix, ch)
 

@@ -1,8 +1,8 @@
 """Exact finite-dimensional complex linear algebra for quantum states.
 
-States and operators live on labeled Hilbert spaces so that multipartite
-bookkeeping (tensor products, partial traces, purifications) stays explicit.
-All values are immutable after construction and every operation is a pure
+A state is a checked (d, d) complex array: ``DensityOperator`` validates one
+densely when it is built, and everything else takes plain arrays.  All
+values are immutable after construction and every operation is a pure
 function; the module is safe to use from concurrent workers without
 coordination.
 
@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 TOL_HERM = 1e-9
 TOL_PSD = 1e-9
 TOL_TRACE = 1e-9
-TOL_NORM = 1e-9
 TOL_RECON = 1e-8
 
 _DEFAULT_HILBERT_CAP = 2 ** 14
@@ -51,37 +50,10 @@ def check_dim_cap(dim: int, what: str = "construction") -> None:
         raise CapExceededError(f"{what} needs dimension {dim} > cap {cap}")
 
 
-@dataclass(frozen=True)
-class HilbertLabel:
-    """A named finite-dimensional Hilbert space factor."""
-
-    name: str
-    dim: int
-
-    def __post_init__(self):
-        if self.dim < 1:
-            raise QcoreError(f"dimension of space {self.name!r} must be >= 1")
-
-
 def _as_complex(m) -> np.ndarray:
     arr = np.asarray(m, dtype=complex)
     arr.setflags(write=False)
     return arr
-
-
-def _check_labels(system: Sequence[HilbertLabel]) -> tuple[HilbertLabel, ...]:
-    labels = tuple(system)
-    names = [s.name for s in labels]
-    if len(set(names)) != len(names):
-        raise QcoreError(f"duplicate space names in system {names}")
-    return labels
-
-
-def total_dim(system: Sequence[HilbertLabel]) -> int:
-    d = 1
-    for s in system:
-        d *= s.dim
-    return d
 
 
 def check_density(m: np.ndarray) -> None:
@@ -104,92 +76,26 @@ def check_density(m: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class DensityOperator:
-    """Positive semi-definite, unit-trace Hermitian matrix on a labeled system,
-    checked densely (``check_density``) when it is built.
+    """Positive semi-definite, unit-trace Hermitian (d, d) matrix, checked
+    densely (``check_density``) when it is built.
 
     Word output states of a cq channel are not wrapped in one: they are
     products of letters validated when the channel was built, and
     ``channels.cq_word_state`` returns them as plain arrays.
     """
 
-    system: tuple[HilbertLabel, ...]
     matrix: np.ndarray
 
-    def __init__(self, system: Sequence[HilbertLabel], matrix):
-        object.__setattr__(self, "system", _check_labels(system))
+    def __init__(self, matrix):
         m = _as_complex(matrix)
-        d = total_dim(self.system)
-        if m.shape != (d, d):
-            raise QcoreError(f"matrix shape {m.shape} does not match system dim {d}")
+        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
+            raise QcoreError(f"a density matrix must be square and nonempty, not of shape {m.shape}")
         check_density(m)
         object.__setattr__(self, "matrix", m)
 
     @property
     def dim(self) -> int:
-        return total_dim(self.system)
-
-    def label_names(self) -> tuple[str, ...]:
-        return tuple(s.name for s in self.system)
-
-
-@dataclass(frozen=True)
-class PureState:
-    """Unit vector on a labeled system."""
-
-    system: tuple[HilbertLabel, ...]
-    vector: np.ndarray
-
-    def __init__(self, system: Sequence[HilbertLabel], vector):
-        object.__setattr__(self, "system", _check_labels(system))
-        v = _as_complex(vector).reshape(-1)
-        d = total_dim(self.system)
-        if v.shape != (d,):
-            raise QcoreError(f"vector length {v.shape} does not match system dim {d}")
-        if abs(np.linalg.norm(v) - 1.0) > TOL_NORM:
-            raise QcoreError("vector is not normalized within tolerance")
-        object.__setattr__(self, "vector", v)
-
-    @property
-    def dim(self) -> int:
-        return total_dim(self.system)
-
-    def to_density(self) -> DensityOperator:
-        return DensityOperator(self.system, np.outer(self.vector, self.vector.conj()))
-
-
-def tensor_product(a, b):
-    """Kronecker product of two states of the same kind on disjoint systems."""
-    overlap = set(s.name for s in a.system) & set(s.name for s in b.system)
-    if overlap:
-        raise QcoreError(f"system label collision: {sorted(overlap)}")
-    system = tuple(a.system) + tuple(b.system)
-    if isinstance(a, DensityOperator) and isinstance(b, DensityOperator):
-        return DensityOperator(system, np.kron(a.matrix, b.matrix))
-    if isinstance(a, PureState) and isinstance(b, PureState):
-        return PureState(system, np.kron(a.vector, b.vector))
-    raise QcoreError("tensor_product requires two states of the same kind")
-
-
-def partial_trace(rho: DensityOperator, keep: Iterable) -> DensityOperator:
-    """Trace out every factor not in ``keep`` (labels or their names)."""
-    keep_names = set(s.name if isinstance(s, HilbertLabel) else s for s in keep)
-    names = rho.label_names()
-    unknown = keep_names - set(names)
-    if unknown:
-        raise QcoreError(f"unknown labels in keep set: {sorted(unknown)}")
-    dims = [s.dim for s in rho.system]
-    kept = [i for i, s in enumerate(rho.system) if s.name in keep_names]
-    if len(kept) == len(dims):
-        return rho
-    m = rho.matrix.reshape(dims + dims)
-    n = len(dims)
-    traced = [i for i in range(n) if i not in kept]
-    for offset, i in enumerate(sorted(traced, reverse=True)):
-        k = n - offset
-        m = np.trace(m, axis1=i, axis2=i + k)
-    new_system = tuple(rho.system[i] for i in kept)
-    d = total_dim(new_system)
-    return DensityOperator(new_system, m.reshape(d, d))
+        return self.matrix.shape[0]
 
 
 def hermitian_eigensystem(m) -> tuple[np.ndarray, np.ndarray]:
@@ -300,60 +206,19 @@ def pretty_good_measurement(states) -> np.ndarray:
 def fidelity(rho, sigma):
     """Fidelity ``|| sqrt(rho) sqrt(sigma) ||_1^2``, clamped to [0, 1 + 1e-9].
 
-    ``rho`` and ``sigma`` are two states on one system, which give a float,
+    ``rho`` and ``sigma`` are two states of one dimension, which give a float,
     or two (..., d, d) stacks of the states' square roots (``psd_sqrt``),
     which give one fidelity per pair.  Each trace norm is squared as a
     Python float: libm's ``x ** 2`` and numpy's ``x * x`` differ in the last
     bit on some inputs.
     """
     if isinstance(rho, DensityOperator):
-        if not isinstance(sigma, DensityOperator) or rho.label_names() != sigma.label_names():
-            raise QcoreError("fidelity requires states on the same system")
+        if not isinstance(sigma, DensityOperator) or rho.dim != sigma.dim:
+            raise QcoreError("fidelity requires two states of one dimension")
         return float(fidelity(psd_sqrt(rho.matrix), psd_sqrt(sigma.matrix)))
     norms = trace_norm(rho @ sigma)
     squares = np.reshape([x ** 2 for x in np.ravel(norms).tolist()], np.shape(norms))
     return np.clip(squares, 0.0, 1.0 + 1e-9)
-
-
-def purify(rho: DensityOperator, ancilla: HilbertLabel) -> PureState:
-    """A purification of ``rho`` using ``ancilla`` (dim >= rank required)."""
-    w, v = hermitian_eigensystem(rho.matrix)
-    support = np.nonzero(w > TOL_PSD)[0]
-    rank = len(support)
-    if ancilla.dim < rank:
-        raise QcoreError(f"ancilla dim {ancilla.dim} smaller than rank {rank}")
-    if ancilla.name in rho.label_names():
-        raise QcoreError(f"ancilla label {ancilla.name!r} collides with system")
-    vec = np.zeros(rho.dim * ancilla.dim, dtype=complex)
-    for slot, i in enumerate(support):
-        anc = np.zeros(ancilla.dim)
-        anc[slot] = 1.0
-        vec += np.sqrt(w[i]) * np.kron(v[:, i], anc)
-    vec /= np.linalg.norm(vec)
-    return PureState(tuple(rho.system) + (ancilla,), vec)
-
-
-# ---------------------------------------------------------------------------
-# constructors used across the package and its tests
-
-
-def basis_state(label: HilbertLabel, index: int) -> PureState:
-    v = np.zeros(label.dim, dtype=complex)
-    v[index] = 1.0
-    return PureState((label,), v)
-
-
-def maximally_mixed(label: HilbertLabel) -> DensityOperator:
-    return DensityOperator((label,), np.eye(label.dim) / label.dim)
-
-
-def maximally_entangled(a: HilbertLabel, b: HilbertLabel) -> PureState:
-    if a.dim != b.dim:
-        raise QcoreError("maximally entangled state needs equal dimensions")
-    v = np.zeros(a.dim * b.dim, dtype=complex)
-    for i in range(a.dim):
-        v[i * b.dim + i] = 1.0
-    return PureState((a, b), v / np.sqrt(a.dim))
 
 
 def ginibre_factor(dim: int, rng: np.random.Generator, rank: int | None = None) -> np.ndarray:
@@ -369,9 +234,9 @@ def ginibre_states(g) -> np.ndarray:
     return m / m.trace(axis1=-2, axis2=-1).real[..., None, None]
 
 
-def random_density(label: HilbertLabel, rng: np.random.Generator, rank: int | None = None) -> DensityOperator:
+def random_density(dim: int, rng: np.random.Generator, rank: int | None = None) -> DensityOperator:
     """Hilbert-Schmidt style random state (Ginibre factor with given rank)."""
-    return DensityOperator((label,), ginibre_states(ginibre_factor(label.dim, rng, rank)))
+    return DensityOperator(ginibre_states(ginibre_factor(dim, rng, rank)))
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -293,7 +293,7 @@ def conditional_typical_projector(
     ):
         raise QcoreError("word is not typical for the prior")
     a = len(v.input_alphabet)
-    d = v.output_space.dim
+    d = v.d_out
     check_dim_cap(d ** n, "conditional typical projector")
     systems = {x: _grouped_eigensystem(v.letters[x]) for x in set(word)}
     letters = [systems[x] for x in word]
@@ -310,8 +310,7 @@ def averaged_output_projector(prior, v: CQChannel, params: TypicalParams) -> Typ
     prior = np.asarray(prior, dtype=float)
     a = len(v.input_alphabet)
     avg = sum(q * m for q, m in zip(prior, v.letters))
-    label = v.output_space
-    rho = DensityOperator((label,), avg)
+    rho = DensityOperator(avg)
     scaled = TypicalParams(params.n, params.delta, params.alpha * np.sqrt(a), params.k_const)
     proj = typical_projector(rho, scaled)
     proj.context.update({"kind": "averaged-output", "a": a})
@@ -322,7 +321,7 @@ def averaged_trace_check(proj: TypicalProjector, v: CQChannel, word, params: Typ
     """Trace of the word's output against the averaged-output projector."""
     n, alpha = params.n, params.alpha
     a = len(v.input_alphabet)
-    d = v.output_space.dim
+    d = v.d_out
     u = proj.letter_unitaries[0]
     per_letter = []
     for x in word:
@@ -356,7 +355,7 @@ def sandwich_bound(v: CQChannel, params: TypicalParams) -> float:
     """The bound sqrt(2(ad + d)/(n alpha^2)) on the trace-norm deviation of a
     word's sandwiched output from its output state."""
     a = len(v.input_alphabet)
-    d = v.output_space.dim
+    d = v.d_out
     return float(np.sqrt(2 * (a * d + d) / (params.n * params.alpha ** 2)))
 
 
@@ -377,7 +376,7 @@ def sandwiched_outputs(v: CQChannel, words, prior, params: TypicalParams) -> np.
 def _sandwiches(v: CQChannel, words, prior, params: TypicalParams):
     """(sandwiched output, word state) per word; the averaged-output
     projector is shared by every word, so its dense matrix is built once."""
-    check_dim_cap(v.output_space.dim ** params.n, "sandwiched output")
+    check_dim_cap(v.d_out ** params.n, "sandwiched output")
     pa = None
     for word in words:
         pc = conditional_typical_projector(v, word, prior, params).matrix

@@ -18,7 +18,6 @@ from .channels import CQChannel, cq_word_state
 from .infotheory import eig_entropies, fannes_bound
 from .qcore import (
     DensityOperator,
-    HilbertLabel,
     check_density,
     fidelity,
     ginibre_factor,
@@ -37,8 +36,6 @@ from .typicality import (
     typical_projector,
 )
 
-_QUBIT = HilbertLabel("q", 2)
-
 
 def _record(bound_id, lhs, rhs, passed, **extra):
     rec = {"bound_id": bound_id, "lhs": float(lhs), "rhs": float(rhs), "pass": bool(passed)}
@@ -54,8 +51,8 @@ def suite_typicality(seed: int = 0, n_random: int = 10) -> list[dict]:
     and equal pairs of kept masks share one deviation.
     """
     rng = np.random.default_rng(seed)
-    states = [DensityOperator((_QUBIT,), np.diag([0.7, 0.3]))]
-    states += [random_density(_QUBIT, rng) for _ in range(n_random)]
+    states = [DensityOperator(np.diag([0.7, 0.3]))]
+    states += [random_density(2, rng) for _ in range(n_random)]
     records = []
     for si, rho in enumerate(states):
         for n in (4, 6, 8, 10):
@@ -68,7 +65,7 @@ def suite_typicality(seed: int = 0, n_random: int = 10) -> list[dict]:
                     )
     second = np.diag([0.4, 0.6]).astype(complex)
     for si, rho in enumerate(states):
-        v = CQChannel((0, 1), _QUBIT, {0: rho.matrix, 1: second})
+        v = CQChannel((0, 1), 2, {0: rho.matrix, 1: second})
         prior = [0.5, 0.5]
         for n in (4, 6, 8):
             word = tuple(i % 2 for i in range(n))
@@ -159,7 +156,7 @@ def suite_covering(seed: int = 11, trials: int = 100) -> list[dict]:
         u = np.array([[c, -s], [s, c]])
         return u @ np.diag([0.8, 0.2]) @ u.T
 
-    v = CQChannel((0, 1), _QUBIT, {0: rotated(0.0), 1: rotated(0.35)})
+    v = CQChannel((0, 1), 2, {0: rotated(0.0), 1: rotated(0.35)})
     rep = covering_concentration(
         v, [0.5, 0.5], 4, [1, 4, 16, 64], trials=trials, seed=seed,
         params=TypicalParams(n=4, delta=0.3),

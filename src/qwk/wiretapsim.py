@@ -159,7 +159,7 @@ def plan_simulation(spec: CompoundWiretapSpec, n: int, J: int, L: int) -> dict:
         return size <= cap
 
     def dim_cap(check, t, ch: CQChannel) -> None:
-        dim = ch.output_space.dim ** n
+        dim = ch.d_out ** n
         within(check, t, dim, hilbert_dim_cap())
         check_dim_cap(dim, check)
 
@@ -430,7 +430,7 @@ def _classical_leakage(wire: ClassicalChannel, codebook: Codebook) -> float:
 
 def _quantum_leakage(wire: CQChannel, codebook: Codebook) -> float:
     """S(rho_bar) - (1/J) sum_j S(rho_j), each term a mixture of word states."""
-    check_dim_cap(wire.output_space.dim ** codebook.n, "wiretap block state")
+    check_dim_cap(wire.d_out ** codebook.n, "wiretap block state")
     s_avg = _mixture_entropy(wire, codebook.words.reshape(-1, codebook.n))
     s_msg = [_mixture_entropy(wire, words) for words in codebook.words]
     return max(0.0, s_avg - float(np.mean(s_msg)))
@@ -467,8 +467,8 @@ def leakage_dims(spec: CompoundWiretapSpec, codebook: Codebook) -> dict:
     position differs); None for a classical wiretapper."""
     average = int(_differing(codebook.words.reshape(-1, codebook.n)).sum())
     message = max(int(_differing(words).sum()) for words in codebook.words)
-    return {name: {"average": wire.output_space.dim ** average,
-                   "max_message": wire.output_space.dim ** message}
+    return {name: {"average": wire.d_out ** average,
+                   "max_message": wire.d_out ** message}
             if isinstance(wire, CQChannel) else None
             for name, wire in zip(spec.names, spec.wiretap)}
 

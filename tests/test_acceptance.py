@@ -22,7 +22,7 @@ from qwk.channels import (
 from qwk.cli import canonical_payload_bytes, main as cli_main
 from qwk.entgen import build_decoder_unitaries, build_entgen_code, run_full_audit
 from qwk.infotheory import binary_entropy, coherent_information, von_neumann_entropy
-from qwk.qcore import DensityOperator, HilbertLabel, random_density
+from qwk.qcore import DensityOperator, random_density
 from qwk.typicality import (
     TypicalParams,
     averaged_output_projector,
@@ -34,7 +34,7 @@ from qwk.verify import suite_fannes, suite_gentle
 from qwk.wiretapsim import Codebook, build_decoder, covering_concentration, eval_error
 
 SPECS = os.path.join(os.path.dirname(__file__), "..", "specs")
-Q = HilbertLabel("q", 2)
+Q = 2
 
 
 def spec_path(name):
@@ -83,7 +83,7 @@ def test_criterion_2_classical_embedding():
 def test_criterion_3_typicality_bounds():
     t0 = time.monotonic()
     rng = np.random.default_rng(33)
-    states = [DensityOperator((Q,), np.diag([0.7, 0.3]))]
+    states = [DensityOperator(np.diag([0.7, 0.3]))]
     states += [random_density(Q, rng) for _ in range(10)]
     second = np.diag([0.4, 0.6]).astype(complex)
     violations = 0

@@ -30,9 +30,8 @@ from qwk.channels import (
     identity_kraus,
 )
 from qwk.infotheory import binary_entropy
-from qwk.qcore import HilbertLabel
 
-Z = HilbertLabel("z", 2)
+Z = 2
 
 FAST = SolverConfig(grid_resolution=16, refine_iters=15, restarts=2, seed=0)
 
@@ -264,7 +263,6 @@ class TestEntgenSolvers:
         for r in np.linspace(0, 1, 9):
             for theta in np.linspace(0, np.pi, 7):
                 rho = DensityOperator(
-                    (HilbertLabel("q", 2),),
                     0.5 * (np.eye(2) + r * np.cos(theta) * np.diag([1, -1])
                            + r * np.sin(theta) * np.array([[0, 1], [1, 0]])),
                 )
@@ -533,7 +531,7 @@ class TestStackedSolver:
         family = load_spec(os.path.join(SPECS, "two_channel_family.json")).legitimate
         kraus = family[1]
         folded = n_fold(kraus, n) if n > 1 else kraus
-        dim = folded.in_space.dim
+        dim = folded.d_in
         objective = _coherent_objective(folded)
 
         def scalar_objective(params):
@@ -736,8 +734,8 @@ def _other_wiretap(spec):
     v = spec.wiretap[0]
     if isinstance(v, ClassicalChannel):
         return bsc(0.35)
-    d = v.output_space.dim
-    return CQChannel(v.input_alphabet, v.output_space,
+    d = v.d_out
+    return CQChannel(v.input_alphabet, v.d_out,
                      {x: 0.5 * v.letters[i] + 0.5 * np.eye(d) / d
                       for i, x in enumerate(v.input_alphabet)})
 

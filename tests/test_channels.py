@@ -32,14 +32,12 @@ from qwk.entgen import build_entgen_code
 from qwk.infotheory import coherent_information, von_neumann_entropy
 from qwk.qcore import (
     DensityOperator,
-    HilbertLabel,
-    maximally_mixed,
     random_density,
     random_unitary,
     trace_norm,
 )
 
-Q = HilbertLabel("q", 2)
+Q = 2
 
 
 def random_kraus_channel(rng, d=2, k=2):
@@ -47,13 +45,12 @@ def random_kraus_channel(rng, d=2, k=2):
     g = rng.normal(size=(d * k, d)) + 1j * rng.normal(size=(d * k, d))
     q, _ = np.linalg.qr(g)
     ops = [q[i * d : (i + 1) * d, :] for i in range(k)]
-    l = HilbertLabel("q", d)
-    return KrausChannel(l, l, ops)
+    return KrausChannel(d, d, ops)
 
 
 class TestApplyAndNFold:
     def test_identity_kraus_apply(self):
-        rho = maximally_mixed(Q)
+        rho = DensityOperator(np.eye(2) / 2)
         out = identity_kraus().apply_matrix(rho.matrix)
         assert np.allclose(out, rho.matrix)
 
@@ -98,8 +95,7 @@ class TestApplyAndNFold:
         from qwk.channels import cq_word_state
 
         rng = np.random.default_rng(seed)
-        z = HilbertLabel("z", d)
-        chan = CQChannel(tuple(range(a)), z, {x: random_density(z, rng).matrix for x in range(a)})
+        chan = CQChannel(tuple(range(a)), d, {x: random_density(d, rng).matrix for x in range(a)})
         words = rng.integers(a, size=(2, 3, n))
 
         def no_eigvalsh(*args, **kwargs):
@@ -144,7 +140,7 @@ class TestApplyAndNFold:
 
 def dilation_output(s, rho):
     """Receiver output as the partial trace of U rho U* over the environment."""
-    do, de = s.out_space.dim, s.env_dim
+    do, de = s.d_out, s.env_dim
     big = s.isometry @ rho @ s.isometry.conj().T
     return np.trace(big.reshape(do, de, do, de), axis1=1, axis2=3)
 
@@ -183,7 +179,7 @@ class TestKrausStinespring:
         for i in range(100):
             d = 2 if i % 3 else 3
             chan = random_kraus_channel(rng, d=d, k=2)
-            back = KrausChannel.from_isometry(chan.in_space, chan.out_space, 2, chan.isometry)
+            back = KrausChannel.from_isometry(chan.d_in, chan.d_out, 2, chan.isometry)
             assert kraus_equivalent(chan, back)
 
     def test_from_isometry_refusals(self):
@@ -192,12 +188,26 @@ class TestKrausStinespring:
             KrausChannel.from_isometry(Q, Q, 3, u)
         with pytest.raises(ChannelError, match="isometry"):
             KrausChannel.from_isometry(Q, Q, 2, 2 * u)
+        with pytest.raises(ChannelError, match="must be >= 1"):
+            KrausChannel.from_isometry(Q, Q, 0, np.zeros((0, 2)))
         # d_in^2 d_out = 8 slots suffice for a qubit channel; 9 zero-padded ones do not
         padded = np.zeros((18, 2), dtype=complex)
         padded[::9] = np.eye(2)
         with pytest.raises(ChannelError, match="unnecessarily large"):
             KrausChannel.from_isometry(Q, Q, 9, padded)
         assert KrausChannel.from_isometry(Q, Q, 8, padded[np.r_[0:8, 9:17]]).env_dim == 8
+
+    @pytest.mark.parametrize("d_in, d_out", [(0, 2), (2, 0), (-1, 2)])
+    def test_a_dimension_below_one_is_refused(self, d_in, d_out):
+        with pytest.raises(ChannelError, match="must be >= 1"):
+            KrausChannel(d_in, d_out, [np.eye(2)])
+        with pytest.raises(ChannelError, match="must be >= 1"):
+            KrausChannel.from_isometry(d_in, d_out, 2, np.eye(4)[:, :2])
+
+    @pytest.mark.parametrize("d_out", [0, -1])
+    def test_a_cq_output_dimension_below_one_is_refused(self, d_out):
+        with pytest.raises(ChannelError, match="must be >= 1"):
+            CQChannel((0, 1), d_out, {0: np.eye(2) / 2, 1: np.eye(2) / 2})
 
     def test_long_kraus_list_is_accepted(self):
         # the environment-size rule applies to isometry input alone
@@ -231,9 +241,9 @@ class TestKrausStinespring:
         # the row-by-row forms that the (dout, denv, din) reshapes replaced
         def loop_kraus_to_stinespring(k):
             denv = len(k.kraus_ops)
-            u = np.zeros((k.out_space.dim * denv, k.in_space.dim), dtype=complex)
+            u = np.zeros((k.d_out * denv, k.d_in), dtype=complex)
             for j, a in enumerate(k.kraus_ops):
-                for o in range(k.out_space.dim):
+                for o in range(k.d_out):
                     u[o * denv + j, :] = a[o, :]
             return u
 
@@ -241,17 +251,17 @@ class TestKrausStinespring:
             de = s.env_dim
             ops = []
             for j in range(de):
-                a = np.zeros((s.out_space.dim, s.in_space.dim), dtype=complex)
-                for o in range(s.out_space.dim):
+                a = np.zeros((s.d_out, s.d_in), dtype=complex)
+                for o in range(s.d_out):
                     a[o, :] = s.isometry[o * de + j, :]
                 ops.append(a)
             return ops
 
         def loop_complementary(s):
-            de, do = s.env_dim, s.out_space.dim
+            de, do = s.env_dim, s.d_out
             ops = []
             for o in range(do):
-                b = np.zeros((de, s.in_space.dim), dtype=complex)
+                b = np.zeros((de, s.d_in), dtype=complex)
                 for e in range(de):
                     b[e, :] = s.isometry[o * de + e, :]
                 ops.append(b)
@@ -260,7 +270,7 @@ class TestKrausStinespring:
         for chan in (n_fold(depolarizing_kraus(0.3), 2),
                      random_kraus_channel(np.random.default_rng(7), d=3, k=2)):
             assert np.array_equal(chan.isometry, loop_kraus_to_stinespring(chan))
-            back = KrausChannel.from_isometry(chan.in_space, chan.out_space, chan.env_dim,
+            back = KrausChannel.from_isometry(chan.d_in, chan.d_out, chan.env_dim,
                                               chan.isometry)
             for got, want in ((chan, loop_stinespring_to_kraus(chan)),
                               (back, loop_stinespring_to_kraus(chan)),
@@ -271,7 +281,7 @@ class TestKrausStinespring:
 
 # every public function that takes a quantum channel, called on a classical one
 NON_CHANNEL_CALLS = {
-    "coherent_information": lambda c: coherent_information(maximally_mixed(Q), c),
+    "coherent_information": lambda c: coherent_information(DensityOperator(np.eye(2) / 2), c),
     "choi_matrix": choi_matrix,
     "complementary_channel": complementary_channel,
     "diamond_distance": lambda c: diamond_distance(identity_kraus(), c),

@@ -18,7 +18,6 @@ from qwk.cli import (
     parse_channel,
 )
 from qwk.channels import KrausChannel, depolarizing_kraus
-from qwk.qcore import HilbertLabel
 
 SPECS = os.path.join(os.path.dirname(__file__), "..", "specs")
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -278,7 +277,7 @@ def _complex_pairs(m):
 
 def _rotation(angle):
     c, s = np.cos(angle), np.sin(angle)
-    return KrausChannel(HilbertLabel("p", 2), HilbertLabel("q", 2), [[[c, -s], [s, c]]])
+    return KrausChannel(2, 2, [[[c, -s], [s, c]]])
 
 
 class TestStinespringKind:
@@ -341,6 +340,36 @@ class TestStinespringKind:
                 else ["entangle", "--family", path, "--seed", "1"])
         assert run_cli(argv) == EXIT_SCHEMA
         assert message in capsys.readouterr().err
+
+
+class TestDimensionRefusal:
+    """A dimension below 1 in a channel object is a schema error."""
+
+    QUBIT = _complex_pairs(np.eye(2) / 2)
+    CHANNELS = {
+        "cq dim 0": ("cq", {"kind": "cq", "input_alphabet": [0, 1], "dim": 0,
+                            "states": {"0": QUBIT, "1": QUBIT}}),
+        "kraus dim_in 0": ("quantum", {"kind": "kraus", "dim_in": 0, "dim_out": 2,
+                                       "operators": [_complex_pairs(np.eye(2))]}),
+        "kraus dim_in -1": ("quantum", {"kind": "kraus", "dim_in": -1, "dim_out": 2,
+                                        "operators": [_complex_pairs(np.eye(2))]}),
+        "stinespring dim_in 0": ("quantum", {"kind": "stinespring", "dim_in": 0, "dim_out": 2,
+                                             "dim_env": 2,
+                                             "isometry": _complex_pairs(np.eye(4)[:, :2])}),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CHANNELS))
+    @pytest.mark.parametrize("command", ["capacity", "entangle"])
+    def test_non_positive_dimension_exits_2(self, command, case, tmp_path, capsys):
+        variant, channel = self.CHANNELS[case]
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"variant": variant,
+                                    "theta": [{"t": "t1", "W": channel, "V": channel}]}))
+        formula = "e1q" if variant == "cq" else "entheorem"
+        argv = (["capacity", "--formula", formula, "--spec", str(path)] if command == "capacity"
+                else ["entangle", "--family", str(path), "--seed", "1"])
+        assert run_cli(argv) == EXIT_SCHEMA
+        assert "must be >= 1" in capsys.readouterr().err
 
 
 SIZE_FLAG_ARGS = {

@@ -20,10 +20,10 @@ from qwk.entgen import (
     run_full_audit,
     run_protocol,
 )
-from qwk.qcore import HilbertLabel, QcoreError, pgm_inverse_sqrt, psd_sqrt, random_density
+from qwk.qcore import QcoreError, pgm_inverse_sqrt, psd_sqrt, random_density
 from qwk.typicality import TypicalParams
 
-Q = HilbertLabel("q", 2)
+Q = 2
 
 PARAMS1 = TypicalParams(n=1, delta=0.5, alpha=2.0)
 PARAMS2 = TypicalParams(n=2, delta=0.5, alpha=2.0)

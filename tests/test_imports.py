@@ -1,8 +1,8 @@
 """Every name a ``qwk`` module imports is used somewhere in that module, and
 so is every private function, class or constant it defines at module level;
 no private module-level name is defined in two ``qwk`` modules; and every
-public module-level function is used by qwk, wrapped by the benchmark's
-tracer or declared library API.
+public module-level function is used by qwk, declared library API, or one of
+the few that only the benchmark's tracer calls.
 
 No linter runs on this repository, so this test parses each module with
 ``ast`` and reports the imported names that the module never mentions, the
@@ -22,14 +22,18 @@ MODULES = sorted(f for f in os.listdir(SRC) if f.endswith(".py"))
 TRACER = os.path.join(os.path.dirname(__file__), "..", "perfbench", "tracer.py")
 
 # Public functions that no qwk code calls, kept for library users: channel
-# constructors and conversions, states, the canonical payload bytes of a
-# report, and the CSI two-part protocol.  Each is covered by the tests.
+# constructors and conversions, the canonical payload bytes of a report, and
+# the CSI two-part protocol.  Each is covered by the tests.
 LIBRARY_API = {
-    "basis_state", "bsc", "canonical_payload_bytes", "classical_to_cq",
+    "bsc", "canonical_payload_bytes", "classical_to_cq",
     "complementary_channel", "depolarizing_kraus", "diamond_distance", "identity_kraus",
-    "kraus_equivalent", "maximally_mixed", "mix_kraus", "pad_kraus", "purify",
-    "tensor_product", "two_part_protocol", "word_probability",
+    "kraus_equivalent", "mix_kraus", "pad_kraus", "two_part_protocol", "word_probability",
 }
+
+# Public functions that no qwk code calls but the benchmark's tracer wraps, so
+# they stay while the benchmark names them.  The set can only shrink: each
+# name must be a tracer target without a caller in qwk.
+TRACER_ONLY = {"binary_entropy", "conditional_qentropy", "coherent_information", "sandwiched_output"}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -159,7 +163,11 @@ def tracer_target_names() -> set:
 
 def test_every_public_function_is_used_traced_or_library_api():
     sources = read_sources()
-    assert unreferenced_public_functions(sources, tracer_target_names() | LIBRARY_API) == []
+    assert unreferenced_public_functions(sources, TRACER_ONLY | LIBRARY_API) == []
+    targets = {attr.rsplit(".", 1)[-1] for attr in tracer_target_names()}
+    assert sorted(TRACER_ONLY - targets) == []
+    uncalled = {entry.split(" ")[0] for entry in unreferenced_public_functions(sources, LIBRARY_API)}
+    assert sorted(TRACER_ONLY - uncalled) == []
     defined = set()
     for source in sources.values():
         defined |= set(public_functions(ast.parse(source)))

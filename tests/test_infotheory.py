@@ -14,7 +14,6 @@ from qwk.channels import (
     identity_kraus,
 )
 from qwk.infotheory import (
-    Ensemble,
     binary_entropy,
     coherent_information,
     conditional_channel_entropy,
@@ -28,21 +27,44 @@ from qwk.infotheory import (
     von_neumann_entropy,
 )
 from qwk.qcore import (
+    TOL_PSD,
     DensityOperator,
-    HilbertLabel,
     QcoreError,
-    basis_state,
-    maximally_entangled,
-    maximally_mixed,
-    purify,
+    hermitian_eigensystem,
     random_density,
     random_unitary,
-    tensor_product,
     trace_norm,
 )
 
-A = HilbertLabel("A", 2)
-B = HilbertLabel("B", 2)
+A = 2
+B = 2
+
+
+def _purification(rho, anc_dim):
+    """Unit vector on the input (x) an ancilla of ``anc_dim`` whose reduction
+    to the input is ``rho``: the former ``qcore.purify``, kept as an oracle."""
+    w, v = hermitian_eigensystem(rho.matrix)
+    support = np.nonzero(w > TOL_PSD)[0]
+    assert anc_dim >= len(support)
+    vec = np.zeros(rho.dim * anc_dim, dtype=complex)
+    for slot, i in enumerate(support):
+        anc = np.zeros(anc_dim)
+        anc[slot] = 1.0
+        vec += np.sqrt(w[i]) * np.kron(v[:, i], anc)
+    return vec / np.linalg.norm(vec)
+
+
+def _partial_trace(m, dims, kept):
+    """Reduction of the matrix ``m`` on factors of dimensions ``dims`` to the
+    factors ``kept``: the former ``qcore.partial_trace``, kept as an oracle."""
+    dims = list(dims)
+    n = len(dims)
+    m = m.reshape(dims + dims)
+    traced = [i for i in range(n) if i not in kept]
+    for offset, i in enumerate(sorted(traced, reverse=True)):
+        m = np.trace(m, axis1=i, axis2=i + n - offset)
+    d = int(np.prod([dims[i] for i in kept]))
+    return m.reshape(d, d)
 
 
 class TestShannon:
@@ -156,19 +178,19 @@ class TestMutualInformation:
 
 class TestVonNeumann:
     def test_maximally_mixed(self):
-        assert von_neumann_entropy(maximally_mixed(A)) == pytest.approx(1.0)
+        assert von_neumann_entropy(DensityOperator(np.eye(2) / 2)) == pytest.approx(1.0)
 
     def test_pure_state(self):
-        assert von_neumann_entropy(basis_state(A, 0).to_density()) == pytest.approx(0.0)
+        assert von_neumann_entropy(DensityOperator(np.diag([1.0, 0.0]))) == pytest.approx(0.0)
 
     def test_diag_frozen_value(self):
-        rho = DensityOperator((A,), np.diag([0.7, 0.3]))
+        rho = DensityOperator(np.diag([0.7, 0.3]))
         assert von_neumann_entropy(rho) == pytest.approx(0.881291, abs=1e-6)
 
     def test_additive_on_products(self):
         rng = np.random.default_rng(0)
         rho, sigma = random_density(A, rng), random_density(B, rng)
-        joint = tensor_product(rho, sigma)
+        joint = DensityOperator(np.kron(rho.matrix, sigma.matrix))
         assert von_neumann_entropy(joint) == pytest.approx(
             von_neumann_entropy(rho) + von_neumann_entropy(sigma), abs=1e-9
         )
@@ -178,27 +200,39 @@ class TestConditionalEntropy:
     def test_product_state(self):
         rng = np.random.default_rng(1)
         rho, sigma = random_density(A, rng), random_density(B, rng)
-        joint = tensor_product(rho, sigma)
-        assert conditional_qentropy(joint, "A") == pytest.approx(
+        joint = DensityOperator(np.kron(rho.matrix, sigma.matrix))
+        assert conditional_qentropy(joint, (2, 2), 0) == pytest.approx(
             von_neumann_entropy(sigma), abs=1e-9
         )
 
     def test_maximally_entangled_is_minus_one(self):
-        bell = maximally_entangled(A, B).to_density()
-        assert conditional_qentropy(bell, "A") == pytest.approx(-1.0, abs=1e-9)
+        v = np.eye(2).reshape(-1) / np.sqrt(2)
+        bell = DensityOperator(np.outer(v, v.conj()))
+        assert conditional_qentropy(bell, (2, 2), 0) == pytest.approx(-1.0, abs=1e-9)
 
     def test_random_state_matches_eigen_oracle(self):
         rng = np.random.default_rng(2)
-        joint = DensityOperator((A, B), random_density(HilbertLabel("AB", 4), rng).matrix)
-        from qwk.qcore import partial_trace
+        joint = random_density(4, rng)
+        oracle = von_neumann_entropy(joint) - von_neumann_entropy(_partial_trace(joint.matrix, (2, 2), [0]))
+        assert conditional_qentropy(joint, (2, 2), 0) == pytest.approx(oracle, abs=1e-12)
 
-        oracle = von_neumann_entropy(joint) - von_neumann_entropy(partial_trace(joint, ["A"]))
-        assert conditional_qentropy(joint, "A") == pytest.approx(oracle, abs=1e-12)
+    @pytest.mark.parametrize("keep", [0, 1, 2])
+    def test_three_factors_match_eigen_oracle(self, keep):
+        rng = np.random.default_rng(3)
+        dims = (2, 3, 2)
+        joint = random_density(12, rng)
+        oracle = von_neumann_entropy(joint) - von_neumann_entropy(_partial_trace(joint.matrix, dims, [keep]))
+        assert conditional_qentropy(joint, dims, keep) == pytest.approx(oracle, abs=1e-12)
+
+    @pytest.mark.parametrize("dims, keep", [((2, 3), 0), ((2, 2), 2), ((2, 2), -1)])
+    def test_refuses_factors_that_do_not_fit(self, dims, keep):
+        with pytest.raises(QcoreError):
+            conditional_qentropy(random_density(4, np.random.default_rng(4)), dims, keep)
 
 
 class TestHolevo:
     def test_orthogonal_pure_states(self):
-        states = [basis_state(A, 0).to_density(), basis_state(A, 1).to_density()]
+        states = [DensityOperator(np.diag([1.0, 0.0])), DensityOperator(np.diag([0.0, 1.0]))]
         assert holevo_chi([0.5, 0.5], states) == pytest.approx(1.0)
 
     def test_equal_states_zero(self):
@@ -228,13 +262,23 @@ class TestHolevo:
             chi = cq_mutual_information(prior, cq)
             assert chi == pytest.approx(mutual_information(prior, w), abs=1e-9)
 
+    @pytest.mark.parametrize("prior, states", [
+        ([0.7, 0.7], [np.eye(2) / 2, np.eye(2) / 2]),
+        ([1.2, -0.2], [np.eye(2) / 2, np.eye(2) / 2]),
+        ([0.5, 0.5], [np.eye(2) / 2]),
+        ([0.5, 0.5], [np.eye(2) / 2, np.eye(3) / 3]),
+    ])
+    def test_refuses_a_bad_ensemble(self, prior, states):
+        with pytest.raises(QcoreError):
+            holevo_chi(prior, states)
+
 
 class TestCoherentInformation:
     def test_identity_channel(self):
-        assert coherent_information(maximally_mixed(A), identity_kraus()) == pytest.approx(1.0)
+        assert coherent_information(DensityOperator(np.eye(2) / 2), identity_kraus()) == pytest.approx(1.0)
 
     def test_fully_depolarizing(self):
-        assert coherent_information(maximally_mixed(A), depolarizing_kraus(1.0)) == pytest.approx(
+        assert coherent_information(DensityOperator(np.eye(2) / 2), depolarizing_kraus(1.0)) == pytest.approx(
             -1.0, abs=1e-9
         )
 
@@ -245,9 +289,8 @@ class TestCoherentInformation:
         rho = random_density(A, rng)
         chan = depolarizing_kraus(0.3)
         base = coherent_information(rho, chan)
-        big = HilbertLabel("R", 3)
-        psi = purify(rho, big)
-        joint = psi.to_density().matrix
+        psi = _purification(rho, 3)
+        joint = np.outer(psi, psi.conj())
         lifted = np.zeros((2 * 3, 2 * 3), dtype=complex)
         for a in chan.kraus_ops:
             op = np.kron(a, np.eye(3))
@@ -281,7 +324,7 @@ class TestFannes:
             rho = random_density(A, rng)
             mix = random_density(A, rng)
             t = rng.uniform(0.0, 0.25)
-            sigma = DensityOperator((A,), (1 - t) * rho.matrix + t * mix.matrix)
+            sigma = DensityOperator((1 - t) * rho.matrix + t * mix.matrix)
             dist = trace_norm(rho.matrix - sigma.matrix)
             if not 0 < dist < 1 / np.e:
                 continue
@@ -293,10 +336,9 @@ class TestFannes:
 def _coherent_information_reference(rho, kraus):
     """The former purification-based computation, kept as an oracle."""
     out_entropy = von_neumann_entropy(kraus.apply_matrix(rho.matrix))
-    ref = HilbertLabel("_ref", rho.dim)
-    psi = purify(rho, ref)
-    joint = np.outer(psi.vector, psi.vector.conj())
-    dref, dout = ref.dim, kraus.out_space.dim
+    psi = _purification(rho, rho.dim)
+    joint = np.outer(psi, psi.conj())
+    dref, dout = rho.dim, kraus.d_out
     lifted = np.zeros((dout * dref, dout * dref), dtype=complex)
     for a in kraus.kraus_ops:
         op = np.kron(a, np.eye(dref))
@@ -329,14 +371,14 @@ class TestCoherentInformationAgainstPurification:
         with pytest.raises(QcoreError):
             coherent_information(rho, bsc(0.1))
         with pytest.raises(QcoreError):
-            coherent_information(random_density(HilbertLabel("C", 3), np.random.default_rng(0)), chan)
+            coherent_information(random_density(3, np.random.default_rng(0)), chan)
 
 
 
 def _kron_loop_reference(rho_m, kraus):
     """The former one-matrix coherent information (one np.kron per
     eigenvector, entropies through von_neumann_entropy), kept as an oracle."""
-    din = kraus.in_space.dim
+    din = kraus.d_in
     w, v = np.linalg.eigh(rho_m)
     w = np.clip(w, 0.0, None)
     w = w / w.sum()
@@ -366,10 +408,10 @@ class TestStackedCoherentInformation:
         # at n=3 the 64-dimensional joint state keeps 27 nonzero eigenvalues,
         # enough for the pairwise summation to depend on which terms are summed
         chan = n_fold(three_op, n) if n > 1 else three_op
-        space = chan.in_space
-        mats = [random_density(space, rng, rank=1).matrix]
-        mats += [random_density(space, rng).matrix for _ in range(3)]
-        stack = np.stack(mats).reshape(2, 2, space.dim, space.dim)
+        d = chan.d_in
+        mats = [random_density(d, rng, rank=1).matrix]
+        mats += [random_density(d, rng).matrix for _ in range(3)]
+        stack = np.stack(mats).reshape(2, 2, d, d)
         stacked = coherent_information_matrix(stack, chan)
         assert stacked.shape == (2, 2)
         per_matrix = [coherent_information_matrix(m, chan) for m in mats]
@@ -389,10 +431,9 @@ class TestEnvironmentForm:
            st.integers(0, 2 ** 32 - 1))
     def test_matches_purification_form(self, d, k, rank, seed):
         rng = np.random.default_rng(seed)
-        space = HilbertLabel("D", d)
         iso = random_unitary(k * d, rng)[:, :d]
-        chan = KrausChannel(space, space, [iso[i * d:(i + 1) * d] for i in range(k)])
-        rho = random_density(space, rng, rank=rank)
+        chan = KrausChannel(d, d, [iso[i * d:(i + 1) * d] for i in range(k)])
+        rho = random_density(d, rng, rank=rank)
         assert coherent_information(rho, chan) == pytest.approx(
             _coherent_information_reference(rho, chan), abs=1e-12
         )

@@ -6,10 +6,7 @@ from hypothesis import strategies as st
 from qwk import qcore
 from qwk.qcore import (
     DensityOperator,
-    HilbertLabel,
-    PureState,
     QcoreError,
-    basis_state,
     check_density,
     fidelity,
     degenerate_runs,
@@ -17,90 +14,36 @@ from qwk.qcore import (
     ginibre_states,
     hermitian_eigensystem,
     kron_chain,
-    maximally_entangled,
-    maximally_mixed,
-    partial_trace,
     pgm_inverse_sqrt,
     pretty_good_measurement,
     psd_sqrt,
-    purify,
     random_density,
-    tensor_product,
     trace_norm,
 )
 
-A = HilbertLabel("A", 2)
-B = HilbertLabel("B", 2)
+A = 2
 
 
 def test_density_validation_rejects_nonhermitian():
     with pytest.raises(QcoreError):
-        DensityOperator((A,), [[0.5, 0.5], [0.0, 0.5]])
+        DensityOperator([[0.5, 0.5], [0.0, 0.5]])
 
 
 def test_density_validation_rejects_bad_trace():
     with pytest.raises(QcoreError):
-        DensityOperator((A,), [[0.6, 0], [0, 0.6]])
+        DensityOperator([[0.6, 0], [0, 0.6]])
 
 
 def test_density_validation_rejects_negative():
     with pytest.raises(QcoreError):
-        DensityOperator((A,), [[1.2, 0], [0, -0.2]])
+        DensityOperator([[1.2, 0], [0, -0.2]])
 
 
-def test_tensor_product_identity_case():
-    ab = tensor_product(maximally_mixed(A), maximally_mixed(B))
-    assert np.allclose(ab.matrix, np.eye(4) / 4)
-    assert ab.label_names() == ("A", "B")
-
-
-def test_tensor_product_basis_vectors():
-    s = tensor_product(basis_state(A, 0), basis_state(B, 1))
-    expect = np.zeros(4)
-    expect[1] = 1.0
-    assert np.allclose(s.vector, expect)
-
-
-def test_tensor_product_trace_multiplies():
-    rng = np.random.default_rng(5)
-    rho = random_density(A, rng)
-    sigma = random_density(B, rng)
-    joint = tensor_product(rho, sigma)
-    assert np.trace(joint.matrix).real == pytest.approx(1.0, abs=1e-12)
-
-
-def test_tensor_product_label_collision():
+@pytest.mark.parametrize("matrix", [np.zeros((0, 0)), np.zeros((0,)), [[1.0, 0.0]],
+                                    np.eye(2).reshape(1, 2, 2) / 2, np.ones(1)])
+def test_density_validation_rejects_an_empty_or_non_square_matrix(matrix):
     with pytest.raises(QcoreError):
-        tensor_product(maximally_mixed(A), maximally_mixed(HilbertLabel("A", 3)))
-
-
-def test_partial_trace_product_state():
-    rng = np.random.default_rng(7)
-    rho = random_density(A, rng)
-    sigma = random_density(B, rng)
-    joint = tensor_product(rho, sigma)
-    back = partial_trace(joint, ["A"])
-    assert np.allclose(back.matrix, rho.matrix, atol=1e-10)
-
-
-def test_partial_trace_bell_state():
-    bell = maximally_entangled(A, B).to_density()
-    reduced = partial_trace(bell, ["B"])
-    assert np.allclose(reduced.matrix, np.eye(2) / 2, atol=1e-12)
-
-
-def test_partial_trace_everything_traces_to_one():
-    rng = np.random.default_rng(11)
-    joint = DensityOperator(
-        (A, B), random_density(HilbertLabel("AB", 4), rng).matrix
-    )
-    rho_a = partial_trace(joint, ["A"])
-    assert np.trace(rho_a.matrix).real == pytest.approx(1.0, abs=1e-12)
-
-
-def test_partial_trace_unknown_label():
-    with pytest.raises(QcoreError):
-        partial_trace(maximally_mixed(A), ["C"])
+        DensityOperator(matrix)
 
 
 def test_eigensystem_identity():
@@ -165,14 +108,15 @@ def test_fidelity_self_is_one():
 
 
 def test_fidelity_orthogonal_is_zero():
-    z0 = basis_state(A, 0).to_density()
-    z1 = basis_state(A, 1).to_density()
+    z0 = DensityOperator(np.diag([1.0, 0.0]))
+    z1 = DensityOperator(np.diag([0.0, 1.0]))
     assert fidelity(z0, z1) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_fidelity_zero_plus():
-    plus = PureState((A,), np.array([1, 1]) / np.sqrt(2)).to_density()
-    z0 = basis_state(A, 0).to_density()
+    v = np.array([1, 1]) / np.sqrt(2)
+    plus = DensityOperator(np.outer(v, v))
+    z0 = DensityOperator(np.diag([1.0, 0.0]))
     assert fidelity(z0, plus) == pytest.approx(0.5, abs=1e-10)
 
 
@@ -180,34 +124,6 @@ def test_fidelity_symmetry():
     rng = np.random.default_rng(23)
     rho, sigma = random_density(A, rng), random_density(A, rng)
     assert fidelity(rho, sigma) == pytest.approx(fidelity(sigma, rho), abs=1e-10)
-
-
-def test_purify_pure_state():
-    anc = HilbertLabel("R", 2)
-    psi = purify(basis_state(A, 0).to_density(), anc)
-    back = partial_trace(psi.to_density(), ["A"])
-    assert np.allclose(back.matrix, basis_state(A, 0).to_density().matrix, atol=1e-10)
-
-
-def test_purify_maximally_mixed_gives_entangled_pair():
-    anc = HilbertLabel("R", 2)
-    psi = purify(maximally_mixed(A), anc)
-    reduced = partial_trace(psi.to_density(), ["R"])
-    assert np.allclose(reduced.matrix, np.eye(2) / 2, atol=1e-10)
-
-
-def test_purify_round_trip_random():
-    rng = np.random.default_rng(29)
-    rho = random_density(A, rng)
-    anc = HilbertLabel("R", 2)
-    psi = purify(rho, anc)
-    back = partial_trace(psi.to_density(), ["A"])
-    assert np.max(np.abs(back.matrix - rho.matrix)) < 1e-10
-
-
-def test_purify_rejects_small_ancilla():
-    with pytest.raises(QcoreError):
-        purify(maximally_mixed(A), HilbertLabel("R", 1))
 
 
 def test_fuchs_van_de_graaf_band():
@@ -223,7 +139,7 @@ def test_fuchs_van_de_graaf_band():
 def test_constructed_states_are_valid():
     rng = np.random.default_rng(37)
     for _ in range(20):
-        rho = random_density(HilbertLabel("X", 3), rng)
+        rho = random_density(3, rng)
         ev = np.linalg.eigvalsh(rho.matrix)
         assert ev.min() > -1e-9
         assert ev.sum() == pytest.approx(1.0, abs=1e-9)
@@ -354,9 +270,8 @@ class TestStackedKernels:
     @settings(max_examples=120, deadline=None)
     @given(stack=state_stacks())
     def test_bit_equal_to_per_matrix_calls(self, stack):
-        label = HilbertLabel("X", stack.shape[-1])
         check_density(stack)
-        states = [DensityOperator((label,), m) for m in stack]
+        states = [DensityOperator(m) for m in stack]
         roots = psd_sqrt(stack)
         for root, m in zip(roots, stack):
             assert root.tobytes() == psd_sqrt(m).tobytes()
@@ -372,12 +287,11 @@ class TestStackedKernels:
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(1, 4), n=st.integers(1, 6))
     def test_ginibre_stack_equals_random_density(self, seed, d, n):
-        label = HilbertLabel("X", d)
         rng = np.random.default_rng(seed)
         stack = ginibre_states(np.stack([ginibre_factor(d, rng) for _ in range(n)]))
         rng = np.random.default_rng(seed)
         for m in stack:
-            assert m.tobytes() == random_density(label, rng).matrix.tobytes()
+            assert m.tobytes() == random_density(d, rng).matrix.tobytes()
 
     @settings(max_examples=120, deadline=None)
     @given(stack=state_stacks(), data=st.data(),
@@ -393,7 +307,7 @@ class TestStackedKernels:
         else:
             stack[i] *= 1.5
         with pytest.raises(QcoreError) as alone:
-            DensityOperator((HilbertLabel("X", d),), stack[i])
+            DensityOperator(stack[i])
         with pytest.raises(QcoreError) as stacked:
             check_density(stack)
         assert str(stacked.value) == str(alone.value)

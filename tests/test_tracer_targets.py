@@ -42,9 +42,10 @@ def test_every_trace_target_resolves_in_qwk():
     assert missing == []
 
 
-@pytest.mark.parametrize("workload", ["rates", "audit"])
+@pytest.mark.parametrize("workload", ["rates", "codes", "audit"])
 def test_traced_pass_matches_the_untraced_one(workload):
-    # the two workloads that build quantum channels; about 2 s each
+    # rates and audit build quantum channels, codes builds cq channels from
+    # spec files; about 2 s each
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "1",
          "--seconds", "1", "--trace", "1"],

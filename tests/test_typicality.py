@@ -8,10 +8,7 @@ from qwk.channels import CQChannel
 from qwk.qcore import (
     CapExceededError,
     DensityOperator,
-    HilbertLabel,
     QcoreError,
-    basis_state,
-    maximally_mixed,
     psd_sqrt,
     random_density,
     trace_norm,
@@ -29,7 +26,7 @@ from qwk.typicality import (
     word_probability,
 )
 
-A = HilbertLabel("A", 2)
+A = 2
 
 
 class TestTypicalSet:
@@ -92,19 +89,19 @@ class TestTruncatedTypical:
 class TestTypicalProjector:
     def test_maximally_mixed_gives_identity(self):
         params = TypicalParams(n=3, alpha=1.0)
-        proj = typical_projector(maximally_mixed(A), params)
+        proj = typical_projector(DensityOperator(np.eye(2) / 2), params)
         assert proj.rank == 8
         assert proj.trace_with_reference() == pytest.approx(1.0)
         assert np.allclose(proj.matrix, np.eye(8))
 
     def test_pure_state_gives_rank_one(self):
         params = TypicalParams(n=4, alpha=1.0)
-        proj = typical_projector(basis_state(A, 0).to_density(), params)
+        proj = typical_projector(DensityOperator(np.diag([1.0, 0.0])), params)
         assert proj.rank == 1
         assert proj.trace_with_reference() == pytest.approx(1.0)
 
     def test_diag_07_03_all_bounds_pass_at_k1(self):
-        rho = DensityOperator((A,), np.diag([0.7, 0.3]))
+        rho = DensityOperator(np.diag([0.7, 0.3]))
         params = TypicalParams(n=8, alpha=1.0, k_const=1.0)
         proj = typical_projector(rho, params)
         assert all(c.passed for c in proj.checks)
@@ -164,7 +161,7 @@ class TestTypicalProjector:
 
     def test_bound_suite_qubits(self):
         rng = np.random.default_rng(2)
-        states = [DensityOperator((A,), np.diag([0.7, 0.3]))]
+        states = [DensityOperator(np.diag([0.7, 0.3]))]
         states += [random_density(A, rng) for _ in range(10)]
         for rho in states:
             for n in (4, 6, 8, 10):
@@ -177,7 +174,7 @@ class TestTypicalProjector:
                         )
 
     def test_report_records(self):
-        proj = typical_projector(maximally_mixed(A), TypicalParams(n=2))
+        proj = typical_projector(DensityOperator(np.eye(2) / 2), TypicalParams(n=2))
         recs = proj.report()
         assert {r["bound_id"] for r in recs} == {"state-trace", "state-rank", "state-peak"}
         for r in recs:
@@ -234,7 +231,7 @@ class TestAveragedProjector:
         params = TypicalParams(n=4, alpha=1.0)
         proj = averaged_output_projector([1.0], v, params)
         base = typical_projector(
-            DensityOperator((A,), np.diag([0.7, 0.3])),
+            DensityOperator(np.diag([0.7, 0.3])),
             TypicalParams(n=4, alpha=1.0),
         )
         assert proj.rank == base.rank
@@ -270,9 +267,8 @@ class TestSandwich:
 
     def test_gentle_measurement_lemma_random_instances(self):
         rng = np.random.default_rng(4)
-        label = HilbertLabel("X", 3)
         for _ in range(200):
-            rho = random_density(label, rng)
+            rho = random_density(3, rng)
             g = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
             h = g @ g.conj().T
             x = h / (np.linalg.eigvalsh(h).max() + rng.uniform(0.0, 1.0))
@@ -330,7 +326,7 @@ class TestWordStateValidation:
 
         rng = np.random.default_rng(3)
         v = CQChannel((0, 1), A, {0: random_density(A, rng).matrix,
-                                   1: basis_state(A, 1).to_density().matrix})
+                                   1: np.diag([0.0, 1.0])})
         word = [0, 1, 1, 0, 1]
         state = cq_word_state(v, word)
         assert np.linalg.eigvalsh(state).min() == pytest.approx(0.0, abs=1e-12)

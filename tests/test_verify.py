@@ -18,7 +18,6 @@ from qwk.channels import CQChannel
 from qwk.infotheory import fannes_bound, von_neumann_entropy
 from qwk.qcore import (
     DensityOperator,
-    HilbertLabel,
     QcoreError,
     fidelity,
     psd_sqrt,
@@ -36,7 +35,6 @@ from qwk.typicality import (
     typical_projector,
 )
 from qwk.verify import (
-    _QUBIT,
     _record,
     suite_covering,
     suite_fannes,
@@ -46,12 +44,14 @@ from qwk.verify import (
 )
 from qwk.wiretapsim import _STREAM_COVERING, counter_rng, covering_concentration
 
+_QUBIT = 2
+
 
 def _suite_typicality_reference(seed: int = 0, n_random: int = 10) -> list[dict]:
     """The suite as it was: every alpha rebuilds both projectors and the
     word state through ``sandwiched_output``."""
     rng = np.random.default_rng(seed)
-    states = [DensityOperator((_QUBIT,), np.diag([0.7, 0.3]))]
+    states = [DensityOperator(np.diag([0.7, 0.3]))]
     states += [random_density(_QUBIT, rng) for _ in range(n_random)]
     records = []
     for si, rho in enumerate(states):
@@ -140,10 +140,9 @@ def test_atypical_word_still_raises():
 
 def _suite_gentle_reference(seed: int = 0, count: int = 1000) -> list[dict]:
     rng = np.random.default_rng(seed)
-    label = HilbertLabel("x", 3)
     records = []
     for i in range(count):
-        rho = random_density(label, rng)
+        rho = random_density(3, rng)
         g = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         h = g @ g.conj().T
         x = h / (np.linalg.eigvalsh(h).max() + rng.uniform(0.0, 1.0))
@@ -162,7 +161,7 @@ def _suite_fannes_reference(seed: int = 0, count: int = 1000) -> list[dict]:
         rho = random_density(_QUBIT, rng)
         mix = random_density(_QUBIT, rng)
         t = rng.uniform(0.0, 0.22)
-        sigma = DensityOperator((_QUBIT,), (1 - t) * rho.matrix + t * mix.matrix)
+        sigma = DensityOperator((1 - t) * rho.matrix + t * mix.matrix)
         dist = trace_norm(rho.matrix - sigma.matrix)
         if not 0 < dist < 1 / np.e:
             continue

@@ -6,7 +6,7 @@ import pytest
 
 from qwk.channels import CQChannel, ClassicalChannel, CompoundWiretapSpec, bsc
 from qwk.cli import canonical_payload_bytes, load_spec, parse_spec
-from qwk.qcore import HilbertLabel, QcoreError, accumulate_products, pretty_good_measurement
+from qwk.qcore import QcoreError, accumulate_products, pretty_good_measurement
 from qwk.typicality import TypicalParams, sandwiched_outputs
 from qwk.wiretapsim import (
     Codebook,
@@ -20,7 +20,7 @@ from qwk.wiretapsim import (
     two_part_protocol,
 )
 
-Z = HilbertLabel("z", 2)
+Z = 2
 DATA = os.path.join(os.path.dirname(__file__), "data")
 SPECS = os.path.join(os.path.dirname(__file__), "..", "specs")
 
@@ -556,7 +556,7 @@ def _mixture_cases(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     rank = 1 if draw(st.booleans()) else None
     letters = ginibre_states(np.stack([ginibre_factor(d, rng, rank) for _ in range(a)]))
-    ch = CQChannel(tuple(range(a)), HilbertLabel("z", d), dict(enumerate(letters)))
+    ch = CQChannel(tuple(range(a)), d, dict(enumerate(letters)))
     words = rng.integers(0, a, size=(J, L, n))
     layout = draw(st.sampled_from(["random", "equal", "no_shared"]))
     if layout == "equal":
