@@ -48,7 +48,7 @@ class ClassicalChannel:
     def __init__(self, input_alphabet, output_alphabet, matrix):
         object.__setattr__(self, "input_alphabet", tuple(input_alphabet))
         object.__setattr__(self, "output_alphabet", tuple(output_alphabet))
-        m = np.asarray(matrix, dtype=float)
+        m = np.array(matrix, dtype=float)
         if m.shape != (len(self.input_alphabet), len(self.output_alphabet)):
             raise ChannelError(f"matrix shape {m.shape} does not match alphabets")
         if m.min() < -1e-12 or m.max() > 1 + 1e-12:

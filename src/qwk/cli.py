@@ -38,9 +38,8 @@ from .channels import (
     CQChannel,
     KrausChannel,
     build_tau_net,
-    tau_net_cardinality_bound,
 )
-from .entgen import build_decoder_unitaries, build_entgen_code, run_full_audit
+from .entgen import build_entgen_code, run_full_audit
 from .qcore import CapExceededError, QcoreError
 from .typicality import TypicalParams
 from .wiretapsim import (
@@ -274,8 +273,7 @@ def cmd_simulate(args) -> int:
     if args.seed is None:
         raise FlagError("simulate requires --seed (no hidden entropy)")
     _require_min(0, seed=args.seed)
-    if args.trials < 1:
-        raise FlagError("--trials must be >= 1")
+    _require_min(1, trials=args.trials)
     if args.L == "auto":
         l_val = None
     else:
@@ -320,18 +318,14 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_net(args) -> int:
-    if args.budget < 1:
-        raise FlagError("--budget must be >= 1")
-    if args.d_in < 1 or args.d_out < 1:
-        raise FlagError("--d-in and --d-out must be >= 1")
+    _require_min(1, budget=args.budget, **{"d-in": args.d_in, "d-out": args.d_out})
     _require_min(0, strict=True, tau=args.tau)
     net = build_tau_net(args.d_in, args.d_out, args.tau, args.budget)
-    bound = tau_net_cardinality_bound(args.d_in, args.tau)
     payload = {
         "tau": args.tau,
         "d_in": args.d_in,
         "d_out": args.d_out,
-        "cardinality_bound": bound,
+        "cardinality_bound": net.cardinality_bound,
         "n_elements": len(net.elements),
         "budget": args.budget,
         "elements": [
@@ -359,7 +353,6 @@ def cmd_entangle(args) -> int:
     dp = family[0].d_in
     p = np.full(dp, 1.0 / dp)
     code = build_entgen_code(family, p, args.n, args.J, args.L, args.seed, params)
-    code = build_decoder_unitaries(code)
     audit = run_full_audit(code)
     notes = {**code.notes, "bound_vacuous": audit.bound_rhs <= 0}
     extra = {"family": args.family, "entangle": notes}

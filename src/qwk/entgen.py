@@ -6,17 +6,17 @@ Pipeline (exact state-vector evolution throughout):
    pair a channel family induces on the computational basis, build the joint
    pretty-good measurement and the coherent measurement as the isometry
    it is on the |0,0,0> ancilla.  The code keeps each state's n-fold
-   channel, whose stored Stinespring isometry the later stages apply, so
-   every later stage takes the code alone.
+   channel, whose stored Stinespring isometry the later stages apply.  It
+   then runs stages 2-4 once, in order, and returns the complete code.
 2. ``compute_uhlmann_partners``  best pure approximations of the
    post-measurement states with the measurement record factored out.
 3. ``phase_align``         pick the discrete Fourier index and phase that
    align the encoder superposition with its decoded image.
 4. ``build_decoder_unitaries``   per-state correction unitaries matching
    Schmidt frames block-by-block over the message register.
-5. ``run_protocol``        full evolution, fidelity audit against the
-   maximally entangled target, and the final bound comparison at the
-   measured slack.
+5. ``run_full_audit``      full evolution for every channel state, fidelity
+   audit against the maximally entangled target, and the final bound
+   comparison at the measured slack.
 
 Codewords are product vectors, hence pure, so no stage purifies them.
 
@@ -73,6 +73,7 @@ class EntgenCode:
     v_unitary: np.ndarray  # (D, Dq) isometry Q^n -> [Q^n, M, L, T'], D = Dq*J*L*(T+1)
     params: TypicalParams
     seed: int
+    # set by stages 2-4, which build_entgen_code runs before it returns
     partners: list | None = None  # per state: (J, L, Dq*De) partner vectors
     partner_fid: np.ndarray | None = None  # (T, J, L) partner premise fidelities
     fourier_idx: np.ndarray | None = None
@@ -147,15 +148,16 @@ def _sample_distinct_words(p, n, count, seed, delta):
     return words[picked]
 
 
-def build_entgen_code(
-    family,
-    p,
-    n: int,
-    J: int,
-    L: int,
-    seed: int,
-    params: TypicalParams | None = None,
-) -> EntgenCode:
+def build_entgen_code(family, p, n: int, J: int, L: int, seed: int,
+                      params: TypicalParams | None = None) -> EntgenCode:
+    """The complete code: stage 1, then stages 2-4 (partners, phase
+    alignment, corrections) run once, in order."""
+    # stage 1 runs in its own frame, so its work arrays are freed first
+    code = _measurement_code(family, p, n, J, L, seed, params)
+    return build_decoder_unitaries(phase_align(compute_uhlmann_partners(code)))
+
+
+def _measurement_code(family, p, n, J, L, seed, params) -> EntgenCode:
     """Codewords, joint pretty-good measurement, and the measurement isometry.
 
     Codewords are sampled from the truncated typical distribution and kept
@@ -282,8 +284,6 @@ def _fourier_phases(L: int, k: int, phase: float = 0.0) -> np.ndarray:
 def phase_align(code: EntgenCode) -> EntgenCode:
     """Pick the Fourier index maximizing the state-averaged aligned overlap
     and the phase making it real positive; record the per-state overlaps."""
-    if code.partners is None:
-        code = compute_uhlmann_partners(code)
     tp = code.T + 1
     L = code.L
     fourier_idx = np.zeros(code.J, dtype=int)
@@ -363,8 +363,6 @@ def _branch_sum(code: EntgenCode, t: int, j: int) -> np.ndarray:
 def build_decoder_unitaries(code: EntgenCode) -> EntgenCode:
     """Correction unitaries matching the decoded branches to a purification
     of the averaged environment state, block-diagonal over the messages."""
-    if code.fourier_idx is None:
-        code = phase_align(code)
     corrections = []
     correction_fid = np.zeros((code.T, code.J))
     env_avg_pur = []
@@ -409,110 +407,93 @@ def final_bound(epsilon: float, T: int) -> float:
     return float(1.0 - np.sqrt(2 * T) * np.sqrt(epsilon) - np.sqrt(8.0) * epsilon ** 0.25)
 
 
-def run_protocol(code: EntgenCode, t_true: int) -> FidelityAudit:
-    """Exact evolution for the given true channel state, with the audit."""
-    if code.corrections is None:
-        code = build_decoder_unitaries(code)
-    t_idx = int(t_true)
-    if not 0 <= t_idx < code.T:
-        raise QcoreError("t_true out of range")
-    de = code.de[t_idx]
+def _evolve(code: EntgenCode, t: int) -> tuple[float, dict, dict]:
+    """Exact evolution when state t is the true channel state.
+
+    Returns the fidelity of the reduced [A, M] state with the maximally
+    entangled target, the evolution's intermediates, and the triangle check
+    between the decoded, aligned and target states.
+    """
+    de = code.de[t]
     tp = code.T + 1
     J, L = code.J, code.L
     # sender superposition on [A, P^n]
-    psi = np.zeros(J * code.Dp, dtype=complex)
+    psi = np.zeros((J, code.Dp), dtype=complex)
     for j in range(J):
-        phases = _fourier_phases(L, code.fourier_idx[j])
-        for l in range(L):
-            a_vec = np.zeros(J, dtype=complex)
-            a_vec[j] = 1.0
-            psi += phases[l] * np.kron(a_vec, code.codeword_vecs[j, l])
+        for phase, vec in zip(_fourier_phases(L, code.fourier_idx[j]), code.codeword_vecs[j]):
+            psi[j] += phase * vec
     norm = np.linalg.norm(psi)
     psi /= norm
     # the channel on [P^n], then the measurement on [Q^n] alone: its ancillas
     # [M, L, T'] start in |0,0,0>
-    psi = code.blocks[t_idx].isometry @ np.ascontiguousarray(psi.reshape(J, code.Dp).T)
+    psi = code.blocks[t].isometry @ np.ascontiguousarray(psi.T)
     psi = code.v_unitary @ psi.reshape(code.Dq, de, J).transpose(0, 2, 1).reshape(code.Dq, -1)
     psi = np.ascontiguousarray(psi.reshape(code.Dq * J * L, tp, J, de).transpose(2, 0, 1, 3))
     # correction on [Q^n, M, L] keyed by the T' register, identity on the fail slot
-    for t in range(code.T):
-        psi[:, :, t] = code.corrections[t] @ psi[:, :, t]
+    for slot in range(code.T):
+        psi[:, :, slot] = code.corrections[slot] @ psi[:, :, slot]
     psi = psi.reshape(J, code.Dq, J, L, tp, de).transpose(0, 1, 5, 2, 3, 4).reshape(-1)
     # reduced state on [A, M]
     am = psi.reshape(J, code.Dq, de, J, L, tp).transpose(0, 3, 1, 2, 4, 5).reshape(J * J, -1)
     rho_am = am @ am.conj().T
-    target = np.zeros(J * J, dtype=complex)
-    for j in range(J):
-        target[j * J + j] = 1.0
-    target /= np.sqrt(J)
-    fid_final = float(
-        min(1.0, np.real(target.conj() @ rho_am @ target))
-    )
-    # intermediates for the audit
+    target = np.eye(J).reshape(-1) / np.sqrt(J)
+    fidelity = float(min(1.0, np.real(target @ rho_am @ target)))
+    # the aligned branches after correction, and the target purification
     mid1 = np.zeros((J, code.Dq, de, J, L, tp), dtype=complex)
     mid2 = np.zeros_like(mid1)
-    u_t = code.corrections[t_idx].reshape(code.Dq, J, L, code.Dq, J, L)
+    u_t = code.corrections[t].reshape(code.Dq, J, L, code.Dq, J, L)
     for j in range(J):
-        corrected_j = np.einsum("qmlQL,QeL->qmle", u_t[:, :, :, :, j, :], _branch_sum(code, t_idx, j))
+        corrected_j = np.einsum("qmlQL,QeL->qmle", u_t[:, :, :, :, j, :], _branch_sum(code, t, j))
         # corrected_j axes (q, m, l, e) -> layout (Q, e, M, L); j-slices are disjoint
-        mid1[j, :, :, :, :, t_idx] = corrected_j.transpose(0, 3, 1, 2) / np.sqrt(J)
-        mid2[j, :, :, j, :, t_idx] = code.env_avg_pur[t_idx].reshape(code.Dq, de, L) / np.sqrt(J)
-    f_decoded_vs_aligned = _pure_overlap_fidelity(psi, mid1 / np.linalg.norm(mid1))
-    f_aligned_vs_target = _pure_overlap_fidelity(mid1 / np.linalg.norm(mid1), mid2 / np.linalg.norm(mid2))
-    f_decoded_vs_target = _pure_overlap_fidelity(psi, mid2 / np.linalg.norm(mid2))
+        mid1[j, :, :, :, :, t] = corrected_j.transpose(0, 3, 1, 2) / np.sqrt(J)
+        mid2[j, :, :, j, :, t] = code.env_avg_pur[t].reshape(code.Dq, de, L) / np.sqrt(J)
+    mid1 /= np.linalg.norm(mid1)
+    mid2 /= np.linalg.norm(mid2)
+    f_decoded_vs_aligned = _pure_overlap_fidelity(psi, mid1)
+    f_aligned_vs_target = _pure_overlap_fidelity(mid1, mid2)
+    f_decoded_vs_target = _pure_overlap_fidelity(psi, mid2)
     triangle_ok = f_decoded_vs_target >= (
         1.0
         - np.sqrt(max(0.0, 1 - f_decoded_vs_aligned ** 2))
         - np.sqrt(max(0.0, 1 - f_aligned_vs_target ** 2))
         - 1e-9
     )
+    intermediates = {
+        "encoder_norm": float(norm),
+        "f_decoded_vs_aligned": f_decoded_vs_aligned,
+        "f_aligned_vs_target": f_aligned_vs_target,
+        "f_decoded_vs_target": f_decoded_vs_target,
+    }
+    triangle = {
+        "f_direct": f_decoded_vs_target,
+        "f_via": (f_decoded_vs_aligned, f_aligned_vs_target),
+        "pass": bool(triangle_ok),
+    }
+    return fidelity, intermediates, triangle
+
+
+def run_full_audit(code: EntgenCode) -> FidelityAudit:
+    """Protocol audit over every channel state: each state's fidelity and
+    triangle check, the worst fidelity against the bound, and state 0's
+    intermediates next to the code's own premises."""
+    fidelities, intermediates, triangles = zip(*(_evolve(code, t) for t in range(code.T)))
+    worst = min(fidelities)
     eps = measured_epsilon(code)
     rhs = final_bound(eps, code.T)
     return FidelityAudit(
-        per_t_fidelity={str(t_idx): fid_final},
-        min_fidelity=fid_final,
+        per_t_fidelity={str(t): f for t, f in enumerate(fidelities)},
+        min_fidelity=worst,
         epsilon_measured=eps,
         bound_rhs=rhs,
-        bound_satisfied=bool(fid_final >= rhs - 1e-9),
+        bound_satisfied=bool(worst >= rhs - 1e-9),
         intermediates={
-            "encoder_norm": float(norm),
+            **intermediates[0],
             "detect_prob_min": float(code.detect_prob.min()),
             "env_spread_max": float(code.env_spread.max()),
             "aligned_overlap_min_real": float(code.aligned_overlap.real.min()),
             "correction_fid_min": float(code.correction_fid.min()),
             "partner_fid_min": float(code.partner_fid.min()),
-            "f_decoded_vs_aligned": f_decoded_vs_aligned,
-            "f_aligned_vs_target": f_aligned_vs_target,
-            "f_decoded_vs_target": f_decoded_vs_target,
         },
-        triangle_checks=[
-            {
-                "f_direct": f_decoded_vs_target,
-                "f_via": (f_decoded_vs_aligned, f_aligned_vs_target),
-                "pass": bool(triangle_ok),
-            }
-        ],
-        params={"n": code.n, "J": code.J, "L": code.L, "T": code.T, "t_true": t_idx,
-                "seed": code.seed},
-    )
-
-
-def run_full_audit(code: EntgenCode) -> FidelityAudit:
-    """Protocol audit over every channel state; reports the worst fidelity."""
-    if code.corrections is None:
-        code = build_decoder_unitaries(code)
-    audits = [run_protocol(code, t) for t in range(code.T)]
-    per_t = {str(t): a.min_fidelity for t, a in enumerate(audits)}
-    worst = min(per_t.values())
-    eps = measured_epsilon(code)
-    rhs = final_bound(eps, code.T)
-    return FidelityAudit(
-        per_t_fidelity=per_t,
-        min_fidelity=worst,
-        epsilon_measured=eps,
-        bound_rhs=rhs,
-        bound_satisfied=bool(worst >= rhs - 1e-9),
-        intermediates=audits[0].intermediates,
-        triangle_checks=[c for a in audits for c in a.triangle_checks],
+        triangle_checks=list(triangles),
         params={"n": code.n, "J": code.J, "L": code.L, "T": code.T, "seed": code.seed},
     )

@@ -51,7 +51,8 @@ def check_dim_cap(dim: int, what: str = "construction") -> None:
 
 
 def _as_complex(m) -> np.ndarray:
-    arr = np.asarray(m, dtype=complex)
+    """A read-only complex copy; the caller's array stays writable."""
+    arr = np.array(m, dtype=complex)
     arr.setflags(write=False)
     return arr
 

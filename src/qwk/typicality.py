@@ -182,16 +182,11 @@ class TypicalProjector:
     kept: np.ndarray
     center: float
     half_width: float
-    context: dict
     checks: list = field(default_factory=list)
 
     @property
-    def dims(self) -> list[int]:
-        return [u.shape[0] for u in self.letter_unitaries]
-
-    @property
     def total_dim(self) -> int:
-        return int(np.prod(self.dims))
+        return int(np.prod([u.shape[0] for u in self.letter_unitaries]))
 
     @property
     def rank(self) -> int:
@@ -213,7 +208,7 @@ class TypicalProjector:
         return [c.as_record() for c in self.checks]
 
 
-def _build_projector(letter_eigsystems, center, half_width, context):
+def _build_projector(letter_eigsystems, center, half_width):
     unitaries = [v for _, v in letter_eigsystems]
     eigs = [w for w, _ in letter_eigsystems]
     dim = int(np.prod([len(w) for w in eigs]))
@@ -222,7 +217,7 @@ def _build_projector(letter_eigsystems, center, half_width, context):
     neglogs = _accumulate_sums([_neglog(w) for w in eigs])
     kept = np.abs(neglogs - center) <= half_width + 1e-12
     return TypicalProjector(unitaries, neglogs, accumulate_products(eigs), kept,
-                            center, half_width, context)
+                            center, half_width)
 
 
 def _accumulate_sums(per_letter: Sequence[np.ndarray]) -> np.ndarray:
@@ -274,7 +269,7 @@ def typical_projector(rho: DensityOperator, params: TypicalParams) -> TypicalPro
     w, v = _grouped_eigensystem(rho.matrix)
     center = n * float(entropy_rows(w))
     unit = d * alpha * np.sqrt(n)
-    proj = _build_projector([(w, v)] * n, center, k * unit, {"kind": "state", "params": params})
+    proj = _build_projector([(w, v)] * n, center, k * unit)
     proj.checks = _window_checks("state", proj, 1.0 - d / (4 * n * alpha ** 2), unit)
     return proj
 
@@ -299,8 +294,7 @@ def conditional_typical_projector(
     letters = [systems[x] for x in word]
     center = n * conditional_channel_entropy(prior, v)
     unit = d * alpha * np.sqrt(n)
-    proj = _build_projector(letters, center, k * a * unit,
-                            {"kind": "conditional", "word": tuple(word), "params": params})
+    proj = _build_projector(letters, center, k * a * unit)
     proj.checks = _window_checks("cond", proj, 1.0 - a * d / (4 * n * alpha ** 2), a * unit)
     return proj
 
@@ -312,9 +306,7 @@ def averaged_output_projector(prior, v: CQChannel, params: TypicalParams) -> Typ
     avg = sum(q * m for q, m in zip(prior, v.letters))
     rho = DensityOperator(avg)
     scaled = TypicalParams(params.n, params.delta, params.alpha * np.sqrt(a), params.k_const)
-    proj = typical_projector(rho, scaled)
-    proj.context.update({"kind": "averaged-output", "a": a})
-    return proj
+    return typical_projector(rho, scaled)
 
 
 def averaged_trace_check(proj: TypicalProjector, v: CQChannel, word, params: TypicalParams) -> BoundCheck:

@@ -20,7 +20,7 @@ from qwk.channels import (
     kraus_equivalent,
 )
 from qwk.cli import canonical_payload_bytes, main as cli_main
-from qwk.entgen import build_decoder_unitaries, build_entgen_code, run_full_audit
+from qwk.entgen import build_entgen_code, run_full_audit
 from qwk.infotheory import binary_entropy, coherent_information, von_neumann_entropy
 from qwk.qcore import DensityOperator, random_density
 from qwk.typicality import (
@@ -173,7 +173,6 @@ def test_criterion_7_entanglement_protocol():
     fids = {}
     for J, n, params in ((2, 1, p1), (4, 2, p2)):
         code = build_entgen_code([identity_kraus()], [0.5, 0.5], n, J, 1, 5, params)
-        code = build_decoder_unitaries(code)
         fids[J] = run_full_audit(code).min_fidelity
     theta = 0.1
     u = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]], dtype=complex)
@@ -181,7 +180,6 @@ def test_criterion_7_entanglement_protocol():
 
     fam = [identity_kraus(), KrausChannel(Q, Q, [u])]
     code = build_entgen_code(fam, [0.5, 0.5], 2, 2, 2, 3, p2)
-    code = build_decoder_unitaries(code)
     audit = run_full_audit(code)
     ok = all(f >= 1 - 1e-9 for f in fids.values()) and audit.bound_satisfied
     elapsed = time.monotonic() - t0

@@ -126,6 +126,18 @@ class TestApplyAndNFold:
         assert state.shape == (4, 4)
         assert np.array_equal(state, np.kron(rho_a, rho_b))
 
+    def test_building_leaves_the_callers_arrays_writable(self):
+        # the stored copies are frozen, the caller's own arrays are not
+        rho = np.diag([0.7, 0.3]).astype(complex)
+        sigma = np.eye(2, dtype=complex) / 2
+        stochastic = np.array([[0.9, 0.1], [0.2, 0.8]])
+        state = DensityOperator(rho)
+        chan = CQChannel((0, 1), Q, {0: rho, 1: sigma})
+        classical = ClassicalChannel((0, 1), (0, 1), stochastic)
+        assert rho.flags.writeable and sigma.flags.writeable and stochastic.flags.writeable
+        for stored in (state.matrix, chan.letters, classical.matrix):
+            assert not stored.flags.writeable
+
     @pytest.mark.parametrize("d, k", [(2, 1), (2, 3), (3, 2)])
     def test_basis_outputs_are_the_per_column_outputs(self, d, k):
         rng = np.random.default_rng(d * 10 + k)

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -11,6 +13,7 @@ from qwk.channels import (
 )
 from qwk.entgen import (
     EntgenCode,
+    _evolve,
     build_decoder_unitaries,
     build_entgen_code,
     compute_uhlmann_partners,
@@ -18,7 +21,6 @@ from qwk.entgen import (
     measured_epsilon,
     phase_align,
     run_full_audit,
-    run_protocol,
 )
 from qwk.qcore import QcoreError, pgm_inverse_sqrt, psd_sqrt, random_density
 from qwk.typicality import TypicalParams
@@ -37,10 +39,7 @@ def rotated_channel(theta):
 
 
 def build_pipeline(family, n, J, L, seed, params):
-    code = build_entgen_code(family, [0.5, 0.5], n=n, J=J, L=L, seed=seed, params=params)
-    code = compute_uhlmann_partners(code)
-    code = phase_align(code)
-    return build_decoder_unitaries(code)
+    return build_entgen_code(family, [0.5, 0.5], n=n, J=J, L=L, seed=seed, params=params)
 
 
 def apply_on_axes(vec: np.ndarray, dims: list[int], op: np.ndarray, targets: list[int]):
@@ -216,7 +215,6 @@ class TestUhlmannPartners:
     def test_partners_match_full_product_reference(self, fam, de):
         code = build_entgen_code(fam, [0.5, 0.5], 2, 2, 2, 3, PARAMS2)
         assert (code.T, code.L, code.de) == (2, 2, de)
-        code = compute_uhlmann_partners(code)
         partners, partner_fid = full_product_partners(code)
         assert np.array_equal(code.partner_fid, partner_fid)
         for got, ref in zip(code.partners, partners):
@@ -275,8 +273,7 @@ class TestPhaseAlign:
         # <a_hat|W^dag y> = <W a_hat|y>: the reference dilates the encoder
         # superposition instead of pulling back through the adjoint, so a
         # complex isometry's conjugation shows
-        code = phase_align(compute_uhlmann_partners(
-            build_entgen_code(fam, [0.5, 0.5], 2, 2, 2, 3, PARAMS2)))
+        code = build_entgen_code(fam, [0.5, 0.5], 2, 2, 2, 3, PARAMS2)
         tp, L = code.T + 1, code.L
         branches = code.v_unitary.reshape(code.Dq, code.J, L, tp, code.Dq)
         for j in range(code.J):
@@ -503,11 +500,35 @@ class TestProtocolRunAgainstDenseReference:
         code = build_pipeline(fam, 2, 2, 2, 3, PARAMS2)
         assert (code.T, code.L) == (2, 2)
         for t in range(code.T):
-            audit = run_protocol(code, t)
+            got_fidelity, got_mids, _ = _evolve(code, t)
             fidelity, mids = dense_protocol_reference(code, fam, t)
-            assert audit.min_fidelity == pytest.approx(fidelity, abs=1e-12)
+            assert got_fidelity == pytest.approx(fidelity, abs=1e-12)
             for key, val in mids.items():
-                assert audit.intermediates[key] == pytest.approx(val, abs=1e-12)
+                assert got_mids[key] == pytest.approx(val, abs=1e-12)
+
+
+STAGE_FIELDS = ("partners", "partner_fid", "fourier_idx", "align_phase", "aligned_overlap",
+                "corrections", "correction_fid", "env_avg_pur")
+
+
+class TestBuildRunsEveryStage:
+    FAMILY = [rotated_channel(0.0), rotated_channel(0.3)]
+
+    def test_build_returns_the_complete_code(self):
+        code = build_pipeline(self.FAMILY, 2, 2, 2, 3, PARAMS2)
+        assert all(getattr(code, name) is not None for name in STAGE_FIELDS)
+        before = copy.deepcopy({name: getattr(code, name) for name in STAGE_FIELDS})
+        build_decoder_unitaries(phase_align(compute_uhlmann_partners(code)))
+        for name in STAGE_FIELDS:
+            assert np.array_equal(np.asarray(getattr(code, name)), np.asarray(before[name])), name
+
+    def test_full_audit_collects_every_state_evolution(self):
+        code = build_pipeline(self.FAMILY, 2, 2, 2, 3, PARAMS2)
+        audit = run_full_audit(code)
+        runs = [_evolve(code, t) for t in range(code.T)]
+        assert audit.per_t_fidelity == {str(t): fid for t, (fid, _, _) in enumerate(runs)}
+        assert audit.triangle_checks == [triangle for _, _, triangle in runs]
+        assert audit.intermediates.items() >= runs[0][1].items()
 
 
 class TestEntgenProperties:
