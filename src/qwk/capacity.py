@@ -15,17 +15,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .channels import (
-    CompoundWiretapSpec,
-    KrausChannel,
-    cq_word_state,
-    n_fold,
-    require_quantum,
-)
+from .channels import CompoundWiretapSpec, KrausChannel, cq_word_state, n_fold
 from .infotheory import coherent_information_matrix, eig_entropies, entropy_rows
 from .qcore import check_dim_cap, kron_chain, random_unitary
 
@@ -602,13 +596,11 @@ def cq_nocsi_capacity(spec: CompoundWiretapSpec, cfg: SolverConfig) -> CapacityR
 # entanglement generation
 
 
-def entgen_lower_bound(family: Sequence, cfg: SolverConfig) -> CapacityReport:
+def entgen_lower_bound(spec: CompoundWiretapSpec, cfg: SolverConfig) -> CapacityReport:
     """Worst-state receiver Holevo rate minus best-state environment rate,
     maximized over priors and orthonormal input bases."""
-    require_quantum(*family)
-    d = family[0].d_in
-    if any(ch.d_in != d for ch in family):
-        raise SolverError("family members act on different input spaces")
+    _require_variant(spec, "quantum", "entheorem")
+    d = spec.legitimate[0].d_in
     rng = np.random.default_rng([cfg.seed, 77])
     bases = [np.eye(d, dtype=complex)]
     for _ in range(cfg.restarts):
@@ -616,14 +608,14 @@ def entgen_lower_bound(family: Sequence, cfg: SolverConfig) -> CapacityReport:
     best = (-np.inf, None, None, None, None)
     runs = []
     for i, u in enumerate(bases):
-        rec, env = zip(*(ch.basis_outputs(u) for ch in family))
+        rec, env = zip(*(ch.basis_outputs(u) for ch in spec.legitimate))
         legit, wire = _ChiMixTerm(rec), _ChiMixTerm(env)
         v, q, run = _maximize_prior(_objective(legit, wire), d, cfg, tag=99)
         runs.append({"basis": i, **run})
         if v > best[0] + 1e-15:
             best = (v, q, u, legit, wire)
     raw, prior, u, legit, wire = best
-    per_t = _per_state(_family_names(family), legit, wire, prior, np.eye(d))
+    per_t = _per_state(spec.names, legit, wire, prior, np.eye(d))
     argmax = {
         "prior": prior.tolist(),
         "basis_real": u.real.tolist(),
@@ -631,10 +623,6 @@ def entgen_lower_bound(family: Sequence, cfg: SolverConfig) -> CapacityReport:
     }
     solver = {**_prior_grid_used(cfg, d), "ascent": runs}
     return _clamped_report("entheorem", raw, 1, per_t, argmax, cfg, solver)
-
-
-def _family_names(family) -> list[str]:
-    return [f"t{i+1}" for i in range(len(family))]
 
 
 def _coherent_objective(folded: KrausChannel):
@@ -656,19 +644,16 @@ def _coherent_objective(folded: KrausChannel):
     return objective
 
 
-def entgen_csi_capacity(family: Sequence, cfg: SolverConfig) -> CapacityReport:
+def entgen_csi_capacity(spec: CompoundWiretapSpec, cfg: SolverConfig) -> CapacityReport:
     """Worst state of the per-state best coherent information at block n."""
-    require_quantum(*family)
-    d = family[0].d_in
-    if any(ch.d_in != d for ch in family):
-        raise SolverError("family members act on different input spaces")
-    dim = d ** cfg.n
+    _require_variant(spec, "quantum", "propo1")
+    dim = spec.legitimate[0].d_in ** cfg.n
     # dim^2 bounds each start's 2 dim^2 parameters and each probe's matrix
     check_dim_cap(dim * dim, "propo1 parameter matrix")
-    check_dim_cap(max(ch.env_dim for ch in family) ** cfg.n, "environment state")
+    check_dim_cap(max(ch.env_dim for ch in spec.legitimate) ** cfg.n, "environment state")
     per_t, argmax, values, runs = {}, {}, [], []
-    for idx, (kraus, name) in enumerate(zip(family, _family_names(family))):
-        folded = n_fold(kraus, cfg.n) if cfg.n > 1 else kraus
+    for idx, (kraus, name) in enumerate(zip(spec.legitimate, spec.names)):
+        folded = n_fold(kraus, cfg.n)
         objective = _coherent_objective(folded)
         rng = np.random.default_rng([cfg.seed, 88, idx])
         starts = []
@@ -701,4 +686,6 @@ FORMULAS: dict[str, Callable] = {
     "nocsicap": qwiretap_nocsi_lower,
     "e1q": cq_csi_capacity,
     "qnocsie1q": cq_nocsi_capacity,
+    "entheorem": entgen_lower_bound,
+    "propo1": entgen_csi_capacity,
 }

@@ -189,8 +189,8 @@ _VARIANT_KINDS = {
 
 @dataclass(frozen=True)
 class CompoundWiretapSpec:
-    """Indexed family of (legitimate, wiretap) channel pairs whose kinds
-    match the variant."""
+    """Indexed family of (legitimate, wiretap) channel pairs under distinct
+    state names, whose kinds match the variant."""
 
     variant: str
     names: tuple
@@ -207,6 +207,8 @@ class CompoundWiretapSpec:
             raise ChannelError("state set must be nonempty")
         if not (len(names) == len(legitimate) == len(wiretap)):
             raise ChannelError("names and channel lists must align")
+        if len(set(names)) < len(names):
+            raise ChannelError("state names must be distinct")
         for role, kinds, members in zip(("legitimate", "wiretap"), _VARIANT_KINDS[variant],
                                         (legitimate, wiretap)):
             for ch in members:
@@ -454,21 +456,19 @@ def _hermitian_basis(dim: int):
 def project_cptp(j: np.ndarray, d_in: int, d_out: int, iters: int = 200) -> np.ndarray:
     """Alternating projections of a Hermitian Choi matrix onto the CPTP set."""
     eye_in = np.eye(d_in)
-    for _ in range(iters):
+
+    def clip_then_correct(j):
+        # PSD clip, then restore tr_out = I_in
         w, v = np.linalg.eigh(j)
-        w = np.clip(w, 0.0, None)
-        j = (v * w) @ v.conj().T
+        j = (v * np.clip(w, 0.0, None)) @ v.conj().T
         tr_out = np.trace(j.reshape(d_in, d_out, d_in, d_out), axis1=1, axis2=3)
-        corr = (eye_in - tr_out) / d_out
-        j = j + np.kron(corr, np.eye(d_out))
+        return j + np.kron((eye_in - tr_out) / d_out, np.eye(d_out))
+
+    for _ in range(iters):
+        j = clip_then_correct(j)
         if np.min(np.linalg.eigvalsh(j)) > -1e-12:
             break
-    w, v = np.linalg.eigh(j)
-    w = np.clip(w, 0.0, None)
-    j = (v * w) @ v.conj().T
-    tr_out = np.trace(j.reshape(d_in, d_out, d_in, d_out), axis1=1, axis2=3)
-    j = j + np.kron((eye_in - tr_out) / d_out, np.eye(d_out))
-    return j
+    return clip_then_correct(j)
 
 
 def choi_to_kraus(j: np.ndarray, d_in: int, d_out: int) -> KrausChannel:

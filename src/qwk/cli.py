@@ -16,6 +16,9 @@ Channel-object schema (shared by all spec files): a JSON object tagged by
 "kind" in {stochastic, cq, kraus, stinespring}; complex numbers are
 [re, im] pairs; compound specs put the pairs under "theta" as
 [{"t": name, "W": channel, "V": channel}, ...] plus a top-level "variant".
+State names are distinct.  A quantum spec's entries take no "V" (the
+environment is the dilation's); ``entangle --family`` reads a quantum spec,
+and every ``capacity`` formula reads ``--spec``.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import time
 import numpy as np
 
 from . import BLAS_THREAD_VARS, __version__
-from .capacity import FORMULAS, SolverConfig, SolverError, entgen_csi_capacity, entgen_lower_bound
+from .capacity import FORMULAS, SolverConfig, SolverError
 from .channels import (
     ChannelError,
     ClassicalChannel,
@@ -121,17 +124,18 @@ def parse_spec(obj: dict) -> CompoundWiretapSpec:
     for key in ("variant", "theta"):
         if key not in obj:
             raise SchemaError(f"spec missing field {key!r}")
+    quantum = obj["variant"] == "quantum"
     names, legit, wire = [], [], []
     for entry in obj["theta"]:
         if "t" not in entry or "W" not in entry:
             raise SchemaError("theta entries need fields 't' and 'W'")
         names.append(str(entry["t"]))
         legit.append(parse_channel(entry["W"]))
-        wire.append(parse_channel(entry["V"]) if "V" in entry else None)
-    if obj["variant"] == "quantum":
-        wire = [w if w is not None else legit[i] for i, w in enumerate(wire)]
-    elif any(w is None for w in wire):
-        raise SchemaError("non-quantum variants need a wiretap channel per state")
+        if quantum and "V" in entry:
+            raise SchemaError("quantum entries take no 'V': the environment is the dilation's")
+        if not quantum and "V" not in entry:
+            raise SchemaError("non-quantum variants need a wiretap channel per state")
+        wire.append(legit[-1] if quantum else parse_channel(entry["V"]))
     try:
         return CompoundWiretapSpec(obj["variant"], names, legit, wire)
     except ChannelError as exc:
@@ -148,24 +152,11 @@ def load_spec(path: str) -> CompoundWiretapSpec:
 
 
 def load_family(path: str):
-    try:
-        with open(path) as fh:
-            obj = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise SchemaError(f"cannot read family {path}: {exc}")
-    if not isinstance(obj, dict) or "theta" not in obj:
-        raise SchemaError("family file needs a 'theta' array")
-    fam = []
-    for entry in obj["theta"]:
-        if "W" not in entry:
-            raise SchemaError("family entries need field 'W'")
-        ch = parse_channel(entry["W"])
-        if not isinstance(ch, KrausChannel):
-            raise SchemaError("family members must be quantum channels")
-        fam.append(ch)
-    if not fam:
-        raise SchemaError("family is empty")
-    return fam
+    """The channels of a quantum spec file, in the order of its states."""
+    spec = load_spec(path)
+    if spec.variant != "quantum":
+        raise SchemaError(f"a family file needs variant 'quantum', not {spec.variant!r}")
+    return spec.legitimate
 
 
 # ---------------------------------------------------------------------------
@@ -239,16 +230,9 @@ def cmd_capacity(args) -> int:
         restarts=args.restarts,
         seed=args.seed if args.seed is not None else 0,
     )
-    if formula in ("entheorem", "propo1"):
-        if spec.variant != "quantum":
-            raise SolverError(f"formula {formula} needs variant 'quantum'")
-        solver = entgen_lower_bound if formula == "entheorem" else entgen_csi_capacity
-        report = solver(spec.legitimate, cfg)
-    else:
-        if formula not in FORMULAS:
-            raise FlagError(f"unknown formula {args.formula!r}")
-        solver = FORMULAS[formula]
-        report = solver(spec, cfg)
+    if formula not in FORMULAS:
+        raise FlagError(f"unknown formula {args.formula!r}")
+    report = FORMULAS[formula](spec, cfg)
     payload = report.to_json_dict()
     extra = {"spec": args.spec, "formula": args.formula, "solver": report.solver}
     write_report(args.out, _manifest(args, "capacity", extra), payload)

@@ -204,9 +204,6 @@ class TypicalProjector:
         """tr(rho_words * projector) computed from the diagonal data."""
         return float(self.probs[self.kept].sum())
 
-    def report(self) -> list[dict]:
-        return [c.as_record() for c in self.checks]
-
 
 def _build_projector(letter_eigsystems, center, half_width):
     unitaries = [v for _, v in letter_eigsystems]

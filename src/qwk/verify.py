@@ -58,11 +58,8 @@ def suite_typicality(seed: int = 0, n_random: int = 10) -> list[dict]:
         for n in (4, 6, 8, 10):
             for alpha in (0.5, 1.0, 2.0):
                 proj = typical_projector(rho, TypicalParams(n=n, alpha=alpha))
-                for c in proj.checks:
-                    records.append(
-                        _record(f"{c.bound_id}[s{si},n{n},a{alpha}]", c.lhs, c.rhs, c.passed,
-                                min_k=c.min_k)
-                    )
+                records += [{**c.as_record(), "bound_id": f"{c.bound_id}[s{si},n{n},a{alpha}]"}
+                            for c in proj.checks]
     second = np.diag([0.4, 0.6]).astype(complex)
     for si, rho in enumerate(states):
         v = CQChannel((0, 1), 2, {0: rho.matrix, 1: second})
@@ -74,17 +71,11 @@ def suite_typicality(seed: int = 0, n_random: int = 10) -> list[dict]:
             for alpha in (0.5, 1.0, 2.0):
                 params = TypicalParams(n=n, alpha=alpha)
                 proj = conditional_typical_projector(v, word, prior, params)
-                for c in proj.checks:
-                    records.append(
-                        _record(f"{c.bound_id}[s{si},n{n},a{alpha}]", c.lhs, c.rhs, c.passed,
-                                min_k=c.min_k)
-                    )
+                records += [{**c.as_record(), "bound_id": f"{c.bound_id}[s{si},n{n},a{alpha}]"}
+                            for c in proj.checks]
                 avg = averaged_output_projector(prior, v, params)
                 c7 = averaged_trace_check(avg, v, word, params)
-                records.append(
-                    _record(f"avg-trace[s{si},n{n},a{alpha}]", c7.lhs, c7.rhs, c7.passed,
-                            min_k=c7.min_k)
-                )
+                records.append({**c7.as_record(), "bound_id": f"avg-trace[s{si},n{n},a{alpha}]"})
                 key = (avg.kept.tobytes(), proj.kept.tobytes())
                 if key not in deviations:
                     deviations[key] = sandwich_deviation(avg, proj, state)

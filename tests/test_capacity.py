@@ -60,6 +60,11 @@ def cq_spec(pairs):
     )
 
 
+def quantum_spec(members):
+    names = tuple(f"t{i+1}" for i in range(len(members)))
+    return CompoundWiretapSpec("quantum", names, members, members)
+
+
 def constant_cq():
     return CQChannel((0, 1), Z, {0: np.eye(2) / 2, 1: np.eye(2) / 2})
 
@@ -235,20 +240,20 @@ class TestCqSolvers:
 
 class TestEntgenSolvers:
     def test_identity_family_rate_one(self):
-        rep = entgen_lower_bound([identity_kraus()], FAST)
+        rep = entgen_lower_bound(quantum_spec([identity_kraus()]), FAST)
         assert rep.value == pytest.approx(1.0, abs=1e-6)
 
     def test_fully_depolarizing_clamped_zero(self):
-        rep = entgen_lower_bound([depolarizing_kraus(1.0)], FAST)
+        rep = entgen_lower_bound(quantum_spec([depolarizing_kraus(1.0)]), FAST)
         assert rep.value == pytest.approx(0.0, abs=1e-6)
         assert rep.value_raw <= 1e-6
 
     def test_duplicate_identity(self):
-        rep = entgen_lower_bound([identity_kraus(), identity_kraus()], FAST)
+        rep = entgen_lower_bound(quantum_spec([identity_kraus(), identity_kraus()]), FAST)
         assert rep.value == pytest.approx(1.0, abs=1e-6)
 
     def test_csi_identity(self):
-        rep = entgen_csi_capacity([identity_kraus()], FAST)
+        rep = entgen_csi_capacity(quantum_spec([identity_kraus()]), FAST)
         assert rep.value == pytest.approx(1.0, abs=1e-6)
 
     def test_csi_fully_depolarizing_raw_max_is_zero(self):
@@ -268,11 +273,12 @@ class TestEntgenSolvers:
                 )
                 best = max(best, coherent_information(rho, chan))
         assert best == pytest.approx(0.0, abs=1e-9)
-        rep = entgen_csi_capacity([depolarizing_kraus(1.0)], FAST)
+        rep = entgen_csi_capacity(quantum_spec([depolarizing_kraus(1.0)]), FAST)
         assert rep.value_raw == pytest.approx(0.0, abs=1e-4)
 
     def test_csi_min_over_family(self):
-        rep = entgen_csi_capacity([identity_kraus(), depolarizing_kraus(1.0)], FAST)
+        rep = entgen_csi_capacity(quantum_spec([identity_kraus(), depolarizing_kraus(1.0)]),
+                                  FAST)
         assert rep.value == pytest.approx(0.0, abs=1e-4)
 
 
@@ -638,13 +644,13 @@ class TestLockstepAscent:
         objective = _objective(_ClassicalTerm([b1.legitimate[0].matrix]),
                                _ClassicalTerm([b1.wiretap[0].matrix]))
         cfg = SolverConfig(grid_resolution=8, restarts=2)
-        family = load_spec(os.path.join(SPECS, "two_channel_family.json")).legitimate
+        propo1_spec = load_spec(os.path.join(SPECS, "two_channel_family.json"))
         propo1_cfg = SolverConfig(n=2, grid_resolution=8, restarts=2)
         default = _maximize_aux(objective, 2, cfg, tag=0)
-        default_propo1 = entgen_csi_capacity(family, propo1_cfg)
+        default_propo1 = entgen_csi_capacity(propo1_spec, propo1_cfg)
         monkeypatch.setattr(capacity, "_ASCENT_CHUNK", chunk)
         patched = _maximize_aux(objective, 2, cfg, tag=0)
-        patched_propo1 = entgen_csi_capacity(family, propo1_cfg)
+        patched_propo1 = entgen_csi_capacity(propo1_spec, propo1_cfg)
         monkeypatch.undo()
         assert patched[0] == default[0] and patched[3] == default[3]
         assert np.array_equal(patched[1], default[1])
@@ -688,6 +694,7 @@ class TestStateAxis:
     @pytest.mark.parametrize("formula, spec_name", [
         ("b1prime", "bsc_two_state.json"), ("noCSIcap", "qubit_wiretap.json"),
         ("qnocsie1q", "cq_pair.json"), ("entheorem", "two_channel_family.json"),
+        ("propo1", "two_channel_family.json"),
     ])
     def test_reversing_theta_reverses_per_t_only(self, formula, spec_name):
         spec = load_spec(os.path.join(SPECS, spec_name))
@@ -697,14 +704,13 @@ class TestStateAxis:
                                        spec.wiretap[:1] + (_other_wiretap(spec),))
         flipped = CompoundWiretapSpec(spec.variant, spec.names[::-1], spec.legitimate[::-1],
                                       spec.wiretap[::-1])
-        cfg = SolverConfig(grid_resolution=6, refine_iters=10, restarts=1)
-        if formula == "entheorem":
-            fwd, rev = (entgen_lower_bound(s.legitimate, cfg) for s in (spec, flipped))
-        else:
-            solver = {"b1prime": classical_nocsi_lower, "noCSIcap": qwiretap_nocsi_lower,
-                      "qnocsie1q": cq_nocsi_capacity}[formula]
-            fwd, rev = solver(spec, cfg), solver(flipped, cfg)
-            assert list(rev.per_t) == list(fwd.per_t)[::-1]
+        # propo1 keys its restart draws by state position: no restarts, so
+        # that each state's starts do not depend on the order of theta
+        restarts = 0 if formula == "propo1" else 1
+        cfg = SolverConfig(grid_resolution=6, refine_iters=10, restarts=restarts)
+        solver = capacity.FORMULAS[formula.lower()]
+        fwd, rev = solver(spec, cfg), solver(flipped, cfg)
+        assert list(rev.per_t) == list(fwd.per_t)[::-1]
         assert rev.value_raw == fwd.value_raw
         assert rev.argmax == fwd.argmax
         assert list(rev.per_t.values()) == list(fwd.per_t.values())[::-1]

@@ -298,15 +298,24 @@ NON_CHANNEL_CALLS = {
     "complementary_channel": complementary_channel,
     "diamond_distance": lambda c: diamond_distance(identity_kraus(), c),
     "n_fold": lambda c: n_fold(c, 2),
-    "entgen_lower_bound": lambda c: entgen_lower_bound([identity_kraus(), c], SolverConfig()),
-    "entgen_csi_capacity": lambda c: entgen_csi_capacity([identity_kraus(), c], SolverConfig()),
+    "entgen_lower_bound": lambda c: entgen_lower_bound(_quantum_spec(c), SolverConfig()),
+    "entgen_csi_capacity": lambda c: entgen_csi_capacity(_quantum_spec(c), SolverConfig()),
     "build_entgen_code": lambda c: build_entgen_code([identity_kraus(), c], [0.5, 0.5], 1, 2, 1, 5),
 }
+# the capacity formulas take a spec, and the spec is what refuses the channel
+SPEC_REFUSED = {"entgen_lower_bound", "entgen_csi_capacity"}
+
+
+def _quantum_spec(c):
+    members = (identity_kraus(), c)
+    return CompoundWiretapSpec("quantum", ("t1", "t2"), members, members)
 
 
 @pytest.mark.parametrize("name", sorted(NON_CHANNEL_CALLS))
 def test_classical_channel_is_refused(name):
-    with pytest.raises(ChannelError, match="only quantum channels .* not a ClassicalChannel"):
+    message = ("variant 'quantum' does not take a ClassicalChannel" if name in SPEC_REFUSED
+               else "only quantum channels .* not a ClassicalChannel")
+    with pytest.raises(ChannelError, match=message):
         NON_CHANNEL_CALLS[name](bsc(0.1))
 
 
@@ -504,6 +513,12 @@ class TestCompoundSpec:
     def test_variant_checked(self):
         with pytest.raises(ChannelError):
             CompoundWiretapSpec("bogus", ("t1",), (bsc(0.1),), (bsc(0.3),))
+
+    def test_repeated_state_name_rejected(self):
+        # per_t rows are keyed by name: a repeated name would lose a row
+        with pytest.raises(ChannelError, match="state names must be distinct"):
+            CompoundWiretapSpec("classical", ("t1", "t1"), (bsc(0.1), bsc(0.2)),
+                                (bsc(0.3), bsc(0.3)))
 
     def test_alphabet_mismatch_rejected(self):
         other = ClassicalChannel((0, 1, 2), (0, 1), [[1, 0], [0, 1], [0.5, 0.5]])

@@ -110,6 +110,41 @@ class TestCapacityCommand:
         assert rc == EXIT_SCHEMA
         assert "does not take a KrausChannel" in capsys.readouterr().err
 
+    def test_repeated_state_name_exits_2(self, tmp_path, capsys):
+        # per_t is keyed by name: two states named t1 would report one row
+        spec = json.load(open(spec_path("bsc_two_state.json")))
+        spec["theta"][1]["t"] = spec["theta"][0]["t"]
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        rc = run_cli(["capacity", "--formula", "b1", "--spec", str(path)])
+        assert rc == EXIT_SCHEMA
+        assert "state names must be distinct" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["capacity", "entangle"])
+    def test_quantum_wiretap_channel_exits_2(self, command, tmp_path, capsys):
+        # no quantum formula and no entangle stage reads a V: the
+        # environment is the dilation's
+        spec = json.load(open(spec_path("two_channel_family.json")))
+        spec["theta"][0]["V"] = spec["theta"][0]["W"]
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        argv = (["capacity", "--formula", "entheorem", "--spec", str(path)]
+                if command == "capacity" else ["entangle", "--family", str(path), "--seed", "1"])
+        assert run_cli(argv) == EXIT_SCHEMA
+        assert "the environment is the dilation's" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("formula", ["entheorem", "propo1"])
+    def test_quantum_formulas_key_per_t_by_state_name(self, formula, tmp_path):
+        spec = json.load(open(spec_path("two_channel_family.json")))
+        spec["theta"][0]["t"], spec["theta"][1]["t"] = "b", "a"
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        out = tmp_path / "cap.json"
+        rc = run_cli(["capacity", "--formula", formula, "--spec", str(path), "--grid", "4",
+                      "--refine", "5", "--restarts", "0", "--out", str(out)])
+        assert rc == 0
+        assert set(json.loads(out.read_text())["payload"]["per_t"]) == {"a", "b"}
+
 
 class TestSimulateCommand:
     def test_trials_zero_exits_4(self):
@@ -227,6 +262,20 @@ class TestEntangleCommand:
         rc = run_cli(["entangle", "--family", spec_path("identity_family.json")])
         assert rc == EXIT_FLAG
 
+    @pytest.mark.parametrize("edit", ["classical", "no variant"])
+    def test_family_must_be_a_quantum_spec(self, edit, tmp_path, capsys):
+        if edit == "classical":
+            spec = json.load(open(spec_path("bsc_pair.json")))
+            message = "needs variant 'quantum'"
+        else:
+            spec = json.load(open(spec_path("identity_family.json")))
+            del spec["variant"]
+            message = "missing field 'variant'"
+        path = tmp_path / "fam.json"
+        path.write_text(json.dumps(spec))
+        assert run_cli(["entangle", "--family", str(path), "--seed", "1"]) == EXIT_SCHEMA
+        assert message in capsys.readouterr().err
+
     def test_truncated_environment_mass_in_manifest_only(self, tmp_path):
         from qwk.channels import depolarizing_kraus
 
@@ -243,7 +292,7 @@ class TestEntangleCommand:
         ops = [[[[z.real, z.imag] for z in row] for row in a]
                for a in depolarizing_kraus(0.3).kraus_ops]
         fam = tmp_path / "depol.json"
-        fam.write_text(json.dumps({"theta": [{"t": "t1", "W": {
+        fam.write_text(json.dumps({"variant": "quantum", "theta": [{"t": "t1", "W": {
             "kind": "kraus", "dim_in": 2, "dim_out": 2, "operators": ops}}]}))
         rc = run_cli(["entangle", "--family", str(fam), "--n", "1", "--J", "2", "--seed", "3",
                       "--out", str(out)])

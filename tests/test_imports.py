@@ -1,14 +1,16 @@
 """Every name a ``qwk`` module imports is used somewhere in that module, and
 so is every private function, class or constant it defines at module level;
-no private module-level name is defined in two ``qwk`` modules; and every
+no private module-level name is defined in two ``qwk`` modules; every
 public module-level function is used by qwk, declared library API, or one of
-the few that only the benchmark's tracer calls.
+the few that only the benchmark's tracer calls; and every public method of a
+qwk class is named by qwk, by the tracer, or by the library API.
 
 No linter runs on this repository, so this test parses each module with
 ``ast`` and reports the imported names that the module never mentions, the
 private helpers that nothing in their module calls or reads, the private
 names that two modules each define for themselves (a constant or helper that
-one module should own), and the public functions that only tests call.
+one module should own), and the public functions and methods that only tests
+call.
 """
 
 import ast
@@ -189,3 +191,49 @@ def test_checker_flags_a_public_function_only_tests_call():
     }
     assert unreferenced_public_functions(sources, {"traced"}) == [
         "orphan (a.py, line 5)", "entry (b.py, line 5)"]
+
+
+def public_methods(tree: ast.Module) -> dict[str, int]:
+    """Public methods of module-level classes, as Class.method, with their line."""
+    return {f"{node.name}.{item.name}": item.lineno for node in tree.body
+            if isinstance(node, ast.ClassDef) for item in node.body
+            if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")}
+
+
+def unreferenced_public_methods(sources: dict[str, str], tracer: str, exempt: set) -> list[str]:
+    """Public methods of the classes in ``sources`` whose name neither
+    ``sources`` nor ``tracer`` reads as an attribute, and that are not
+    ``exempt``.  A method is reached through an object, so a bare name of
+    the same spelling does not count."""
+    trees = {module: ast.parse(source) for module, source in sorted(sources.items())}
+    referenced = {node.attr for tree in [*trees.values(), ast.parse(tracer)]
+                  for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    return [f"{name} ({module}, line {line})" for module, tree in trees.items()
+            for name, line in public_methods(tree).items()
+            if name.split(".")[1] not in referenced | exempt]
+
+
+def test_every_public_method_is_used_traced_or_library_api():
+    with open(TRACER) as fh:
+        tracer = fh.read()
+    assert unreferenced_public_methods(read_sources(), tracer, LIBRARY_API) == []
+
+
+def test_checker_flags_a_public_method_only_tests_call():
+    sources = {
+        "a.py": ("class Kind:\n"
+                 "    def used(self):\n        pass\n"
+                 "    def orphan(self):\n        pass\n"
+                 "    def traced(self):\n        pass\n"
+                 "    def exempt(self):\n        pass\n"
+                 "    def _private(self):\n        pass\n"
+                 "    def __len__(self):\n        return 0\n"
+                 "def unused_function():\n    pass\n"),
+        "b.py": ("from a import Kind\n"
+                 "# Kind().orphan() is only named in this comment\n"
+                 "orphan = 'orphan'\n"
+                 "def entry(kind):\n    return kind.used()\n"),
+    }
+    tracer = "def wrap(kind):\n    return kind.traced\n"
+    assert unreferenced_public_methods(sources, tracer, {"exempt"}) == [
+        "Kind.orphan (a.py, line 4)"]

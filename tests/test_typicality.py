@@ -175,7 +175,7 @@ class TestTypicalProjector:
 
     def test_report_records(self):
         proj = typical_projector(DensityOperator(np.eye(2) / 2), TypicalParams(n=2))
-        recs = proj.report()
+        recs = [c.as_record() for c in proj.checks]
         assert {r["bound_id"] for r in recs} == {"state-trace", "state-rank", "state-peak"}
         for r in recs:
             assert set(r) == {"bound_id", "lhs", "rhs", "pass", "min_k"}
