@@ -124,10 +124,12 @@ def parse_spec(obj: dict) -> CompoundWiretapSpec:
     for key in ("variant", "theta"):
         if key not in obj:
             raise SchemaError(f"spec missing field {key!r}")
+    if not isinstance(obj["theta"], list):
+        raise SchemaError("theta must be a list of state entries")
     quantum = obj["variant"] == "quantum"
     names, legit, wire = [], [], []
     for entry in obj["theta"]:
-        if "t" not in entry or "W" not in entry:
+        if not isinstance(entry, dict) or "t" not in entry or "W" not in entry:
             raise SchemaError("theta entries need fields 't' and 'W'")
         names.append(str(entry["t"]))
         legit.append(parse_channel(entry["W"]))

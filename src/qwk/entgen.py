@@ -41,7 +41,7 @@ from .qcore import (
     psd_sqrt,
     trace_norm,
 )
-from .typicality import TypicalParams, sandwiched_outputs, truncated_typical
+from .typicality import TypicalParams, sandwiches, truncated_typical
 from .wiretapsim import counter_rng
 
 _STREAM_ENTGEN = 7
@@ -185,17 +185,25 @@ def _measurement_code(family, p, n, J, L, seed, params) -> EntgenCode:
     rec_cqs = [_induced_cq(ch) for ch in family]
     prior = np.asarray(p, dtype=float)
     dq_n = dq ** n
-    sand = np.stack([sandwiched_outputs(rec, words.reshape(J * L, n), prior, params)
-                     for rec in rec_cqs]).reshape(T, J, L, dq_n, dq_n)
-    povm = pretty_good_measurement(sand.reshape(-1, dq_n, dq_n)).reshape(sand.shape)
+    # one (T, J, L, Dq, Dq) array holds the sandwiched outputs, then the POVM
+    povm = np.empty((T, J, L, dq_n, dq_n), dtype=complex)
+    elements = povm.reshape(-1, dq_n, dq_n)
+    for t, rec in enumerate(rec_cqs):
+        for i, (q, _) in enumerate(sandwiches(rec, words.reshape(J * L, n), prior, params)):
+            elements[t * J * L + i] = q
+    pretty_good_measurement(elements, out=elements)
     # rounding in the normaliser of a nearly singular sum can push the POVM
     # past I; shrink those directions so the measurement stays an isometry
     w, u = np.linalg.eigh(povm.sum(axis=(0, 1, 2)))
     if w[-1] > 1.0 + 1e-11:
         shrink = (u / np.sqrt(np.maximum(w, 1.0))) @ u.conj().T
-        povm = shrink @ povm @ shrink
-    outs = np.stack([cq_word_state(rec, words) for rec in rec_cqs])
-    detect_prob = np.trace(povm @ outs, axis1=-2, axis2=-1).real
+        for e in elements:
+            e[...] = shrink @ e @ shrink
+    detect_prob = np.empty((T, J, L))
+    for t, rec in enumerate(rec_cqs):
+        outs = cq_word_state(rec, words)
+        for j, l in np.ndindex(J, L):
+            detect_prob[t, j, l] = np.trace(povm[t, j, l] @ outs[j, l]).real
     # averaged environment states
     env_states = []
     spread = np.zeros(T)

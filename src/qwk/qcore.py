@@ -196,12 +196,21 @@ def pgm_inverse_sqrt(total) -> np.ndarray:
     return (v * np.where(w > 1e-12, 1.0 / np.sqrt(np.clip(w, 1e-300, None)), 0.0)) @ v.conj().T
 
 
-def pretty_good_measurement(states) -> np.ndarray:
+def pretty_good_measurement(states, out=None) -> np.ndarray:
     """Square-root measurement of a (K, D, D) stack of PSD operators: the
-    elements S^-1/2 s_k S^-1/2, S the stack's sum, on the support of S."""
+    elements S^-1/2 s_k S^-1/2, S the stack's sum, on the support of S.
+
+    The elements are formed one at a time into ``out`` (a fresh stack when
+    it is None), so no K × D × D intermediate exists.  ``out`` may be
+    ``states`` itself: element k reads only s_k, before it is overwritten.
+    """
     states = np.asarray(states)
     inv_sqrt = pgm_inverse_sqrt(states.sum(axis=0))
-    return inv_sqrt @ states @ inv_sqrt
+    if out is None:
+        out = np.empty(states.shape, dtype=np.result_type(inv_sqrt, states))
+    for k, s in enumerate(states):
+        out[k] = inv_sqrt @ s @ inv_sqrt
+    return out
 
 
 def fidelity(rho, sigma):

@@ -336,7 +336,7 @@ def sandwiched_output(
 
     Returns (matrix, deviation, bound).
     """
-    q, state = next(_sandwiches(v, [word], prior, params))
+    q, state = next(sandwiches(v, [word], prior, params))
     return q, trace_norm(q - state), sandwich_bound(v, params)
 
 
@@ -358,14 +358,31 @@ def sandwich_deviation(avg: TypicalProjector, cond: TypicalProjector, state: np.
 
 
 def sandwiched_outputs(v: CQChannel, words, prior, params: TypicalParams) -> np.ndarray:
-    """Sandwiched outputs of several words, stacked along the first axis."""
-    return np.stack([q for q, _ in _sandwiches(v, words, prior, params)])
+    """Sandwiched outputs of several words, stacked along the first axis.
+
+    Each output is written into one preallocated (len(words), D, D) stack as
+    ``sandwiches`` yields it, so no per-word list is held next to the stack.
+    """
+    stream = sandwiches(v, words, prior, params)
+    dim = v.d_out ** params.n
+    out = np.empty((len(words), dim, dim), dtype=complex)
+    for k, (q, _) in enumerate(stream):
+        out[k] = q
+    return out
 
 
-def _sandwiches(v: CQChannel, words, prior, params: TypicalParams):
-    """(sandwiched output, word state) per word; the averaged-output
-    projector is shared by every word, so its dense matrix is built once."""
+def sandwiches(v: CQChannel, words, prior, params: TypicalParams):
+    """(sandwiched output, word state) per word, yielded one word at a time.
+
+    The dimension cap is checked at the call, so a caller may allocate its
+    D × D accumulators once this returns.  The averaged-output projector is
+    shared by every word, so its dense matrix is built once.
+    """
     check_dim_cap(v.d_out ** params.n, "sandwiched output")
+    return _sandwich_stream(v, words, prior, params)
+
+
+def _sandwich_stream(v: CQChannel, words, prior, params: TypicalParams):
     pa = None
     for word in words:
         pc = conditional_typical_projector(v, word, prior, params).matrix
@@ -373,3 +390,4 @@ def _sandwiches(v: CQChannel, words, prior, params: TypicalParams):
             pa = averaged_output_projector(prior, v, params).matrix
         state = cq_word_state(v, word)
         yield pa @ pc @ state @ pc @ pa, state
+        del pc, state  # gone before the next word's projector is built

@@ -44,6 +44,7 @@ from .typicality import (
     TypicalParams,
     enumerate_words,
     sandwiched_outputs,
+    sandwiches,
     truncated_typical,
 )
 
@@ -248,17 +249,32 @@ class TypicalityDecoder:
 
 @dataclass
 class PrettyGoodDecoder:
-    """Square-root measurement over sandwiched codeword outputs, projected
-    with the prior the codebook was drawn from."""
+    """Square-root measurement over the per-message means of the sandwiched
+    codeword outputs, projected with the prior the codebook was drawn from.
+
+    ``build`` adds each output into its message's slot of one (J, D, D)
+    array as ``typicality.sandwiches`` yields it, divides by L, and takes
+    the measurement in place, so it holds J + O(1) matrices of D × D.  The
+    sums run in codeword order and the division comes last, as in numpy's
+    ``mean`` over an outer axis, so the bits equal that mean's.
+    """
 
     povm: np.ndarray  # (J, D, D) per-message operators
 
     @classmethod
     def build(cls, channel: CQChannel, codebook: Codebook, params: TypicalParams):
         prior = codebook.source["p"]
-        outs = sandwiched_outputs(channel, codebook.words.reshape(-1, codebook.n), prior, params)
-        outs = outs.reshape(codebook.J, codebook.L, *outs.shape[1:])
-        return cls(pretty_good_measurement(outs.mean(axis=1)))
+        stream = sandwiches(channel, codebook.words.reshape(-1, codebook.n), prior, params)
+        dim = channel.d_out ** codebook.n
+        means = np.empty((codebook.J, dim, dim), dtype=complex)
+        for j, l in np.ndindex(codebook.J, codebook.L):
+            if l == 0:
+                means[j] = next(stream)[0]
+            else:
+                means[j] += next(stream)[0]
+        del stream  # its suspended frame holds Pa and the last word's operators
+        means /= codebook.L
+        return cls(pretty_good_measurement(means, out=means))
 
 
 def build_decoder(spec: CompoundWiretapSpec, codebook: Codebook, delta: float = 0.15,

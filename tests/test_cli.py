@@ -133,6 +133,22 @@ class TestCapacityCommand:
         assert run_cli(argv) == EXIT_SCHEMA
         assert "the environment is the dilation's" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("theta, message", [
+        (5, "theta must be a list"),
+        ({"t": "t1"}, "theta must be a list"),
+        ([5], "theta entries need fields"),
+        (["tW"], "theta entries need fields"),
+    ])
+    @pytest.mark.parametrize("command", ["capacity", "entangle"])
+    def test_malformed_theta_exits_2(self, command, theta, message, tmp_path, capsys):
+        variant = "classical" if command == "capacity" else "quantum"
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"variant": variant, "theta": theta}))
+        argv = (["capacity", "--formula", "b1", "--spec", str(path)]
+                if command == "capacity" else ["entangle", "--family", str(path), "--seed", "1"])
+        assert run_cli(argv) == EXIT_SCHEMA
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("formula", ["entheorem", "propo1"])
     def test_quantum_formulas_key_per_t_by_state_name(self, formula, tmp_path):
         spec = json.load(open(spec_path("two_channel_family.json")))

@@ -1,4 +1,5 @@
 import copy
+import os
 
 import numpy as np
 import pytest
@@ -7,13 +8,16 @@ from hypothesis import strategies as st
 
 from qwk.channels import (
     KrausChannel,
+    cq_word_state,
     depolarizing_kraus,
     identity_kraus,
     n_fold,
 )
+from qwk.cli import load_family
 from qwk.entgen import (
     EntgenCode,
     _evolve,
+    _induced_cq,
     build_decoder_unitaries,
     build_entgen_code,
     compute_uhlmann_partners,
@@ -23,9 +27,10 @@ from qwk.entgen import (
     run_full_audit,
 )
 from qwk.qcore import QcoreError, pgm_inverse_sqrt, psd_sqrt, random_density
-from qwk.typicality import TypicalParams
+from qwk.typicality import TypicalParams, sandwiched_outputs
 
 Q = 2
+SPECS = os.path.join(os.path.dirname(__file__), "..", "specs")
 
 PARAMS1 = TypicalParams(n=1, delta=0.5, alpha=2.0)
 PARAMS2 = TypicalParams(n=2, delta=0.5, alpha=2.0)
@@ -434,6 +439,42 @@ class TestMeasurementIsometry:
         ref = gram_schmidt_measurement_unitary(code.povm, code.Dq, code.J, code.L, code.T)
         inputs = np.arange(code.Dq) * (code.J * code.L * (code.T + 1))
         assert np.array_equal(code.v_unitary, ref[:, inputs])
+
+
+def stacked_stage_one(code, family, params, scale=1.0):
+    """Reference: the former stage-1 forms.  Every sandwiched output in one
+    stacked (T, J, L, Dq, Dq) array, the square-root measurement (its
+    normaliser times ``scale``) and the shrink as stacked products, and
+    detect_prob as one stacked trace."""
+    J, L, D = code.J, code.L, code.Dq
+    recs = [_induced_cq(ch) for ch in family]
+    words = code.words.reshape(J * L, code.n)
+    sand = np.stack([sandwiched_outputs(rec, words, [0.5, 0.5], params) for rec in recs])
+    flat = sand.reshape(-1, D, D)
+    inv_sqrt = pgm_inverse_sqrt(flat.sum(axis=0)) * scale
+    povm = (inv_sqrt @ flat @ inv_sqrt).reshape(code.T, J, L, D, D)
+    w, u = np.linalg.eigh(povm.sum(axis=(0, 1, 2)))
+    if w[-1] > 1.0 + 1e-11:
+        shrink = (u / np.sqrt(np.maximum(w, 1.0))) @ u.conj().T
+        povm = shrink @ povm @ shrink
+    outs = np.stack([cq_word_state(rec, code.words) for rec in recs])
+    return povm, np.trace(povm @ outs, axis1=-2, axis2=-1).real
+
+
+class TestStageOneAgainstStackedForms:
+    # scale 1 + 1e-6 pushes the POVM past I, so the shrink runs too
+    @pytest.mark.parametrize("scale", [1.0, 1.0 + 1e-6])
+    def test_povm_and_detect_prob_bit_for_bit(self, scale, monkeypatch):
+        import qwk.qcore
+
+        monkeypatch.setattr(qwk.qcore, "pgm_inverse_sqrt",
+                            lambda total: pgm_inverse_sqrt(total) * scale)
+        fam = load_family(os.path.join(SPECS, "two_channel_family.json"))
+        params = TypicalParams(n=3, delta=0.5, alpha=2.0)
+        code = build_entgen_code(fam, [0.5, 0.5], 3, 4, 2, 2, params)
+        povm, detect_prob = stacked_stage_one(code, fam, params, scale)
+        assert np.array_equal(code.povm, povm)
+        assert np.array_equal(code.detect_prob, detect_prob)
 
 
 def dense_protocol_reference(code, family, t_true):

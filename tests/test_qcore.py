@@ -202,9 +202,15 @@ class TestPrettyGoodMeasurement:
             assert np.max(np.abs(e - e.conj().T)) <= 1e-9
             assert np.linalg.eigvalsh(e).min() >= -1e-9
         assert np.linalg.eigvalsh(np.eye(stack.shape[1]) - povm.sum(axis=0)).min() >= -1e-9
-        # the per-matrix products of the former decoders, bit for bit
+        # the per-matrix products of the former decoders, and the former
+        # stacked product, bit for bit
         inv_sqrt = pgm_inverse_sqrt(sum(stack))
         assert np.array_equal(povm, np.stack([inv_sqrt @ s @ inv_sqrt for s in stack]))
+        assert np.array_equal(povm, inv_sqrt @ stack @ inv_sqrt)
+        # in place: element k overwrites s_k, bit for bit the fresh output
+        work = stack.copy()
+        assert pretty_good_measurement(work, out=work) is work
+        assert np.array_equal(work, povm)
         # the former three-operand einsum of the entanglement code (reference)
         ref = np.einsum("ab,kbc,cd->kad", inv_sqrt, stack, inv_sqrt)
         assert np.max(np.abs(povm - ref)) <= 1e-12

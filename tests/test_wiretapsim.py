@@ -1,12 +1,13 @@
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from qwk.channels import CQChannel, ClassicalChannel, CompoundWiretapSpec, bsc
 from qwk.cli import canonical_payload_bytes, load_spec, parse_spec
-from qwk.qcore import QcoreError, accumulate_products, pretty_good_measurement
+from qwk.qcore import QcoreError, accumulate_products, pgm_inverse_sqrt, pretty_good_measurement
 from qwk.typicality import TypicalParams, sandwiched_outputs
 from qwk.wiretapsim import (
     Codebook,
@@ -160,6 +161,41 @@ class TestDecodingAndError:
         dec = build_decoder(spec, cb, params=TypicalParams(n=2, alpha=2.0, delta=0.6))
         rep = eval_error(spec, cb, dec, trials=1, seed=0)
         assert rep.per_t["t1"]["max_error"] <= 0.2
+
+
+def _stacked_mean_povm(spec, cb):
+    """Reference: the former decoder build.  Every sandwiched output in one
+    (J, L, D, D) stack, numpy's mean over L, then the stacked square-root
+    measurement."""
+    params = TypicalParams(n=cb.n, delta=cb.source["delta"])
+    outs = sandwiched_outputs(spec.legitimate[0], cb.words.reshape(-1, cb.n), cb.source["p"],
+                              params)
+    means = outs.reshape(cb.J, cb.L, *outs.shape[1:]).mean(axis=1)
+    inv_sqrt = pgm_inverse_sqrt(means.sum(axis=0))
+    return inv_sqrt @ means @ inv_sqrt
+
+
+class TestPrettyGoodDecoder:
+    @pytest.mark.parametrize("J, L", [(1, 1), (4, 2), (2, 3), (3, 5)])
+    def test_povm_equals_the_stacked_mean_build(self, J, L):
+        spec = load_spec(os.path.join(SPECS, "cq_pair.json"))
+        cb = sample_codebook([0.5, 0.5], 6, J, L, seed=3, delta=0.1)
+        assert np.array_equal(build_decoder(spec, cb).povm, _stacked_mean_povm(spec, cb))
+
+    @pytest.mark.parametrize("J, L", [(4, 2), (2, 4)])
+    def test_build_peak_memory(self, J, L):
+        # the J per-message means plus a few D x D work matrices; a build
+        # that stacks all J*L outputs needs 2JL + J + 5 of them
+        n = 8
+        spec = load_spec(os.path.join(SPECS, "cq_pair.json"))
+        cb = sample_codebook([0.5, 0.5], n, J, L, seed=1, delta=0.1)
+        tracemalloc.start()
+        try:
+            build_decoder(spec, cb)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (J + 8) * 4 ** n * 16
 
 
 def _force_mc_error(spec, cb, dec, trials, seed):
@@ -519,8 +555,6 @@ class TestLeakageEmbedding:
 
 # ---------------------------------------------------------------------------
 # cq leakage from the differing positions against dense message states
-
-import tracemalloc
 
 from qwk.channels import cq_word_state
 from qwk.infotheory import von_neumann_entropy
