@@ -22,6 +22,7 @@ import numpy as np
 from .channels import CompoundWiretapSpec, KrausChannel, cq_word_state, n_fold
 from .infotheory import coherent_information_matrix, eig_entropies, entropy_rows
 from .qcore import check_dim_cap, kron_chain, random_unitary
+from .typicality import enumerate_words
 
 _GRID_BUDGET = 300_000
 # (prefix-row combination, prior point) pairs scored per grid-scan call
@@ -571,7 +572,7 @@ def _cq_block_terms(spec: CompoundWiretapSpec, n: int):
     for role, members in (("legitimate", spec.legitimate), ("wiretap", spec.wiretap)):
         check_dim_cap(max(ch.d_out for ch in members) ** n, f"{role} block state")
     a = len(spec.legitimate[0].input_alphabet)
-    words = np.array(list(itertools.product(range(a), repeat=n)))
+    words = enumerate_words(a, n, 0, a ** n)
 
     def term(members) -> _ChiMixTerm:
         return _ChiMixTerm([cq_word_state(ch, words) for ch in members], n)

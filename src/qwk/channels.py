@@ -212,11 +212,11 @@ class CompoundWiretapSpec:
         for role, kinds, members in zip(("legitimate", "wiretap"), _VARIANT_KINDS[variant],
                                         (legitimate, wiretap)):
             for ch in members:
-                if ch is not None and not isinstance(ch, kinds):
+                if not isinstance(ch, kinds):
                     raise ChannelError(f"variant {variant!r} does not take a "
                                        f"{type(ch).__name__} as a {role} channel")
         first = legitimate[0]
-        for ch in legitimate + tuple(w for w in wiretap if w is not None):
+        for ch in legitimate + wiretap:
             if _input_signature(ch) != _input_signature(first):
                 raise ChannelError("all members must share the input alphabet/space")
         object.__setattr__(self, "variant", variant)
@@ -291,25 +291,6 @@ def kraus_equivalent(k1: KrausChannel, k2: KrausChannel, tol: float = TOL_RECON)
     if (k1.d_in, k1.d_out) != (k2.d_in, k2.d_out):
         raise ChannelError("channels act between different spaces")
     return bool(np.max(np.abs(choi_matrix(k1) - choi_matrix(k2))) <= tol)
-
-
-def pad_kraus(k: KrausChannel, count: int) -> KrausChannel:
-    """Append zero operators so the list has exactly ``count`` entries."""
-    if count < len(k.kraus_ops):
-        raise ChannelError("cannot pad to fewer operators")
-    zero = np.zeros((k.d_out, k.d_in))
-    ops = list(k.kraus_ops) + [zero] * (count - len(k.kraus_ops))
-    return KrausChannel(k.d_in, k.d_out, ops)
-
-
-def mix_kraus(k: KrausChannel, unitary: np.ndarray) -> KrausChannel:
-    """Equivalent Kraus list B_i = sum_j u_ij A_j (unitary freedom)."""
-    u = np.asarray(unitary, dtype=complex)
-    kk = len(k.kraus_ops)
-    if u.shape != (kk, kk):
-        raise ChannelError("mixing matrix size must match the Kraus count")
-    ops = [sum(u[i, j] * k.kraus_ops[j] for j in range(kk)) for i in range(kk)]
-    return KrausChannel(k.d_in, k.d_out, ops)
 
 
 # ---------------------------------------------------------------------------

@@ -239,12 +239,17 @@ def cmd_capacity(args) -> int:
     extra = {"spec": args.spec, "formula": args.formula, "solver": report.solver}
     write_report(args.out, _manifest(args, "capacity", extra), payload)
     if args.csv:
-        rows = [{"t": t, **row} for t, row in payload["per_t"].items()]
-        with open(args.csv, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, list(rows[0]), lineterminator="\n")
-            writer.writeheader()
-            writer.writerows(rows)
+        _write_csv(args.csv, [{"t": t, **row} for t, row in payload["per_t"].items()])
     return 0
+
+
+def _write_csv(path: str, rows: list[dict]) -> None:
+    """One row per state, headed by the first row's keys; csv quotes any
+    field that holds a comma, quote or line break."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, list(rows[0]), lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
 
 
 def _require_min(low: int, *, strict: bool = False, **flags) -> None:
@@ -296,10 +301,8 @@ def cmd_simulate(args) -> int:
     extra = {"spec": args.spec, "plan": plan, "leakage_dims": leakage_dims(spec, codebook)}
     write_report(args.out, _manifest(args, "simulate", extra), payload)
     if args.csv:
-        with open(args.csv, "w") as fh:
-            fh.write("t,max_error,leakage\n")
-            for name in err.per_t:
-                fh.write(f"{name},{err.per_t[name]['max_error']},{leak.per_t[name]['leakage']}\n")
+        _write_csv(args.csv, [{"t": name, "max_error": err.per_t[name]["max_error"],
+                               "leakage": leak.per_t[name]["leakage"]} for name in err.per_t])
     return 0
 
 

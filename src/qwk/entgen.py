@@ -189,7 +189,7 @@ def _measurement_code(family, p, n, J, L, seed, params) -> EntgenCode:
     povm = np.empty((T, J, L, dq_n, dq_n), dtype=complex)
     elements = povm.reshape(-1, dq_n, dq_n)
     for t, rec in enumerate(rec_cqs):
-        for i, (q, _) in enumerate(sandwiches(rec, words.reshape(J * L, n), prior, params)):
+        for i, q in enumerate(sandwiches(rec, words.reshape(J * L, n), prior, params)):
             elements[t * J * L + i] = q
     pretty_good_measurement(elements, out=elements)
     # rounding in the normaliser of a nearly singular sum can push the POVM

@@ -118,14 +118,6 @@ def typical_set(p, n: int, delta: float) -> np.ndarray:
     return _decode_words(np.concatenate(kept), a, n)
 
 
-def word_probability(p, word) -> float:
-    p = np.asarray(p, dtype=float)
-    out = 1.0
-    for x in word:
-        out *= p[x]
-    return out
-
-
 def truncated_typical(p, n: int, delta: float):
     """Product distribution restricted to the typical set and renormalized.
 
@@ -135,7 +127,7 @@ def truncated_typical(p, n: int, delta: float):
     if not len(words):
         raise QcoreError("typical set is empty; increase delta or n")
     p = np.asarray(p, dtype=float)
-    # letter by letter, in the product order of word_probability
+    # letter by letter, in word order
     probs = np.ones(len(words))
     for i in range(n):
         probs *= p[words[:, i]]
@@ -336,8 +328,8 @@ def sandwiched_output(
 
     Returns (matrix, deviation, bound).
     """
-    q, state = next(sandwiches(v, [word], prior, params))
-    return q, trace_norm(q - state), sandwich_bound(v, params)
+    q = next(sandwiches(v, [word], prior, params))
+    return q, trace_norm(q - cq_word_state(v, word)), sandwich_bound(v, params)
 
 
 def sandwich_bound(v: CQChannel, params: TypicalParams) -> float:
@@ -348,11 +340,15 @@ def sandwich_bound(v: CQChannel, params: TypicalParams) -> float:
     return float(np.sqrt(2 * (a * d + d) / (params.n * params.alpha ** 2)))
 
 
+def _sandwich(pa: np.ndarray, pc: np.ndarray, state: np.ndarray) -> np.ndarray:
+    return pa @ pc @ state @ pc @ pa
+
+
 def sandwich_deviation(avg: TypicalProjector, cond: TypicalProjector, state: np.ndarray) -> float:
     """||Pa Pc state Pc Pa - state||_1 for the averaged-output projector Pa
     and a word's conditional projector Pc, both built afresh."""
     pa, pc = avg.matrix, cond.matrix
-    q = pa @ pc @ state @ pc @ pa
+    q = _sandwich(pa, pc, state)
     del pa, pc  # the trace-norm SVD needs neither projector
     return trace_norm(q - state)
 
@@ -366,17 +362,19 @@ def sandwiched_outputs(v: CQChannel, words, prior, params: TypicalParams) -> np.
     stream = sandwiches(v, words, prior, params)
     dim = v.d_out ** params.n
     out = np.empty((len(words), dim, dim), dtype=complex)
-    for k, (q, _) in enumerate(stream):
+    for k, q in enumerate(stream):
         out[k] = q
     return out
 
 
 def sandwiches(v: CQChannel, words, prior, params: TypicalParams):
-    """(sandwiched output, word state) per word, yielded one word at a time.
+    """The sandwiched output Pa Pc rho(word) Pc Pa of each word, yielded one
+    word at a time.
 
     The dimension cap is checked at the call, so a caller may allocate its
-    D × D accumulators once this returns.  The averaged-output projector is
-    shared by every word, so its dense matrix is built once.
+    D × D accumulators once this returns.  The averaged-output projector Pa
+    is shared by every word, so its dense matrix is built once; each word's
+    state and conditional projector Pc are dropped before the next word's.
     """
     check_dim_cap(v.d_out ** params.n, "sandwiched output")
     return _sandwich_stream(v, words, prior, params)
@@ -389,5 +387,5 @@ def _sandwich_stream(v: CQChannel, words, prior, params: TypicalParams):
         if pa is None:
             pa = averaged_output_projector(prior, v, params).matrix
         state = cq_word_state(v, word)
-        yield pa @ pc @ state @ pc @ pa, state
+        yield _sandwich(pa, pc, state)
         del pc, state  # gone before the next word's projector is built

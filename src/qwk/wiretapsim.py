@@ -171,8 +171,8 @@ def plan_simulation(spec: CompoundWiretapSpec, n: int, J: int, L: int) -> dict:
     for name, legit in zip(spec.names, spec.legitimate):
         if isinstance(legit, ClassicalChannel):
             b = len(legit.output_alphabet)
-            exact = within("classical error enumeration", name, b ** n, CLASSICAL_EXACT_CAP)
-            error[name] = "exact" if exact else "mc"
+            within("classical error enumeration", name, b ** n, CLASSICAL_EXACT_CAP)
+            error[name] = "exact" if _enumerable(legit, n) else "mc"
         elif isinstance(legit, CQChannel):
             dim_cap("cq word output", name, legit)
             error[name] = "exact"
@@ -252,11 +252,13 @@ class PrettyGoodDecoder:
     """Square-root measurement over the per-message means of the sandwiched
     codeword outputs, projected with the prior the codebook was drawn from.
 
-    ``build`` adds each output into its message's slot of one (J, D, D)
-    array as ``typicality.sandwiches`` yields it, divides by L, and takes
-    the measurement in place, so it holds J + O(1) matrices of D × D.  The
-    sums run in codeword order and the division comes last, as in numpy's
-    ``mean`` over an outer axis, so the bits equal that mean's.
+    ``build`` adds each sandwiched output into its message's slot of one
+    (J, D, D) array as ``typicality.sandwiches`` yields it, divides by L,
+    and takes the measurement in place, so it holds J + O(1) matrices of
+    D × D.  The sums run in codeword order and the division comes last, as
+    in numpy's ``mean`` over an outer axis, so the bits equal that mean's.
+    ``eval_error`` scores the J elements against one codeword's output
+    state at a time.
     """
 
     povm: np.ndarray  # (J, D, D) per-message operators
@@ -269,9 +271,9 @@ class PrettyGoodDecoder:
         means = np.empty((codebook.J, dim, dim), dtype=complex)
         for j, l in np.ndindex(codebook.J, codebook.L):
             if l == 0:
-                means[j] = next(stream)[0]
+                means[j] = next(stream)
             else:
-                means[j] += next(stream)[0]
+                means[j] += next(stream)
         del stream  # its suspended frame holds Pa and the last word's operators
         means /= codebook.L
         return cls(pretty_good_measurement(means, out=means))
@@ -347,13 +349,9 @@ def eval_error(
     )
 
 
-def _all_output_words(ch: ClassicalChannel, n: int) -> np.ndarray:
-    b = len(ch.output_alphabet)
-    return enumerate_words(b, n, 0, b ** n)
-
-
 def _exact_classical_error(legit: ClassicalChannel, codebook: Codebook, decoder) -> dict:
-    y_words = _all_output_words(legit, codebook.n)
+    b = len(legit.output_alphabet)
+    y_words = enumerate_words(b, codebook.n, 0, b ** codebook.n)
     decisions = decoder.decide_batch(y_words)
     per_j = []
     for j in range(codebook.J):
@@ -391,21 +389,14 @@ def _mc_classical_error(
     }
 
 
-def _message_states(ch: CQChannel, codebook: Codebook) -> list:
-    """Per-message output states (1/L) sum_l rho(x_jl)."""
-    rhos = []
-    for j in range(codebook.J):
-        acc = None
-        for l in range(codebook.L):
-            m = cq_word_state(ch, codebook.words[j, l])
-            acc = m if acc is None else acc + m
-        rhos.append(acc / codebook.L)
-    return rhos
-
-
 def _exact_quantum_error(legit: CQChannel, codebook: Codebook, decoder) -> dict:
-    per_j = [float(1.0 - np.trace(povm @ rho).real)
-             for povm, rho in zip(decoder.povm, _message_states(legit, codebook))]
+    """1 - (1/L) sum_l tr(E_j rho(x_jl)) per message, one word state at a
+    time: for Hermitian E, tr(E rho) is the entrywise sum ``vdot(E, rho)``,
+    so neither the message state nor the product E rho is formed."""
+    per_j = []
+    for povm, words in zip(decoder.povm, codebook.words):
+        hit = sum(np.vdot(povm, cq_word_state(legit, w)).real for w in words)
+        per_j.append(float(1.0 - hit / codebook.L))
     return {"max_error": float(max(per_j)), "per_j": per_j, "method": "exact"}
 
 
@@ -568,7 +559,7 @@ def _two_part_exact(spec, t_idx, block1_words, codebook, decoder) -> dict:
         states = np.stack([cq_word_state(ch, w)
                            for ch, w in zip(spec.legitimate, block1_words)])
         povm_t = pretty_good_measurement(states)[t_idx]
-        b1_fail = float(1.0 - np.trace(povm_t @ states[t_idx]).real)
+        b1_fail = float(1.0 - np.vdot(povm_t, states[t_idx]).real)
     b2_given = _exact_quantum_error(spec.legitimate[t_idx], codebook, decoder)["max_error"]
     return {
         "block1_fail_rate": b1_fail,

@@ -22,9 +22,7 @@ from qwk.channels import (
     diamond_distance,
     identity_kraus,
     kraus_equivalent,
-    mix_kraus,
     n_fold,
-    pad_kraus,
     tau_net_cardinality_bound,
 )
 from qwk.capacity import SolverConfig, entgen_csi_capacity, entgen_lower_bound
@@ -46,6 +44,18 @@ def random_kraus_channel(rng, d=2, k=2):
     q, _ = np.linalg.qr(g)
     ops = [q[i * d : (i + 1) * d, :] for i in range(k)]
     return KrausChannel(d, d, ops)
+
+
+def pad_kraus(k: KrausChannel, count: int) -> KrausChannel:
+    """Append zero operators so the list has exactly ``count`` entries."""
+    zero = np.zeros((k.d_out, k.d_in))
+    return KrausChannel(k.d_in, k.d_out, list(k.kraus_ops) + [zero] * (count - len(k.kraus_ops)))
+
+
+def mix_kraus(k: KrausChannel, unitary: np.ndarray) -> KrausChannel:
+    """Equivalent Kraus list B_i = sum_j u_ij A_j (unitary freedom)."""
+    ops = np.tensordot(np.asarray(unitary, dtype=complex), np.stack(k.kraus_ops), axes=1)
+    return KrausChannel(k.d_in, k.d_out, list(ops))
 
 
 class TestApplyAndNFold:
@@ -519,6 +529,12 @@ class TestCompoundSpec:
         with pytest.raises(ChannelError, match="state names must be distinct"):
             CompoundWiretapSpec("classical", ("t1", "t1"), (bsc(0.1), bsc(0.2)),
                                 (bsc(0.3), bsc(0.3)))
+
+    @pytest.mark.parametrize("role", ["legitimate", "wiretap"])
+    def test_missing_member_rejected(self, role):
+        legit, wire = (None, bsc(0.3)) if role == "legitimate" else (bsc(0.1), None)
+        with pytest.raises(ChannelError, match=f"does not take a NoneType as a {role} channel"):
+            CompoundWiretapSpec("classical", ("t1",), (legit,), (wire,))
 
     def test_alphabet_mismatch_rejected(self):
         other = ClassicalChannel((0, 1, 2), (0, 1), [[1, 0], [0, 1], [0.5, 0.5]])

@@ -778,6 +778,34 @@ class TestCapacityCsv:
                 assert float(row[f]) == pytest.approx(per_t[row["t"]][f], rel=1e-11, abs=1e-15)
 
 
+class TestSimulateCsv:
+    @pytest.mark.parametrize("names", [("t1", "t2"), ("a,b", 'say "hi"')])
+    def test_csv_holds_the_per_state_rows(self, names, tmp_path):
+        import csv
+
+        doc = json.load(open(spec_path("bsc_two_state.json")))
+        for entry, name in zip(doc["theta"], names):
+            entry["t"] = name
+        spec, out, table = tmp_path / "spec.json", tmp_path / "sim.json", tmp_path / "sim.csv"
+        spec.write_text(json.dumps(doc))
+        assert run_cli(["simulate", "--spec", str(spec), "--n", "4", "--J", "2", "--seed", "1",
+                        "--out", str(out), "--csv", str(table)]) == 0
+        payload = json.loads(out.read_text())["payload"]
+        with open(table, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [list(row) for row in rows] == [["t", "max_error", "leakage"]] * 2
+        assert [row["t"] for row in rows] == list(names)
+        for row in rows:
+            assert float(row["max_error"]) == pytest.approx(
+                payload["error"]["per_t"][row["t"]]["max_error"], rel=1e-11, abs=1e-15)
+            assert float(row["leakage"]) == pytest.approx(
+                payload["leakage"]["per_t"][row["t"]]["leakage"], rel=1e-11, abs=1e-15)
+        if names == ("t1", "t2"):
+            # plain names are written unquoted, one comma-joined row per state
+            assert table.read_text() == "t,max_error,leakage\n" + "".join(
+                f"{r['t']},{r['max_error']},{r['leakage']}\n" for r in rows)
+
+
 NEGATIVE_FLAG_ARGS = {
     "capacity": ["capacity", "--formula", "b1", "--spec", spec_path("bsc_pair.json")],
     "simulate": ["simulate", "--spec", spec_path("bsc_pair.json"), "--n", "2"],

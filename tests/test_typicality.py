@@ -23,10 +23,17 @@ from qwk.typicality import (
     truncated_typical,
     typical_projector,
     typical_set,
-    word_probability,
 )
 
 A = 2
+
+
+def word_probability(p, word) -> float:
+    """Product probability of a word, letter by letter from 1.0."""
+    out = 1.0
+    for x in word:
+        out *= p[x]
+    return out
 
 
 class TestTypicalSet:

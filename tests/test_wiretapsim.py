@@ -5,9 +5,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qwk.channels import CQChannel, ClassicalChannel, CompoundWiretapSpec, bsc
+from qwk.channels import CQChannel, ClassicalChannel, CompoundWiretapSpec, bsc, cq_word_state
 from qwk.cli import canonical_payload_bytes, load_spec, parse_spec
-from qwk.qcore import QcoreError, accumulate_products, pgm_inverse_sqrt, pretty_good_measurement
+from qwk.qcore import (
+    QcoreError,
+    accumulate_products,
+    ginibre_factor,
+    ginibre_states,
+    pgm_inverse_sqrt,
+    pretty_good_measurement,
+)
 from qwk.typicality import TypicalParams, sandwiched_outputs
 from qwk.wiretapsim import (
     Codebook,
@@ -196,6 +203,50 @@ class TestPrettyGoodDecoder:
         finally:
             tracemalloc.stop()
         assert peak <= (J + 8) * 4 ** n * 16
+
+
+def _message_states(ch, cb):
+    """Reference: the former per-message output states (1/L) sum_l rho(x_jl)."""
+    rhos = []
+    for j in range(cb.J):
+        acc = None
+        for l in range(cb.L):
+            m = cq_word_state(ch, cb.words[j, l])
+            acc = m if acc is None else acc + m
+        rhos.append(acc / cb.L)
+    return rhos
+
+
+class TestExactQuantumError:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_per_j_against_dense_message_states(self, seed):
+        # random mixed qubit letters: the outputs overlap, so no error is 0 or 1
+        rng = np.random.default_rng(seed)
+        letters = ginibre_states(np.stack([ginibre_factor(Z, rng) for _ in range(2)]))
+        legit = CQChannel((0, 1), Z, dict(enumerate(letters)))
+        spec = CompoundWiretapSpec("cq", ("t1",), (legit,), (qubit_wiretap(),))
+        n, J, L = int(rng.integers(2, 6)), int(rng.integers(1, 5)), int(rng.integers(1, 4))
+        cb = sample_codebook([0.5, 0.5], n, J, L, seed=seed, delta=0.25)
+        dec = build_decoder(spec, cb)
+        got = eval_error(spec, cb, dec, trials=1, seed=0).per_t["t1"]["per_j"]
+        ref = [1.0 - np.trace(e @ rho).real for e, rho in zip(dec.povm, _message_states(legit, cb))]
+        assert np.allclose(got, ref, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("J, L", [(4, 2), (2, 4)])
+    def test_error_peak_memory(self, J, L):
+        # one word state and its Kronecker work at a time; the former dense
+        # message states and E rho products needed 4.5-6 D^2 on top
+        n = 8
+        spec = load_spec(os.path.join(SPECS, "cq_pair.json"))
+        cb = sample_codebook([0.5, 0.5], n, J, L, seed=1, delta=0.1)
+        dec = build_decoder(spec, cb)
+        tracemalloc.start()
+        try:
+            eval_error(spec, cb, dec, trials=1, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 4 ** n * 16
 
 
 def _force_mc_error(spec, cb, dec, trials, seed):
@@ -511,6 +562,19 @@ class TestResourcePlan:
         assert sizes[("classical error enumeration", "b")] == 3 ** 8
         assert sizes[("typical-set enumeration", None)] == 2 ** 8
 
+    @pytest.mark.parametrize("b, n", [(2, 12), (2, 13), (3, 7), (3, 8)])
+    def test_error_method_matches_eval_error(self, b, n):
+        # either side of the 4096-word cap on the legitimate outputs
+        rows = [[0.9] + [0.1 / (b - 1)] * (b - 1), [0.1 / (b - 1)] * (b - 1) + [0.9]]
+        legit = ClassicalChannel((0, 1), tuple(range(b)), rows)
+        blind = ClassicalChannel((0, 1), (0,), [[1.0], [1.0]])
+        spec = CompoundWiretapSpec("classical", ("t1",), (legit,), (blind,))
+        cb = sample_codebook([0.5, 0.5], n, J=2, L=1, seed=1, delta=0.25)
+        dec = build_decoder(spec, cb, delta=0.25)
+        method = eval_error(spec, cb, dec, trials=20, seed=1).per_t["t1"]["method"]
+        assert plan_simulation(spec, n, 2, 1)["error"]["t1"] == method
+        assert method == ("exact" if b ** n <= 4096 else "mc")
+
     def test_refusals_before_sampling(self):
         with pytest.raises(CapExceededError):
             plan_simulation(classical_pair_spec(), 13, 2, 1)
@@ -556,9 +620,7 @@ class TestLeakageEmbedding:
 # ---------------------------------------------------------------------------
 # cq leakage from the differing positions against dense message states
 
-from qwk.channels import cq_word_state
 from qwk.infotheory import von_neumann_entropy
-from qwk.qcore import ginibre_factor, ginibre_states
 from qwk.wiretapsim import _mixture_entropy
 
 
