@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -68,6 +69,7 @@ class CQChannel:
 
     ``letters`` is the read-only (a, d_out, d_out) stack of the validated
     output states in input-alphabet order; words are arrays of indices into it.
+    ``letter_eigensystems`` diagonalises them once, on first use.
     """
 
     input_alphabet: tuple
@@ -94,6 +96,16 @@ class CQChannel:
 
     def state_matrix(self, x) -> np.ndarray:
         return self.letters[self.input_alphabet.index(x)]
+
+    @cached_property
+    def letter_eigensystems(self) -> tuple:
+        """``hermitian_eigensystem`` of each letter, in input-alphabet order,
+        as read-only (eigenvalues, eigenvectors) pairs."""
+        systems = tuple(hermitian_eigensystem(m) for m in self.letters)
+        for pair in systems:
+            for arr in pair:
+                arr.setflags(write=False)
+        return systems
 
 
 @dataclass(frozen=True)
@@ -384,9 +396,13 @@ def diamond_distance(n1, n2, restarts: int = 4, seed: int = 0) -> float:
 class TauNet:
     """Finite family of channels declared to cover the CPTP set to radius tau.
 
-    The last three fields record the lattice walk that built the net: how
+    The next three fields record the lattice walk that built the net: how
     many offsets were CPTP-projected, how many of those projected onto an
     element already kept, and the L1 shell of the last offset projected.
+    ``short_reason`` says why a walk kept fewer elements than its budget:
+    ``cardinality_bound`` when the covering-number bound capped the net,
+    ``offsets_exhausted`` when the walk ran out of offsets first.  It is
+    None for a full net and for the singleton that tau >= 2 makes complete.
     """
 
     tau: float
@@ -397,6 +413,7 @@ class TauNet:
     offsets_projected: int = 0
     duplicates_dropped: int = 0
     last_shell: int = 0
+    short_reason: str | None = None
 
 
 def tau_net_cardinality_bound(d_in: int, tau: float):
@@ -559,10 +576,16 @@ def build_tau_net(d_in: int, d_out: int, tau: float, budget: int) -> TauNet:
         elements.append(choi_to_kraus(j, d_in, d_out))
         if len(elements) >= limit:
             break
+    short_reason = None
+    if len(elements) < limit:
+        short_reason = "offsets_exhausted"
+    elif limit < budget:
+        short_reason = "cardinality_bound"
     return TauNet(tau, tuple(elements), bound, d_in, d_out,
                   offsets_projected=projected,
                   duplicates_dropped=projected - len(elements),
-                  last_shell=sum(map(abs, offsets)))
+                  last_shell=sum(map(abs, offsets)),
+                  short_reason=short_reason)
 
 
 # ---------------------------------------------------------------------------

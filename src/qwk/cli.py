@@ -327,6 +327,10 @@ def cmd_net(args) -> int:
         "duplicates_dropped": net.duplicates_dropped,
         "last_shell": net.last_shell,
     }
+    if net.short_reason is not None:
+        lattice["short"] = {"budget": args.budget, "reason": net.short_reason}
+        print(f"net: {len(net.elements)} of {args.budget} elements ({net.short_reason})",
+              file=sys.stderr)
     write_report(args.out, _manifest(args, "net", {"net": lattice}), payload)
     return 0
 
@@ -360,11 +364,10 @@ def cmd_verify(args) -> int:
     payload = {"suite": args.suite, "n_checks": len(records), "n_fail": n_fail, "records": records}
     write_report(args.out, _manifest(args, "verify"), payload)
     width = max(len(r["bound_id"]) for r in records)
-    for r in records:
-        status = "pass" if r["pass"] else "FAIL"
-        print(f"{r['bound_id']:<{width}}  lhs={r['lhs']:.6g}  rhs={r['rhs']:.6g}  {status}",
-              file=sys.stderr)
-    print(f"{args.suite}: {len(records) - n_fail}/{len(records)} checks passed", file=sys.stderr)
+    lines = [f"{r['bound_id']:<{width}}  lhs={r['lhs']:.6g}  rhs={r['rhs']:.6g}  "
+             f"{'pass' if r['pass'] else 'FAIL'}" for r in records]
+    lines.append(f"{args.suite}: {len(records) - n_fail}/{len(records)} checks passed")
+    sys.stderr.write("\n".join(lines) + "\n")
     return EXIT_SEMANTIC if n_fail else 0
 
 

@@ -14,7 +14,7 @@ checks; reports serialize as {bound_id, lhs, rhs, pass, min_k} records.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -141,9 +141,10 @@ def truncated_typical(p, n: int, delta: float):
 # projector plumbing
 
 
-def _grouped_eigensystem(matrix: np.ndarray):
-    """Eigensystem with degenerate eigenvalues replaced by group means."""
-    w, v = hermitian_eigensystem(matrix)
+def _grouped_eigensystem(system):
+    """A ``hermitian_eigensystem`` with degenerate eigenvalues replaced by
+    group means."""
+    w, v = system
     w = np.clip(w, 0.0, None)
     rep = w.copy()
     for i, j in degenerate_runs(w):
@@ -163,9 +164,12 @@ class TypicalProjector:
     """Projector onto the kept eigen-words of a product reference state.
 
     ``neglogs`` and ``probs`` hold -log2 of each eigen-word's eigenvalue and
-    the eigenvalue itself, in the Kronecker order of the letter unitaries.
-    Bound checks only need these; the dense matrix is built afresh on each
-    access of ``matrix`` and never kept.
+    the eigenvalue itself, in the Kronecker order of the letter unitaries;
+    ``kept`` marks the words within ``half_width`` of ``center``.  The
+    projectors of one sweep share the read-only letter unitaries, ``neglogs``
+    and ``probs`` of their block length and differ in ``kept``.  Bound checks
+    only need these; the dense matrix is built afresh on each access of
+    ``matrix`` and never kept.
     """
 
     letter_unitaries: list
@@ -197,16 +201,35 @@ class TypicalProjector:
         return float(self.probs[self.kept].sum())
 
 
-def _build_projector(letter_eigsystems, center, half_width):
-    unitaries = [v for _, v in letter_eigsystems]
-    eigs = [w for w, _ in letter_eigsystems]
+class _Spectrum(NamedTuple):
+    """The width-free half of a typical projector: the eigen-words of a
+    product reference state, each word's distance |neglog - center| from
+    the window centre, and (``by_offset``) those distances in increasing
+    order with the reference mass accumulated along them."""
+
+    letter_unitaries: list
+    neglogs: np.ndarray
+    probs: np.ndarray
+    center: float
+    offsets: np.ndarray
+    by_offset: tuple
+
+
+def _spectrum(systems: dict, word, center) -> _Spectrum:
+    """The spectrum of the product over ``word`` of letters whose grouped
+    eigensystems ``systems`` holds, one entry per distinct letter."""
+    eigs = [systems[x][0] for x in word]
     dim = int(np.prod([len(w) for w in eigs]))
     if dim > ENUM_CAP:
         raise CapExceededError("eigen-word enumeration exceeds the cap")
-    neglogs = _accumulate_sums([_neglog(w) for w in eigs])
-    kept = np.abs(neglogs - center) <= half_width + 1e-12
-    return TypicalProjector(unitaries, neglogs, accumulate_products(eigs), kept,
-                            center, half_width)
+    letter_neglogs = {x: _neglog(w) for x, (w, _) in systems.items()}
+    neglogs = _accumulate_sums([letter_neglogs[x] for x in word])
+    probs = accumulate_products(eigs)
+    unitaries = [systems[x][1] for x in word]
+    offsets = np.abs(neglogs - center)
+    for arr in (neglogs, probs, offsets, *unitaries):
+        arr.setflags(write=False)  # shared by every projector of the sweep
+    return _Spectrum(unitaries, neglogs, probs, center, offsets, _mass_by_offset(offsets, probs))
 
 
 def _accumulate_sums(per_letter: Sequence[np.ndarray]) -> np.ndarray:
@@ -216,27 +239,34 @@ def _accumulate_sums(per_letter: Sequence[np.ndarray]) -> np.ndarray:
     return total
 
 
-def _min_k_for_mass(neglogs, probs, center, target_mass, unit):
-    """Smallest width coefficient whose window captures the target mass."""
-    offsets = np.abs(neglogs - center)
+def _mass_by_offset(offsets, weights):
+    """Offsets in increasing order, with the cumulative weight up to each."""
     order = np.argsort(offsets)
-    cum = np.cumsum(probs[order])
+    return offsets[order], np.cumsum(weights[order])
+
+
+def _min_k_for_mass(by_offset, target_mass, unit):
+    """Smallest width coefficient whose window captures the target mass."""
+    offsets, cum = by_offset
     idx = np.searchsorted(cum, target_mass - 1e-15)
     if idx >= len(offsets):
         return float("inf")
-    return float(offsets[order][idx] / unit)
+    return float(offsets[idx] / unit)
 
 
-def _window_checks(prefix: str, proj: TypicalProjector, need: float, unit) -> list[BoundCheck]:
-    """Trace, rank and peak checks of a projector's entropy window, each
-    with its smallest passing width coefficient in multiples of ``unit``."""
+def _checked_window(prefix: str, spec: _Spectrum, half_width, need: float, unit):
+    """The projector onto ``spec``'s entropy window of ``half_width``, with
+    its trace, rank and peak checks, each with its smallest passing width
+    coefficient in multiples of ``unit``."""
+    proj = TypicalProjector(spec.letter_unitaries, spec.neglogs, spec.probs,
+                            spec.offsets <= half_width + 1e-12, spec.center, half_width)
     center, width = proj.center, proj.half_width
     trace = proj.trace_with_reference()
     rank = proj.rank
     max_eig = float(proj.probs[proj.kept].max()) if rank else 0.0
-    return [
+    proj.checks = [
         BoundCheck(f"{prefix}-trace", trace, need, trace >= need - 1e-12,
-                   _min_k_for_mass(proj.neglogs, proj.probs, center, need, unit)),
+                   _min_k_for_mass(spec.by_offset, need, unit)),
         BoundCheck(f"{prefix}-rank", float(rank), float(2 ** (center + width)),
                    rank <= 2 ** (center + width) * (1 + 1e-12),
                    max(0.0, (np.log2(max(rank, 1)) - center) / unit)),
@@ -244,57 +274,99 @@ def _window_checks(prefix: str, proj: TypicalProjector, need: float, unit) -> li
                    max_eig <= 2 ** (-center + width) * (1 + 1e-12),
                    max(0.0, (np.log2(max_eig) + center) / unit) if max_eig > 0 else 0.0),
     ]
+    return proj
 
 
 # ---------------------------------------------------------------------------
 # the three projector constructors
+#
+# Each constructor is a sweep over a sequence of parameters: the reference
+# state is diagonalised once, one eigen-word spectrum is built per distinct
+# block length, and each entry only sets its window.  The singular names are
+# the one-entry sweeps.
+
+
+def typical_projectors(rho: DensityOperator, params_seq) -> list[TypicalProjector]:
+    """Entropy-typical projectors of rho^(x n) with their bound reports, one
+    per entry of ``params_seq``."""
+    d = rho.dim
+    for params in params_seq:
+        check_dim_cap(d ** params.n, "typical projector")
+    w, v = _grouped_eigensystem(hermitian_eigensystem(rho.matrix))
+    entropy = float(entropy_rows(w))
+    spectra = {}
+    out = []
+    for params in params_seq:
+        n, alpha, k = params.n, params.alpha, params.k_const
+        if n not in spectra:
+            spectra[n] = _spectrum({0: (w, v)}, [0] * n, n * entropy)
+        unit = d * alpha * np.sqrt(n)
+        out.append(_checked_window("state", spectra[n], k * unit,
+                                   1.0 - d / (4 * n * alpha ** 2), unit))
+    return out
 
 
 def typical_projector(rho: DensityOperator, params: TypicalParams) -> TypicalProjector:
     """Entropy-typical projector of rho^(x n) with its bound report."""
-    n, alpha, k = params.n, params.alpha, params.k_const
-    d = rho.dim
-    check_dim_cap(d ** n, "typical projector")
-    w, v = _grouped_eigensystem(rho.matrix)
-    center = n * float(entropy_rows(w))
-    unit = d * alpha * np.sqrt(n)
-    proj = _build_projector([(w, v)] * n, center, k * unit)
-    proj.checks = _window_checks("state", proj, 1.0 - d / (4 * n * alpha ** 2), unit)
-    return proj
+    return typical_projectors(rho, [params])[0]
+
+
+def conditional_typical_projectors(v: CQChannel, word, prior, params_seq) -> list[TypicalProjector]:
+    """Conditionally typical projectors of V^(x n)(word) with bound reports,
+    one per entry of ``params_seq``; the letters' eigensystems are the
+    channel's own."""
+    prior = np.asarray(prior, dtype=float)
+    symbols = np.asarray(word)
+    a = len(v.input_alphabet)
+    d = v.d_out
+    n = len(word)
+    if any(params.n != n for params in params_seq):
+        raise QcoreError("word length must equal the block length")
+    for delta in {params.delta for params in params_seq}:
+        if np.any((symbols < 0) | (symbols >= len(prior))) or not _is_typical(
+            np.bincount(symbols, minlength=len(prior)), prior, delta
+        ):
+            raise QcoreError("word is not typical for the prior")
+    check_dim_cap(d ** n, "conditional typical projector")
+    systems = {x: _grouped_eigensystem(v.letter_eigensystems[x]) for x in set(word)}
+    spec = _spectrum(systems, word, n * conditional_channel_entropy(prior, v))
+    out = []
+    for params in params_seq:
+        alpha, k = params.alpha, params.k_const
+        unit = d * alpha * np.sqrt(n)
+        out.append(_checked_window("cond", spec, k * a * unit,
+                                   1.0 - a * d / (4 * n * alpha ** 2), a * unit))
+    return out
 
 
 def conditional_typical_projector(
     v: CQChannel, word, prior, params: TypicalParams
 ) -> TypicalProjector:
     """Conditionally typical projector of V^(x n)(word) with bound report."""
-    n, alpha, k = params.n, params.alpha, params.k_const
-    if len(word) != n:
-        raise QcoreError("word length must equal the block length")
+    return conditional_typical_projectors(v, word, prior, [params])[0]
+
+
+def _averaged_output(prior, v: CQChannel, params_seq):
+    """The prior-averaged output state, and ``params_seq`` with every alpha
+    scaled by sqrt(a) for the widths of its projectors."""
     prior = np.asarray(prior, dtype=float)
-    symbols = np.asarray(word)
-    if np.any((symbols < 0) | (symbols >= len(prior))) or not _is_typical(
-        np.bincount(symbols, minlength=len(prior)), prior, params.delta
-    ):
-        raise QcoreError("word is not typical for the prior")
     a = len(v.input_alphabet)
-    d = v.d_out
-    check_dim_cap(d ** n, "conditional typical projector")
-    systems = {x: _grouped_eigensystem(v.letters[x]) for x in set(word)}
-    letters = [systems[x] for x in word]
-    center = n * conditional_channel_entropy(prior, v)
-    unit = d * alpha * np.sqrt(n)
-    proj = _build_projector(letters, center, k * a * unit)
-    proj.checks = _window_checks("cond", proj, 1.0 - a * d / (4 * n * alpha ** 2), a * unit)
-    return proj
+    avg = sum(q * m for q, m in zip(prior, v.letters))
+    scaled = [TypicalParams(params.n, params.delta, params.alpha * np.sqrt(a), params.k_const)
+              for params in params_seq]
+    return DensityOperator(avg), scaled
+
+
+def averaged_output_projectors(prior, v: CQChannel, params_seq) -> list[TypicalProjector]:
+    """Typical projectors of the prior-averaged output, widths scaled by
+    sqrt(a), one per entry of ``params_seq``."""
+    rho, scaled = _averaged_output(prior, v, params_seq)
+    return typical_projectors(rho, scaled)
 
 
 def averaged_output_projector(prior, v: CQChannel, params: TypicalParams) -> TypicalProjector:
     """Typical projector of the prior-averaged output, width scaled by sqrt(a)."""
-    prior = np.asarray(prior, dtype=float)
-    a = len(v.input_alphabet)
-    avg = sum(q * m for q, m in zip(prior, v.letters))
-    rho = DensityOperator(avg)
-    scaled = TypicalParams(params.n, params.delta, params.alpha * np.sqrt(a), params.k_const)
+    rho, [scaled] = _averaged_output(prior, v, [params])
     return typical_projector(rho, scaled)
 
 
@@ -304,15 +376,16 @@ def averaged_trace_check(proj: TypicalProjector, v: CQChannel, word, params: Typ
     a = len(v.input_alphabet)
     d = v.d_out
     u = proj.letter_unitaries[0]
-    per_letter = []
-    for x in word:
+    diagonals = {}
+    for x in set(word):
         m = u.conj().T @ v.letters[x] @ u
-        per_letter.append(np.clip(np.real(np.diag(m)), 0.0, None))
-    weights = accumulate_products(per_letter)
+        diagonals[x] = np.clip(np.real(np.diag(m)), 0.0, None)
+    weights = accumulate_products([diagonals[x] for x in word])
     lhs = float(weights[proj.kept].sum())
     rhs = 1.0 - a * d / (4 * n * alpha ** 2)
     unit = d * (alpha * np.sqrt(a)) * np.sqrt(n)
-    min_k = _min_k_for_mass(proj.neglogs, weights, proj.center, rhs, unit)
+    by_offset = _mass_by_offset(np.abs(proj.neglogs - proj.center), weights)
+    min_k = _min_k_for_mass(by_offset, rhs, unit)
     return BoundCheck("avg-trace", lhs, rhs, lhs >= rhs - 1e-12, min_k)
 
 

@@ -28,12 +28,12 @@ from .qcore import (
 )
 from .typicality import (
     TypicalParams,
-    averaged_output_projector,
-    conditional_typical_projector,
+    averaged_output_projectors,
     averaged_trace_check,
+    conditional_typical_projectors,
     sandwich_bound,
     sandwich_deviation,
-    typical_projector,
+    typical_projectors,
 )
 
 
@@ -46,20 +46,22 @@ def _record(bound_id, lhs, rhs, passed, **extra):
 def suite_typicality(seed: int = 0, n_random: int = 10) -> list[dict]:
     """State and conditional projector bounds plus the sandwich deviation.
 
-    Each (state, n) builds its word's output state once; each alpha's
+    Each state sweeps its (n, alpha) grid once for its typical projectors;
+    each (state, n) sweeps its alphas once for its conditional and averaged
+    projectors and builds its word's output state once.  Each alpha's
     sandwich reuses the conditional and averaged projectors of its checks,
     and equal pairs of kept masks share one deviation.
     """
     rng = np.random.default_rng(seed)
     states = [DensityOperator(np.diag([0.7, 0.3]))]
     states += [random_density(2, rng) for _ in range(n_random)]
+    alphas = (0.5, 1.0, 2.0)
     records = []
+    state_sweep = [TypicalParams(n=n, alpha=alpha) for n in (4, 6, 8, 10) for alpha in alphas]
     for si, rho in enumerate(states):
-        for n in (4, 6, 8, 10):
-            for alpha in (0.5, 1.0, 2.0):
-                proj = typical_projector(rho, TypicalParams(n=n, alpha=alpha))
-                records += [{**c.as_record(), "bound_id": f"{c.bound_id}[s{si},n{n},a{alpha}]"}
-                            for c in proj.checks]
+        for params, proj in zip(state_sweep, typical_projectors(rho, state_sweep)):
+            tag = f"[s{si},n{params.n},a{params.alpha}]"
+            records += [{**c.as_record(), "bound_id": c.bound_id + tag} for c in proj.checks]
     second = np.diag([0.4, 0.6]).astype(complex)
     for si, rho in enumerate(states):
         v = CQChannel((0, 1), 2, {0: rho.matrix, 1: second})
@@ -67,13 +69,13 @@ def suite_typicality(seed: int = 0, n_random: int = 10) -> list[dict]:
         for n in (4, 6, 8):
             word = tuple(i % 2 for i in range(n))
             state = cq_word_state(v, word)
+            sweep = [TypicalParams(n=n, alpha=alpha) for alpha in alphas]
+            conds = conditional_typical_projectors(v, word, prior, sweep)
+            avgs = averaged_output_projectors(prior, v, sweep)
             deviations = {}
-            for alpha in (0.5, 1.0, 2.0):
-                params = TypicalParams(n=n, alpha=alpha)
-                proj = conditional_typical_projector(v, word, prior, params)
+            for alpha, params, proj, avg in zip(alphas, sweep, conds, avgs):
                 records += [{**c.as_record(), "bound_id": f"{c.bound_id}[s{si},n{n},a{alpha}]"}
                             for c in proj.checks]
-                avg = averaged_output_projector(prior, v, params)
                 c7 = averaged_trace_check(avg, v, word, params)
                 records.append({**c7.as_record(), "bound_id": f"avg-trace[s{si},n{n},a{alpha}]"})
                 key = (avg.kept.tobytes(), proj.kept.tobytes())

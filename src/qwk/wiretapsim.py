@@ -518,7 +518,7 @@ def covering_concentration(
             avgs[k] = q_ops[picks].mean(axis=0)
         devs = trace_norm(avgs - mean_op)
         per_l[int(l_depth)] = {
-            "median": float(np.median(devs)),
+            "median": _median(devs),
             "mean": float(devs.mean()),
             "exceed_frac": float((devs > epsilon).mean()),
         }
@@ -531,6 +531,17 @@ def covering_concentration(
         trials=trials,
         params={"n": n, "L_schedule": [int(x) for x in l_schedule], "p": list(prior)},
     )
+
+
+def _median(values: np.ndarray) -> float:
+    """``np.median`` of a 1-D float array, to the bit: the middle of the
+    sorted values, or the mean of the middle two.  numpy's own median
+    imports ``numpy.ma`` for its NaN check."""
+    s = np.sort(values)
+    m = len(s) // 2
+    if np.isnan(s[-1]):  # the sort puts NaNs last; the median of any is NaN
+        return float(s[-1])
+    return float(s[m] if len(s) % 2 else (s[m - 1] + s[m]) / 2)
 
 
 def _strictly_decreasing(vals) -> bool:

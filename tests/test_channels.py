@@ -30,6 +30,7 @@ from qwk.entgen import build_entgen_code
 from qwk.infotheory import coherent_information, von_neumann_entropy
 from qwk.qcore import (
     DensityOperator,
+    hermitian_eigensystem,
     random_density,
     random_unitary,
     trace_norm,
@@ -424,6 +425,19 @@ class TestTauNet:
             comp = sum(a.conj().T @ a for a in elem.kraus_ops)
             assert np.max(np.abs(comp - np.eye(2))) < 1e-8
 
+    @pytest.mark.parametrize("d_in, d_out, budget, size, reason", [
+        (2, 1, 10, 2, "offsets_exhausted"),
+        (1, 1, 3, 2, "offsets_exhausted"),
+        (1, 3, 60, 36, "cardinality_bound"),
+        (2, 2, 22, 22, None),
+    ])
+    def test_short_reason(self, d_in, d_out, budget, size, reason):
+        net = build_tau_net(d_in, d_out, 0.5, budget)
+        assert (len(net.elements), net.short_reason) == (size, reason)
+
+    def test_large_tau_singleton_is_not_short(self):
+        assert build_tau_net(2, 2, 2.0, budget=10).short_reason is None
+
     def test_lattice_record(self):
         net = build_tau_net(2, 2, 0.5, budget=22)
         assert (net.offsets_projected, net.duplicates_dropped, net.last_shell) == (26, 4, 1)
@@ -545,3 +559,16 @@ class TestCompoundSpec:
         cq = classical_to_cq(bsc(0.1))
         assert isinstance(cq, CQChannel)
         assert np.allclose(cq.state_matrix(0), np.diag([0.9, 0.1]))
+
+
+class TestLetterEigensystems:
+    def test_computed_once_read_only_and_equal_to_each_letters(self, eigensystem_calls):
+        rng = np.random.default_rng(4)
+        letters = [random_density(Q, rng).matrix for _ in range(3)]
+        v = CQChannel((0, 1, 2), Q, dict(enumerate(letters)))
+        assert v.letter_eigensystems is v.letter_eigensystems
+        assert eigensystem_calls == [Q] * 3
+        for (w, u), m in zip(v.letter_eigensystems, letters):
+            w_ref, u_ref = hermitian_eigensystem(m)
+            assert np.array_equal(w, w_ref) and np.array_equal(u, u_ref)
+            assert not w.flags.writeable and not u.flags.writeable

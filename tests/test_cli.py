@@ -17,6 +17,7 @@ from qwk.cli import (
     main,
     parse_channel,
 )
+from qwk.verify import run_suite
 from qwk.channels import KrausChannel, depolarizing_kraus
 
 SPECS = os.path.join(os.path.dirname(__file__), "..", "specs")
@@ -242,6 +243,17 @@ class TestNetCommand:
         assert doc["manifest"]["net"] == {
             "offsets_projected": 26, "duplicates_dropped": 4, "last_shell": 1}
         assert "offsets_projected" not in json.dumps(doc["payload"])
+
+    @pytest.mark.parametrize("d_in, d_out, budget", [(2, 1, 10), (1, 1, 3)])
+    def test_short_net_is_reported(self, d_in, d_out, budget, tmp_path, capsys):
+        out = tmp_path / "net.json"
+        rc = run_cli(["net", "--d-in", str(d_in), "--d-out", str(d_out), "--tau", "0.5",
+                      "--budget", str(budget), "--out", str(out)])
+        assert rc == 0
+        doc = json.loads(out.read_text())
+        assert doc["payload"]["n_elements"] == 2
+        assert doc["manifest"]["net"]["short"] == {"budget": budget, "reason": "offsets_exhausted"}
+        assert capsys.readouterr().err == f"net: 2 of {budget} elements (offsets_exhausted)\n"
 
     def test_singleton_for_large_tau(self, tmp_path):
         out = tmp_path / "net.json"
@@ -477,6 +489,25 @@ class TestVerifyCommand:
         rc = run_cli(["verify", "gentle", "--out", str(out)])
         assert rc == 0
         assert json.loads(out.read_text())["payload"]["n_fail"] == 0
+
+    def test_records_go_to_stderr_in_one_write(self, tmp_path, monkeypatch):
+        writes = []
+
+        class Recorder:
+            def write(self, text):
+                writes.append(text)
+
+            def flush(self):
+                pass
+
+        monkeypatch.setattr(sys, "stderr", Recorder())
+        assert run_cli(["verify", "fidelity", "--out", str(tmp_path / "ver.json")]) == 0
+        records = run_suite("fidelity")
+        width = max(len(r["bound_id"]) for r in records)
+        expect = "".join(
+            f"{r['bound_id']:<{width}}  lhs={r['lhs']:.6g}  rhs={r['rhs']:.6g}  pass\n"
+            for r in records) + f"fidelity: {len(records)}/{len(records)} checks passed\n"
+        assert writes == [expect]
 
     def test_all_aggregates_and_jobs_flag(self, tmp_path):
         out1 = tmp_path / "v1.json"

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qwk.channels import CQChannel
 from qwk.qcore import (
@@ -16,12 +18,15 @@ from qwk.qcore import (
 from qwk.typicality import (
     TypicalParams,
     averaged_output_projector,
+    averaged_output_projectors,
     conditional_typical_projector,
+    conditional_typical_projectors,
     sandwiched_output,
     sandwiched_outputs,
     averaged_trace_check,
     truncated_typical,
     typical_projector,
+    typical_projectors,
     typical_set,
 )
 
@@ -355,3 +360,60 @@ class TestSandwichedOutputs:
         with pytest.raises(QcoreError, match="not typical"):
             sandwiched_outputs(v, [(0, 1, 0, 1), (0, 0, 0, 0)], [0.5, 0.5], params)
 
+
+# ---------------------------------------------------------------------------
+# sweeps against their one-entry constructors
+
+
+def _same_projector(swept, single):
+    for name in ("kept", "neglogs", "probs", "matrix"):
+        assert np.array_equal(getattr(swept, name), getattr(single, name)), name
+    assert swept.checks == single.checks
+
+
+def _qubit_state(p, theta, phi):
+    u = np.array([[np.cos(theta), -np.exp(-1j * phi) * np.sin(theta)],
+                  [np.exp(1j * phi) * np.sin(theta), np.cos(theta)]])
+    return u @ np.diag([p, 1.0 - p]) @ u.conj().T
+
+
+_qubit_states = st.builds(_qubit_state, st.floats(0.0, 1.0), st.floats(0.0, np.pi),
+                          st.floats(0.0, 2 * np.pi))
+_alpha_lists = st.lists(st.sampled_from([0.3, 0.5, 1.0, 2.0, 3.5]), min_size=1, max_size=4)
+
+
+class TestSweeps:
+    @settings(max_examples=25, deadline=None)
+    @given(_qubit_states, _qubit_states, _alpha_lists)
+    def test_every_entry_equals_its_one_entry_constructor(self, m0, m1, alphas):
+        rho = DensityOperator(m0)
+        v = binary_cq(m0, m1)
+        prior = [0.5, 0.5]
+        grid = [TypicalParams(n=n, alpha=alpha, delta=0.6) for n in (1, 4, 7) for alpha in alphas]
+        for params, proj in zip(grid, typical_projectors(rho, grid)):
+            _same_projector(proj, typical_projector(rho, params))
+        for params, proj in zip(grid, averaged_output_projectors(prior, v, grid)):
+            _same_projector(proj, averaged_output_projector(prior, v, params))
+        for n in (1, 4, 7):
+            word = tuple(i % 2 for i in range(n))
+            sweep = [params for params in grid if params.n == n]
+            for params, proj in zip(sweep, conditional_typical_projectors(v, word, prior, sweep)):
+                _same_projector(proj, conditional_typical_projector(v, word, prior, params))
+
+    def test_sweep_spectra_are_read_only(self):
+        v = binary_cq(np.diag([0.7, 0.3]), np.diag([0.4, 0.6]))
+        sweep = [TypicalParams(n=4, alpha=alpha) for alpha in (0.5, 2.0)]
+        projs = conditional_typical_projectors(v, (0, 1, 0, 1), [0.5, 0.5], sweep)
+        assert projs[0].probs is projs[1].probs
+        with pytest.raises(ValueError):
+            projs[0].neglogs[0] = 0.0
+
+    def test_a_sweep_checks_every_entry(self):
+        v = binary_cq(np.diag([0.7, 0.3]), np.diag([0.4, 0.6]))
+        word = (0, 0, 0, 1)
+        with pytest.raises(QcoreError, match="word length"):
+            conditional_typical_projectors(v, word, [0.5, 0.5],
+                                           [TypicalParams(n=4), TypicalParams(n=5)])
+        with pytest.raises(QcoreError, match="not typical"):
+            conditional_typical_projectors(v, word, [0.5, 0.5],
+                                           [TypicalParams(n=4, delta=0.3), TypicalParams(n=4)])

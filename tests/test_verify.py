@@ -111,6 +111,13 @@ def test_repeated_mask_pairs_share_one_sandwich(monkeypatch):
     assert 4 * 3 <= len(calls) < 4 * 3 * 3
 
 
+def test_each_state_diagonalises_at_most_nine_times(eigensystem_calls):
+    # per state: its typical sweep, the two letters of its channel once, and
+    # one averaged output per n; every word and alpha reuses them
+    suite_typicality(0, n_random=3)
+    assert len(eigensystem_calls) <= 9 * 4
+
+
 def test_dense_projector_matches_out_of_place_formula():
     rng = np.random.default_rng(3)
     v = CQChannel((0, 1), _QUBIT, {0: random_density(_QUBIT, rng).matrix,

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -18,6 +20,8 @@ from qwk.qcore import (
 from qwk.typicality import TypicalParams, sandwiched_outputs
 from qwk.wiretapsim import (
     Codebook,
+    PrettyGoodDecoder,
+    _median,
     build_decoder,
     counter_rng,
     covering_concentration,
@@ -189,6 +193,14 @@ class TestPrettyGoodDecoder:
         cb = sample_codebook([0.5, 0.5], 6, J, L, seed=3, delta=0.1)
         assert np.array_equal(build_decoder(spec, cb).povm, _stacked_mean_povm(spec, cb))
 
+    @pytest.mark.parametrize("J, L", [(1, 1), (4, 2), (3, 5)])
+    def test_build_diagonalises_each_letter_once(self, J, L, eigensystem_calls):
+        # the a letters once for every codeword, and the averaged output once
+        spec = load_spec(os.path.join(SPECS, "cq_pair.json"))
+        cb = sample_codebook([0.5, 0.5], 6, J, L, seed=2, delta=0.1)
+        PrettyGoodDecoder.build(spec.legitimate[0], cb, TypicalParams(n=6, delta=0.1))
+        assert len(eigensystem_calls) <= 2 + 1
+
     @pytest.mark.parametrize("J, L", [(4, 2), (2, 4)])
     def test_build_peak_memory(self, J, L):
         # the J per-message means plus a few D x D work matrices; a build
@@ -309,6 +321,27 @@ class TestCovering:
         meds = [rep.stats["per_L"][l]["median"] for l in (1, 4, 16, 64)]
         assert all(b < a for a, b in zip(meds, meds[1:]))
         assert rep.stats["medians_decreasing"]
+
+    @pytest.mark.parametrize("size", [1, 2, 7, 100, 201])
+    def test_median_equals_numpys_to_the_bit(self, size):
+        rng = np.random.default_rng(size)
+        for values in (rng.random(size), rng.normal(size=size) * 1e-3,
+                       np.round(rng.random(size), 1)):
+            assert _median(values) == np.median(values)
+        values = rng.random(size)
+        values[size // 2] = np.nan
+        assert np.isnan(_median(values)) and np.isnan(np.median(values))
+
+    def test_verify_covering_leaves_numpy_ma_unloaded(self, tmp_path):
+        code = ("import sys\n"
+                "from qwk.cli import main\n"
+                f"assert main(['verify', 'covering', '--out', {str(tmp_path / 'v.json')!r}]) == 0\n"
+                "print('numpy.ma' in sys.modules)\n")
+        env = {**os.environ, "PYTHONPATH": os.path.join(SPECS, "..", "src")}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     def test_large_l_median_below_epsilon(self):
         rep = covering_concentration(
