@@ -113,7 +113,7 @@ def parse_channel(obj: dict):
             return KrausChannel.from_isometry(d_in, d_out, env_dim, isometry)
     except KeyError as exc:
         raise SchemaError(f"channel object missing field {exc}")
-    except (ChannelError, QcoreError) as exc:
+    except (TypeError, ValueError) as exc:  # ChannelError and QcoreError included
         raise SchemaError(str(exc))
     raise SchemaError(f"unknown channel kind {kind!r}")
 
@@ -148,7 +148,7 @@ def load_spec(path: str) -> CompoundWiretapSpec:
     try:
         with open(path) as fh:
             obj = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or not UTF-8
         raise SchemaError(f"cannot read spec {path}: {exc}")
     return parse_spec(obj)
 
@@ -253,10 +253,10 @@ def _write_csv(path: str, rows: list[dict]) -> None:
 
 
 def _require_min(low: int, *, strict: bool = False, **flags) -> None:
-    """Refuse a flag below ``low`` (at or below it when ``strict``) before any
-    work; an unset flag (None) passes."""
+    """Refuse a flag below ``low`` (at or below it when ``strict``), or NaN,
+    before any work; an unset flag (None) passes."""
     for name, val in flags.items():
-        if val is not None and (val <= low if strict else val < low):
+        if val is not None and not (val > low if strict else val >= low):
             raise FlagError(f"--{name} must be {'>' if strict else '>='} {low}")
 
 
@@ -274,6 +274,9 @@ def cmd_simulate(args) -> int:
             raise FlagError("--L must be an integer or 'auto'")
     _require_min(1, n=args.n, J=args.J, L=l_val)
     _require_min(0, strict=True, delta=args.delta, **{"decode-delta": args.decode_delta})
+    for name, val in (("rate-margin", args.rate_margin), ("leak-margin", args.leak_margin)):
+        if not np.isfinite(val):
+            raise FlagError(f"--{name} must be finite")
     spec = load_spec(args.spec)
     if spec.variant == "quantum":
         raise SolverError("simulate needs classical-input channels, not variant 'quantum'")

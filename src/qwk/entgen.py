@@ -41,7 +41,7 @@ from .qcore import (
     psd_sqrt,
     trace_norm,
 )
-from .typicality import TypicalParams, sandwiches, truncated_typical
+from .typicality import TypicalParams, sandwiched_outputs, truncated_typical
 from .wiretapsim import counter_rng
 
 _STREAM_ENTGEN = 7
@@ -189,8 +189,8 @@ def _measurement_code(family, p, n, J, L, seed, params) -> EntgenCode:
     povm = np.empty((T, J, L, dq_n, dq_n), dtype=complex)
     elements = povm.reshape(-1, dq_n, dq_n)
     for t, rec in enumerate(rec_cqs):
-        for i, q in enumerate(sandwiches(rec, words.reshape(J * L, n), prior, params)):
-            elements[t * J * L + i] = q
+        sandwiched_outputs(rec, words.reshape(J * L, n), prior, params,
+                           out=elements[t * J * L:(t + 1) * J * L])
     pretty_good_measurement(elements, out=elements)
     # rounding in the normaliser of a nearly singular sum can push the POVM
     # past I; shrink those directions so the measurement stays an isometry

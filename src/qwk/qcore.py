@@ -114,23 +114,17 @@ def hermitian_eigensystem(m) -> tuple[np.ndarray, np.ndarray]:
     w, v = np.linalg.eigh(m)
     order = np.argsort(-w, kind="stable")
     w, v = w[order], v[:, order]
-    cols = []
-    for i in range(v.shape[1]):
-        col = v[:, i]
-        nz = np.nonzero(np.abs(col) > 1e-12)[0]
-        if nz.size:
-            col = col * np.exp(-1j * np.angle(col[nz[0]]))
-        cols.append(col)
-    # stable tie-break inside degenerate groups
-    def lex_key(c):
-        r = np.round(c, 10)
-        return tuple(x for pair in zip(r.real, r.imag) for x in pair)
-
-    ordered = [k for i, j in degenerate_runs(w)
-               for k in sorted(range(i, j), key=lambda k: lex_key(cols[k]))]
-    w = w[ordered]
-    vecs = np.column_stack([cols[k] for k in ordered])
-    return w, vecs
+    # a unit vector has an entry above 1e-12, so each column has a first one
+    first = np.argmax(np.abs(v) > 1e-12, axis=0)
+    v = v * np.exp(-1j * np.angle(v[first, np.arange(v.shape[1])]))
+    # stable tie-break inside degenerate groups, by the rounded entries
+    order = np.arange(len(w))
+    for i, j in degenerate_runs(w):
+        if j - i > 1:
+            r = np.round(v[:, i:j], 10).T
+            keys = [tuple(x for pair in zip(c.real, c.imag) for x in pair) for c in r]
+            order[i:j] = [i + k for k in sorted(range(j - i), key=keys.__getitem__)]
+    return w[order], v.take(order, axis=1)  # C-ordered, as the columns were stacked
 
 
 def degenerate_runs(w) -> list[tuple[int, int]]:

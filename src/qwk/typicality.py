@@ -54,7 +54,7 @@ class TypicalParams:
     def __post_init__(self):
         if self.n < 1:
             raise QcoreError("block length must be >= 1")
-        if self.delta <= 0 or self.alpha <= 0 or self.k_const <= 0:
+        if not (self.delta > 0 and self.alpha > 0 and self.k_const > 0):  # NaN fails too
             raise QcoreError("delta, alpha and k_const must be positive")
 
 
@@ -159,53 +159,12 @@ def _neglog(vals: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass
-class TypicalProjector:
-    """Projector onto the kept eigen-words of a product reference state.
-
-    ``neglogs`` and ``probs`` hold -log2 of each eigen-word's eigenvalue and
-    the eigenvalue itself, in the Kronecker order of the letter unitaries;
-    ``kept`` marks the words within ``half_width`` of ``center``.  The
-    projectors of one sweep share the read-only letter unitaries, ``neglogs``
-    and ``probs`` of their block length and differ in ``kept``.  Bound checks
-    only need these; the dense matrix is built afresh on each access of
-    ``matrix`` and never kept.
-    """
-
-    letter_unitaries: list
-    neglogs: np.ndarray
-    probs: np.ndarray
-    kept: np.ndarray
-    center: float
-    half_width: float
-    checks: list = field(default_factory=list)
-
-    @property
-    def total_dim(self) -> int:
-        return int(np.prod([u.shape[0] for u in self.letter_unitaries]))
-
-    @property
-    def rank(self) -> int:
-        return int(self.kept.sum())
-
-    @property
-    def matrix(self) -> np.ndarray:
-        check_dim_cap(self.total_dim, "typical projector matrix")
-        u = kron_chain(self.letter_unitaries)
-        uh = u.conj().T
-        u *= self.kept.astype(float)  # (u * kept) @ u^dag without a third copy of u
-        return u @ uh
-
-    def trace_with_reference(self) -> float:
-        """tr(rho_words * projector) computed from the diagonal data."""
-        return float(self.probs[self.kept].sum())
-
-
 class _Spectrum(NamedTuple):
-    """The width-free half of a typical projector: the eigen-words of a
-    product reference state, each word's distance |neglog - center| from
-    the window centre, and (``by_offset``) those distances in increasing
-    order with the reference mass accumulated along them."""
+    """The width-free half of a typical projector: the letter unitaries of a
+    product reference state and, in their Kronecker order, each eigen-word's
+    -log2 eigenvalue, eigenvalue and distance |neglog - center| from the
+    window centre; ``by_offset`` holds those distances in increasing order
+    with the reference mass accumulated along them."""
 
     letter_unitaries: list
     neglogs: np.ndarray
@@ -213,6 +172,38 @@ class _Spectrum(NamedTuple):
     center: float
     offsets: np.ndarray
     by_offset: tuple
+
+
+@dataclass
+class TypicalProjector:
+    """A window on an eigen-word spectrum: the projector onto the words of
+    ``spectrum`` within ``half_width`` of its centre, marked in ``kept``.
+
+    The projectors of one sweep share one read-only ``spectrum`` and differ
+    in ``kept``.  Bound checks only need these; the dense matrix is built
+    afresh on each access of ``matrix`` and never kept.
+    """
+
+    spectrum: _Spectrum
+    kept: np.ndarray
+    half_width: float
+    checks: list = field(default_factory=list)
+
+    @property
+    def rank(self) -> int:
+        return int(self.kept.sum())
+
+    @property
+    def matrix(self) -> np.ndarray:
+        check_dim_cap(self.kept.size, "typical projector matrix")
+        u = kron_chain(self.spectrum.letter_unitaries)
+        uh = u.conj().T
+        u *= self.kept.astype(float)  # (u * kept) @ u^dag without a third copy of u
+        return u @ uh
+
+    def trace_with_reference(self) -> float:
+        """tr(rho_words * projector) computed from the diagonal data."""
+        return float(self.spectrum.probs[self.kept].sum())
 
 
 def _spectrum(systems: dict, word, center) -> _Spectrum:
@@ -254,16 +245,22 @@ def _min_k_for_mass(by_offset, target_mass, unit):
     return float(offsets[idx] / unit)
 
 
-def _checked_window(prefix: str, spec: _Spectrum, half_width, need: float, unit):
-    """The projector onto ``spec``'s entropy window of ``half_width``, with
-    its trace, rank and peak checks, each with its smallest passing width
-    coefficient in multiples of ``unit``."""
-    proj = TypicalProjector(spec.letter_unitaries, spec.neglogs, spec.probs,
-                            spec.offsets <= half_width + 1e-12, spec.center, half_width)
-    center, width = proj.center, proj.half_width
+def _checked_window(prefix: str, spec: _Spectrum, params: TypicalParams, d: int, c: int):
+    """The projector onto ``spec``'s entropy window for ``params``, with its
+    trace, rank and peak checks.  The half-width is k_const * c units of
+    d * alpha * sqrt(n), the trace target 1 - c d / (4 n alpha^2), and each
+    smallest passing width coefficient counts c units; c is 1 for a state's
+    projector and the alphabet size for a conditional one."""
+    n, alpha = params.n, params.alpha
+    unit = d * alpha * np.sqrt(n)
+    width = params.k_const * c * unit
+    need = 1.0 - c * d / (4 * n * alpha ** 2)
+    unit = c * unit
+    proj = TypicalProjector(spec, spec.offsets <= width + 1e-12, width)
+    center = spec.center
     trace = proj.trace_with_reference()
     rank = proj.rank
-    max_eig = float(proj.probs[proj.kept].max()) if rank else 0.0
+    max_eig = float(spec.probs[proj.kept].max()) if rank else 0.0
     proj.checks = [
         BoundCheck(f"{prefix}-trace", trace, need, trace >= need - 1e-12,
                    _min_k_for_mass(spec.by_offset, need, unit)),
@@ -294,16 +291,9 @@ def typical_projectors(rho: DensityOperator, params_seq) -> list[TypicalProjecto
         check_dim_cap(d ** params.n, "typical projector")
     w, v = _grouped_eigensystem(hermitian_eigensystem(rho.matrix))
     entropy = float(entropy_rows(w))
-    spectra = {}
-    out = []
-    for params in params_seq:
-        n, alpha, k = params.n, params.alpha, params.k_const
-        if n not in spectra:
-            spectra[n] = _spectrum({0: (w, v)}, [0] * n, n * entropy)
-        unit = d * alpha * np.sqrt(n)
-        out.append(_checked_window("state", spectra[n], k * unit,
-                                   1.0 - d / (4 * n * alpha ** 2), unit))
-    return out
+    spectra = {n: _spectrum({0: (w, v)}, [0] * n, n * entropy)
+               for n in dict.fromkeys(params.n for params in params_seq)}
+    return [_checked_window("state", spectra[params.n], params, d, 1) for params in params_seq]
 
 
 def typical_projector(rho: DensityOperator, params: TypicalParams) -> TypicalProjector:
@@ -330,13 +320,7 @@ def conditional_typical_projectors(v: CQChannel, word, prior, params_seq) -> lis
     check_dim_cap(d ** n, "conditional typical projector")
     systems = {x: _grouped_eigensystem(v.letter_eigensystems[x]) for x in set(word)}
     spec = _spectrum(systems, word, n * conditional_channel_entropy(prior, v))
-    out = []
-    for params in params_seq:
-        alpha, k = params.alpha, params.k_const
-        unit = d * alpha * np.sqrt(n)
-        out.append(_checked_window("cond", spec, k * a * unit,
-                                   1.0 - a * d / (4 * n * alpha ** 2), a * unit))
-    return out
+    return [_checked_window("cond", spec, params, d, a) for params in params_seq]
 
 
 def conditional_typical_projector(
@@ -375,7 +359,7 @@ def averaged_trace_check(proj: TypicalProjector, v: CQChannel, word, params: Typ
     n, alpha = params.n, params.alpha
     a = len(v.input_alphabet)
     d = v.d_out
-    u = proj.letter_unitaries[0]
+    u = proj.spectrum.letter_unitaries[0]
     diagonals = {}
     for x in set(word):
         m = u.conj().T @ v.letters[x] @ u
@@ -384,7 +368,7 @@ def averaged_trace_check(proj: TypicalProjector, v: CQChannel, word, params: Typ
     lhs = float(weights[proj.kept].sum())
     rhs = 1.0 - a * d / (4 * n * alpha ** 2)
     unit = d * (alpha * np.sqrt(a)) * np.sqrt(n)
-    by_offset = _mass_by_offset(np.abs(proj.neglogs - proj.center), weights)
+    by_offset = _mass_by_offset(proj.spectrum.offsets, weights)
     min_k = _min_k_for_mass(by_offset, rhs, unit)
     return BoundCheck("avg-trace", lhs, rhs, lhs >= rhs - 1e-12, min_k)
 
@@ -393,9 +377,7 @@ def averaged_trace_check(proj: TypicalProjector, v: CQChannel, word, params: Typ
 # the double-projector sandwich
 
 
-def sandwiched_output(
-    v: CQChannel, word, prior, params: TypicalParams
-):
+def sandwiched_output(v: CQChannel, word, prior, params: TypicalParams):
     """The word's output squeezed between its conditional and the averaged
     projector, plus the trace-norm deviation bound it must satisfy.
 
@@ -426,15 +408,18 @@ def sandwich_deviation(avg: TypicalProjector, cond: TypicalProjector, state: np.
     return trace_norm(q - state)
 
 
-def sandwiched_outputs(v: CQChannel, words, prior, params: TypicalParams) -> np.ndarray:
+def sandwiched_outputs(v: CQChannel, words, prior, params: TypicalParams, out=None) -> np.ndarray:
     """Sandwiched outputs of several words, stacked along the first axis.
 
-    Each output is written into one preallocated (len(words), D, D) stack as
-    ``sandwiches`` yields it, so no per-word list is held next to the stack.
+    Each output is written into ``out`` (a fresh (len(words), D, D) stack
+    when it is None) as ``sandwiches`` yields it, so no per-word list is
+    held next to the stack; ``out`` may be a view into a larger array.
+    Returns the stack.
     """
     stream = sandwiches(v, words, prior, params)
-    dim = v.d_out ** params.n
-    out = np.empty((len(words), dim, dim), dtype=complex)
+    if out is None:
+        dim = v.d_out ** params.n
+        out = np.empty((len(words), dim, dim), dtype=complex)
     for k, q in enumerate(stream):
         out[k] = q
     return out

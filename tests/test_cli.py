@@ -472,6 +472,59 @@ def test_size_flag_below_one_exits_4_without_a_report(command, flag, tmp_path, m
     assert not out.exists()
 
 
+NON_FINITE_FLAGS = {
+    "entangle --alpha nan": ["entangle", "--family", spec_path("identity_family.json"),
+                             "--seed", "1", "--alpha", "nan"],
+    "entangle --delta nan": ["entangle", "--family", spec_path("identity_family.json"),
+                             "--seed", "1", "--delta", "nan"],
+    "simulate --decode-delta nan": SIZE_FLAG_ARGS["simulate"] + ["--n", "4", "--decode-delta", "nan"],
+    "simulate --delta nan": SIZE_FLAG_ARGS["simulate"] + ["--n", "4", "--delta", "nan"],
+    "simulate --rate-margin nan": SIZE_FLAG_ARGS["simulate"] + ["--n", "4", "--L", "auto",
+                                                                "--rate-margin", "nan"],
+    "simulate --leak-margin inf": SIZE_FLAG_ARGS["simulate"] + ["--n", "4", "--L", "auto",
+                                                                "--leak-margin", "inf"],
+    "net --tau nan": ["net", "--tau", "nan", "--budget", "5"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE_FLAGS))
+def test_nan_or_infinite_float_flag_exits_4_without_a_report(case, tmp_path):
+    out = tmp_path / "report.json"
+    assert run_cli(NON_FINITE_FLAGS[case] + ["--out", str(out)]) == EXIT_FLAG
+    assert not out.exists()
+
+
+def _edited(name, **fields):
+    spec = json.load(open(spec_path(name)))
+    spec["theta"][0]["W"].update(fields)
+    return spec
+
+
+MALFORMED_CHANNELS = {
+    "non-numeric matrix entry": ("b1", _edited("bsc_pair.json", matrix=[[0.9, "x"], [0.1, 0.9]])),
+    "stochastic alphabet 5": ("b1", _edited("bsc_pair.json", input_alphabet=5)),
+    "cq alphabet 5": ("e1q", _edited("cq_pair.json", input_alphabet=5)),
+    "dim_in two": ("entangle", _edited("identity_family.json", dim_in="two")),
+    "operators 5": ("entangle", _edited("identity_family.json", operators=5)),
+    # a Latin-1 state name
+    "not UTF-8": ("b1", open(spec_path("bsc_pair.json"), "rb").read().replace(b'"t1"', b'"t\xe9"')),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_CHANNELS))
+def test_malformed_channel_value_exits_2(case, tmp_path, capsys):
+    command, spec = MALFORMED_CHANNELS[case]
+    path = tmp_path / "spec.json"
+    if isinstance(spec, bytes):
+        path.write_bytes(spec)
+    else:
+        path.write_text(json.dumps(spec))
+    argv = (["entangle", "--family", str(path), "--seed", "1"] if command == "entangle"
+            else ["capacity", "--formula", command, "--spec", str(path)])
+    assert run_cli(argv) == EXIT_SCHEMA
+    assert "schema error" in capsys.readouterr().err
+
+
 class TestVerifyCommand:
     def test_unknown_suite_exits_4(self):
         rc = run_cli(["verify", "nonsense"])

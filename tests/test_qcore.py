@@ -77,6 +77,50 @@ def test_degenerate_runs_are_anchored_at_their_first_entry():
     assert degenerate_runs(np.array([])) == []
 
 
+def _eigensystem_reference(m):
+    """The column-by-column form of ``hermitian_eigensystem``: each column's
+    phase fixed in a loop, every run of the spectrum sorted by its key."""
+    w, v = np.linalg.eigh(np.asarray(m, dtype=complex))
+    order = np.argsort(-w, kind="stable")
+    w, v = w[order], v[:, order]
+    cols = []
+    for i in range(v.shape[1]):
+        col = v[:, i]
+        nz = np.nonzero(np.abs(col) > 1e-12)[0]
+        if nz.size:
+            col = col * np.exp(-1j * np.angle(col[nz[0]]))
+        cols.append(col)
+
+    def lex_key(c):
+        r = np.round(c, 10)
+        return tuple(x for pair in zip(r.real, r.imag) for x in pair)
+
+    ordered = [k for i, j in degenerate_runs(w)
+               for k in sorted(range(i, j), key=lambda k: lex_key(cols[k]))]
+    return w[ordered], np.column_stack([cols[k] for k in ordered])
+
+
+def test_eigensystem_equals_the_column_loop_bit_for_bit():
+    rng = np.random.default_rng(11)
+    for t in range(600):
+        d = int(rng.integers(1, 7))
+        if t % 4 == 0:  # generic spectrum
+            g = ginibre_factor(d, rng)
+            h = g + g.conj().T
+        elif t % 4 == 1:  # planted degeneracies in a random basis
+            u = qcore.random_unitary(d, rng)
+            h = (u * (rng.integers(0, 3, size=d) / 2)) @ u.conj().T
+            h = (h + h.conj().T) / 2
+        elif t % 4 == 2:  # a multiple of the identity
+            h = np.eye(d) * rng.uniform(-1.0, 1.0)
+        else:  # degenerate and diagonal
+            h = np.diag(rng.integers(0, 2, size=d).astype(float))
+        w, v = hermitian_eigensystem(h)
+        w_ref, v_ref = _eigensystem_reference(h)
+        assert np.array_equal(w, w_ref) and np.array_equal(v, v_ref)
+        assert v.flags.c_contiguous  # as the stacked columns were
+
+
 def test_eigensystem_rejects_nonhermitian():
     with pytest.raises(QcoreError):
         hermitian_eigensystem([[0, 1], [0, 0]])

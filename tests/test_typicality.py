@@ -1,5 +1,7 @@
+import dataclasses
 import itertools
 import tracemalloc
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from qwk.qcore import (
 )
 from qwk.typicality import (
     TypicalParams,
+    TypicalProjector,
     averaged_output_projector,
     averaged_output_projectors,
     conditional_typical_projector,
@@ -165,11 +168,11 @@ class TestTypicalProjector:
         full = np.array([[1.0 + 0j]])
         for _ in range(4):
             full = np.kron(full, rho.matrix)
-        assert np.allclose(np.sort(state.probs), np.linalg.eigvalsh(full), atol=1e-12)
+        assert np.allclose(np.sort(state.spectrum.probs), np.linalg.eigvalsh(full), atol=1e-12)
         for proj in (state, cond):
-            live = proj.probs > 1e-12
-            assert np.allclose(proj.neglogs[live], -np.log2(proj.probs[live]))
-            assert proj.trace_with_reference() == float(proj.probs[proj.kept].sum())
+            live = proj.spectrum.probs > 1e-12
+            assert np.allclose(proj.spectrum.neglogs[live], -np.log2(proj.spectrum.probs[live]))
+            assert proj.trace_with_reference() == float(proj.spectrum.probs[proj.kept].sum())
 
     def test_bound_suite_qubits(self):
         rng = np.random.default_rng(2)
@@ -354,6 +357,17 @@ class TestSandwichedOutputs:
         expect = np.stack([sandwiched_output(v, w, [0.5, 0.5], params)[0] for w in words])
         assert np.array_equal(stacked, expect)
 
+    def test_out_view_is_filled_and_returned(self):
+        v = binary_cq(np.diag([0.7, 0.3]), np.diag([0.4, 0.6]))
+        params = TypicalParams(n=4, alpha=1.0)
+        words = typical_set([0.5, 0.5], 4, params.delta)[:3]
+        fresh = sandwiched_outputs(v, words, [0.5, 0.5], params)
+        big = np.zeros((3,) + fresh.shape, dtype=complex)
+        got = sandwiched_outputs(v, words, [0.5, 0.5], params, out=big[1])
+        assert got is not None and got.base is big
+        assert np.array_equal(big[1], fresh)
+        assert not big[0].any() and not big[2].any()
+
     def test_atypical_word_rejected(self):
         v = binary_cq(np.diag([0.7, 0.3]), np.diag([0.4, 0.6]))
         params = TypicalParams(n=4)
@@ -366,8 +380,8 @@ class TestSandwichedOutputs:
 
 
 def _same_projector(swept, single):
-    for name in ("kept", "neglogs", "probs", "matrix"):
-        assert np.array_equal(getattr(swept, name), getattr(single, name)), name
+    for name in ("kept", "spectrum.neglogs", "spectrum.probs", "matrix"):
+        assert np.array_equal(attrgetter(name)(swept), attrgetter(name)(single)), name
     assert swept.checks == single.checks
 
 
@@ -404,9 +418,25 @@ class TestSweeps:
         v = binary_cq(np.diag([0.7, 0.3]), np.diag([0.4, 0.6]))
         sweep = [TypicalParams(n=4, alpha=alpha) for alpha in (0.5, 2.0)]
         projs = conditional_typical_projectors(v, (0, 1, 0, 1), [0.5, 0.5], sweep)
-        assert projs[0].probs is projs[1].probs
+        assert projs[0].spectrum.probs is projs[1].spectrum.probs
         with pytest.raises(ValueError):
-            projs[0].neglogs[0] = 0.0
+            projs[0].spectrum.neglogs[0] = 0.0
+
+    def test_projectors_of_a_sweep_share_one_spectrum(self):
+        rho = DensityOperator(np.diag([0.7, 0.3]))
+        v = binary_cq(np.diag([0.7, 0.3]), np.diag([0.4, 0.6]))
+        grid = [TypicalParams(n=n, alpha=alpha) for n in (4, 6) for alpha in (0.5, 1.0, 2.0)]
+        for projs in (typical_projectors(rho, grid), averaged_output_projectors([0.5, 0.5], v, grid)):
+            assert {id(p.spectrum) for p in projs[:3]} == {id(projs[0].spectrum)}
+            assert {id(p.spectrum) for p in projs[3:]} == {id(projs[3].spectrum)}
+            assert projs[0].spectrum is not projs[3].spectrum
+        conds = conditional_typical_projectors(v, (0, 1, 0, 1), [0.5, 0.5], grid[:3])
+        assert {id(p.spectrum) for p in conds} == {id(conds[0].spectrum)}
+
+    def test_a_projector_is_a_window_on_its_spectrum(self):
+        fields = [f.name for f in dataclasses.fields(TypicalProjector)]
+        assert fields == ["spectrum", "kept", "half_width", "checks"]
+        assert not hasattr(TypicalProjector, "total_dim")
 
     def test_a_sweep_checks_every_entry(self):
         v = binary_cq(np.diag([0.7, 0.3]), np.diag([0.4, 0.6]))
@@ -417,3 +447,10 @@ class TestSweeps:
         with pytest.raises(QcoreError, match="not typical"):
             conditional_typical_projectors(v, word, [0.5, 0.5],
                                            [TypicalParams(n=4, delta=0.3), TypicalParams(n=4)])
+
+
+@pytest.mark.parametrize("field", ["delta", "alpha", "k_const"])
+@pytest.mark.parametrize("value", [0.0, -1.0, float("nan")])
+def test_params_refuse_a_non_positive_or_nan_constant(field, value):
+    with pytest.raises(QcoreError, match="must be positive"):
+        TypicalParams(n=4, **{field: value})

@@ -130,7 +130,7 @@ def test_dense_projector_matches_out_of_place_formula():
                          conditional_typical_projector(v, word, [0.5, 0.5], params),
                          averaged_output_projector([0.5, 0.5], v, params)):
                 u = np.array([[1.0 + 0j]])
-                for ul in proj.letter_unitaries:
+                for ul in proj.spectrum.letter_unitaries:
                     u = np.kron(u, ul)
                 expect = (u * proj.kept.astype(float)) @ u.conj().T
                 assert np.array_equal(proj.matrix, expect)
