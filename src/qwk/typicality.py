@@ -383,7 +383,7 @@ def sandwiched_output(v: CQChannel, word, prior, params: TypicalParams):
 
     Returns (matrix, deviation, bound).
     """
-    q = next(sandwiches(v, [word], prior, params))
+    q = sandwiched_outputs(v, [word], prior, params)[0]
     return q, trace_norm(q - cq_word_state(v, word)), sandwich_bound(v, params)
 
 
@@ -401,7 +401,11 @@ def _sandwich(pa: np.ndarray, pc: np.ndarray, state: np.ndarray) -> np.ndarray:
 
 def sandwich_deviation(avg: TypicalProjector, cond: TypicalProjector, state: np.ndarray) -> float:
     """||Pa Pc state Pc Pa - state||_1 for the averaged-output projector Pa
-    and a word's conditional projector Pc, both built afresh."""
+    and a word's conditional projector Pc, both built afresh.
+
+    It stays dense: ``verify``'s deviation records pin the rounding of this
+    product, which the factor form of ``sandwich_factors`` would move.
+    """
     pa, pc = avg.matrix, cond.matrix
     q = _sandwich(pa, pc, state)
     del pa, pc  # the trace-norm SVD needs neither projector
@@ -409,41 +413,66 @@ def sandwich_deviation(avg: TypicalProjector, cond: TypicalProjector, state: np.
 
 
 def sandwiched_outputs(v: CQChannel, words, prior, params: TypicalParams, out=None) -> np.ndarray:
-    """Sandwiched outputs of several words, stacked along the first axis.
+    """The sandwiched outputs Pa Pc rho(word) Pc Pa of several words, stacked
+    along the first axis.
 
-    Each output is written into ``out`` (a fresh (len(words), D, D) stack
-    when it is None) as ``sandwiches`` yields it, so no per-word list is
-    held next to the stack; ``out`` may be a view into a larger array.
-    Returns the stack.
+    The dimension cap is checked before ``out`` (a fresh (len(words), D, D)
+    stack when it is None; it may be a view into a larger array) is filled
+    one word at a time.  The averaged-output projector Pa is shared by every
+    word, so its dense matrix is built once; each word's state and
+    conditional projector Pc are dropped before the next word's.  Returns
+    the stack.
+
+    It stays dense: entanglement generation's nearly singular joint
+    measurement would turn the factor form's rounding into moved fidelities.
     """
-    stream = sandwiches(v, words, prior, params)
+    dim = v.d_out ** params.n
+    check_dim_cap(dim, "sandwiched output")
     if out is None:
-        dim = v.d_out ** params.n
         out = np.empty((len(words), dim, dim), dtype=complex)
-    for k, q in enumerate(stream):
-        out[k] = q
-    return out
-
-
-def sandwiches(v: CQChannel, words, prior, params: TypicalParams):
-    """The sandwiched output Pa Pc rho(word) Pc Pa of each word, yielded one
-    word at a time.
-
-    The dimension cap is checked at the call, so a caller may allocate its
-    D × D accumulators once this returns.  The averaged-output projector Pa
-    is shared by every word, so its dense matrix is built once; each word's
-    state and conditional projector Pc are dropped before the next word's.
-    """
-    check_dim_cap(v.d_out ** params.n, "sandwiched output")
-    return _sandwich_stream(v, words, prior, params)
-
-
-def _sandwich_stream(v: CQChannel, words, prior, params: TypicalParams):
     pa = None
-    for word in words:
+    for k, word in enumerate(words):
         pc = conditional_typical_projector(v, word, prior, params).matrix
         if pa is None:
             pa = averaged_output_projector(prior, v, params).matrix
-        state = cq_word_state(v, word)
-        yield _sandwich(pa, pc, state)
-        del pc, state  # gone before the next word's projector is built
+        out[k] = _sandwich(pa, pc, cq_word_state(v, word))
+        del pc  # gone before the next word's projector is built
+    return out
+
+
+def sandwich_factors(v: CQChannel, words, prior, params: TypicalParams):
+    """A factor G of each word's sandwiched output, Pa Pc rho(word) Pc Pa =
+    G G^dag, yielded one word at a time as a D × r array, r <= rank Pc: the
+    pretty-good decoder's form, with no projector matrix or word state.
+
+    The dimension cap is checked at the call, so a caller may allocate its
+    D × D accumulators once this returns.  Pc commutes with the word's
+    state, so Pc rho Pc = F F^dag, F the kept eigen-words scaled by the
+    square roots of their eigenvalue products; those come from the letters'
+    own eigenvalues, not the window's group means.  G is F when Pa keeps
+    every eigen-word, and Ua (Ua^dag F) otherwise, Ua the kept columns of
+    Pa's eigenbasis, built once.
+    """
+    check_dim_cap(v.d_out ** params.n, "sandwiched output")
+    return _factor_stream(v, words, prior, params)
+
+
+def _factor_stream(v: CQChannel, words, prior, params: TypicalParams):
+    avg = None
+    for word in words:
+        cond = conditional_typical_projector(v, word, prior, params)
+        eigs = [np.clip(v.letter_eigensystems[x][0], 0.0, None) for x in word]
+        f = _kept_columns(cond.spectrum.letter_unitaries, cond.kept)
+        f *= np.sqrt(accumulate_products(eigs)[cond.kept])
+        if avg is None:
+            avg = averaged_output_projector(prior, v, params)
+            ua = None if avg.kept.all() else _kept_columns(avg.spectrum.letter_unitaries, avg.kept)
+        yield f if ua is None else ua @ (ua.conj().T @ f)
+
+
+def _kept_columns(unitaries, kept) -> np.ndarray:
+    """The columns of ``kron_chain(unitaries)`` that the mask ``kept``
+    marks, as a D × rank array built from those columns' letters alone."""
+    digits = np.unravel_index(np.flatnonzero(kept), [u.shape[1] for u in unitaries])
+    cols = kron_chain([u.T[idx][:, :, None] for u, idx in zip(unitaries, digits)])
+    return cols[:, :, 0].T

@@ -43,8 +43,8 @@ from .typicality import (
     ENUM_CAP,
     TypicalParams,
     enumerate_words,
+    sandwich_factors,
     sandwiched_outputs,
-    sandwiches,
     truncated_typical,
 )
 
@@ -118,14 +118,19 @@ def sizes_from_rates(
 
     Per state the randomization depth is ceil(2^(n(chi_t + 2*leak_margin)))
     and the message count is floor(2^(n min_t(I_t - log(L_t)/n - rate_margin)));
-    a nonpositive exponent is flagged and J clamps to 1.
+    a nonpositive exponent is flagged and J clamps to 1.  A depth above the
+    codebook-entry cap ``ENUM_CAP`` raises CapExceededError before it is
+    formed, since no codebook of that depth could be sampled.
     """
     p = np.asarray(p, dtype=float)
     l_per_t = {}
     j_exponents = []
     for idx, name in enumerate(spec.names):
         chi = _wiretap_rate(p, spec.wiretap[idx])
-        l_t = int(np.ceil(2 ** (n * (chi + 2 * leak_margin))))
+        exponent = n * (chi + 2 * leak_margin)
+        if exponent > np.log2(ENUM_CAP):
+            raise CapExceededError(f"randomization depth 2^{exponent:.4g} of state {name} exceeds the cap")
+        l_t = int(np.ceil(2 ** exponent))
         l_per_t[name] = l_t
         legit = _wiretap_rate(p, spec.legitimate[idx])
         j_exponents.append(legit - np.log2(l_t) / n - rate_margin)
@@ -144,9 +149,10 @@ def plan_simulation(spec: CompoundWiretapSpec, n: int, J: int, L: int) -> dict:
     """Every cap decision of a simulation run, taken from its sizes alone.
 
     The checks come in the order the run meets them: codebook sampling
-    (typical-set enumeration), the decoder of the first state, the error per
-    state (exact or Monte-Carlo; the first state's also sizes the
-    pretty-good decoder) and the leakage per state.  A refused size
+    (typical-set enumeration and the J·L·n codebook entries), the decoder
+    of the first state, the error per state (exact or Monte-Carlo; the
+    first state's also sizes the pretty-good decoder) and the leakage per
+    state.  A refused size
     raises CapExceededError here, before any codebook is sampled; the same
     checks inside the run stay as they are.  Returns the decisions, with
     every cap and the size it was held against, as a JSON-ready record.
@@ -167,6 +173,8 @@ def plan_simulation(spec: CompoundWiretapSpec, n: int, J: int, L: int) -> dict:
     a = len(spec.legitimate[0].input_alphabet)
     if not within("typical-set enumeration", None, a ** n, ENUM_CAP):
         raise CapExceededError(f"typical-set enumeration {a}^{n} exceeds the cap")
+    if not within("codebook entries", None, J * L * n, ENUM_CAP):
+        raise CapExceededError(f"codebook of {J}·{L}·{n} entries exceeds the cap")
     error, leakage = {}, {}
     for name, legit in zip(spec.names, spec.legitimate):
         if isinstance(legit, ClassicalChannel):
@@ -252,11 +260,13 @@ class PrettyGoodDecoder:
     """Square-root measurement over the per-message means of the sandwiched
     codeword outputs, projected with the prior the codebook was drawn from.
 
-    ``build`` adds each sandwiched output into its message's slot of one
-    (J, D, D) array as ``typicality.sandwiches`` yields it, divides by L,
-    and takes the measurement in place, so it holds J + O(1) matrices of
-    D × D.  The sums run in codeword order and the division comes last, as
-    in numpy's ``mean`` over an outer axis, so the bits equal that mean's.
+    ``build`` takes each codeword's factor G from
+    ``typicality.sandwich_factors``, whose G G^dag is the sandwiched output
+    Pa Pc rho Pc Pa, so no word state, projector matrix or chain of D × D
+    products is formed.  It adds each G G^dag into its message's slot of
+    one (J, D, D) array, divides by L, and takes the measurement in place,
+    so it holds J + O(1) matrices of D × D.  The sums run in codeword order
+    and the division comes last, as in numpy's ``mean`` over an outer axis.
     ``eval_error`` scores the J elements against one codeword's output
     state at a time.
     """
@@ -266,15 +276,16 @@ class PrettyGoodDecoder:
     @classmethod
     def build(cls, channel: CQChannel, codebook: Codebook, params: TypicalParams):
         prior = codebook.source["p"]
-        stream = sandwiches(channel, codebook.words.reshape(-1, codebook.n), prior, params)
+        stream = sandwich_factors(channel, codebook.words.reshape(-1, codebook.n), prior, params)
         dim = channel.d_out ** codebook.n
         means = np.empty((codebook.J, dim, dim), dtype=complex)
         for j, l in np.ndindex(codebook.J, codebook.L):
+            g = next(stream)
             if l == 0:
-                means[j] = next(stream)
+                np.matmul(g, g.conj().T, out=means[j])
             else:
-                means[j] += next(stream)
-        del stream  # its suspended frame holds Pa and the last word's operators
+                means[j] += g @ g.conj().T
+        del stream, g  # the suspended stream holds Ua, and g a D × r factor
         means /= codebook.L
         return cls(pretty_good_measurement(means, out=means))
 

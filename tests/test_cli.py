@@ -643,6 +643,21 @@ class TestSimulatePlan:
                           "--L", "2", "--trials", "250", "--seed", "1"])
             assert rc == EXIT_CAP
 
+    @pytest.mark.parametrize("margin", ["5", "100"])
+    def test_auto_depth_past_the_cap_exits_5_without_a_report(self, margin, tmp_path, monkeypatch):
+        # depth 2^(4(chi + 2 margin)): 2^40 entries, or past int64 at margin 100
+        import qwk.cli
+
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("a capped request sampled a codebook")
+
+        monkeypatch.setattr(qwk.cli, "sample_codebook", no_sampling)
+        out = tmp_path / "sim.json"
+        rc = run_cli(["simulate", "--spec", spec_path("bsc_pair.json"), "--n", "4", "--seed", "1",
+                      "--L", "auto", "--leak-margin", margin, "--out", str(out)])
+        assert rc == EXIT_CAP
+        assert not out.exists()
+
     def test_plan_recorded_in_manifest_only(self, tmp_path):
         out = tmp_path / "sim.json"
         rc = run_cli(["simulate", "--spec", spec_path("qubit_wiretap.json"), "--n", "6",
@@ -654,7 +669,8 @@ class TestSimulatePlan:
         assert plan["error"] == {"t1": "exact"}
         assert plan["leakage"] == {"t1": "exact"}
         assert {c["check"] for c in plan["caps"]} == {
-            "typical-set enumeration", "classical error enumeration", "wiretap block state"}
+            "typical-set enumeration", "codebook entries", "classical error enumeration",
+            "wiretap block state"}
         assert "plan" not in doc["payload"]
 
     def test_leakage_dims_in_manifest_only(self, tmp_path):

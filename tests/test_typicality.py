@@ -15,6 +15,7 @@ from qwk.qcore import (
     QcoreError,
     psd_sqrt,
     random_density,
+    random_unitary,
     trace_norm,
 )
 from qwk.typicality import (
@@ -24,6 +25,7 @@ from qwk.typicality import (
     averaged_output_projectors,
     conditional_typical_projector,
     conditional_typical_projectors,
+    sandwich_factors,
     sandwiched_output,
     sandwiched_outputs,
     averaged_trace_check,
@@ -373,6 +375,71 @@ class TestSandwichedOutputs:
         params = TypicalParams(n=4)
         with pytest.raises(QcoreError, match="not typical"):
             sandwiched_outputs(v, [(0, 1, 0, 1), (0, 0, 0, 0)], [0.5, 0.5], params)
+
+
+class TestSandwichFactors:
+    """G G^dag against the dense Pa Pc rho Pc Pa, word by word."""
+
+    @staticmethod
+    def dense(v, word, prior, params):
+        from qwk.channels import cq_word_state
+        from qwk.typicality import _sandwich
+
+        pa = averaged_output_projector(prior, v, params).matrix
+        pc = conditional_typical_projector(v, word, prior, params).matrix
+        return _sandwich(pa, pc, cq_word_state(v, word))
+
+    def check(self, v, prior, params, words):
+        """Compares every word's factor and returns (max rank of G, rank Pa)."""
+        ranks = []
+        for word, g in zip(words, sandwich_factors(v, words, prior, params), strict=True):
+            assert g.shape[0] == v.d_out ** params.n
+            assert np.allclose(g @ g.conj().T, self.dense(v, word, prior, params), rtol=0, atol=1e-12)
+            ranks.append(g.shape[1])
+        return max(ranks), averaged_output_projector(prior, v, params).rank
+
+    @pytest.mark.parametrize("d, n, seed", [(2, 5, 1), (2, 6, 2), (3, 3, 3), (3, 4, 4)])
+    def test_random_mixed_letters(self, d, n, seed):
+        rng = np.random.default_rng(seed)
+        v = CQChannel((0, 1), d, {0: random_density(d, rng), 1: random_density(d, rng)})
+        words = truncated_typical([0.5, 0.5], n, 0.2)[0][::3]
+        # alpha 0.1 narrows Pa below full rank, alpha 4 keeps every eigen-word
+        _, rank = self.check(v, [0.5, 0.5], TypicalParams(n=n, delta=0.2, alpha=0.1), words)
+        assert rank < d ** n
+        _, rank = self.check(v, [0.5, 0.5], TypicalParams(n=n, delta=0.2, alpha=4.0), words)
+        assert rank == d ** n
+
+    @pytest.mark.parametrize("alpha", [0.3, 1.0])
+    def test_pure_letters_give_rank_one_factors(self, alpha):
+        rng = np.random.default_rng(5)
+        v = CQChannel((0, 1, 2), 3, {x: random_density(3, rng, rank=1) for x in range(3)})
+        prior = [0.4, 0.3, 0.3]
+        words = truncated_typical(prior, 4, 0.3)[0][::7]
+        width, _ = self.check(v, prior, TypicalParams(n=4, delta=0.3, alpha=alpha), words)
+        assert width == 1
+
+    @pytest.mark.parametrize("split", [0.0, 4e-11])
+    def test_degenerate_letter(self, split):
+        # eigenvalues 1/2 ± split form one group: its mean would move the
+        # products of a six-letter word by ~1e-11, so F takes the raw ones
+        rng = np.random.default_rng(6)
+        u = random_unitary(A, rng)
+        v = binary_cq(u @ np.diag([0.5 + split, 0.5 - split]) @ u.conj().T, random_density(A, rng).matrix)
+        words = truncated_typical([0.5, 0.5], 6, 0.2)[0][::4]
+        for alpha in (0.3, 1.0):
+            self.check(v, [0.5, 0.5], TypicalParams(n=6, delta=0.2, alpha=alpha), words)
+
+    def test_cap_checked_at_the_call(self):
+        v = binary_cq(np.diag([0.7, 0.3]), np.diag([0.4, 0.6]))
+        with pytest.raises(CapExceededError):
+            sandwich_factors(v, [], [0.5, 0.5], TypicalParams(n=15))
+
+    def test_atypical_word_rejected(self):
+        v = binary_cq(np.diag([0.7, 0.3]), np.diag([0.4, 0.6]))
+        stream = sandwich_factors(v, [(0, 1, 0, 1), (0, 0, 0, 0)], [0.5, 0.5], TypicalParams(n=4))
+        next(stream)
+        with pytest.raises(QcoreError, match="word is not typical for the prior"):
+            next(stream)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ import pytest
 from qwk.channels import CQChannel, ClassicalChannel, CompoundWiretapSpec, bsc, cq_word_state
 from qwk.cli import canonical_payload_bytes, load_spec, parse_spec
 from qwk.qcore import (
+    CapExceededError,
     QcoreError,
     accumulate_products,
     ginibre_factor,
@@ -114,6 +115,16 @@ class TestSizesFromRates:
         _, l_per_t, _ = sizes_from_rates(spec, [0.5, 0.5], 10, leak_margin=0.1)
         assert l_per_t["t1"] == 128
 
+    def test_depth_past_the_entry_cap_refused(self):
+        # exponent n(chi + 2 margin) = 4(0 + 2 * 3.5) = 28 > log2 ENUM_CAP = 24
+        const = ClassicalChannel((0, 1), (0,), [[1.0], [1.0]])
+        ident = ClassicalChannel((0, 1), (0, 1), [[1, 0], [0, 1]])
+        spec = CompoundWiretapSpec("classical", ("t1",), (ident,), (const,))
+        assert sizes_from_rates(spec, [0.5, 0.5], 4, leak_margin=3.0)[1]["t1"] == 2 ** 24
+        for margin in (3.5, 1e6):
+            with pytest.raises(CapExceededError):
+                sizes_from_rates(spec, [0.5, 0.5], 4, leak_margin=margin)
+
 
 class TestDecodingAndError:
     def test_noiseless_channel_zero_error(self):
@@ -200,6 +211,34 @@ class TestPrettyGoodDecoder:
         cb = sample_codebook([0.5, 0.5], 6, J, L, seed=2, delta=0.1)
         PrettyGoodDecoder.build(spec.legitimate[0], cb, TypicalParams(n=6, delta=0.1))
         assert len(eigensystem_calls) <= 2 + 1
+
+    @pytest.mark.parametrize("alpha", [0.1, 4.0])
+    def test_build_forms_no_projector_matrix_or_word_state(self, alpha, monkeypatch):
+        # mixed letters in a random basis; alpha 0.1 keeps 41 of Pa's 64
+        # eigen-words, 4.0 all of them, and the normaliser's smallest kept
+        # eigenvalue (3e-3) leaves the two forms' rounding below 1e-12
+        import qwk.channels
+        import qwk.typicality
+        import qwk.wiretapsim
+        from qwk.typicality import TypicalProjector
+
+        formed = []
+        matrix = TypicalProjector.matrix.fget
+        monkeypatch.setattr(TypicalProjector, "matrix",
+                            property(lambda proj: formed.append("projector") or matrix(proj)))
+        for module in (qwk.channels, qwk.typicality, qwk.wiretapsim):
+            monkeypatch.setattr(module, "cq_word_state",
+                                lambda *args, _fn=module.cq_word_state: formed.append("state") or _fn(*args))
+        rng = np.random.default_rng(11)
+        legit = CQChannel((0, 1), Z, {x: ginibre_states(ginibre_factor(Z, rng)) for x in (0, 1)})
+        cb = sample_codebook([0.5, 0.5], 6, 3, 2, seed=1, delta=0.2)
+        params = TypicalParams(n=6, delta=0.2, alpha=alpha)
+        povm = PrettyGoodDecoder.build(legit, cb, params).povm
+        assert formed == []
+        monkeypatch.undo()
+        outs = sandwiched_outputs(legit, cb.words.reshape(-1, 6), [0.5, 0.5], params)
+        ref = pretty_good_measurement(outs.reshape(3, 2, *outs.shape[1:]).mean(axis=1))
+        assert np.allclose(povm, ref, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("J, L", [(4, 2), (2, 4)])
     def test_build_peak_memory(self, J, L):
@@ -464,7 +503,6 @@ class TestTwoPartProtocol:
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qwk.qcore import CapExceededError
 from qwk.typicality import enumerate_words
 from qwk.wiretapsim import TypicalityDecoder, plan_simulation
 
@@ -611,6 +649,10 @@ class TestResourcePlan:
     def test_refusals_before_sampling(self):
         with pytest.raises(CapExceededError):
             plan_simulation(classical_pair_spec(), 13, 2, 1)
+        with pytest.raises(CapExceededError, match="codebook"):
+            plan_simulation(classical_pair_spec(), 4, 2 ** 20, 5)
+        sizes = {c["check"]: c["size"] for c in plan_simulation(classical_pair_spec(), 4, 2 ** 20, 4)["caps"]}
+        assert sizes["codebook entries"] == 2 ** 24
         with pytest.raises(CapExceededError):
             plan_simulation(cqw_spec(), 15, 2, 1)
         with pytest.raises(QcoreError):
