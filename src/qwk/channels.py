@@ -160,25 +160,12 @@ class KrausChannel:
     def apply_matrix(self, rho: np.ndarray) -> np.ndarray:
         return sum(a @ rho @ a.conj().T for a in self.kraus_ops)
 
-    def dilate_vector(self, v: np.ndarray) -> np.ndarray:
-        """Image of an input vector on out (x) env."""
-        return self.isometry @ v
-
-    def _dilated(self, rho: np.ndarray) -> np.ndarray:
-        """U rho U* as a (d_out, env_dim, d_out, env_dim) array."""
-        big = self.isometry @ rho @ self.isometry.conj().T
-        do, de = self.d_out, self.env_dim
-        return big.reshape(do, de, do, de)
-
-    def env_matrix(self, rho: np.ndarray) -> np.ndarray:
-        """Environment output: trace the main output out of U rho U*."""
-        return np.trace(self._dilated(rho), axis1=0, axis2=2)
-
     def basis_outputs(self, basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Receiver and environment letters the channel induces on the
         columns of ``basis``: the two partial traces of U |b><b| U* for each
         column b, as two (d_in, ., .) stacks in column order."""
-        bigs = [self._dilated(np.outer(b, b.conj())) for b in basis.T]
+        u, do, de = self.isometry, self.d_out, self.env_dim
+        bigs = [(u @ np.outer(b, b.conj()) @ u.conj().T).reshape(do, de, do, de) for b in basis.T]
         return (np.stack([np.trace(g, axis1=1, axis2=3) for g in bigs]),
                 np.stack([np.trace(g, axis1=0, axis2=2) for g in bigs]))
 

@@ -18,7 +18,9 @@ Pipeline (exact state-vector evolution throughout):
    audit against the maximally entangled target, and the final bound
    comparison at the measured slack.
 
-Codewords are product vectors, hence pure, so no stage purifies them.
+Codewords are computational-basis product vectors |w>, kept as their basis
+indices: each state's channel output U|w> is one column of its n-fold
+isometry, so no stage builds a codeword vector or purifies one.
 
 Register order everywhere: [A, Q^n, E^n, M, L, T'] with T' carrying one
 extra fail slot that absorbs the measurement defect.  E^n is the
@@ -31,10 +33,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import CQChannel, KrausChannel, cq_word_state, n_fold, require_quantum
+from .channels import CQChannel, KrausChannel, n_fold, require_quantum
 from .qcore import (
     QcoreError,
-    accumulate_products,
     check_dim_cap,
     hermitian_eigensystem,
     pretty_good_measurement,
@@ -65,7 +66,7 @@ class EntgenCode:
     dq: int
     blocks: list  # per-state n-fold KrausChannel
     words: np.ndarray  # (J, L, n)
-    codeword_vecs: np.ndarray  # (J, L, dp^n) codeword vectors
+    index: np.ndarray  # (J, L) basis index of each codeword in P^n
     povm: np.ndarray  # (T, J, L, Dq, Dq)
     detect_prob: np.ndarray  # (T, J, L)
     env_avg: list  # per-state averaged environment state (De, De)
@@ -163,7 +164,8 @@ def _measurement_code(family, p, n, J, L, seed, params) -> EntgenCode:
     Codewords are sampled from the truncated typical distribution and kept
     distinct across all (j, l) so that the encoder superposition stays
     normalized (repeated words would make Fourier branches collide).
-    Codewords are product vectors of the computational basis.
+    Each state's receiver and environment halves of |Uw><Uw| come from its
+    n-fold channel on the codeword's basis column, one codeword at a time.
     """
     _check_family(family)
     if params is None:
@@ -178,9 +180,7 @@ def _measurement_code(family, p, n, J, L, seed, params) -> EntgenCode:
     check_dim_cap(J * dq ** n * max(de) * J * L * (T + 1), "protocol state vector")
     words = _sample_distinct_words(np.asarray(p, float), n, J * L, seed, params.delta)
     words = words.reshape(J, L, n)
-    eye = np.eye(dp, dtype=complex)
-    codeword_vecs = np.stack([accumulate_products(eye[w])
-                              for w in words.reshape(J * L, n)]).reshape(J, L, dp ** n)
+    index = words @ dp ** np.arange(n - 1, -1, -1)
     # joint pretty-good measurement over (state, message, randomization)
     rec_cqs = [_induced_cq(ch) for ch in family]
     prior = np.asarray(p, dtype=float)
@@ -192,41 +192,31 @@ def _measurement_code(family, p, n, J, L, seed, params) -> EntgenCode:
         sandwiched_outputs(rec, words.reshape(J * L, n), prior, params,
                            out=elements[t * J * L:(t + 1) * J * L])
     pretty_good_measurement(elements, out=elements)
-    # rounding in the normaliser of a nearly singular sum can push the POVM
-    # past I; shrink those directions so the measurement stays an isometry
-    w, u = np.linalg.eigh(povm.sum(axis=(0, 1, 2)))
-    if w[-1] > 1.0 + 1e-11:
-        shrink = (u / np.sqrt(np.maximum(w, 1.0))) @ u.conj().T
-        for e in elements:
-            e[...] = shrink @ e @ shrink
+    v_unitary = _measurement_unitary(elements, J, L, T)
     detect_prob = np.empty((T, J, L))
-    for t, rec in enumerate(rec_cqs):
-        outs = cq_word_state(rec, words)
-        for j, l in np.ndindex(J, L):
-            detect_prob[t, j, l] = np.trace(povm[t, j, l] @ outs[j, l]).real
-    # averaged environment states
     env_states = []
     spread = np.zeros(T)
-    for t in range(T):
+    for t, block in enumerate(blocks):
         per_msg_env = []
-        for j in range(J):
-            acc = None
-            for l in range(L):
-                e = blocks[t].env_matrix(np.outer(codeword_vecs[j, l], codeword_vecs[j, l].conj()))
-                acc = e if acc is None else acc + e
-            per_msg_env.append(acc / L)
+        for j, l in np.ndindex(J, L):
+            column = np.zeros((dp ** n, 1), dtype=complex)
+            column[index[j, l]] = 1.0
+            (rec,), (env,) = block.basis_outputs(column)
+            detect_prob[t, j, l] = np.vdot(povm[t, j, l], rec).real
+            acc = env if l == 0 else acc + env
+            if l == L - 1:
+                per_msg_env.append(acc / L)
         env_avg_t = sum(per_msg_env) / J
         env_states.append(env_avg_t)
         spread[t] = max(trace_norm(om - env_avg_t) for om in per_msg_env)
-    v_unitary = _measurement_unitary(povm, dq_n, J, L, T)
     return EntgenCode(
-        n=n, J=J, L=L, T=T, dp=dp, dq=dq, blocks=blocks, words=words,
-        codeword_vecs=codeword_vecs, povm=povm, detect_prob=detect_prob, env_avg=env_states, env_spread=spread, v_unitary=v_unitary,
-        params=params, seed=seed,
+        n=n, J=J, L=L, T=T, dp=dp, dq=dq, blocks=blocks, words=words, index=index,
+        povm=povm, detect_prob=detect_prob, env_avg=env_states, env_spread=spread,
+        v_unitary=v_unitary, params=params, seed=seed,
     )
 
 
-def _measurement_unitary(povm: np.ndarray, dq_n: int, J: int, L: int, T: int) -> np.ndarray:
+def _measurement_unitary(elements: np.ndarray, J: int, L: int, T: int) -> np.ndarray:
     """Coherent measurement as the (D, Dq) isometry from Q^n into
     [Q^n, M, L, T'], D = Dq*J*L*(T+1): records (j, l, t) into the ancillas
     via sqrt-operator branches, with a fail branch at t = T absorbing the
@@ -234,14 +224,29 @@ def _measurement_unitary(povm: np.ndarray, dq_n: int, J: int, L: int, T: int) ->
 
     These are the columns of the measurement unitary on the inputs
     |q, 0, 0, 0>; the ancillas always start there, so no use needs the rest.
+    The one guard acts on A = sum_k sqrt(E_k)^dag sqrt(E_k), the sum the
+    branches apply.  The square roots clip rounding negatives of the E_k, so
+    A >= sum_k E_k and A can pass I where the POVM's sum does not.  Where A
+    passes I + 1e-12, each branch becomes sqrt(E_k) S and each element of
+    ``elements`` (in place) S E_k S, with S = A^-1/2 on A's eigenvalues
+    above 1 and I elsewhere; the fail branch sqrt(I - S A S) then completes
+    the isometry.
     """
-    tp = T + 1
-    leftover = np.eye(dq_n) - povm.sum(axis=(0, 1, 2))
-    sqrts = psd_sqrt(povm.reshape(-1, dq_n, dq_n))
+    dq_n = elements.shape[-1]
+    roots = psd_sqrt(elements)
+    flat = roots.reshape(-1, dq_n)
+    applied = flat.conj().T @ flat
+    w, u = np.linalg.eigh(applied)
+    if w[-1] > 1.0 + 1e-12:
+        shrink = (u / np.sqrt(np.maximum(w, 1.0))) @ u.conj().T
+        roots = roots @ shrink
+        applied = shrink @ applied @ shrink
+        for e in elements:
+            e[...] = shrink @ e @ shrink
     # branches[qo, j, l, t, q] = <qo| sqrt(E_tjl) |q>
-    branches = np.zeros((dq_n, J, L, tp, dq_n), dtype=complex)
-    branches[:, :, :, :T] += sqrts.reshape(T, J, L, dq_n, dq_n).transpose(3, 1, 2, 0, 4)
-    branches[:, 0, 0, T] += psd_sqrt(leftover)
+    branches = np.zeros((dq_n, J, L, T + 1, dq_n), dtype=complex)
+    branches[:, :, :, :T] += roots.reshape(T, J, L, dq_n, dq_n).transpose(3, 1, 2, 0, 4)
+    branches[:, 0, 0, T] += psd_sqrt(np.eye(dq_n) - applied)
     return branches.reshape(-1, dq_n)
 
 
@@ -264,16 +269,15 @@ def compute_uhlmann_partners(code: EntgenCode) -> EntgenCode:
     for t, block in enumerate(code.blocks):
         de = block.env_dim
         zt = np.zeros((code.J, code.L, code.Dq * de), dtype=complex)
-        for j in range(code.J):
-            for l in range(code.L):
-                dilated = block.dilate_vector(code.codeword_vecs[j, l])  # [Q^n (x) E^n]
-                contracted = (branches[:, j, l, t, :] @ dilated.reshape(code.Dq, de)).reshape(-1)
-                norm = np.linalg.norm(contracted)
-                if norm < 1e-15:
-                    zt[j, l, 0] = 1.0
-                    continue
-                zt[j, l] = contracted / norm
-                partner_fid[t, j, l] = float(norm ** 2)
+        for j, l in np.ndindex(code.J, code.L):
+            dilated = block.isometry[:, code.index[j, l]]  # U|w> on [Q^n (x) E^n]
+            contracted = (branches[:, j, l, t, :] @ dilated.reshape(code.Dq, de)).reshape(-1)
+            norm = np.linalg.norm(contracted)
+            if norm < 1e-15:
+                zt[j, l, 0] = 1.0
+                continue
+            zt[j, l] = contracted / norm
+            partner_fid[t, j, l] = float(norm ** 2)
         partners.append(zt)
     code.partners = partners
     code.partner_fid = partner_fid
@@ -308,12 +312,12 @@ def phase_align(code: EntgenCode) -> EntgenCode:
             for l in range(L):
                 pulled = branches[:, j, l, t, :].conj().T @ code.partners[t][j, l].reshape(code.Dq, de)
                 b[t, l] = adjoint @ pulled.reshape(-1)
-        a = code.codeword_vecs[j]
         best_k, best_val = 1, -np.inf
         overlaps_at_best = None
         for k in range(1, L + 1):
             phases = _fourier_phases(L, k)
-            a_hat = (phases[:, None] * a).sum(axis=0) / np.sqrt(L)
+            a_hat = np.zeros(code.Dp, dtype=complex)
+            a_hat[code.index[j]] = phases / np.sqrt(L)
             per_t = np.zeros(code.T, dtype=complex)
             for t in range(code.T):
                 b_hat = (phases[:, None] * b[t]).sum(axis=0) / np.sqrt(L)
@@ -341,23 +345,18 @@ def _env_avg_purification(env_avg_t: np.ndarray, dq_n: int, L: int):
 
     If the state's rank exceeds the ancilla dimension the smallest
     eigenvalues are truncated (and renormalized); the truncated mass is
-    returned for the audit.
+    returned for the audit.  Kept eigenvector s sits at slot s of the
+    ancilla pair (Q^n, L), read as (s // L, s % L).
     """
     w, v = hermitian_eigensystem(env_avg_t)
     de = env_avg_t.shape[0]
-    anc = dq_n * L
-    support = [i for i in range(len(w)) if w[i] > 1e-14]
-    truncated = 0.0
-    if len(support) > anc:
-        truncated = float(sum(w[i] for i in support[anc:]))
-        support = support[:anc]
-    weights = np.array([w[i] for i in support])
-    weights = weights / weights.sum()
-    vec = np.zeros((dq_n, de, L), dtype=complex)
-    for slot, i in enumerate(support):
-        q_idx, l_idx = divmod(slot, L)
-        vec[q_idx, :, l_idx] += np.sqrt(weights[slot]) * v[:, i]
-    return vec.reshape(-1), truncated
+    support = np.flatnonzero(w > 1e-14)
+    truncated = float(sum(w[support[dq_n * L:]]))
+    support = support[:dq_n * L]
+    weights = w[support] / w[support].sum()
+    vec = np.zeros((dq_n * L, de), dtype=complex)
+    vec[:len(support)] += np.sqrt(weights)[:, None] * v[:, support].T
+    return vec.reshape(dq_n, L, de).transpose(0, 2, 1).reshape(-1), truncated
 
 
 def _branch_sum(code: EntgenCode, t: int, j: int) -> np.ndarray:
@@ -428,8 +427,7 @@ def _evolve(code: EntgenCode, t: int) -> tuple[float, dict, dict]:
     # sender superposition on [A, P^n]
     psi = np.zeros((J, code.Dp), dtype=complex)
     for j in range(J):
-        for phase, vec in zip(_fourier_phases(L, code.fourier_idx[j]), code.codeword_vecs[j]):
-            psi[j] += phase * vec
+        psi[j, code.index[j]] = _fourier_phases(L, code.fourier_idx[j])
     norm = np.linalg.norm(psi)
     psi /= norm
     # the channel on [P^n], then the measurement on [Q^n] alone: its ancillas

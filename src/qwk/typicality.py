@@ -163,14 +163,16 @@ class _Spectrum(NamedTuple):
     """The width-free half of a typical projector: the letter unitaries of a
     product reference state and, in their Kronecker order, each eigen-word's
     -log2 eigenvalue, eigenvalue and distance |neglog - center| from the
-    window centre; ``by_offset`` holds those distances in increasing order
-    with the reference mass accumulated along them."""
+    window centre; ``order`` sorts those distances increasingly, and
+    ``by_offset`` holds them in that order with the reference mass
+    accumulated along them."""
 
     letter_unitaries: list
     neglogs: np.ndarray
     probs: np.ndarray
     center: float
     offsets: np.ndarray
+    order: np.ndarray
     by_offset: tuple
 
 
@@ -218,9 +220,11 @@ def _spectrum(systems: dict, word, center) -> _Spectrum:
     probs = accumulate_products(eigs)
     unitaries = [systems[x][1] for x in word]
     offsets = np.abs(neglogs - center)
-    for arr in (neglogs, probs, offsets, *unitaries):
+    order = np.argsort(offsets)
+    for arr in (neglogs, probs, offsets, order, *unitaries):
         arr.setflags(write=False)  # shared by every projector of the sweep
-    return _Spectrum(unitaries, neglogs, probs, center, offsets, _mass_by_offset(offsets, probs))
+    by_offset = (offsets[order], np.cumsum(probs[order]))
+    return _Spectrum(unitaries, neglogs, probs, center, offsets, order, by_offset)
 
 
 def _accumulate_sums(per_letter: Sequence[np.ndarray]) -> np.ndarray:
@@ -228,12 +232,6 @@ def _accumulate_sums(per_letter: Sequence[np.ndarray]) -> np.ndarray:
     for vals in per_letter:
         total = (total[:, None] + vals[None, :]).reshape(-1)
     return total
-
-
-def _mass_by_offset(offsets, weights):
-    """Offsets in increasing order, with the cumulative weight up to each."""
-    order = np.argsort(offsets)
-    return offsets[order], np.cumsum(weights[order])
 
 
 def _min_k_for_mass(by_offset, target_mass, unit):
@@ -354,23 +352,30 @@ def averaged_output_projector(prior, v: CQChannel, params: TypicalParams) -> Typ
     return typical_projector(rho, scaled)
 
 
-def averaged_trace_check(proj: TypicalProjector, v: CQChannel, word, params: TypicalParams) -> BoundCheck:
-    """Trace of the word's output against the averaged-output projector."""
-    n, alpha = params.n, params.alpha
+def averaged_trace_checks(projs, v: CQChannel, word, params_seq) -> list[BoundCheck]:
+    """Trace of the word's output against each averaged-output projector of
+    one sweep, one check per entry of ``params_seq``.  The projectors share
+    one spectrum, so the word's weights in its eigenbasis and their mass
+    along its offset order are formed once."""
+    spec = projs[0].spectrum
     a = len(v.input_alphabet)
     d = v.d_out
-    u = proj.spectrum.letter_unitaries[0]
+    u = spec.letter_unitaries[0]
     diagonals = {}
     for x in set(word):
         m = u.conj().T @ v.letters[x] @ u
         diagonals[x] = np.clip(np.real(np.diag(m)), 0.0, None)
     weights = accumulate_products([diagonals[x] for x in word])
-    lhs = float(weights[proj.kept].sum())
-    rhs = 1.0 - a * d / (4 * n * alpha ** 2)
-    unit = d * (alpha * np.sqrt(a)) * np.sqrt(n)
-    by_offset = _mass_by_offset(proj.spectrum.offsets, weights)
-    min_k = _min_k_for_mass(by_offset, rhs, unit)
-    return BoundCheck("avg-trace", lhs, rhs, lhs >= rhs - 1e-12, min_k)
+    by_offset = (spec.by_offset[0], np.cumsum(weights[spec.order]))
+    checks = []
+    for proj, params in zip(projs, params_seq):
+        n, alpha = params.n, params.alpha
+        lhs = float(weights[proj.kept].sum())
+        rhs = 1.0 - a * d / (4 * n * alpha ** 2)
+        unit = d * (alpha * np.sqrt(a)) * np.sqrt(n)
+        min_k = _min_k_for_mass(by_offset, rhs, unit)
+        checks.append(BoundCheck("avg-trace", lhs, rhs, lhs >= rhs - 1e-12, min_k))
+    return checks
 
 
 # ---------------------------------------------------------------------------

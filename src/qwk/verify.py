@@ -29,7 +29,7 @@ from .qcore import (
 from .typicality import (
     TypicalParams,
     averaged_output_projectors,
-    averaged_trace_check,
+    averaged_trace_checks,
     conditional_typical_projectors,
     sandwich_bound,
     sandwich_deviation,
@@ -48,7 +48,8 @@ def suite_typicality(seed: int = 0, n_random: int = 10) -> list[dict]:
 
     Each state sweeps its (n, alpha) grid once for its typical projectors;
     each (state, n) sweeps its alphas once for its conditional and averaged
-    projectors and builds its word's output state once.  Each alpha's
+    projectors and their averaged trace checks, and builds its word's
+    output state once.  Each alpha's
     sandwich reuses the conditional and averaged projectors of its checks,
     and equal pairs of kept masks share one deviation.
     """
@@ -72,11 +73,11 @@ def suite_typicality(seed: int = 0, n_random: int = 10) -> list[dict]:
             sweep = [TypicalParams(n=n, alpha=alpha) for alpha in alphas]
             conds = conditional_typical_projectors(v, word, prior, sweep)
             avgs = averaged_output_projectors(prior, v, sweep)
+            c7s = averaged_trace_checks(avgs, v, word, sweep)
             deviations = {}
-            for alpha, params, proj, avg in zip(alphas, sweep, conds, avgs):
+            for alpha, params, proj, avg, c7 in zip(alphas, sweep, conds, avgs, c7s):
                 records += [{**c.as_record(), "bound_id": f"{c.bound_id}[s{si},n{n},a{alpha}]"}
                             for c in proj.checks]
-                c7 = averaged_trace_check(avg, v, word, params)
                 records.append({**c7.as_record(), "bound_id": f"avg-trace[s{si},n{n},a{alpha}]"})
                 key = (avg.kept.tobytes(), proj.kept.tobytes())
                 if key not in deviations:

@@ -116,11 +116,12 @@ def sizes_from_rates(
 ):
     """Randomization depths and message count from the displayed size rules.
 
-    Per state the randomization depth is ceil(2^(n(chi_t + 2*leak_margin)))
-    and the message count is floor(2^(n min_t(I_t - log(L_t)/n - rate_margin)));
-    a nonpositive exponent is flagged and J clamps to 1.  A depth above the
-    codebook-entry cap ``ENUM_CAP`` raises CapExceededError before it is
-    formed, since no codebook of that depth could be sampled.
+    Per state the randomization depth is ceil(2^(n(chi_t + 2*leak_margin))),
+    at least 1, and the message count is
+    floor(2^(n min_t(I_t - log(L_t)/n - rate_margin))); a nonpositive
+    exponent is flagged and J clamps to 1.  A depth or message count above
+    the codebook-entry cap ``ENUM_CAP`` raises CapExceededError before it is
+    formed, since no codebook of that size could be sampled.
     """
     p = np.asarray(p, dtype=float)
     l_per_t = {}
@@ -130,11 +131,14 @@ def sizes_from_rates(
         exponent = n * (chi + 2 * leak_margin)
         if exponent > np.log2(ENUM_CAP):
             raise CapExceededError(f"randomization depth 2^{exponent:.4g} of state {name} exceeds the cap")
-        l_t = int(np.ceil(2 ** exponent))
+        l_t = max(1, int(np.ceil(2 ** exponent)))
         l_per_t[name] = l_t
         legit = _wiretap_rate(p, spec.legitimate[idx])
         j_exponents.append(legit - np.log2(l_t) / n - rate_margin)
-    j_raw = 2 ** (n * min(j_exponents))
+    j_exponent = n * min(j_exponents)
+    if j_exponent > np.log2(ENUM_CAP):
+        raise CapExceededError(f"message count 2^{j_exponent:.4g} exceeds the cap")
+    j_raw = 2 ** j_exponent
     degenerate = j_raw < 1.0
     j = max(1, int(np.floor(j_raw)))
     return j, l_per_t, degenerate

@@ -27,7 +27,7 @@ from qwk.typicality import (
     TypicalParams,
     averaged_output_projector,
     conditional_typical_projector,
-    averaged_trace_check,
+    averaged_trace_checks,
     typical_projector,
 )
 from qwk.verify import suite_fannes, suite_gentle
@@ -101,7 +101,7 @@ def test_criterion_3_typicality_bounds():
                     checks += 1
                     violations += not c.passed
                 avg = averaged_output_projector([0.5, 0.5], v, params)
-                c7 = averaged_trace_check(avg, v, word, params)
+                c7 = averaged_trace_checks([avg], v, word, [params])[0]
                 checks += 1
                 violations += not c7.passed
     elapsed = time.monotonic() - t0

@@ -158,7 +158,7 @@ class TestApplyAndNFold:
             rec, env = s.basis_outputs(u)
             dilated = [(s.isometry @ r @ s.isometry.conj().T).reshape(d, k, d, k) for r in rhos]
             assert np.array_equal(rec, np.stack([np.trace(g, axis1=1, axis2=3) for g in dilated]))
-            assert np.array_equal(env, np.stack([s.env_matrix(r) for r in rhos]))
+            assert np.array_equal(env, np.stack([env_output(s, r) for r in rhos]))
 
 
 def dilation_output(s, rho):
@@ -166,6 +166,13 @@ def dilation_output(s, rho):
     do, de = s.d_out, s.env_dim
     big = s.isometry @ rho @ s.isometry.conj().T
     return np.trace(big.reshape(do, de, do, de), axis1=1, axis2=3)
+
+
+def env_output(s, rho):
+    """Environment output as the partial trace of U rho U* over the receiver."""
+    do, de = s.d_out, s.env_dim
+    big = s.isometry @ rho @ s.isometry.conj().T
+    return np.trace(big.reshape(do, de, do, de), axis1=0, axis2=2)
 
 
 class TestKrausStinespring:
@@ -246,7 +253,7 @@ class TestKrausStinespring:
         assert np.allclose(env, [[1.0]])
 
     def test_complementary_depolarizing_env_entropy(self):
-        env = depolarizing_kraus(1.0).env_matrix(np.eye(2) / 2)
+        env = env_output(depolarizing_kraus(1.0), np.eye(2) / 2)
         assert von_neumann_entropy(env) == pytest.approx(2.0, abs=1e-9)
 
     def test_coherent_information_identity_on_outputs(self):

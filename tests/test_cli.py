@@ -658,6 +658,26 @@ class TestSimulatePlan:
         assert rc == EXIT_CAP
         assert not out.exists()
 
+    def test_very_negative_margins_keep_one_depth_or_refuse_the_message_count(self, tmp_path,
+                                                                             monkeypatch):
+        # a leak margin of -1000 underflows the depth 2^(4(chi - 2000)) to 0,
+        # and a rate margin of -1000 asks for 2^4001 messages
+        import qwk.cli
+
+        args = ["simulate", "--spec", spec_path("bsc_pair.json"), "--n", "4", "--seed", "1",
+                "--L", "auto"]
+        out = tmp_path / "deep.json"
+        assert run_cli(args + ["--leak-margin", "-1000", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["payload"]["sizes"]["L_per_t"] == {"t1": 1}
+
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("a capped request sampled a codebook")
+
+        monkeypatch.setattr(qwk.cli, "sample_codebook", no_sampling)
+        out = tmp_path / "wide.json"
+        assert run_cli(args + ["--rate-margin", "-1000", "--out", str(out)]) == EXIT_CAP
+        assert not out.exists()
+
     def test_plan_recorded_in_manifest_only(self, tmp_path):
         out = tmp_path / "sim.json"
         rc = run_cli(["simulate", "--spec", spec_path("qubit_wiretap.json"), "--n", "6",

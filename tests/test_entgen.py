@@ -16,8 +16,11 @@ from qwk.channels import (
 from qwk.cli import load_family
 from qwk.entgen import (
     EntgenCode,
+    _env_avg_purification,
     _evolve,
+    _fourier_phases,
     _induced_cq,
+    _measurement_code,
     build_decoder_unitaries,
     build_entgen_code,
     compute_uhlmann_partners,
@@ -26,7 +29,15 @@ from qwk.entgen import (
     phase_align,
     run_full_audit,
 )
-from qwk.qcore import QcoreError, pgm_inverse_sqrt, psd_sqrt, random_density
+from qwk.qcore import (
+    QcoreError,
+    accumulate_products,
+    hermitian_eigensystem,
+    pgm_inverse_sqrt,
+    psd_sqrt,
+    random_density,
+    trace_norm,
+)
 from qwk.typicality import TypicalParams, sandwiched_outputs
 
 Q = 2
@@ -45,6 +56,23 @@ def rotated_channel(theta):
 
 def build_pipeline(family, n, J, L, seed, params):
     return build_entgen_code(family, [0.5, 0.5], n=n, J=J, L=L, seed=seed, params=params)
+
+
+def codeword_vectors(code):
+    """The former one-hot codeword vectors, (J, L, Dp), rebuilt from
+    ``code.index``."""
+    vecs = np.zeros((code.J, code.L, code.Dp), dtype=complex)
+    for j, l in np.ndindex(code.J, code.L):
+        vecs[j, l, code.index[j, l]] = 1.0
+    return vecs
+
+
+def dilated_halves(block, rho):
+    """Receiver and environment outputs of ``block``: the two partial
+    traces of U rho U*."""
+    big = block.isometry @ rho @ block.isometry.conj().T
+    big = big.reshape(block.d_out, block.env_dim, block.d_out, block.env_dim)
+    return np.trace(big, axis1=1, axis2=3), np.trace(big, axis1=0, axis2=2)
 
 
 def apply_on_axes(vec: np.ndarray, dims: list[int], op: np.ndarray, targets: list[int]):
@@ -151,6 +179,15 @@ class TestBuildCode:
         flat = {tuple(w) for w in code.words.reshape(-1, 2)}
         assert len(flat) == 4
 
+    def test_index_is_the_position_of_the_word_product(self):
+        # the Kronecker product of the letters' basis vectors is one-hot at index
+        code = build_entgen_code([depolarizing_kraus(0.1)], [0.5, 0.5], 3, 2, 2, 4,
+                                 TypicalParams(n=3, delta=0.5))
+        eye = np.eye(code.dp, dtype=complex)
+        for j, l in np.ndindex(code.J, code.L):
+            product = accumulate_products(eye[code.words[j, l]])
+            assert np.array_equal(product, codeword_vectors(code)[j, l])
+
     def test_too_many_words_rejected(self):
         with pytest.raises(QcoreError):
             build_entgen_code([identity_kraus()], [0.5, 0.5], 1, 4, 4, 0, PARAMS1)
@@ -165,10 +202,11 @@ def isometry_detect_prob(code):
     """Reference: tr(E_tjl rho) with rho the receiver's output of codeword
     (j, l), conjugated through state t's n-fold isometry."""
     ref = np.zeros((code.T, code.J, code.L))
+    vecs = codeword_vectors(code)
     for t in range(code.T):
         for j in range(code.J):
             for l in range(code.L):
-                v = code.codeword_vecs[j, l]
+                v = vecs[j, l]
                 out = code.blocks[t].apply_matrix(np.outer(v, v.conj()))
                 ref[t, j, l] = np.trace(code.povm[t, j, l] @ out).real
     return ref
@@ -189,6 +227,7 @@ def full_product_partners(code):
     """Reference: the partners through the full measurement image
     v_unitary @ dilated, contracted with the one-hot record vector."""
     tp = code.T + 1
+    vecs = codeword_vectors(code)
     partners = []
     partner_fid = np.zeros((code.T, code.J, code.L))
     for t, block in enumerate(code.blocks):
@@ -196,7 +235,7 @@ def full_product_partners(code):
         zt = np.zeros((code.J, code.L, code.Dq * de), dtype=complex)
         for j in range(code.J):
             for l in range(code.L):
-                dilated = block.dilate_vector(code.codeword_vecs[j, l])
+                dilated = block.isometry @ vecs[j, l]
                 psi = (code.v_unitary @ dilated.reshape(code.Dq, de)).reshape(-1)
                 record = np.zeros(code.J * code.L * tp, dtype=complex)
                 record[(j * code.L + l) * tp + t] = 1.0
@@ -281,11 +320,12 @@ class TestPhaseAlign:
         code = build_entgen_code(fam, [0.5, 0.5], 2, 2, 2, 3, PARAMS2)
         tp, L = code.T + 1, code.L
         branches = code.v_unitary.reshape(code.Dq, code.J, L, tp, code.Dq)
+        vecs = codeword_vectors(code)
         for j in range(code.J):
             phases = np.exp(2j * np.pi * np.arange(1, L + 1) * code.fourier_idx[j] / L)
-            a_hat = (phases[:, None] * code.codeword_vecs[j]).sum(axis=0) / np.sqrt(L)
+            a_hat = (phases[:, None] * vecs[j]).sum(axis=0) / np.sqrt(L)
             for t, block in enumerate(code.blocks):
-                dilated = block.dilate_vector(a_hat)
+                dilated = block.isometry @ a_hat
                 ref = sum(phases[l] / np.sqrt(L) * np.vdot(dilated, (
                     branches[:, j, l, t, :].conj().T
                     @ code.partners[t][j, l].reshape(code.Dq, code.de[t])).reshape(-1))
@@ -438,14 +478,30 @@ class TestMeasurementIsometry:
         assert (code.T, code.L) == (2, 2)
         ref = gram_schmidt_measurement_unitary(code.povm, code.Dq, code.J, code.L, code.T)
         inputs = np.arange(code.Dq) * (code.J * code.L * (code.T + 1))
-        assert np.array_equal(code.v_unitary, ref[:, inputs])
+        got = code.v_unitary.reshape(code.Dq, code.J, code.L, code.T + 1, code.Dq)
+        ref = ref[:, inputs].reshape(got.shape)
+        assert np.array_equal(got[:, :, :, :code.T], ref[:, :, :, :code.T])
+        # the fail branch is the root of a leftover whose eigenvalues are
+        # rounding (~1e-16), so it is compared through the operator it applies
+        fail, ref_fail = (v[:, :, :, code.T].reshape(-1, code.Dq) for v in (got, ref))
+        assert np.max(np.abs(fail.conj().T @ fail - ref_fail.conj().T @ ref_fail)) <= 1e-12
+
+    def test_isometry_holds_where_clipped_roots_pass_the_identity(self):
+        # the PGM elements here have eigenvalues down to -3.4e-10, and their
+        # clipped roots apply a sum 9.4e-11 past I while sum(E) stays inside
+        fam = [rotated_channel(0.671875), rotated_channel(0.6714381769119641)]
+        code = build_pipeline(fam, 2, 2, 1, 0, PARAMS2)
+        v = code.v_unitary
+        assert np.max(np.abs(v.conj().T @ v - np.eye(code.Dq))) <= 1e-12
+        assert np.linalg.eigvalsh(code.povm.sum(axis=(0, 1, 2)))[-1] <= 1 + 1e-12
 
 
 def stacked_stage_one(code, family, params, scale=1.0):
-    """Reference: the former stage-1 forms.  Every sandwiched output in one
+    """Reference: the stacked stage-1 forms.  Every sandwiched output in one
     stacked (T, J, L, Dq, Dq) array, the square-root measurement (its
-    normaliser times ``scale``) and the shrink as stacked products, and
-    detect_prob as one stacked trace."""
+    normaliser times ``scale``) and the shrink where the square roots'
+    applied sum passes I as stacked products, and detect_prob as one
+    stacked trace against the word states of the induced letters."""
     J, L, D = code.J, code.L, code.Dq
     recs = [_induced_cq(ch) for ch in family]
     words = code.words.reshape(J * L, code.n)
@@ -453,8 +509,9 @@ def stacked_stage_one(code, family, params, scale=1.0):
     flat = sand.reshape(-1, D, D)
     inv_sqrt = pgm_inverse_sqrt(flat.sum(axis=0)) * scale
     povm = (inv_sqrt @ flat @ inv_sqrt).reshape(code.T, J, L, D, D)
-    w, u = np.linalg.eigh(povm.sum(axis=(0, 1, 2)))
-    if w[-1] > 1.0 + 1e-11:
+    roots = psd_sqrt(povm.reshape(-1, D, D)).reshape(-1, D)
+    w, u = np.linalg.eigh(roots.conj().T @ roots)
+    if w[-1] > 1.0 + 1e-12:
         shrink = (u / np.sqrt(np.maximum(w, 1.0))) @ u.conj().T
         povm = shrink @ povm @ shrink
     outs = np.stack([cq_word_state(rec, code.words) for rec in recs])
@@ -474,7 +531,9 @@ class TestStageOneAgainstStackedForms:
         code = build_entgen_code(fam, [0.5, 0.5], 3, 4, 2, 2, params)
         povm, detect_prob = stacked_stage_one(code, fam, params, scale)
         assert np.array_equal(code.povm, povm)
-        assert np.array_equal(code.detect_prob, detect_prob)
+        # the code reads each receiver state off the n-fold isometry's column
+        # and takes vdot(E, rho), so only rounding separates the two forms
+        assert np.max(np.abs(code.detect_prob - detect_prob)) <= 1e-12
 
 
 def dense_protocol_reference(code, family, t_true):
@@ -485,11 +544,12 @@ def dense_protocol_reference(code, family, t_true):
     J, L, T, Dq, tp = code.J, code.L, code.T, code.Dq, code.T + 1
     de = code.de[t_true]
     w = n_fold(family[t_true], code.n).isometry
+    vecs = codeword_vectors(code)
     psi = np.zeros(J * code.Dp, dtype=complex)
     for j in range(J):
         phases = np.exp(2j * np.pi * np.arange(1, L + 1) * code.fourier_idx[j] / L)
         for l in range(L):
-            psi += phases[l] * np.kron(np.eye(J)[j], code.codeword_vecs[j, l])
+            psi += phases[l] * np.kron(np.eye(J)[j], vecs[j, l])
     psi /= np.linalg.norm(psi)
     psi, _ = apply_on_axes(psi, [J, code.Dp], w, [1])
     anc = np.zeros(J * L * tp)
@@ -577,6 +637,9 @@ class TestEntgenProperties:
     # nearly equal rotations: rounding in the PGM normaliser pushed the POVM
     # 1.4e-4 past I here before the sum was shrunk back
     @example(thetas=(0.0, 1.7782794100389227e-06), L=1, seed=0)
+    # the clipped square roots applied a sum 9.4e-11 past I here, while the
+    # POVM's own sum stayed inside; the isometry was off by 2.2e-10
+    @example(thetas=(0.671875, 0.6714381769119641), L=1, seed=0)
     @given(
         thetas=st.tuples(st.floats(0.0, np.pi), st.floats(0.0, np.pi)),
         L=st.sampled_from([1, 2]),
@@ -590,3 +653,206 @@ class TestEntgenProperties:
         assert np.max(np.abs(v.conj().T @ v - np.eye(code.Dq))) < 1e-10
         audit = run_full_audit(code)
         assert audit.min_fidelity >= audit.bound_rhs - 1e-9
+
+
+def former_env_avg_purification(env_avg_t, dq_n, L):
+    """Reference: the former purification, one ancilla slot per loop step."""
+    w, v = hermitian_eigensystem(env_avg_t)
+    de = env_avg_t.shape[0]
+    anc = dq_n * L
+    support = [i for i in range(len(w)) if w[i] > 1e-14]
+    truncated = 0.0
+    if len(support) > anc:
+        truncated = float(sum(w[i] for i in support[anc:]))
+        support = support[:anc]
+    weights = np.array([w[i] for i in support])
+    weights = weights / weights.sum()
+    vec = np.zeros((dq_n, de, L), dtype=complex)
+    for slot, i in enumerate(support):
+        q_idx, l_idx = divmod(slot, L)
+        vec[q_idx, :, l_idx] += np.sqrt(weights[slot]) * v[:, i]
+    return vec.reshape(-1), truncated
+
+
+class TestEnvAvgPurification:
+    @settings(max_examples=60, deadline=None)
+    @example(de=6, dq_n=1, L=2, rank=6, seed=0)  # rank 6 on 2 ancilla slots: truncates
+    @given(
+        de=st.integers(1, 8),
+        dq_n=st.sampled_from([1, 2, 4]),
+        L=st.integers(1, 3),
+        rank=st.integers(1, 8),
+        seed=st.integers(0, 2 ** 32 - 1),
+    )
+    def test_placement_matches_the_former_loop(self, de, dq_n, L, rank, seed):
+        rng = np.random.default_rng(seed)
+        g = rng.normal(size=(de, min(rank, de))) + 1j * rng.normal(size=(de, min(rank, de)))
+        rho = g @ g.conj().T
+        rho /= np.trace(rho).real
+        vec, truncated = _env_avg_purification(rho, dq_n, L)
+        ref_vec, ref_truncated = former_env_avg_purification(rho, dq_n, L)
+        assert np.array_equal(vec, ref_vec)
+        assert truncated == ref_truncated
+
+
+def former_phase_align(code, vecs):
+    """Reference: the former phase alignment, whose encoder superposition
+    is the Fourier sum of the one-hot codeword vectors."""
+    tp, L = code.T + 1, code.L
+    branches = code.v_unitary.reshape(code.Dq, code.J, L, tp, code.Dq)
+    fourier_idx = np.zeros(code.J, dtype=int)
+    align_phase = np.zeros(code.J)
+    aligned = np.zeros((code.T, code.J), dtype=complex)
+    for j in range(code.J):
+        b = np.zeros((code.T, L, code.Dp), dtype=complex)
+        for t, block in enumerate(code.blocks):
+            for l in range(L):
+                pulled = (branches[:, j, l, t, :].conj().T
+                          @ code.partners[t][j, l].reshape(code.Dq, block.env_dim))
+                b[t, l] = block.isometry.conj().T @ pulled.reshape(-1)
+        best_k, best_val, best = 1, -np.inf, None
+        for k in range(1, L + 1):
+            phases = _fourier_phases(L, k)
+            a_hat = (phases[:, None] * vecs[j]).sum(axis=0) / np.sqrt(L)
+            per_t = np.zeros(code.T, dtype=complex)
+            for t in range(code.T):
+                per_t[t] = np.vdot(a_hat, (phases[:, None] * b[t]).sum(axis=0) / np.sqrt(L))
+            if abs(per_t.mean()) > best_val + 1e-15:
+                best_k, best_val, best = k, abs(per_t.mean()), per_t
+        fourier_idx[j] = best_k
+        mean = best.mean()
+        align_phase[j] = float(-np.angle(mean)) if abs(mean) > 1e-15 else 0.0
+        aligned[:, j] = np.exp(1j * align_phase[j]) * best
+    return fourier_idx, align_phase, aligned
+
+
+def former_one_hot_code(code, monkeypatch):
+    """Reference: ``code`` with every codeword-dependent field rebuilt the
+    former way, from one-hot codeword vectors v: detect_prob and the
+    environment states from U v v^dag U^dag, the partners from U v, the
+    phase alignment from Fourier sums of the vectors, and the corrections
+    through the former purification loop.  The measurement is the code's."""
+    import qwk.entgen
+
+    vecs = codeword_vectors(code)
+    ref = copy.copy(code)
+    ref.notes = {}
+    ref.detect_prob = np.empty_like(code.detect_prob)
+    ref.env_avg, ref.env_spread = [], np.zeros(code.T)
+    for t, block in enumerate(code.blocks):
+        per_msg_env = []
+        for j in range(code.J):
+            acc = None
+            for l in range(code.L):
+                rec, env = dilated_halves(block, np.outer(vecs[j, l], vecs[j, l].conj()))
+                ref.detect_prob[t, j, l] = np.vdot(code.povm[t, j, l], rec).real
+                acc = env if acc is None else acc + env
+            per_msg_env.append(acc / code.L)
+        env_avg_t = sum(per_msg_env) / code.J
+        ref.env_avg.append(env_avg_t)
+        ref.env_spread[t] = max(trace_norm(om - env_avg_t) for om in per_msg_env)
+    ref.partners, ref.partner_fid = full_product_partners(code)
+    ref.fourier_idx, ref.align_phase, ref.aligned_overlap = former_phase_align(ref, vecs)
+    with monkeypatch.context() as m:
+        m.setattr(qwk.entgen, "_env_avg_purification", former_env_avg_purification)
+        return build_decoder_unitaries(ref)
+
+
+class EncoderCapture(np.ndarray):
+    """An isometry that records the right operand of each of its products."""
+
+    seen: list = []
+
+    def __matmul__(self, other):
+        EncoderCapture.seen.append(np.array(other))
+        return np.asarray(self) @ other
+
+
+CODE_ARRAYS = ("detect_prob", "env_avg", "env_spread") + STAGE_FIELDS
+
+
+class TestAgainstTheOneHotPath:
+    @pytest.mark.parametrize("fam", [
+        [depolarizing_kraus(0.1), depolarizing_kraus(0.3)],
+        [amplitude_damping(0.1), amplitude_damping(0.3)],
+    ], ids=["depolarizing", "amplitude_damping"])
+    @pytest.mark.parametrize("n, J, L, seed", [(2, 2, 1, 1), (2, 4, 1, 3), (3, 2, 1, 5),
+                                               (3, 2, 2, 2)])
+    def test_every_array_and_the_audit_bit_for_bit(self, fam, n, J, L, seed, monkeypatch):
+        code = build_entgen_code(fam, [0.5, 0.5], n, J, L, seed, TypicalParams(n=n, delta=0.5))
+        assert min(code.de) > 1
+        ref = former_one_hot_code(code, monkeypatch)
+        for name in CODE_ARRAYS:
+            got, want = getattr(code, name), getattr(ref, name)
+            if isinstance(got, list):
+                assert len(got) == len(want) and all(map(np.array_equal, got, want)), name
+            else:
+                assert np.array_equal(got, want), name
+        assert code.notes == ref.notes
+        if fam[0].env_dim == 4:
+            assert max(code.notes["env_avg_truncated_mass"]) > 0  # depolarizing truncates
+        # the encoder: the Fourier sum of the one-hot vectors, fed to each isometry
+        EncoderCapture.seen = []
+        ref.blocks = [copy.copy(block) for block in code.blocks]
+        for block in ref.blocks:
+            object.__setattr__(block, "isometry", block.isometry.view(EncoderCapture))
+        assert run_full_audit(ref).to_json_dict() == run_full_audit(code).to_json_dict()
+        psi = np.zeros((J, code.Dp), dtype=complex)
+        for j in range(J):
+            for phase, vec in zip(_fourier_phases(L, code.fourier_idx[j]), codeword_vectors(code)[j]):
+                psi[j] += phase * vec
+        psi /= np.linalg.norm(psi)
+        assert len(EncoderCapture.seen) == code.T
+        for seen in EncoderCapture.seen:
+            assert np.array_equal(seen, psi.T)
+
+
+def embedding(theta):
+    """Qubit-to-qutrit isometry |0> -> |0>, |1> -> cos|1> + sin|2>."""
+    return KrausChannel(2, 3, [np.array([[1.0, 0.0], [0.0, np.cos(theta)], [0.0, np.sin(theta)]])])
+
+
+class NumpySpy:
+    """numpy, recording the shape of every array its functions return."""
+
+    def __init__(self):
+        self.shapes = []
+
+    def __getattr__(self, name):
+        attr = getattr(np, name)
+        if not callable(attr) or isinstance(attr, type):
+            return attr
+
+        def call(*args, **kwargs):
+            out = attr(*args, **kwargs)
+            if isinstance(out, np.ndarray):
+                self.shapes.append(out.shape)
+            return out
+
+        return call
+
+
+def test_stage_one_reads_each_codeword_off_its_basis_column(monkeypatch):
+    # a qubit input and a qutrit output keep P^n and Q^n shapes apart
+    import qwk.channels
+    import qwk.entgen
+
+    spy = NumpySpy()
+    monkeypatch.setattr(qwk.entgen, "np", spy)
+    states, columns = [], []
+    real_kron, real_outputs = qwk.channels.kron_chain, KrausChannel.basis_outputs
+    monkeypatch.setattr(qwk.channels, "kron_chain",
+                        lambda factors: states.append(real_kron(factors)) or states[-1])
+    monkeypatch.setattr(KrausChannel, "basis_outputs",
+                        lambda ch, basis: columns.append(basis.shape) or real_outputs(ch, basis))
+    n, J, L = 2, 2, 2
+    code = _measurement_code([embedding(0.2), embedding(0.9)], [0.5, 0.5], n, J, L, 1,
+                             TypicalParams(n=n, delta=0.5))
+    Dp, Dq, T = code.Dp, code.Dq, code.T
+    assert (Dp, Dq) == (4, 9)
+    # no (J, L, Dp) or (J * L, Dp) codeword stack and no Dp x Dp codeword density
+    assert not {(J, L, Dp), (J * L, Dp), (Dp, Dp)} & set(spy.shapes)
+    # the word states are the sandwiches' own, one at a time: no (J, L, Dq, Dq) stack
+    assert states and all(state.shape == (Dq, Dq) for state in states)
+    # one basis column per (state, codeword), after each family member's letters
+    assert columns == [(2, 2)] * T + [(Dp, 1)] * (T * J * L)

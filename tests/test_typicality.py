@@ -13,12 +13,14 @@ from qwk.qcore import (
     CapExceededError,
     DensityOperator,
     QcoreError,
+    accumulate_products,
     psd_sqrt,
     random_density,
     random_unitary,
     trace_norm,
 )
 from qwk.typicality import (
+    BoundCheck,
     TypicalParams,
     TypicalProjector,
     averaged_output_projector,
@@ -28,7 +30,7 @@ from qwk.typicality import (
     sandwich_factors,
     sandwiched_output,
     sandwiched_outputs,
-    averaged_trace_check,
+    averaged_trace_checks,
     truncated_typical,
     typical_projector,
     typical_projectors,
@@ -36,6 +38,25 @@ from qwk.typicality import (
 )
 
 A = 2
+
+
+def former_averaged_trace_check(proj, v, word, params):
+    """Reference: the former one-projector check, which formed the word's
+    weights and sorted its spectrum's offsets afresh for every projector."""
+    n, alpha = params.n, params.alpha
+    a, d = len(v.input_alphabet), v.d_out
+    u = proj.spectrum.letter_unitaries[0]
+    diagonals = {x: np.clip(np.real(np.diag(u.conj().T @ v.letters[x] @ u)), 0.0, None)
+                 for x in set(word)}
+    weights = accumulate_products([diagonals[x] for x in word])
+    lhs = float(weights[proj.kept].sum())
+    rhs = 1.0 - a * d / (4 * n * alpha ** 2)
+    unit = d * (alpha * np.sqrt(a)) * np.sqrt(n)
+    order = np.argsort(proj.spectrum.offsets)
+    offsets, cum = proj.spectrum.offsets[order], np.cumsum(weights[order])
+    idx = np.searchsorted(cum, rhs - 1e-15)
+    min_k = float("inf") if idx >= len(offsets) else float(offsets[idx] / unit)
+    return BoundCheck("avg-trace", lhs, rhs, lhs >= rhs - 1e-12, min_k)
 
 
 def word_probability(p, word) -> float:
@@ -265,7 +286,7 @@ class TestAveragedProjector:
                 params = TypicalParams(n=n, alpha=alpha)
                 word = tuple(i % 2 for i in range(n))
                 proj = averaged_output_projector([0.5, 0.5], v, params)
-                check = averaged_trace_check(proj, v, word, params)
+                check = averaged_trace_checks([proj], v, word, [params])[0]
                 assert check.passed, f"te7 failed at n={n} alpha={alpha}"
 
 
@@ -514,6 +535,33 @@ class TestSweeps:
         with pytest.raises(QcoreError, match="not typical"):
             conditional_typical_projectors(v, word, [0.5, 0.5],
                                            [TypicalParams(n=4, delta=0.3), TypicalParams(n=4)])
+
+    @settings(max_examples=25, deadline=None)
+    @given(_qubit_states, _qubit_states, _alpha_lists)
+    def test_averaged_trace_sweep_equals_the_former_checks(self, m0, m1, alphas):
+        v = binary_cq(m0, m1)
+        for n in (1, 4, 7):
+            word = tuple(i % 2 for i in range(n))
+            sweep = [TypicalParams(n=n, alpha=alpha, delta=0.6) for alpha in alphas]
+            projs = averaged_output_projectors([0.5, 0.5], v, sweep)
+            for params, proj, check in zip(sweep, projs, averaged_trace_checks(projs, v, word, sweep)):
+                assert check == former_averaged_trace_check(proj, v, word, params)
+
+    def test_averaged_trace_sweep_forms_the_weights_once_and_sorts_nothing(self, monkeypatch):
+        import qwk.typicality
+
+        v = binary_cq(np.diag([0.7, 0.3]), np.diag([0.4, 0.6]))
+        sweep = [TypicalParams(n=6, alpha=alpha) for alpha in (0.5, 1.0, 2.0)]
+        projs = averaged_output_projectors([0.5, 0.5], v, sweep)
+        calls = []
+        real_products, real_sort = accumulate_products, np.argsort
+        monkeypatch.setattr(qwk.typicality, "accumulate_products",
+                            lambda factors: calls.append("weights") or real_products(factors))
+        monkeypatch.setattr(np, "argsort", lambda *args, **kwargs: calls.append("argsort")
+                            or real_sort(*args, **kwargs))
+        checks = averaged_trace_checks(projs, v, (0, 1) * 3, sweep)
+        assert len(checks) == 3
+        assert calls == ["weights"]
 
 
 @pytest.mark.parametrize("field", ["delta", "alpha", "k_const"])

@@ -27,7 +27,7 @@ from qwk.qcore import (
 from qwk.typicality import (
     TypicalParams,
     averaged_output_projector,
-    averaged_trace_check,
+    averaged_trace_checks,
     conditional_typical_projector,
     sandwiched_output,
     sandwiched_outputs,
@@ -78,7 +78,7 @@ def _suite_typicality_reference(seed: int = 0, n_random: int = 10) -> list[dict]
                                 min_k=c.min_k)
                     )
                 avg = averaged_output_projector(prior, v, params)
-                c7 = averaged_trace_check(avg, v, word, params)
+                c7 = averaged_trace_checks([avg], v, word, [params])[0]
                 records.append(
                     _record(f"avg-trace[s{si},n{n},a{alpha}]", c7.lhs, c7.rhs, c7.passed,
                             min_k=c7.min_k)

@@ -125,6 +125,18 @@ class TestSizesFromRates:
             with pytest.raises(CapExceededError):
                 sizes_from_rates(spec, [0.5, 0.5], 4, leak_margin=margin)
 
+    def test_depth_is_at_least_one_and_a_message_count_past_the_cap_is_refused(self):
+        const = ClassicalChannel((0, 1), (0,), [[1.0], [1.0]])
+        ident = ClassicalChannel((0, 1), (0, 1), [[1, 0], [0, 1]])
+        spec = CompoundWiretapSpec("classical", ("t1",), (ident,), (const,))
+        # 2^(4(0 - 2000)) underflows to 0; the depth stays 1
+        assert sizes_from_rates(spec, [0.5, 0.5], 4, leak_margin=-1000.0)[1] == {"t1": 1}
+        # J exponent 4(1 - 0 - margin): 23.6 at margin -4.9, past log2 ENUM_CAP = 24 at -5.25
+        assert 2 ** 23 < sizes_from_rates(spec, [0.5, 0.5], 4, rate_margin=-4.9)[0] < 2 ** 24
+        for margin in (-5.25, -1000.0):
+            with pytest.raises(CapExceededError, match="message count"):
+                sizes_from_rates(spec, [0.5, 0.5], 4, rate_margin=margin)
+
 
 class TestDecodingAndError:
     def test_noiseless_channel_zero_error(self):
