@@ -42,8 +42,8 @@ from .qcore import (
     psd_sqrt,
     trace_norm,
 )
+from .streams import counter_rng
 from .typicality import TypicalParams, sandwiched_outputs, truncated_typical
-from .wiretapsim import counter_rng
 
 _STREAM_ENTGEN = 7
 
@@ -134,7 +134,8 @@ def _induced_cq(ch: KrausChannel) -> CQChannel:
 
 def _sample_distinct_words(p, n, count, seed, delta):
     """Weighted sampling without replacement from the truncated typical
-    distribution; distinct words keep the encoder superposition normalized."""
+    distribution; distinct words keep the encoder superposition normalized.
+    Each of the J·L draws, from a shrinking pool, keeps its own ``counter_rng``."""
     words, probs = truncated_typical(p, n, delta)
     if len(words) < count:
         raise QcoreError(

@@ -39,6 +39,7 @@ from .qcore import (
     pretty_good_measurement,
     trace_norm,
 )
+from .streams import counter_draws, counter_rng
 from .typicality import (
     ENUM_CAP,
     TypicalParams,
@@ -54,12 +55,6 @@ _STREAM_CODEBOOK = 0
 _STREAM_ERROR = 1
 _STREAM_COVERING = 2
 _STREAM_PROTOCOL = 3
-
-
-def counter_rng(seed: int, *key: int) -> np.random.Generator:
-    """Counter-based generator keyed by (seed, key...)."""
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in key))
-    return np.random.Generator(np.random.Philox(ss))
 
 
 @dataclass
@@ -95,11 +90,10 @@ def sample_codebook(p, n: int, J: int, L: int, seed: int, delta: float = 0.1) ->
     if J < 1 or L < 1:
         raise QcoreError("J and L must be >= 1")
     words, probs = truncated_typical(p, n, delta)
-    out = np.zeros((J, L, n), dtype=int)
-    for j in range(J):
-        for l in range(L):
-            rng = counter_rng(seed, _STREAM_CODEBOOK, j, l)
-            out[j, l] = words[rng.choice(len(words), p=probs)]
+    keys = np.indices((J, L)).reshape(2, -1).T
+    _, u = counter_draws(seed, (_STREAM_CODEBOOK,), keys, 1, 1)
+    picks = np.searchsorted(_output_cdf(probs), u[:, 0], side="right")
+    out = words[picks].reshape(J, L, n)
     return Codebook(out, J, L, n, {"p": list(np.asarray(p, float)), "delta": delta, "seed": seed})
 
 
@@ -314,9 +308,10 @@ def build_decoder(spec: CompoundWiretapSpec, codebook: Codebook, delta: float = 
 
 
 def _output_cdf(w: np.ndarray) -> np.ndarray:
-    """Per-input CDFs of the output letter, built as Generator.choice builds them."""
-    cdf = np.cumsum(w, axis=1)
-    return cdf / cdf[:, -1:]
+    """CDFs along the last axis, built as Generator.choice builds them: its
+    pick for a uniform u is ``searchsorted(cdf, u, side="right")``."""
+    cdf = np.cumsum(w, axis=-1)
+    return cdf / cdf[..., -1:]
 
 
 def _sample_outputs(rng: np.random.Generator, cdf: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -379,19 +374,24 @@ def _exact_classical_error(legit: ClassicalChannel, codebook: Codebook, decoder)
     return {"max_error": float(max(per_j)), "per_j": per_j, "method": "exact"}
 
 
+_MC_BLOCK_TRIALS = 1 << 11  # Monte-Carlo trials drawn and decoded together
+
+
 def _mc_classical_error(
     legit: ClassicalChannel, codebook: Codebook, decoder, trials: int, seed: int, t_idx: int
 ) -> dict:
+    """Trial k of message j draws ``integers(L)`` and one uniform per letter
+    from the stream (seed, error, t, j, k), in blocks of ``_MC_BLOCK_TRIALS``."""
     cdf = _output_cdf(legit.matrix)
     per_j = []
     per_j_se = []
     for j in range(codebook.J):
-        y = np.empty((trials, codebook.n), dtype=int)
-        for k in range(trials):
-            rng = counter_rng(seed, _STREAM_ERROR, t_idx, j, k)
-            l = int(rng.integers(codebook.L))
-            y[k] = _sample_outputs(rng, cdf, codebook.words[j, l])
-        wrong = int(np.count_nonzero(decoder.decide_batch(y) != j))
+        wrong = 0
+        for start in range(0, trials, _MC_BLOCK_TRIALS):
+            keys = np.arange(start, min(trials, start + _MC_BLOCK_TRIALS))[:, None]
+            l, u = counter_draws(seed, (_STREAM_ERROR, t_idx, j), keys, codebook.L, codebook.n)
+            y = np.count_nonzero(cdf[codebook.words[j, l]] <= u[..., None], axis=-1)
+            wrong += int(np.count_nonzero(decoder.decide_batch(y) != j))
         p_hat = wrong / trials
         per_j.append(float(p_hat))
         per_j_se.append(float(np.sqrt(max(p_hat * (1 - p_hat), 1e-12) / trials)))
@@ -524,13 +524,16 @@ def covering_concentration(
     words, probs = truncated_typical(prior, n, params.delta)
     q_ops = sandwiched_outputs(v, words, prior, params)
     mean_op = np.einsum("w,wjk->jk", probs, q_ops)
+    cdf = _output_cdf(probs)
+    keys = np.arange(trials)[:, None]
     per_l = {}
     for l_depth in l_schedule:
+        # trial k's picks are choice(size=l_depth, p=probs) on (seed, covering, l_depth, k)
+        _, u = counter_draws(seed, (_STREAM_COVERING, l_depth), keys, 1, l_depth)
+        picks = np.searchsorted(cdf, u, side="right")
         avgs = np.empty((trials,) + mean_op.shape, dtype=q_ops.dtype)
         for k in range(trials):
-            rng = counter_rng(seed, _STREAM_COVERING, l_depth, k)
-            picks = rng.choice(len(words), size=l_depth, p=probs)
-            avgs[k] = q_ops[picks].mean(axis=0)
+            avgs[k] = q_ops[picks[k]].mean(axis=0)
         devs = trace_norm(avgs - mean_op)
         per_l[int(l_depth)] = {
             "median": _median(devs),
@@ -596,7 +599,9 @@ def _two_part_exact(spec, t_idx, block1_words, codebook, decoder) -> dict:
 
 def _two_part_mc(spec, t_idx, block1_words, codebook, decoder, trials, seed) -> dict:
     """Classical receivers, by Monte Carlo: a maximum-likelihood state
-    decision on the block-1 output, then typicality decoding of block 2."""
+    decision on the block-1 output, then typicality decoding of block 2.
+    Each trial keeps its own ``counter_rng``: its ``integers(J)`` and
+    ``integers(L)`` share one Philox word, which ``counter_draws`` does not model."""
     cdf = _output_cdf(spec.legitimate[t_idx].matrix)
     b1_fail = b2_fail = 0
     for k in range(trials):

@@ -810,3 +810,93 @@ def test_word_output_probs_are_the_per_letter_products(a, b, n, seed):
     x = rng.integers(a, size=n)
     y_words = enumerate_words(b, n, 0, b ** n)
     assert np.array_equal(accumulate_products(w[x]), _per_letter_output_probs(w, x, y_words))
+
+
+# ---------------------------------------------------------------------------
+# samplers that draw their keyed streams in one numpy pass, against the
+# former one-generator-per-key loops
+
+import qwk.wiretapsim as ws  # noqa: E402
+from qwk.qcore import trace_norm  # noqa: E402
+
+
+def _reference_codebook(p, n, J, L, seed, delta):
+    """Reference: the former sampler, one ``rng.choice`` per (j, l)."""
+    from qwk.typicality import truncated_typical
+
+    words, probs = truncated_typical(p, n, delta)
+    out = np.zeros((J, L, n), dtype=int)
+    for j in range(J):
+        for l in range(L):
+            rng = counter_rng(seed, 0, j, l)
+            out[j, l] = words[rng.choice(len(words), p=probs)]
+    return out
+
+
+@pytest.mark.parametrize("p, n, J, L, seed, delta", [
+    ([0.5, 0.5], 8, 4, 2, 3, 0.1),
+    ([0.3, 0.7], 12, 8, 4, 2 ** 40 + 1, 0.2),
+    ([0.2, 0.5, 0.3], 6, 5, 3, 17, 0.15),
+    ([1.0, 0.0], 4, 3, 2, 0, 0.1),
+    ([0.5, 0.5], 5, 1, 1, 9, 0.25),
+])
+def test_sample_codebook_equals_the_per_key_loop(p, n, J, L, seed, delta):
+    cb = sample_codebook(p, n, J, L, seed, delta=delta)
+    assert np.array_equal(cb.words, _reference_codebook(p, n, J, L, seed, delta))
+
+
+def _reference_covering_stats(v, p, n, l_schedule, trials, seed, params, epsilon=0.1):
+    """Reference: the former covering loop, one ``rng.choice`` per trial."""
+    from qwk.typicality import truncated_typical
+
+    prior = np.asarray(p, dtype=float)
+    words, probs = truncated_typical(prior, n, params.delta)
+    q_ops = sandwiched_outputs(v, words, prior, params)
+    mean_op = np.einsum("w,wjk->jk", probs, q_ops)
+    per_l = {}
+    for l_depth in l_schedule:
+        avgs = np.empty((trials,) + mean_op.shape, dtype=q_ops.dtype)
+        for k in range(trials):
+            rng = counter_rng(seed, 2, l_depth, k)
+            avgs[k] = q_ops[rng.choice(len(words), size=l_depth, p=probs)].mean(axis=0)
+        devs = trace_norm(avgs - mean_op)
+        per_l[int(l_depth)] = {"median": _median(devs), "mean": float(devs.mean()),
+                               "exceed_frac": float((devs > epsilon).mean())}
+    return per_l
+
+
+@pytest.mark.parametrize("seed, l_schedule", [(11, [1, 3, 5, 9]), (2 ** 33, [2, 4, 16])])
+def test_covering_equals_the_per_key_loop(seed, l_schedule):
+    params = TypicalParams(n=4, delta=0.3)
+    rep = covering_concentration(qubit_wiretap(), [0.4, 0.6], 4, l_schedule, trials=40,
+                                 seed=seed, params=params)
+    ref = _reference_covering_stats(qubit_wiretap(), [0.4, 0.6], 4, l_schedule, 40, seed, params)
+    assert rep.stats["per_L"] == ref
+
+
+class TestMonteCarloBlocks:
+    def _setup(self):
+        legit = ClassicalChannel((0, 1), (0, 1, 2), [[0.86, 0.1, 0.04], [0.0, 0.1, 0.9]])
+        spec = CompoundWiretapSpec("classical", ("t1",), (legit,), (bsc(0.3),))
+        cb = sample_codebook([0.5, 0.5], 8, J=4, L=2, seed=13, delta=0.25)
+        return spec, cb, build_decoder(spec, cb, delta=0.25)
+
+    def test_blocks_do_not_change_the_estimate(self, monkeypatch):
+        spec, cb, dec = self._setup()
+        whole = eval_error(spec, cb, dec, trials=300, seed=5)
+        monkeypatch.setattr(ws, "_MC_BLOCK_TRIALS", 7)
+        assert eval_error(spec, cb, dec, trials=300, seed=5) == whole
+
+    def test_peak_memory_does_not_grow_with_trials(self):
+        spec, cb, dec = self._setup()
+        peaks = {}
+        for trials in (2_000, 20_000):
+            tracemalloc.start()
+            try:
+                eval_error(spec, cb, dec, trials=trials, seed=5)
+                peaks[trials] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # unblocked, the 20,000 trials peaked 7.6 MB above the 2,000; blocks
+        # of 2,048 against one of 2,000 leave about 0.1 MB
+        assert peaks[20_000] <= peaks[2_000] + 512 * 1024
