@@ -42,7 +42,7 @@ from .qcore import (
     psd_sqrt,
     trace_norm,
 )
-from .streams import counter_rng
+from .streams import choice_cdf, counter_draws
 from .typicality import TypicalParams, sandwiched_outputs, truncated_typical
 
 _STREAM_ENTGEN = 7
@@ -135,18 +135,19 @@ def _induced_cq(ch: KrausChannel) -> CQChannel:
 def _sample_distinct_words(p, n, count, seed, delta):
     """Weighted sampling without replacement from the truncated typical
     distribution; distinct words keep the encoder superposition normalized.
-    Each of the J·L draws, from a shrinking pool, keeps its own ``counter_rng``."""
+    Draw i picks from the shrinking pool with the uniform of the stream
+    (seed, entgen, 1, i), as that stream's ``Generator.choice`` would."""
     words, probs = truncated_typical(p, n, delta)
     if len(words) < count:
         raise QcoreError(
             f"need {count} distinct typical words, only {len(words)} available"
         )
+    _, u = counter_draws(seed, (_STREAM_ENTGEN, 1), np.arange(count)[:, None], (), 1)
     picked = []
     avail = list(range(len(words)))
-    for i in range(count):
-        rng_i = counter_rng(seed, _STREAM_ENTGEN, 1, i)
-        idx = rng_i.choice(len(avail), p=probs[avail] / probs[avail].sum())
-        picked.append(avail.pop(idx))
+    for ui in u[:, 0]:
+        cdf = choice_cdf(probs[avail] / probs[avail].sum())
+        picked.append(avail.pop(np.searchsorted(cdf, ui, "right")))
     return words[picked]
 
 

@@ -1,6 +1,7 @@
 """Counter-keyed random streams: ``counter_rng`` builds one key's Philox
 generator, and ``counter_draws`` computes the draws of many keys in one
-numpy pass, equal to theirs bit for bit."""
+numpy pass, equal to theirs bit for bit.  ``choice_cdf`` is the CDF that
+``Generator.choice`` searches with a drawn uniform."""
 
 from __future__ import annotations
 
@@ -9,8 +10,8 @@ import numpy as np
 
 def counter_rng(seed: int, *key: int) -> np.random.Generator:
     """Counter-based generator keyed by (seed, key...), the definition of every
-    keyed stream.  wiretapsim's codebook, Monte-Carlo error and covering draws
-    use ``counter_draws``; ``_two_part_mc`` and entgen build one per key."""
+    keyed stream.  qwk draws its streams through ``counter_draws``, which
+    builds one of these only for a row that Lemire's method rejects."""
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in key))
     return np.random.Generator(np.random.Philox(ss))
 
@@ -85,23 +86,36 @@ def _counter_words(seed: int, prefix, tail: np.ndarray, width: int) -> np.ndarra
     return out[:, :width]
 
 
-def counter_draws(seed: int, prefix, tail, bound: int, size: int):
-    """For each row of ``tail``, what ``counter_rng(seed, *prefix, *row)``
-    gives for ``integers(bound)`` and then ``random(size)``: (K,) ints and
-    (K, size) doubles.
+def choice_cdf(w: np.ndarray) -> np.ndarray:
+    """CDFs along the last axis, built as Generator.choice builds them: its
+    pick for a uniform u is ``searchsorted(cdf, u, side="right")``."""
+    cdf = np.cumsum(w, axis=-1)
+    return cdf / cdf[..., -1:]
 
-    A double is (w >> 11)·2^-53.  The integer is Lemire's multiply on the
-    low 32 bits of the first word (bound ≤ 2^32; bound 1 reads no word).
-    Lemire rejects a word whose leftover falls below (2^32 − bound) mod
-    bound, with probability below bound/2^32; such a row is redrawn with
-    ``counter_rng`` itself, so every row equals its generator's draws."""
-    skip = int(bound > 1)
+
+def counter_draws(seed: int, prefix, tail, bounds, size: int):
+    """For each row of ``tail``, what ``counter_rng(seed, *prefix, *row)``
+    gives for ``integers(b)`` for each b of ``bounds`` in turn and then
+    ``random(size)``: (K, len(bounds)) ints and (K, size) doubles.
+
+    Each b > 1 reads the next 32-bit half of the stream, low half first,
+    since Philox keeps a word's high half for the next 32-bit draw; a bound
+    of 1 reads nothing.  The integer is Lemire's multiply of the half by b
+    (b ≤ 2^32).  The doubles, (w >> 11)·2^-53, start at the next whole
+    word.  Lemire rejects a half whose leftover falls below (2^32 − b) mod
+    b, with probability below b/2^32; a row with such a half is redrawn
+    with ``counter_rng`` itself, so every row equals its generator's draws."""
+    bounds = np.array(bounds, dtype=np.uint64)
+    read = bounds > 1
+    skip = -(-np.count_nonzero(read) // 2)
     words = _counter_words(seed, prefix, tail, skip + size)
+    halves = np.stack([words[:, :skip] & _M32, words[:, :skip] >> 32], axis=-1)
+    m = halves.reshape(len(words), 2 * skip)[:, :np.count_nonzero(read)] * bounds[read]
+    ints = np.zeros((len(words), len(bounds)), dtype=np.int64)
+    ints[:, read] = m >> 32
     doubles = (words[:, skip:] >> 11) * 2.0 ** -53
-    m = (words[:, 0] & _M32) * np.uint64(bound) if skip else np.zeros(len(words), np.uint64)
-    ints = (m >> 32).astype(np.int64)
-    for i in np.flatnonzero((m & _M32) < (2 ** 32 - bound) % bound):
+    for i in np.flatnonzero(((m & _M32) < (2 ** 32 - bounds[read]) % bounds[read]).any(axis=1)):
         rng = counter_rng(seed, *prefix, *tail[i])
-        ints[i] = rng.integers(bound)
+        ints[i] = [rng.integers(b) for b in bounds.tolist()]
         doubles[i] = rng.random(size)
     return ints, doubles

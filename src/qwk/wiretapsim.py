@@ -39,7 +39,7 @@ from .qcore import (
     pretty_good_measurement,
     trace_norm,
 )
-from .streams import counter_draws, counter_rng
+from .streams import choice_cdf, counter_draws
 from .typicality import (
     ENUM_CAP,
     TypicalParams,
@@ -91,8 +91,8 @@ def sample_codebook(p, n: int, J: int, L: int, seed: int, delta: float = 0.1) ->
         raise QcoreError("J and L must be >= 1")
     words, probs = truncated_typical(p, n, delta)
     keys = np.indices((J, L)).reshape(2, -1).T
-    _, u = counter_draws(seed, (_STREAM_CODEBOOK,), keys, 1, 1)
-    picks = np.searchsorted(_output_cdf(probs), u[:, 0], side="right")
+    _, u = counter_draws(seed, (_STREAM_CODEBOOK,), keys, (), 1)
+    picks = np.searchsorted(choice_cdf(probs), u[:, 0], side="right")
     out = words[picks].reshape(J, L, n)
     return Codebook(out, J, L, n, {"p": list(np.asarray(p, float)), "delta": delta, "seed": seed})
 
@@ -216,7 +216,7 @@ class TypicalityDecoder:
     codebook: Codebook
     delta: float
 
-    def decide_batch(self, y_words) -> np.ndarray:
+    def decide(self, y_words) -> np.ndarray:
         """Decisions for output words (one per row); -1 where none decodes.
 
         Joint-type counts counts[y, c, a, b] of every word against every
@@ -247,10 +247,6 @@ class TypicalityDecoder:
             first = np.argmax(typical, axis=1)
             out[start:start + block] = np.where(typical.any(axis=1), first // cb.L, -1)
         return out
-
-    def decide(self, y) -> int | None:
-        d = int(self.decide_batch(np.asarray(y)[None, :])[0])
-        return None if d < 0 else d
 
 
 @dataclass
@@ -307,21 +303,6 @@ def build_decoder(spec: CompoundWiretapSpec, codebook: Codebook, delta: float = 
 # error evaluation
 
 
-def _output_cdf(w: np.ndarray) -> np.ndarray:
-    """CDFs along the last axis, built as Generator.choice builds them: its
-    pick for a uniform u is ``searchsorted(cdf, u, side="right")``."""
-    cdf = np.cumsum(w, axis=-1)
-    return cdf / cdf[..., -1:]
-
-
-def _sample_outputs(rng: np.random.Generator, cdf: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Channel outputs for input word x: the letters that one
-    rng.choice(b, p=w[x_i]) call per letter would draw, from one uniform
-    draw per letter and a search of each letter's CDF."""
-    u = rng.random(len(x))
-    return np.count_nonzero(cdf[x] <= u[:, None], axis=1)
-
-
 def eval_error(
     spec: CompoundWiretapSpec,
     codebook: Codebook,
@@ -362,7 +343,7 @@ def eval_error(
 def _exact_classical_error(legit: ClassicalChannel, codebook: Codebook, decoder) -> dict:
     b = len(legit.output_alphabet)
     y_words = enumerate_words(b, codebook.n, 0, b ** codebook.n)
-    decisions = decoder.decide_batch(y_words)
+    decisions = decoder.decide(y_words)
     per_j = []
     for j in range(codebook.J):
         wrong_mask = decisions != j
@@ -382,16 +363,16 @@ def _mc_classical_error(
 ) -> dict:
     """Trial k of message j draws ``integers(L)`` and one uniform per letter
     from the stream (seed, error, t, j, k), in blocks of ``_MC_BLOCK_TRIALS``."""
-    cdf = _output_cdf(legit.matrix)
+    cdf = choice_cdf(legit.matrix)
     per_j = []
     per_j_se = []
     for j in range(codebook.J):
         wrong = 0
         for start in range(0, trials, _MC_BLOCK_TRIALS):
             keys = np.arange(start, min(trials, start + _MC_BLOCK_TRIALS))[:, None]
-            l, u = counter_draws(seed, (_STREAM_ERROR, t_idx, j), keys, codebook.L, codebook.n)
-            y = np.count_nonzero(cdf[codebook.words[j, l]] <= u[..., None], axis=-1)
-            wrong += int(np.count_nonzero(decoder.decide_batch(y) != j))
+            l, u = counter_draws(seed, (_STREAM_ERROR, t_idx, j), keys, (codebook.L,), codebook.n)
+            y = np.count_nonzero(cdf[codebook.words[j, l[:, 0]]] <= u[..., None], axis=-1)
+            wrong += int(np.count_nonzero(decoder.decide(y) != j))
         p_hat = wrong / trials
         per_j.append(float(p_hat))
         per_j_se.append(float(np.sqrt(max(p_hat * (1 - p_hat), 1e-12) / trials)))
@@ -524,12 +505,12 @@ def covering_concentration(
     words, probs = truncated_typical(prior, n, params.delta)
     q_ops = sandwiched_outputs(v, words, prior, params)
     mean_op = np.einsum("w,wjk->jk", probs, q_ops)
-    cdf = _output_cdf(probs)
+    cdf = choice_cdf(probs)
     keys = np.arange(trials)[:, None]
     per_l = {}
     for l_depth in l_schedule:
         # trial k's picks are choice(size=l_depth, p=probs) on (seed, covering, l_depth, k)
-        _, u = counter_draws(seed, (_STREAM_COVERING, l_depth), keys, 1, l_depth)
+        _, u = counter_draws(seed, (_STREAM_COVERING, l_depth), keys, (), l_depth)
         picks = np.searchsorted(cdf, u, side="right")
         avgs = np.empty((trials,) + mean_op.shape, dtype=q_ops.dtype)
         for k in range(trials):
@@ -600,27 +581,28 @@ def _two_part_exact(spec, t_idx, block1_words, codebook, decoder) -> dict:
 def _two_part_mc(spec, t_idx, block1_words, codebook, decoder, trials, seed) -> dict:
     """Classical receivers, by Monte Carlo: a maximum-likelihood state
     decision on the block-1 output, then typicality decoding of block 2.
-    Each trial keeps its own ``counter_rng``: its ``integers(J)`` and
-    ``integers(L)`` share one Philox word, which ``counter_draws`` does not model."""
-    cdf = _output_cdf(spec.legitimate[t_idx].matrix)
+    Trial k draws ``integers(J)``, ``integers(L)`` and one uniform per
+    letter of block 1 (when there is a state to decide) and of block 2 from
+    the stream (seed, protocol, 1, k), in blocks of ``_MC_BLOCK_TRIALS``."""
+    cdf = choice_cdf(spec.legitimate[t_idx].matrix)
+    n1 = block1_words.shape[1] if len(spec) > 1 else 0
+    block1_words = block1_words[:, :n1]  # one state decides itself on no letters
     b1_fail = b2_fail = 0
-    for k in range(trials):
-        rng = counter_rng(seed, _STREAM_PROTOCOL, 1, k)
-        j = int(rng.integers(codebook.J))
-        l = int(rng.integers(codebook.L))
-        if len(spec) > 1:
-            y1 = _sample_outputs(rng, cdf, block1_words[t_idx])
-            t_hat, best_ll = 0, -np.inf
-            for ti, (ch, word) in enumerate(zip(spec.legitimate, block1_words)):
-                ll = np.sum(np.log(np.clip(ch.matrix[word, y1], 1e-300, None)))
-                if ll > best_ll + 1e-12:
-                    t_hat, best_ll = ti, ll
-            if t_hat != t_idx:
-                b1_fail += 1
-                continue
-        y2 = _sample_outputs(rng, cdf, codebook.words[j, l])
-        if decoder.decide(y2) != j:
-            b2_fail += 1
+    for start in range(0, trials, _MC_BLOCK_TRIALS):
+        keys = np.arange(start, min(trials, start + _MC_BLOCK_TRIALS))[:, None]
+        jl, u = counter_draws(seed, (_STREAM_PROTOCOL, 1), keys, (codebook.J, codebook.L),
+                              n1 + codebook.n)
+        y1 = np.count_nonzero(cdf[block1_words[t_idx]] <= u[:, :n1, None], axis=-1)
+        t_hat, best = np.zeros(len(keys), dtype=int), np.full(len(keys), -np.inf)
+        for ti, (ch, word) in enumerate(zip(spec.legitimate, block1_words)):
+            ll = np.sum(np.log(np.clip(ch.matrix[word, y1], 1e-300, None)), axis=1)
+            better = ll > best + 1e-12
+            t_hat[better], best[better] = ti, ll[better]
+        ok = t_hat == t_idx
+        b1_fail += int(np.count_nonzero(~ok))
+        j, l = jl[ok].T
+        y2 = np.count_nonzero(cdf[codebook.words[j, l]] <= u[ok, n1:, None], axis=-1)
+        b2_fail += int(np.count_nonzero(decoder.decide(y2) != j))
     successes = trials - b1_fail
     return {
         "block1_fail_rate": b1_fail / trials,
@@ -651,9 +633,12 @@ def two_part_protocol(
     is not required to be secure; leakage is evaluated on the second block
     only.
     """
-    if trials < 1:
-        raise QcoreError("trials must be >= 1")
-    t_idx = list(spec.names).index(t_true)
+    for arg, value, least in (("trials", trials, 1), ("n1", n1, 0), ("n2", n2, 1)):
+        if value < least:
+            raise QcoreError(f"{arg} must be >= {least}")
+    if t_true not in spec.names:
+        raise QcoreError(f"t_true {t_true!r} is not a state of the spec")
+    t_idx = spec.names.index(t_true)
     a = len(spec.legitimate[0].input_alphabet)
     if p is None:
         p = np.full(a, 1.0 / a)
@@ -667,8 +652,8 @@ def two_part_protocol(
             trials=0,
             params={"reason": "state information cannot be transmitted"},
         )
-    block1_words = np.stack([counter_rng(seed, _STREAM_PROTOCOL, 0, ti).integers(a, size=n1)
-                             for ti in range(len(spec))])
+    states = np.arange(len(spec))[:, None]
+    block1_words, _ = counter_draws(seed, (_STREAM_PROTOCOL, 0), states, (a,) * n1, 0)
     codebook = sample_codebook(p, n2, J, L, seed + 1000 + t_idx, delta=delta)
     decoder = build_decoder(spec, codebook, delta=delta, params=TypicalParams(n=n2, delta=delta),
                             t_index=t_idx)

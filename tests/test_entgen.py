@@ -21,6 +21,7 @@ from qwk.entgen import (
     _fourier_phases,
     _induced_cq,
     _measurement_code,
+    _sample_distinct_words,
     build_decoder_unitaries,
     build_entgen_code,
     compute_uhlmann_partners,
@@ -38,7 +39,8 @@ from qwk.qcore import (
     random_density,
     trace_norm,
 )
-from qwk.typicality import TypicalParams, sandwiched_outputs
+from qwk.streams import counter_rng
+from qwk.typicality import TypicalParams, sandwiched_outputs, truncated_typical
 
 Q = 2
 SPECS = os.path.join(os.path.dirname(__file__), "..", "specs")
@@ -856,3 +858,26 @@ def test_stage_one_reads_each_codeword_off_its_basis_column(monkeypatch):
     assert states and all(state.shape == (Dq, Dq) for state in states)
     # one basis column per (state, codeword), after each family member's letters
     assert columns == [(2, 2)] * T + [(Dp, 1)] * (T * J * L)
+
+
+def former_distinct_words(p, n, count, seed, delta):
+    """Reference: the former sampler, one ``counter_rng`` and one
+    ``rng.choice`` over the shrinking pool per draw."""
+    words, probs = truncated_typical(p, n, delta)
+    picked, avail = [], list(range(len(words)))
+    for i in range(count):
+        rng_i = counter_rng(seed, 7, 1, i)
+        picked.append(avail.pop(rng_i.choice(len(avail), p=probs[avail] / probs[avail].sum())))
+    return words[picked]
+
+
+@pytest.mark.parametrize("p, n, count, seed, delta", [
+    ([0.5, 0.5], 4, 16, 0, 0.5),
+    ([0.3, 0.7], 6, 12, 2 ** 40 + 3, 0.3),
+    ([0.2, 0.5, 0.3], 4, 20, 5, 0.5),
+    ([0.9, 0.1], 5, 1, 11, 0.5),
+])
+def test_distinct_words_equal_the_per_draw_choice_loop(p, n, count, seed, delta):
+    got = _sample_distinct_words(np.array(p), n, count, seed, delta)
+    assert np.array_equal(got, former_distinct_words(np.array(p), n, count, seed, delta))
+    assert len({tuple(w) for w in got}) == count

@@ -3,7 +3,8 @@ so is every private function, class or constant it defines at module level;
 no private module-level name is defined in two ``qwk`` modules; every
 public module-level function is used by qwk, declared library API, or one of
 the few that only the benchmark's tracer calls; and every public method of a
-qwk class is named by qwk, by the tracer, or by the library API.
+qwk class is named by qwk, by the tracer, or by the library API; and only
+``qwk.streams`` names ``counter_rng``, the one-generator-per-key stream.
 
 No linter runs on this repository, so this test parses each module with
 ``ast`` and reports the imported names that the module never mentions, the
@@ -249,3 +250,21 @@ def test_checker_flags_a_public_method_only_tests_call():
     tracer = "def wrap(kind):\n    return kind.traced\n"
     assert unreferenced_public_methods(sources, tracer, {"exempt"}) == [
         "Kind.orphan (a.py, line 4)"]
+
+
+def modules_naming(sources: dict[str, str], name: str) -> list[str]:
+    """The modules of ``sources`` whose text contains ``name``."""
+    return sorted(module for module, source in sources.items() if name in source)
+
+
+def test_only_streams_builds_a_keyed_generator():
+    # every keyed stream is drawn through counter_draws; a generator per key
+    # is built only in streams, for the rows Lemire's method rejects
+    assert modules_naming(read_sources(), "counter_rng") == ["streams.py"]
+
+
+def test_checker_flags_a_module_naming_the_generator():
+    sources = {"streams.py": "def counter_rng():\n    pass\n",
+               "a.py": "from .streams import counter_draws\n",
+               "b.py": "# one counter_rng per key\n"}
+    assert modules_naming(sources, "counter_rng") == ["b.py", "streams.py"]

@@ -24,6 +24,7 @@ from qwk.qcore import (
     random_density,
     trace_norm,
 )
+from qwk.streams import counter_rng
 from qwk.typicality import (
     TypicalParams,
     averaged_output_projector,
@@ -42,7 +43,7 @@ from qwk.verify import (
     suite_gentle,
     suite_typicality,
 )
-from qwk.wiretapsim import _STREAM_COVERING, counter_rng, covering_concentration
+from qwk.wiretapsim import _STREAM_COVERING, covering_concentration
 
 _QUBIT = 2
 

@@ -18,13 +18,13 @@ from qwk.qcore import (
     pgm_inverse_sqrt,
     pretty_good_measurement,
 )
+from qwk.streams import choice_cdf, counter_draws, counter_rng
 from qwk.typicality import TypicalParams, sandwiched_outputs
 from qwk.wiretapsim import (
     Codebook,
     PrettyGoodDecoder,
     _median,
     build_decoder,
-    counter_rng,
     covering_concentration,
     eval_error,
     eval_leakage,
@@ -501,6 +501,31 @@ class TestTwoPartProtocol:
         two_part_protocol(spec, golden["t_true"], **golden["kwargs"])
         assert calls == {"sample_codebook": 1, "build_decoder": 1}
 
+    def test_no_block_one_letters_decide_the_first_state(self):
+        # with n1 = 0 every state's likelihood is 1, so the first state is
+        # chosen: the second is always missed, the first never
+        spec = load_spec(os.path.join(SPECS, "bsc_two_state.json"))
+        for t_true, fail in (("t2", 1.0), ("t1", 0.0)):
+            rep = two_part_protocol(spec, t_true, n1=0, n2=6, J=2, L=1, trials=50, seed=1)
+            assert rep.stats["block1_fail_rate"] == fail
+            assert rep.params["n1"] == 0
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"t_true": "nope"}, "t_true 'nope' is not a state"),
+        ({"n1": -1}, "n1 must be >= 0"),
+        ({"n2": 0}, "n2 must be >= 1"),
+    ])
+    def test_bad_arguments_refused_before_any_work(self, kwargs, message, monkeypatch):
+        import qwk.wiretapsim as ws
+
+        def no_work(*args):
+            raise AssertionError("work began before the arguments were checked")
+
+        monkeypatch.setattr(ws, "_min_rate_over_states", no_work)
+        args = {"t_true": "t1", "n1": 4, "n2": 6, "J": 2, "L": 1, "trials": 10, "seed": 0}
+        with pytest.raises(QcoreError, match=message):
+            two_part_protocol(self.two_state_spec(), **{**args, **kwargs})
+
     @pytest.mark.parametrize("case", ["three_state_cq", "three_state_classical"])
     def test_zero_trials_rejected_for_both_receiver_kinds(self, case):
         golden = _twopart_golden_cases()[case]
@@ -596,9 +621,8 @@ class TestBatchedDecoding:
         b = len(channel.output_alphabet)
         y_words = enumerate_words(b, cb.n, 0, b ** cb.n)
         ref = [_reference_decide(channel, cb, delta, y) for y in y_words]
-        got = dec.decide_batch(y_words)
+        got = dec.decide(y_words)
         assert [None if d < 0 else int(d) for d in got] == ref
-        assert dec.decide(y_words[-1]) == ref[-1]
 
     def test_blocks_do_not_change_decisions(self, monkeypatch):
         import qwk.wiretapsim as ws
@@ -607,9 +631,9 @@ class TestBatchedDecoding:
         cb = sample_codebook([0.5, 0.5], 8, J=3, L=2, seed=4, delta=0.25)
         dec = build_decoder(spec, cb, delta=0.25)
         y_words = enumerate_words(2, 8, 0, 256)
-        whole = dec.decide_batch(y_words)
+        whole = dec.decide(y_words)
         monkeypatch.setattr(ws, "_DECODE_BLOCK_ENTRIES", 7)
-        assert np.array_equal(dec.decide_batch(y_words), whole)
+        assert np.array_equal(dec.decide(y_words), whole)
 
     def test_monte_carlo_matches_per_letter_choice(self):
         # ternary outputs at n=8: 3^8 > 4096 outputs, so the Monte-Carlo path runs
@@ -623,15 +647,13 @@ class TestBatchedDecoding:
 
     def test_sampled_letters_match_per_letter_choice(self):
         # the letters of one rng.choice call per letter under the same key
-        import qwk.wiretapsim as ws
-
         w = np.array([[0.7, 0.0, 0.3], [0.2, 0.5, 0.3]])
         x = np.array([0, 1, 1, 0, 1, 0, 0])
+        _, u = counter_draws(3, (3, 1), np.arange(20)[:, None], (), len(x))
+        letters = np.count_nonzero(choice_cdf(w)[x] <= u[..., None], axis=-1)
         for key in range(20):
             rng = counter_rng(3, 3, 1, key)
-            ref = [rng.choice(3, p=w[xi]) for xi in x]
-            rng = counter_rng(3, 3, 1, key)
-            assert ws._sample_outputs(rng, ws._output_cdf(w), x).tolist() == ref
+            assert letters[key].tolist() == [rng.choice(3, p=w[xi]) for xi in x]
 
 
 class TestResourcePlan:
@@ -872,6 +894,74 @@ def test_covering_equals_the_per_key_loop(seed, l_schedule):
                                  seed=seed, params=params)
     ref = _reference_covering_stats(qubit_wiretap(), [0.4, 0.6], 4, l_schedule, 40, seed, params)
     assert rep.stats["per_L"] == ref
+
+
+def _reference_two_part(spec, t_true, n1, n2, J, L, trials, seed, delta):
+    """Reference: the former two-part Monte Carlo, one ``counter_rng`` per
+    state for block 1 and one per trial, one ``rng.choice`` per output
+    letter and one per-word decision."""
+    t_idx = spec.names.index(t_true)
+    legit = spec.legitimate[t_idx]
+    a, b = legit.matrix.shape
+    block1_words = np.stack([counter_rng(seed, 3, 0, ti).integers(a, size=n1)
+                             for ti in range(len(spec))])
+    cb = sample_codebook(np.full(a, 1.0 / a), n2, J, L, seed + 1000 + t_idx, delta=delta)
+    b1_fail = b2_fail = 0
+    for k in range(trials):
+        rng = counter_rng(seed, 3, 1, k)
+        j = int(rng.integers(J))
+        l = int(rng.integers(L))
+        if len(spec) > 1:
+            y1 = np.array([rng.choice(b, p=legit.matrix[xi]) for xi in block1_words[t_idx]],
+                          dtype=int)
+            t_hat, best_ll = 0, -np.inf
+            for ti, (ch, word) in enumerate(zip(spec.legitimate, block1_words)):
+                ll = np.sum(np.log(np.clip(ch.matrix[word, y1], 1e-300, None)))
+                if ll > best_ll + 1e-12:
+                    t_hat, best_ll = ti, ll
+            if t_hat != t_idx:
+                b1_fail += 1
+                continue
+        y2 = [rng.choice(b, p=legit.matrix[xi]) for xi in cb.words[j, l]]
+        if _reference_decide(legit, cb, delta, y2) != j:
+            b2_fail += 1
+    successes = trials - b1_fail
+    return {
+        "block1_fail_rate": b1_fail / trials,
+        "block2_fail_given_success": b2_fail / successes if successes else 0.0,
+        "total_error_rate": (b1_fail + b2_fail) / trials,
+    }
+
+
+def _two_part_specs():
+    w3 = ClassicalChannel((0, 1, 2), (0, 1), [[0.9, 0.1], [0.2, 0.8], [0.5, 0.5]])
+    w3r = ClassicalChannel((0, 1, 2), (0, 1), [[0.1, 0.9], [0.8, 0.2], [0.5, 0.5]])
+    w3e = ClassicalChannel((0, 1, 2), (0, 1), [[0.6, 0.4], [0.4, 0.6], [0.5, 0.5]])
+    return {
+        "one": classical_pair_spec(pw=0.05),
+        "two": load_spec(os.path.join(SPECS, "bsc_two_state.json")),
+        "three": CompoundWiretapSpec("classical", ("a", "b", "c"), (w3, w3r, w3e),
+                                     (w3e, w3e, w3e)),
+    }
+
+
+@pytest.mark.parametrize("spec_name, t_true, n1, n2, J, L, trials, seed, delta", [
+    ("one", "t1", 4, 8, 2, 1, 150, 3, 0.2),
+    ("one", "t1", 0, 6, 3, 2, 100, 2 ** 33 + 1, 0.25),
+    ("two", "t1", 4, 8, 4, 2, 150, 1, 0.15),
+    ("two", "t2", 3, 6, 3, 3, 150, 7, 0.2),
+    ("two", "t2", 0, 6, 2, 1, 60, 1, 0.15),
+    ("three", "b", 5, 6, 3, 2, 150, 4, 0.25),
+    ("three", "c", 2, 5, 2, 2, 150, 0, 0.3),
+])
+def test_two_part_mc_equals_the_per_trial_loop(spec_name, t_true, n1, n2, J, L, trials, seed,
+                                               delta, monkeypatch):
+    spec = _two_part_specs()[spec_name]
+    ref = _reference_two_part(spec, t_true, n1, n2, J, L, trials, seed, delta)
+    rep = two_part_protocol(spec, t_true, n1, n2, J, L, trials, seed, delta=delta)
+    assert {key: rep.stats[key] for key in ref} == ref
+    monkeypatch.setattr(ws, "_MC_BLOCK_TRIALS", 7)
+    assert two_part_protocol(spec, t_true, n1, n2, J, L, trials, seed, delta=delta).stats == rep.stats
 
 
 class TestMonteCarloBlocks:
