@@ -143,14 +143,36 @@ def degenerate_runs(w) -> list[tuple[int, int]]:
 def kron_chain(factors) -> np.ndarray:
     """Left-to-right Kronecker product of (..., r, c) matrices, broadcast over
     the leading axes.  It starts from a ones matrix of the factors' dtype, so
-    every entry is the product ``np.kron`` forms, in the same order."""
+    every entry is the product ``np.kron`` forms, in the same order; no
+    factors give the 1 × 1 identity."""
     factors = [np.asarray(f) for f in factors]
-    out = np.ones((1, 1), dtype=np.result_type(*factors))
+    out = np.ones((1, 1), dtype=np.result_type(*factors) if factors else float)
     for f in factors:
         (r, c), (fr, fc) = out.shape[-2:], f.shape[-2:]
         prod = out[..., :, None, :, None] * f[..., None, :, None, :]
         out = prod.reshape(prod.shape[:-4] + (r * fr, c * fc))
     return out
+
+
+def kron_halves(mats) -> tuple:
+    """The ``kron_chain`` of the first len(mats) // 2 matrices and of the
+    rest: the two halves of a word's product operator."""
+    h = len(mats) // 2
+    return kron_chain(mats[:h]), kron_chain(mats[h:])
+
+
+def kron_matmul(a: np.ndarray, b: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """kron(a, b) @ m for a (D, K) array m: two batched products over its
+    (d_a, d_b, K) view, D·K·(d_a + d_b) multiplications instead of D²·K."""
+    rows = b @ m.reshape(len(a), len(b), -1)
+    return (a @ rows.reshape(len(a), -1)).reshape(m.shape)
+
+
+def kron_columns(a: np.ndarray, b: np.ndarray, kept: np.ndarray) -> np.ndarray:
+    """The columns of kron(a, b) that the mask ``kept`` marks, from the two
+    factors' columns alone: a D × rank array and no D × D one."""
+    ia, ib = np.divmod(np.flatnonzero(kept), b.shape[1])
+    return (a[:, None, ia] * b[None, :, ib]).reshape(len(a) * len(b), len(ia))
 
 
 def accumulate_products(per_letter: Sequence[np.ndarray]) -> np.ndarray:
@@ -187,7 +209,8 @@ def pgm_inverse_sqrt(total) -> np.ndarray:
     """Pseudo-inverse square root of a PSD sum, the normaliser of a
     pretty-good measurement; eigenvalues at or below 1e-12 count as zero."""
     w, v = np.linalg.eigh(total)
-    return (v * np.where(w > 1e-12, 1.0 / np.sqrt(np.clip(w, 1e-300, None)), 0.0)) @ v.conj().T
+    scaled = v * np.where(w > 1e-12, 1.0 / np.sqrt(np.clip(w, 1e-300, None)), 0.0)
+    return scaled @ np.conjugate(v, out=v).T  # in place: no third D × D array
 
 
 def pretty_good_measurement(states, out=None) -> np.ndarray:

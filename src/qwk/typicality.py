@@ -409,7 +409,7 @@ def sandwich_deviation(avg: TypicalProjector, cond: TypicalProjector, state: np.
     and a word's conditional projector Pc, both built afresh.
 
     It stays dense: ``verify``'s deviation records pin the rounding of this
-    product, which the factor form of ``sandwich_factors`` would move.
+    product, which the pretty-good decoder's factor form would move.
     """
     pa, pc = avg.matrix, cond.matrix
     q = _sandwich(pa, pc, state)
@@ -443,41 +443,3 @@ def sandwiched_outputs(v: CQChannel, words, prior, params: TypicalParams, out=No
         out[k] = _sandwich(pa, pc, cq_word_state(v, word))
         del pc  # gone before the next word's projector is built
     return out
-
-
-def sandwich_factors(v: CQChannel, words, prior, params: TypicalParams):
-    """A factor G of each word's sandwiched output, Pa Pc rho(word) Pc Pa =
-    G G^dag, yielded one word at a time as a D × r array, r <= rank Pc: the
-    pretty-good decoder's form, with no projector matrix or word state.
-
-    The dimension cap is checked at the call, so a caller may allocate its
-    D × D accumulators once this returns.  Pc commutes with the word's
-    state, so Pc rho Pc = F F^dag, F the kept eigen-words scaled by the
-    square roots of their eigenvalue products; those come from the letters'
-    own eigenvalues, not the window's group means.  G is F when Pa keeps
-    every eigen-word, and Ua (Ua^dag F) otherwise, Ua the kept columns of
-    Pa's eigenbasis, built once.
-    """
-    check_dim_cap(v.d_out ** params.n, "sandwiched output")
-    return _factor_stream(v, words, prior, params)
-
-
-def _factor_stream(v: CQChannel, words, prior, params: TypicalParams):
-    avg = None
-    for word in words:
-        cond = conditional_typical_projector(v, word, prior, params)
-        eigs = [np.clip(v.letter_eigensystems[x][0], 0.0, None) for x in word]
-        f = _kept_columns(cond.spectrum.letter_unitaries, cond.kept)
-        f *= np.sqrt(accumulate_products(eigs)[cond.kept])
-        if avg is None:
-            avg = averaged_output_projector(prior, v, params)
-            ua = None if avg.kept.all() else _kept_columns(avg.spectrum.letter_unitaries, avg.kept)
-        yield f if ua is None else ua @ (ua.conj().T @ f)
-
-
-def _kept_columns(unitaries, kept) -> np.ndarray:
-    """The columns of ``kron_chain(unitaries)`` that the mask ``kept``
-    marks, as a D × rank array built from those columns' letters alone."""
-    digits = np.unravel_index(np.flatnonzero(kept), [u.shape[1] for u in unitaries])
-    cols = kron_chain([u.T[idx][:, :, None] for u, idx in zip(unitaries, digits)])
-    return cols[:, :, 0].T

@@ -36,6 +36,11 @@ from .qcore import (
     accumulate_products,
     check_dim_cap,
     hilbert_dim_cap,
+    kron_chain,
+    kron_columns,
+    kron_halves,
+    kron_matmul,
+    pgm_inverse_sqrt,
     pretty_good_measurement,
     trace_norm,
 )
@@ -43,8 +48,9 @@ from .streams import choice_cdf, counter_draws
 from .typicality import (
     ENUM_CAP,
     TypicalParams,
+    averaged_output_projector,
+    conditional_typical_projector,
     enumerate_words,
-    sandwich_factors,
     sandwiched_outputs,
     truncated_typical,
 )
@@ -143,6 +149,14 @@ def _enumerable(ch: ClassicalChannel, n: int) -> bool:
     return len(ch.output_alphabet) ** n <= CLASSICAL_EXACT_CAP
 
 
+def _one_output_dimension(spec: CompoundWiretapSpec) -> None:
+    """Refuse cq legitimate states of different output dimensions: one
+    measurement, on one space, decodes every state's outputs."""
+    dims = sorted({ch.d_out for ch in spec.legitimate if isinstance(ch, CQChannel)})
+    if len(dims) > 1:
+        raise QcoreError(f"legitimate cq states must share one output dimension, not {dims}")
+
+
 def plan_simulation(spec: CompoundWiretapSpec, n: int, J: int, L: int) -> dict:
     """Every cap decision of a simulation run, taken from its sizes alone.
 
@@ -150,13 +164,15 @@ def plan_simulation(spec: CompoundWiretapSpec, n: int, J: int, L: int) -> dict:
     (typical-set enumeration and the J·L·n codebook entries), the decoder
     of the first state, the error per state (exact or Monte-Carlo; the
     first state's also sizes the pretty-good decoder) and the leakage per
-    state.  A refused size
-    raises CapExceededError here, before any codebook is sampled; the same
-    checks inside the run stay as they are.  Returns the decisions, with
-    every cap and the size it was held against, as a JSON-ready record.
+    state.  A refused size raises CapExceededError here, and cq legitimate
+    states of different output dimensions QcoreError, before any codebook
+    is sampled; the same checks inside the run stay as they are.  Returns
+    the decisions, with every cap and the size it was held against, as a
+    JSON-ready record.
     """
     if J < 1 or L < 1:
         raise QcoreError("J and L must be >= 1")
+    _one_output_dimension(spec)
     caps = []
 
     def within(check, t, size, cap) -> bool:
@@ -249,39 +265,69 @@ class TypicalityDecoder:
         return out
 
 
+def _sandwich_terms(channel: CQChannel, words, prior, params: TypicalParams):
+    """Per word, (A, B, mu, G): the halves of the word's Kronecker eigenbasis
+    U = A (x) B (its first n // 2 letters and the rest), the raw letter
+    eigenvalue products on the eigen-words Pc keeps (0 elsewhere), so that
+    Pc rho Pc = U diag(mu) U^dag, and a factor G of the sandwiched output
+    Pa Pc rho Pc Pa = G G^dag: U's kept columns scaled by sqrt(mu) when Pa
+    keeps every eigen-word, and Ua (Ua^dag F) of those columns F otherwise,
+    Ua the kept columns of Pa's eigenbasis.  G is None where the halves are
+    cheaper: Pa keeps every eigen-word and rank Pc exceeds d^h + d^(n-h)."""
+    avg = None
+    for word in words:
+        cond = conditional_typical_projector(channel, word, prior, params)
+        if avg is None:
+            avg = averaged_output_projector(prior, channel, params)
+            ua = None if avg.kept.all() else kron_columns(
+                *kron_halves(avg.spectrum.letter_unitaries), avg.kept)
+        a, b = kron_halves(cond.spectrum.letter_unitaries)
+        mu = cond.kept * accumulate_products(
+            [np.clip(channel.letter_eigensystems[x][0], 0.0, None) for x in word])
+        if ua is None and cond.rank > len(a) + len(b):
+            yield a, b, mu, None
+            continue
+        g = kron_columns(a, b, cond.kept) * np.sqrt(mu[cond.kept])
+        yield a, b, mu, g if ua is None else ua @ (ua.conj().T @ g)
+
+
 @dataclass
 class PrettyGoodDecoder:
     """Square-root measurement over the per-message means of the sandwiched
-    codeword outputs, projected with the prior the codebook was drawn from.
+    codeword outputs, projected with the prior the codebook was drawn from,
+    in factor form.
 
-    ``build`` takes each codeword's factor G from
-    ``typicality.sandwich_factors``, whose G G^dag is the sandwiched output
-    Pa Pc rho Pc Pa, so no word state, projector matrix or chain of D × D
-    products is formed.  It adds each G G^dag into its message's slot of
-    one (J, D, D) array, divides by L, and takes the measurement in place,
-    so it holds J + O(1) matrices of D × D.  The sums run in codeword order
-    and the division comes last, as in numpy's ``mean`` over an outer axis.
-    ``eval_error`` scores the J elements against one codeword's output
-    state at a time.
+    With G_w from ``_sandwich_terms``, S = (1/L) sum_w G_w G_w^dag and
+    H_w = S^-1/2 G_w, message j's element is E_j = (1/L) sum_l H_jl H_jl^dag,
+    and ``factors[j]`` is [H_j1 | ... | H_jL]: no element, projector matrix
+    or word state is formed.  Where G_w is None, S's term U mu U^dag and
+    S^-1/2 U are each two batched products over U's halves, D² (d^h +
+    d^(n-h)) multiplications instead of D² rank Pc, and H_w is the kept
+    columns of S^-1/2 U scaled by sqrt(mu).
     """
 
-    povm: np.ndarray  # (J, D, D) per-message operators
+    factors: list  # per message j, the (D, R_j) factor [H_j1 | ... | H_jL]
 
     @classmethod
     def build(cls, channel: CQChannel, codebook: Codebook, params: TypicalParams):
-        prior = codebook.source["p"]
-        stream = sandwich_factors(channel, codebook.words.reshape(-1, codebook.n), prior, params)
         dim = channel.d_out ** codebook.n
-        means = np.empty((codebook.J, dim, dim), dtype=complex)
-        for j, l in np.ndindex(codebook.J, codebook.L):
-            g = next(stream)
-            if l == 0:
-                np.matmul(g, g.conj().T, out=means[j])
-            else:
-                means[j] += g @ g.conj().T
-        del stream, g  # the suspended stream holds Ua, and g a D × r factor
-        means /= codebook.L
-        return cls(pretty_good_measurement(means, out=means))
+        check_dim_cap(dim, "sandwiched output")
+        terms = list(_sandwich_terms(channel, codebook.words.reshape(-1, codebook.n),
+                                     codebook.source["p"], params))
+        s = np.zeros((dim, dim), dtype=complex)
+        for a, b, mu, g in terms:  # U diag(mu) U^dag = kron(A, B) @ (kron(A^dag, B^dag) * mu)
+            s += g @ g.conj().T if g is not None else kron_matmul(
+                a, b, kron_chain([a.conj().T, b.conj().T]) * mu[:, None])
+        s /= codebook.L
+        inv_sqrt = pgm_inverse_sqrt(s)
+        del s
+        factors = []
+        while terms:  # S^-1/2 U = (kron(A^T, B^T) @ S^-1/2^T)^T
+            block, terms = terms[:codebook.L], terms[codebook.L:]
+            factors.append(np.hstack([inv_sqrt @ g if g is not None else (
+                kron_matmul(a.T, b.T, inv_sqrt.T).T[:, mu > 0] * np.sqrt(mu[mu > 0]))
+                for a, b, mu, g in block]))
+        return cls(factors)
 
 
 def build_decoder(spec: CompoundWiretapSpec, codebook: Codebook, delta: float = 0.15,
@@ -386,13 +432,16 @@ def _mc_classical_error(
 
 
 def _exact_quantum_error(legit: CQChannel, codebook: Codebook, decoder) -> dict:
-    """1 - (1/L) sum_l tr(E_j rho(x_jl)) per message, one word state at a
-    time: for Hermitian E, tr(E rho) is the entrywise sum ``vdot(E, rho)``,
-    so neither the message state nor the product E rho is formed."""
+    """1 - (1/L) sum_l tr(E_j rho(x_jl)) per message, read off the decoder's
+    factor H_j: tr(E_j rho) = vdot(H_j, rho H_j) / L, and rho H_j is
+    (P (x) Q) H_j, two batched products with the Kronecker products P and Q
+    of the word's two halves of letters, so neither an element nor a D × D
+    word state is formed."""
     per_j = []
-    for povm, words in zip(decoder.povm, codebook.words):
-        hit = sum(np.vdot(povm, cq_word_state(legit, w)).real for w in words)
-        per_j.append(float(1.0 - hit / codebook.L))
+    for factor, words in zip(decoder.factors, codebook.words):
+        hit = sum(np.vdot(factor, kron_matmul(*kron_halves(legit.letters[w]), factor)).real
+                  for w in words)
+        per_j.append(float(1.0 - hit / codebook.L / codebook.L))
     return {"max_error": float(max(per_j)), "per_j": per_j, "method": "exact"}
 
 
@@ -638,6 +687,7 @@ def two_part_protocol(
             raise QcoreError(f"{arg} must be >= {least}")
     if t_true not in spec.names:
         raise QcoreError(f"t_true {t_true!r} is not a state of the spec")
+    _one_output_dimension(spec)
     t_idx = spec.names.index(t_true)
     a = len(spec.legitimate[0].input_alphabet)
     if p is None:

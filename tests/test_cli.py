@@ -500,6 +500,23 @@ def _edited(name, **fields):
     return spec
 
 
+def test_simulate_refuses_cq_states_of_different_output_dimensions(tmp_path, capsys):
+    # one decoder measures every state's outputs; the rates need no common space
+    spec = json.load(open(spec_path("cq_pair.json")))
+    qutrit = {"0": np.diag([0.8, 0.2, 0.0]), "1": np.diag([0.0, 0.3, 0.7])}
+    spec["theta"].append({"t": "t2", "V": spec["theta"][0]["V"], "W": {
+        "kind": "cq", "dim": 3, "input_alphabet": [0, 1],
+        "states": {x: [[[float(v), 0.0] for v in row] for row in m] for x, m in qutrit.items()}}})
+    path, out = tmp_path / "spec.json", tmp_path / "sim.json"
+    path.write_text(json.dumps(spec))
+    argv = ["simulate", "--spec", str(path), "--n", "4", "--J", "2", "--L", "1", "--seed", "1"]
+    assert run_cli(argv + ["--out", str(out)]) == EXIT_SEMANTIC
+    assert not out.exists()
+    assert "one output dimension, not [2, 3]" in capsys.readouterr().err
+    assert run_cli(["capacity", "--formula", "e1q", "--spec", str(path), "--grid", "4",
+                    "--restarts", "0", "--out", str(tmp_path / "cap.json")]) == 0
+
+
 MALFORMED_CHANNELS = {
     "non-numeric matrix entry": ("b1", _edited("bsc_pair.json", matrix=[[0.9, "x"], [0.1, 0.9]])),
     "stochastic alphabet 5": ("b1", _edited("bsc_pair.json", input_alphabet=5)),

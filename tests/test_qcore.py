@@ -14,6 +14,9 @@ from qwk.qcore import (
     ginibre_states,
     hermitian_eigensystem,
     kron_chain,
+    kron_columns,
+    kron_halves,
+    kron_matmul,
     pgm_inverse_sqrt,
     pretty_good_measurement,
     psd_sqrt,
@@ -299,6 +302,29 @@ class TestKronChain:
             for f in factors:
                 ref = np.kron(ref, f[tuple(i if f.shape[k] > 1 else 0 for k, i in enumerate(idx))])
             assert out[idx].tobytes() == ref.tobytes()
+
+
+    def test_no_factors_give_the_identity(self):
+        assert kron_chain([]).tolist() == [[1.0]]
+        assert kron_chain(np.zeros((0, 2, 2))).tolist() == [[1.0]]
+
+
+class TestKronHalves:
+    """The two-halves helpers against the dense Kronecker product."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(0, 5), d=st.integers(1, 3), k=st.integers(0, 4), seed=st.integers(0, 2 ** 32 - 1))
+    def test_against_the_dense_product(self, n, d, k, seed):
+        rng = np.random.default_rng(seed)
+        mats = rng.normal(size=(n, d, d)) + 1j * rng.normal(size=(n, d, d))
+        a, b = kron_halves(mats)
+        assert (len(a), len(b)) == (d ** (n // 2), d ** (n - n // 2))
+        full = kron_chain([a, b])
+        assert np.allclose(full, kron_chain(mats), rtol=0, atol=1e-12)
+        m = rng.normal(size=(d ** n, k)) + 1j * rng.normal(size=(d ** n, k))
+        assert np.allclose(kron_matmul(a, b, m), full @ m, rtol=0, atol=1e-12)
+        kept = rng.random(d ** n) < 0.5
+        assert np.array_equal(kron_columns(a, b, kept), full[:, kept])
 
 
 @st.composite

@@ -14,6 +14,9 @@ from qwk.qcore import (
     DensityOperator,
     QcoreError,
     accumulate_products,
+    kron_chain,
+    kron_columns,
+    kron_matmul,
     psd_sqrt,
     random_density,
     random_unitary,
@@ -27,7 +30,6 @@ from qwk.typicality import (
     averaged_output_projectors,
     conditional_typical_projector,
     conditional_typical_projectors,
-    sandwich_factors,
     sandwiched_output,
     sandwiched_outputs,
     averaged_trace_checks,
@@ -398,8 +400,18 @@ class TestSandwichedOutputs:
             sandwiched_outputs(v, [(0, 1, 0, 1), (0, 0, 0, 0)], [0.5, 0.5], params)
 
 
+def _kept_columns(unitaries, kept) -> np.ndarray:
+    """Reference: the former factor columns, built letter by letter from
+    the kept columns' digits."""
+    digits = np.unravel_index(np.flatnonzero(kept), [u.shape[1] for u in unitaries])
+    cols = kron_chain([u.T[idx][:, :, None] for u, idx in zip(unitaries, digits)])
+    return cols[:, :, 0].T
+
+
 class TestSandwichFactors:
-    """G G^dag against the dense Pa Pc rho Pc Pa, word by word."""
+    """The pretty-good decoder's per-word terms against the dense
+    Pa Pc rho Pc Pa, word by word: G G^dag where the decoder keeps the
+    factor G, and U diag(mu) U^dag where it works with U's halves."""
 
     @staticmethod
     def dense(v, word, prior, params):
@@ -411,12 +423,25 @@ class TestSandwichFactors:
         return _sandwich(pa, pc, cq_word_state(v, word))
 
     def check(self, v, prior, params, words):
-        """Compares every word's factor and returns (max rank of G, rank Pa)."""
-        ranks = []
-        for word, g in zip(words, sandwich_factors(v, words, prior, params), strict=True):
-            assert g.shape[0] == v.d_out ** params.n
-            assert np.allclose(g @ g.conj().T, self.dense(v, word, prior, params), rtol=0, atol=1e-12)
-            ranks.append(g.shape[1])
+        """Compares every word's term and returns (max width of G or 0 when
+        no word keeps G, rank Pa)."""
+        from qwk.wiretapsim import _sandwich_terms
+
+        ranks = [0]
+        for word, (a, b, mu, g) in zip(words, _sandwich_terms(v, words, prior, params), strict=True):
+            cond = conditional_typical_projector(v, word, prior, params)
+            f = kron_columns(a, b, cond.kept)
+            assert np.allclose(f, _kept_columns(cond.spectrum.letter_unitaries, cond.kept),
+                               rtol=0, atol=1e-15)
+            if g is None:
+                u = kron_chain([a, b])
+                term = kron_matmul(a, b, (u * mu).conj().T)
+                assert np.allclose(term, (u * mu) @ u.conj().T, rtol=0, atol=1e-13)
+            else:
+                assert g.shape[0] == v.d_out ** params.n
+                term = g @ g.conj().T
+                ranks.append(g.shape[1])
+            assert np.allclose(term, self.dense(v, word, prior, params), rtol=0, atol=1e-12)
         return max(ranks), averaged_output_projector(prior, v, params).rank
 
     @pytest.mark.parametrize("d, n, seed", [(2, 5, 1), (2, 6, 2), (3, 3, 3), (3, 4, 4)])
@@ -442,7 +467,7 @@ class TestSandwichFactors:
     @pytest.mark.parametrize("split", [0.0, 4e-11])
     def test_degenerate_letter(self, split):
         # eigenvalues 1/2 ± split form one group: its mean would move the
-        # products of a six-letter word by ~1e-11, so F takes the raw ones
+        # products of a six-letter word by ~1e-11, so mu takes the raw ones
         rng = np.random.default_rng(6)
         u = random_unitary(A, rng)
         v = binary_cq(u @ np.diag([0.5 + split, 0.5 - split]) @ u.conj().T, random_density(A, rng).matrix)
@@ -451,13 +476,19 @@ class TestSandwichFactors:
             self.check(v, [0.5, 0.5], TypicalParams(n=6, delta=0.2, alpha=alpha), words)
 
     def test_cap_checked_at_the_call(self):
+        # refused before any projector or the D × D normaliser is formed
+        from qwk.wiretapsim import Codebook, PrettyGoodDecoder
+
         v = binary_cq(np.diag([0.7, 0.3]), np.diag([0.4, 0.6]))
+        cb = Codebook(np.zeros((1, 1, 15), dtype=int), 1, 1, 15, {"p": [0.5, 0.5]})
         with pytest.raises(CapExceededError):
-            sandwich_factors(v, [], [0.5, 0.5], TypicalParams(n=15))
+            PrettyGoodDecoder.build(v, cb, TypicalParams(n=15))
 
     def test_atypical_word_rejected(self):
+        from qwk.wiretapsim import _sandwich_terms
+
         v = binary_cq(np.diag([0.7, 0.3]), np.diag([0.4, 0.6]))
-        stream = sandwich_factors(v, [(0, 1, 0, 1), (0, 0, 0, 0)], [0.5, 0.5], TypicalParams(n=4))
+        stream = _sandwich_terms(v, [(0, 1, 0, 1), (0, 0, 0, 0)], [0.5, 0.5], TypicalParams(n=4))
         next(stream)
         with pytest.raises(QcoreError, match="word is not typical for the prior"):
             next(stream)

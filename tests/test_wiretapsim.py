@@ -197,16 +197,20 @@ class TestDecodingAndError:
         assert rep.per_t["t1"]["max_error"] <= 0.2
 
 
-def _stacked_mean_povm(spec, cb):
-    """Reference: the former decoder build.  Every sandwiched output in one
-    (J, L, D, D) stack, numpy's mean over L, then the stacked square-root
-    measurement."""
-    params = TypicalParams(n=cb.n, delta=cb.source["delta"])
-    outs = sandwiched_outputs(spec.legitimate[0], cb.words.reshape(-1, cb.n), cb.source["p"],
-                              params)
+def _stacked_mean_povm(legit, cb, params=None):
+    """Reference: the former dense decoder build.  Every sandwiched output
+    in one (J, L, D, D) stack, numpy's mean over L, then the stacked
+    square-root measurement."""
+    params = params or TypicalParams(n=cb.n, delta=cb.source["delta"])
+    outs = sandwiched_outputs(legit, cb.words.reshape(-1, cb.n), cb.source["p"], params)
     means = outs.reshape(cb.J, cb.L, *outs.shape[1:]).mean(axis=1)
     inv_sqrt = pgm_inverse_sqrt(means.sum(axis=0))
     return inv_sqrt @ means @ inv_sqrt
+
+
+def _elements(dec, L):
+    """The decoder's elements E_j = H_j H_j^dag / L, rebuilt from its factors."""
+    return np.stack([h @ h.conj().T / L for h in dec.factors])
 
 
 class TestPrettyGoodDecoder:
@@ -214,7 +218,8 @@ class TestPrettyGoodDecoder:
     def test_povm_equals_the_stacked_mean_build(self, J, L):
         spec = load_spec(os.path.join(SPECS, "cq_pair.json"))
         cb = sample_codebook([0.5, 0.5], 6, J, L, seed=3, delta=0.1)
-        assert np.array_equal(build_decoder(spec, cb).povm, _stacked_mean_povm(spec, cb))
+        assert np.allclose(_elements(build_decoder(spec, cb), L),
+                           _stacked_mean_povm(spec.legitimate[0], cb), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("J, L", [(1, 1), (4, 2), (3, 5)])
     def test_build_diagonalises_each_letter_once(self, J, L, eigensystem_calls):
@@ -245,7 +250,7 @@ class TestPrettyGoodDecoder:
         legit = CQChannel((0, 1), Z, {x: ginibre_states(ginibre_factor(Z, rng)) for x in (0, 1)})
         cb = sample_codebook([0.5, 0.5], 6, 3, 2, seed=1, delta=0.2)
         params = TypicalParams(n=6, delta=0.2, alpha=alpha)
-        povm = PrettyGoodDecoder.build(legit, cb, params).povm
+        povm = _elements(PrettyGoodDecoder.build(legit, cb, params), 2)
         assert formed == []
         monkeypatch.undo()
         outs = sandwiched_outputs(legit, cb.words.reshape(-1, 6), [0.5, 0.5], params)
@@ -254,8 +259,9 @@ class TestPrettyGoodDecoder:
 
     @pytest.mark.parametrize("J, L", [(4, 2), (2, 4)])
     def test_build_peak_memory(self, J, L):
-        # the J per-message means plus a few D x D work matrices; a build
-        # that stacks all J*L outputs needs 2JL + J + 5 of them
+        # the normaliser, its inverse square root, a few D x D work matrices
+        # and the J factors; a build that stacks all J*L outputs needs
+        # 2JL + J + 5 D x D matrices
         n = 8
         spec = load_spec(os.path.join(SPECS, "cq_pair.json"))
         cb = sample_codebook([0.5, 0.5], n, J, L, seed=1, delta=0.1)
@@ -292,13 +298,31 @@ class TestExactQuantumError:
         cb = sample_codebook([0.5, 0.5], n, J, L, seed=seed, delta=0.25)
         dec = build_decoder(spec, cb)
         got = eval_error(spec, cb, dec, trials=1, seed=0).per_t["t1"]["per_j"]
-        ref = [1.0 - np.trace(e @ rho).real for e, rho in zip(dec.povm, _message_states(legit, cb))]
+        povm = _stacked_mean_povm(legit, cb)
+        ref = [1.0 - np.trace(e @ rho).real for e, rho in zip(povm, _message_states(legit, cb))]
         assert np.allclose(got, ref, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 5, 8])
+    def test_error_forms_no_word_state(self, n, monkeypatch):
+        # the largest Kronecker product formed is one half of a word
+        import qwk.qcore
+        import qwk.wiretapsim
+
+        spec = load_spec(os.path.join(SPECS, "cq_pair.json"))
+        cb = sample_codebook([0.5, 0.5], n, 2, 2, seed=1, delta=0.5)
+        dec = build_decoder(spec, cb)
+        dims = []
+        kron = qwk.qcore.kron_chain
+        monkeypatch.setattr(qwk.qcore, "kron_chain", lambda f: dims.append(len(kron(f))) or kron(f))
+        monkeypatch.setattr(qwk.wiretapsim, "kron_chain", None)
+        monkeypatch.setattr(qwk.wiretapsim, "cq_word_state", None)
+        eval_error(spec, cb, dec, trials=1, seed=0)
+        assert dims and max(dims) == 2 ** (n - n // 2)
 
     @pytest.mark.parametrize("J, L", [(4, 2), (2, 4)])
     def test_error_peak_memory(self, J, L):
-        # one word state and its Kronecker work at a time; the former dense
-        # message states and E rho products needed 4.5-6 D^2 on top
+        # one factor's image under the word's two half states at a time; the
+        # former dense message states and E rho products needed 4.5-6 D^2
         n = 8
         spec = load_spec(os.path.join(SPECS, "cq_pair.json"))
         cb = sample_codebook([0.5, 0.5], n, J, L, seed=1, delta=0.1)
@@ -461,6 +485,17 @@ class TestTwoPartProtocol:
         assert s["total_error_rate"] == pytest.approx(recomputed, abs=1e-12)
         assert rep.per_t["t1"]["leakage"] == pytest.approx(0.0, abs=1e-10)
 
+    def test_cq_states_of_different_output_dimensions_refused(self, monkeypatch):
+        # block 1's measurement needs every state's output in one space
+        import qwk.wiretapsim as ws
+
+        qutrit = CQChannel((0, 1), 3, {0: np.diag([0.8, 0.2, 0.0]), 1: np.diag([0.0, 0.3, 0.7])})
+        spec = CompoundWiretapSpec("cq", ("t1", "t2"), (qubit_wiretap(), qutrit),
+                                   (qubit_wiretap(), qubit_wiretap()))
+        monkeypatch.setattr(ws, "sample_codebook", None)
+        with pytest.raises(QcoreError, match=r"one output dimension, not \[2, 3\]"):
+            two_part_protocol(spec, "t1", n1=2, n2=4, J=2, L=1, trials=10, seed=1)
+
     def test_cq_decoder_projects_with_the_codebook_prior(self):
         # words drawn from (0.8, 0.2) are not typical for the uniform prior
         spec = load_spec(os.path.join(SPECS, "cq_pair.json"))
@@ -469,7 +504,8 @@ class TestTwoPartProtocol:
         cb = sample_codebook([0.8, 0.2], 6, 2, 1, 1003, delta=0.15)
         outs = sandwiched_outputs(spec.legitimate[0], cb.words.reshape(2, 6), [0.8, 0.2],
                                   TypicalParams(n=6, delta=0.15))
-        assert np.array_equal(build_decoder(spec, cb).povm, pretty_good_measurement(outs))
+        assert np.allclose(_elements(build_decoder(spec, cb), 1), pretty_good_measurement(outs),
+                           rtol=0, atol=1e-12)
 
     def test_golden_reports_rerun_byte_identically(self):
         cases = _twopart_golden_cases()
@@ -990,3 +1026,52 @@ class TestMonteCarloBlocks:
         # unblocked, the 20,000 trials peaked 7.6 MB above the 2,000; blocks
         # of 2,048 against one of 2,000 leave about 0.1 MB
         assert peaks[20_000] <= peaks[2_000] + 512 * 1024
+
+
+# ---------------------------------------------------------------------------
+# the factor-form pretty-good decoder against the dense one
+
+
+@st.composite
+def _cq_codes(draw):
+    """A binary-input cq channel with random mixed (possibly rank-deficient)
+    qubit or qutrit letters, a codebook of J·L words drawn from a pool that
+    may repeat them, and a width alpha under which Pa keeps every
+    eigen-word (4) or drops some (0.1, 0.5).  delta 0.5 makes every word
+    typical for the uniform prior."""
+    d = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(2, 6 if d == 2 else 5))
+    J, L = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    ranks = [draw(st.integers(1, d)) for _ in range(2)]
+    legit = CQChannel((0, 1), d, {x: ginibre_states(ginibre_factor(d, rng, rank))
+                                  for x, rank in enumerate(ranks)})
+    pool = rng.integers(0, 2, size=(draw(st.integers(1, J * L)), n))
+    words = pool[rng.integers(0, len(pool), size=(J, L))]
+    params = TypicalParams(n=n, delta=0.5, alpha=draw(st.sampled_from([0.1, 0.5, 4.0])))
+    return legit, Codebook(words, J, L, n, {"p": [0.5, 0.5], "delta": 0.5}), params
+
+
+class TestFactorDecoderAgainstDense:
+    @settings(max_examples=60, deadline=None)
+    @given(_cq_codes())
+    def test_elements_and_per_j(self, case):
+        # per_j to 1e-12 always.  The elements carry the rounding of S^-1/2,
+        # which grows as 1 / lam, lam the normaliser's smallest kept
+        # eigenvalue: they agree to 1e-12 from lam = 1e-3 and within
+        # 1e-14 / lam below it (400 random families gave at most 4.5e-14
+        # and 7.5e-16 / lam, e.g. 9.4e-11 at lam = 1.8e-7)
+        from qwk.wiretapsim import _exact_quantum_error
+
+        legit, cb, params = case
+        dec = PrettyGoodDecoder.build(legit, cb, params)
+        ref = _stacked_mean_povm(legit, cb, params)
+        got = _exact_quantum_error(legit, cb, dec)["per_j"]
+        states = [[cq_word_state(legit, w) for w in words] for words in cb.words]
+        expect = [1.0 - sum(np.vdot(e, rho).real for rho in rhos) / cb.L
+                  for e, rhos in zip(ref, states)]
+        assert np.allclose(got, expect, rtol=0, atol=1e-12)
+        outs = sandwiched_outputs(legit, cb.words.reshape(-1, cb.n), [0.5, 0.5], params)
+        lam = np.linalg.eigvalsh(outs.sum(axis=0) / cb.L)
+        lam = lam[lam > 1e-12].min(initial=1.0)  # 1 where a window keeps nothing
+        assert np.abs(_elements(dec, cb.L) - ref).max() <= (1e-12 if lam >= 1e-3 else 1e-14 / lam)
